@@ -48,10 +48,6 @@ class BetaExpansion:
     quasi_greedy_block: tuple[int, ...] | None
     periodicity: tuple[int, int] | None
 
-    @property
-    def alphabet_size(self) -> int:
-        return int(math.ceil(self.beta))
-
     def quasi_greedy_digits(self, n: int) -> tuple[int, ...]:
         """First n digits of the quasi-greedy expansion of 1."""
         if self.terminated:
@@ -153,13 +149,3 @@ def beta_expansion_of_one(
         periodicity=periodicity,
     )
 
-
-def quasi_greedy_digits(
-    beta,
-    n: int,
-    snap_tol: float = DEFAULT_SNAP_TOL,
-    guard_bits: int = DEFAULT_GUARD_BITS,
-) -> tuple[int, ...]:
-    """First n digits of the quasi-greedy expansion of 1 in base beta."""
-    exp = beta_expansion_of_one(beta, n, snap_tol=snap_tol, guard_bits=guard_bits)
-    return exp.quasi_greedy_digits(n)

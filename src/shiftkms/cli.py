@@ -8,7 +8,9 @@ Input documents are JSON, UTF-8, lowercase keys, 1-based symbols:
     {"type": "beta", "beta": 1.8392867552, "digit_depth": 64}
     {"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}
 
-Exit codes: 0 success, 1 bad input, 2 violated internal invariant.
+Exit codes: 0 success, 1 bad input, 2 violated internal invariant or failed
+numerical solver.  A matrix document's Perron data is solved once, on first
+use, and shared by every section of the report.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ import numpy as np
 
 from . import __version__, equilibrium, krieger, subshift, tracespace
 from .equilibrium import InvariantViolation
-from .spectral import ReducibleMatrixError, as_nonnegative, perron_vectors
+from .spectral import ConvergenceError, ReducibleMatrixError, as_nonnegative, perron_vectors
 from .subshift import SFT, BetaShift, ForbiddenWords, FullShift
-
-COMMANDS = ("entropy", "kms", "parry", "krieger", "bracket", "variational", "resolvent", "all")
 
 
 class InputError(ValueError):
@@ -52,17 +52,14 @@ def parse_spec(document):
         raise InputError("missing field 'type'")
     try:
         if kind == "full":
-            return FullShift(int(_need(doc, "alphabet")))
+            return FullShift(_integer(doc, "alphabet"))
         if kind == "sft":
             return SFT(np.asarray(_need(doc, "matrix")))
         if kind == "forbidden":
             words = tuple(tuple(w) for w in _need(doc, "words"))
-            return ForbiddenWords(int(_need(doc, "alphabet")), words)
+            return ForbiddenWords(_integer(doc, "alphabet"), words)
         if kind == "beta":
-            return BetaShift(
-                beta=_need(doc, "beta"),
-                digit_depth=int(doc.get("digit_depth", 64)),
-            )
+            return BetaShift(beta=_need(doc, "beta"), digit_depth=_integer(doc, "digit_depth", 64))
         if kind == "nonnegative":
             return ("nonnegative", as_nonnegative(_need(doc, "matrix")))
     except InputError:
@@ -76,6 +73,14 @@ def _need(doc, field):
     if field not in doc:
         raise InputError(f"missing field '{field}'")
     return doc[field]
+
+
+def _integer(doc, field, default=None):
+    """A JSON integer field; an integral number such as 2.0 counts, a bool does not."""
+    value = _need(doc, field) if default is None else doc.get(field, default)
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise InputError(f"field '{field}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def _echo(spec):
@@ -95,17 +100,12 @@ def _echo(spec):
     return {"type": kind, "matrix": np.asarray(matrix).tolist()}
 
 
-def _matrix_of(spec):
-    if isinstance(spec, FullShift):
-        return np.ones((spec.alphabet, spec.alphabet), dtype=int)
-    if isinstance(spec, SFT):
-        return spec.matrix
-    raise InputError(
-        "this command needs a transition matrix; give a 'sft', 'full' or 'nonnegative' document"
-    )
+def _analysis(spec):
+    """Shared Perron data of a transition-matrix document; its matrix if reducible."""
+    return spec.perron or spec.matrix
 
 
-def _section_entropy(spec, flags):
+def _section_entropy(spec, flags, warnings):
     est = subshift.topological_entropy(spec, flags["max_n"])
     return {
         "theta": list(est.theta),
@@ -127,9 +127,11 @@ def _section_kms(spec, flags, warnings):
             "v0": report.v0.tolist(),
             "sequence": [v.tolist() for v in report.sequence],
         }
-    M = _matrix_of(spec)
     report = tracespace.kms_temperature(
-        M, depth=flags["depth"], tol=flags["tol"], reducible_mode=flags["reducible_mode"]
+        _analysis(spec),
+        depth=flags["depth"],
+        tol=flags["tol"],
+        reducible_mode=flags["reducible_mode"],
     )
     section = {
         "kind": "cuntz-krieger",
@@ -146,8 +148,8 @@ def _section_kms(spec, flags, warnings):
     return section
 
 
-def _section_parry(spec, flags):
-    m = equilibrium.parry_measure(_matrix_of(spec), tol=flags["tol"])
+def _section_parry(spec, flags, warnings):
+    m = equilibrium.parry_measure(_analysis(spec), tol=flags["tol"])
     return {
         "lambda": m.lam,
         "transitions": m.transitions.tolist(),
@@ -188,9 +190,9 @@ def _section_bracket(spec, flags, warnings):
     }
 
 
-def _section_variational(spec, flags):
+def _section_variational(spec, flags, warnings):
     report = equilibrium.variational_scan(
-        _matrix_of(spec), n_samples=flags["samples"], seed=flags["seed"]
+        _analysis(spec), n_samples=flags["samples"], seed=flags["seed"]
     )
     return {
         "top_entropy": report.top_entropy,
@@ -204,14 +206,13 @@ def _section_variational(spec, flags):
     }
 
 
-def _section_resolvent(spec, flags):
-    M = _matrix_of(spec)
-    perron = perron_vectors(M, tol=flags["tol"])
+def _section_resolvent(spec, flags, warnings):
+    perron = perron_vectors(_analysis(spec), tol=flags["tol"])
     offsets = (0.5, 0.1, 0.01, 1e-4)
     v_dir = perron.v / perron.v.sum()
     rows = []
     for off in offsets:
-        rv = equilibrium.resolvent_vector(M, perron, perron.lam + off)
+        rv = equilibrium.resolvent_vector(perron.matrix, perron, perron.lam + off)
         a_dir = rv.a / rv.a.sum()
         rows.append(
             {
@@ -224,43 +225,39 @@ def _section_resolvent(spec, flags):
     return {"lambda": perron.lam, "schedule": rows}
 
 
+# parsed document types each section applies to; a tuple is a lambda-matrix
+SUBSHIFT = (FullShift, SFT, ForbiddenWords, BetaShift)
+TRANSITION_MATRIX = (FullShift, SFT)
+ANY_MATRIX = (FullShift, SFT, tuple)
+
+# command -> (document types, section builder), in report order
+SECTIONS = {
+    "entropy": (SUBSHIFT, _section_entropy),
+    "kms": (ANY_MATRIX, _section_kms),
+    "parry": (TRANSITION_MATRIX, _section_parry),
+    "krieger": (SUBSHIFT, _section_krieger),
+    "bracket": (SUBSHIFT, _section_bracket),
+    "variational": (TRANSITION_MATRIX, _section_variational),
+    "resolvent": (TRANSITION_MATRIX, _section_resolvent),
+}
+COMMANDS = (*SECTIONS, "all")
+
+
 def run(command: str, spec, flags) -> dict:
     """Execute one command and assemble the deterministic report."""
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
     warnings: list[str] = []
     results = {}
-    is_matrix_doc = isinstance(spec, tuple)
-    matrix_like = is_matrix_doc or isinstance(spec, (FullShift, SFT))
-
-    def applicable(name):
-        if name in ("entropy", "krieger", "bracket"):
-            return not is_matrix_doc
-        if name == "kms":
-            return matrix_like
-        return matrix_like and not is_matrix_doc
-
-    wanted = [c for c in COMMANDS[:-1] if command in (c, "all")]
-    for name in wanted:
-        if not applicable(name):
+    for name, (types, section) in SECTIONS.items():
+        if command not in (name, "all"):
+            continue
+        if not isinstance(spec, types):
             if command == "all":
                 warnings.append(f"{name}: not applicable to this input, skipped")
                 continue
             raise InputError(f"command '{name}' is not applicable to this input")
-        if name == "entropy":
-            results["entropy"] = _section_entropy(spec, flags)
-        elif name == "kms":
-            results["kms"] = _section_kms(spec, flags, warnings)
-        elif name == "parry":
-            results["parry"] = _section_parry(spec, flags)
-        elif name == "krieger":
-            results["krieger"] = _section_krieger(spec, flags, warnings)
-        elif name == "bracket":
-            results["bracket"] = _section_bracket(spec, flags, warnings)
-        elif name == "variational":
-            results["variational"] = _section_variational(spec, flags)
-        elif name == "resolvent":
-            results["resolvent"] = _section_resolvent(spec, flags)
+        results[name] = section(spec, flags, warnings)
     report = {
         "tool": "shiftkms",
         "version": __version__,
@@ -285,7 +282,8 @@ def run(command: str, spec, flags) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are bad input (exit 1); exit 2 is reserved for invariant failures
+    # usage problems are bad input (exit 1); exit 2 is reserved for invariant
+    # and solver failures
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -329,13 +327,16 @@ def main(argv=None) -> int:
                 text = fh.read()
         spec = parse_spec(text)
         report = run(args.command, spec, flags)
+        text_out = json.dumps(report, indent=2, allow_nan=False)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 2
+    except ConvergenceError as exc:
+        print(f"error: numerical solver failed: {exc}", file=sys.stderr)
         return 2
     except (InputError, ReducibleMatrixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text_out = json.dumps(report, indent=2, allow_nan=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text_out + "\n")

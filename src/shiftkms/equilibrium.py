@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import PerronData, as_zero_one, irreducible, perron_vectors
+from .spectral import PERRON_TOL, PerronData, as_zero_one, matrix_of, perron_vectors
+from .subshift import validate_word
 
 
 class InvariantViolation(RuntimeError):
@@ -42,12 +43,10 @@ def parry_measure(A, tol: float = 1e-12) -> MarkovMeasure:
     """The maximal-entropy Markov measure of an irreducible 0/1 matrix.
 
     Raises InvariantViolation if the constructed chain misses row-stochasticity
-    or stationarity beyond 1e-12.
+    or stationarity beyond 1e-12.  A may be a matrix or its Perron data.
     """
-    M = as_zero_one(A)
-    if not irreducible(M):
-        raise ValueError("parry_measure requires an irreducible matrix")
-    p = perron_vectors(M, tol=min(tol, 1e-13))
+    M = as_zero_one(matrix_of(A))
+    p = perron_vectors(A, tol=min(tol, PERRON_TOL))
     P = M * p.u[None, :] / (p.lam * p.u[:, None])
     # float hygiene: divide out the row sums (a relative correction at the
     # Perron-residual scale) so row-stochasticity is exact
@@ -94,13 +93,9 @@ def cylinder_eigen(m: MarkovMeasure, word) -> float:
 
 
 def _validate_cylinder_word(m: MarkovMeasure, word):
-    w = tuple(int(s) for s in word)
-    if len(w) < 1:
+    w = validate_word(word, m.matrix.shape[0])
+    if not w:
         raise ValueError("cylinder words must be nonempty")
-    d = m.matrix.shape[0]
-    for s in w:
-        if s < 1 or s > d:
-            raise ValueError(f"symbol {s} outside alphabet 1..{d}")
     return w
 
 
@@ -157,17 +152,16 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
 
     Every sampled entropy must stay below log r(A) + slack (a violation raises
     InvariantViolation); the Parry measure is appended to the ensemble so the
-    reported maximum attains the top value.
+    reported maximum attains the top value.  A may be a matrix or its Perron
+    data; the one Perron solve is handed on to parry_measure.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    M = as_zero_one(A)
-    if not irreducible(M):
-        raise ValueError("variational_scan requires an irreducible matrix")
+    M = as_zero_one(matrix_of(A))
     d = M.shape[0]
-    parry = parry_measure(M)
+    parry = parry_measure(perron_vectors(A, tol=PERRON_TOL))
     top = math.log(parry.lam)
     mask = M > 0
     Ps = np.zeros((n_samples, d, d))

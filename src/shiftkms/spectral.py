@@ -16,6 +16,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
+PERRON_TOL = 1e-13  # the strictest default acceptance of any thermodynamic result
 
 
 def residual_noise_floor(d: int, lam: float = 1.0) -> float:
@@ -59,15 +60,10 @@ def as_nonnegative(A) -> np.ndarray:
 
 def as_zero_one(A) -> np.ndarray:
     """Validate and return A as a square integer array with entries in {0, 1}."""
-    M = np.asarray(A)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if M.shape[0] == 0:
-        raise ValueError("matrix must have dimension >= 1")
-    I = np.rint(np.asarray(M, dtype=float)).astype(int)
-    if np.any(np.abs(np.asarray(M, dtype=float) - I) > 0) or not np.all((I == 0) | (I == 1)):
+    M = as_nonnegative(A)
+    if not np.all((M == 0) | (M == 1)):
         raise ValueError("matrix entries must be 0 or 1")
-    return I
+    return M.astype(int)
 
 
 def has_zero_row(A) -> bool:
@@ -147,11 +143,8 @@ def irreducible(A) -> bool:
     return len(strongly_connected_components(M)) == 1
 
 
-def period(A) -> int:
-    """gcd of all cycle lengths of the support digraph.  Requires irreducibility."""
-    M = as_nonnegative(A)
-    if not irreducible(M):
-        raise ReducibleMatrixError("period is defined here only for irreducible matrices")
+def _cycle_gcd(M: np.ndarray) -> int:
+    """gcd of the cycle lengths of an irreducible support digraph (one BFS)."""
     d = M.shape[0]
     succ = [np.nonzero(M[i] > 0)[0].tolist() for i in range(d)]
     level = [-1] * d
@@ -169,6 +162,14 @@ def period(A) -> int:
                     g = math.gcd(g, level[u] + 1 - level[w])
         queue = nxt
     return abs(g) if g != 0 else 1
+
+
+def period(A) -> int:
+    """gcd of all cycle lengths of the support digraph.  Requires irreducibility."""
+    M = as_nonnegative(A)
+    if not irreducible(M):
+        raise ReducibleMatrixError("period is defined here only for irreducible matrices")
+    return _cycle_gcd(M)
 
 
 def aperiodic(A) -> bool:
@@ -189,8 +190,10 @@ def _power_iteration(B: np.ndarray, tol: float, max_iter: int):
     for k in range(1, max_iter + 1):
         w = B @ v
         lam = float(w.sum())
-        if lam <= 0.0:
-            raise ConvergenceError("iterate collapsed to zero", last_vector=v, residual=resid)
+        if not 0.0 < lam < math.inf:
+            raise ConvergenceError(
+                f"iterate sum {lam} is not positive and finite", last_vector=v, residual=resid
+            )
         resid = float(np.abs(w - lam * v).sum())
         if resid <= max(tol, residual_noise_floor(d, lam)):
             return lam, v, k, resid
@@ -202,33 +205,21 @@ def _power_iteration(B: np.ndarray, tol: float, max_iter: int):
     )
 
 
-def _irreducible_perron(M: np.ndarray, tol: float, max_iter: int):
-    """Perron value and right eigenvector of an irreducible nonnegative matrix.
-
-    Periodic matrices are iterated on M + I, which is primitive and shares the
-    eigenvectors; the eigenvalue shift by 1 is exact.
-    """
-    if M.shape[0] == 1:
-        lam = float(M[0, 0])
-        return lam, np.array([1.0]), 0, 0.0
-    if period(M) == 1:
-        return _power_iteration(M, tol, max_iter)
-    d = M.shape[0]
-    lam_shift, v, it, resid = _power_iteration(M + np.eye(d), tol, max_iter)
-    return lam_shift - 1.0, v, it, resid
-
-
 @dataclass(frozen=True, eq=False)
 class PerronData:
     """Perron eigendata of an irreducible nonnegative matrix.
 
-    u is the right eigenvector scaled so sum(u) = 1, v the left eigenvector
-    scaled so sum(u * v) = 1; residual bounds both l1 eigen-residuals.
+    matrix is the validated float matrix the data belongs to and period the
+    gcd of its cycle lengths.  u is the right eigenvector scaled so
+    sum(u) = 1, v the left eigenvector scaled so sum(u * v) = 1; residual
+    bounds both l1 eigen-residuals.
     """
 
+    matrix: np.ndarray
     lam: float
     u: np.ndarray
     v: np.ndarray
+    period: int
     iterations: int
     residual: float
 
@@ -246,40 +237,12 @@ class ComponentPerron:
     data: PerronData | None
 
 
-def perron_vectors(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> PerronData:
-    """Perron value with normalized right/left eigenvectors of an irreducible matrix.
+def matrix_of(A):
+    """The matrix behind A: the analysed matrix of Perron data, A itself otherwise."""
+    return A.matrix if isinstance(A, PerronData) else A
 
-    Parameters
-    ----------
-    A : array_like
-        Square nonnegative irreducible matrix.
-    tol : float
-        Acceptance bound for the l1 eigen-residuals of both vectors.
-    max_iter : int
-        Iteration budget for each power iteration.
 
-    Raises
-    ------
-    ReducibleMatrixError
-        For reducible input; use component_perron_data for the per-component mode.
-    ConvergenceError
-        When either iteration fails to meet tol within max_iter.
-    """
-    M = as_nonnegative(A)
-    if not irreducible(M):
-        raise ReducibleMatrixError(
-            "perron_vectors requires an irreducible matrix; "
-            "use component_perron_data for per-component Perron data"
-        )
-    inner = min(tol, DEFAULT_TOL) / 8.0
-    lam, u, it_u, res_u = _irreducible_perron(M, inner, max_iter)
-    _, v_raw, it_v, _ = _irreducible_perron(M.T, inner, max_iter)
-    pairing = float(u @ v_raw)
-    if pairing <= 0.0:
-        raise ConvergenceError("left/right eigenvector pairing is not positive", last_vector=v_raw)
-    v = v_raw / pairing
-    res_v = float(np.abs(M.T @ v - lam * v).sum())
-    residual = max(res_u, res_v)
+def _accept(M: np.ndarray, lam: float, v: np.ndarray, residual: float, tol: float) -> None:
     # rescaling v inflates its absolute residual by ||v||_1, so the floor must
     # scale the same way before an honest input is rejected
     scale = max(1.0, float(np.abs(v).sum()))
@@ -290,9 +253,73 @@ def perron_vectors(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
             last_vector=v,
             residual=residual,
         )
+
+
+def _perron(M: np.ndarray, tol: float, max_iter: int) -> PerronData:
+    """Perron data of a validated irreducible matrix.  Periodic matrices are
+    iterated on M + I, which is primitive and shares the eigenvectors; the
+    eigenvalue shift by 1 is exact."""
+    d = M.shape[0]
+    per = _cycle_gcd(M)
+    if d == 1:
+        lam, u, v_raw, iterations, res_u = float(M[0, 0]), np.array([1.0]), np.array([1.0]), 0, 0.0
+    else:
+        inner = min(tol, DEFAULT_TOL) / 8.0
+        if per == 1:
+            right, left, shift = M, M.T, 0.0
+        else:
+            right, left, shift = M + np.eye(d), M.T + np.eye(d), 1.0
+        lam, u, it_u, res_u = _power_iteration(right, inner, max_iter)
+        _, v_raw, it_v, _ = _power_iteration(left, inner, max_iter)
+        lam -= shift
+        iterations = it_u + it_v
+    pairing = float(u @ v_raw)
+    if pairing <= 0.0:
+        raise ConvergenceError("left/right eigenvector pairing is not positive", last_vector=v_raw)
+    v = v_raw / pairing
+    res_v = float(np.abs(M.T @ v - lam * v).sum())
+    residual = max(res_u, res_v)
+    _accept(M, lam, v, residual, tol)
     if float(u.min()) <= 0.0 or float(v.min()) <= 0.0:
         raise ConvergenceError("Perron vectors must be strictly positive for irreducible input")
-    return PerronData(lam=lam, u=u, v=v, iterations=it_u + it_v, residual=residual)
+    return PerronData(
+        matrix=M, lam=lam, u=u, v=v, period=per, iterations=iterations, residual=residual
+    )
+
+
+def perron_vectors(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> PerronData:
+    """Perron value with normalized right/left eigenvectors of an irreducible matrix.
+
+    One SCC pass, one period BFS and one power iteration per vector.  Perron
+    data passed as A is returned unchanged once it meets the acceptance for tol.
+
+    Parameters
+    ----------
+    A : array_like or PerronData
+        Square nonnegative irreducible matrix, or its Perron data.
+    tol : float
+        Acceptance bound for the l1 eigen-residuals of both vectors.
+    max_iter : int
+        Iteration budget for each power iteration.
+
+    Raises
+    ------
+    ReducibleMatrixError
+        For reducible input; use component_perron_data for the per-component mode.
+    ConvergenceError
+        When either iteration fails to meet tol within max_iter, or an
+        iterate sum is zero or not finite (an overflowing Perron value).
+    """
+    if isinstance(A, PerronData):
+        _accept(A.matrix, A.lam, A.v, A.residual, tol)
+        return A
+    M = as_nonnegative(A)
+    if not irreducible(M):
+        raise ReducibleMatrixError(
+            "Perron data needs an irreducible matrix; "
+            "component_perron_data analyses a reducible one per component"
+        )
+    return _perron(M, tol, max_iter)
 
 
 def component_perron_data(
@@ -311,45 +338,31 @@ def component_perron_data(
         if len(comp) == 1 and sub[0, 0] == 0.0:
             out.append(ComponentPerron(indices=comp, radius=0.0, data=None))
         else:
-            data = perron_vectors(sub, tol=tol, max_iter=max_iter)
+            data = _perron(sub, tol, max_iter)
             out.append(ComponentPerron(indices=comp, radius=data.lam, data=data))
     return out
 
 
 def spectral_radius(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Spectral radius of a nonnegative matrix.
+    """Spectral radius of a nonnegative matrix, or the Perron value of Perron data.
 
-    Irreducible input goes through a single power iteration; reducible input
-    is decomposed and the maximum over component radii is returned.
+    The radius is the maximum over the component Perron values, so on an
+    irreducible matrix it is perron_vectors(A).lam.
     """
+    if isinstance(A, PerronData):
+        return A.lam
     M = as_nonnegative(A)
     if not np.any(M > 0):
         raise ValueError("spectral_radius requires a matrix that is not identically zero")
-    if irreducible(M):
-        lam, _, _, _ = _irreducible_perron(M, tol, max_iter)
-        return lam
     return max(c.radius for c in component_perron_data(M, tol=tol, max_iter=max_iter))
 
 
-def column_sum_powers(A, r: int) -> list[int]:
-    """Column sums of A^r for a 0/1 matrix, as exact Python integers.
-
-    Component k is the number of paths of length r in the support digraph that
-    end at node k.  Arbitrary-precision integers are used throughout, so the
-    result is exact at any r.
-    """
-    M = as_zero_one(A)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    d = M.shape[0]
-    rows = [[int(x) for x in M[i]] for i in range(d)]
-    s = [1] * d
-    for _ in range(r):
-        s = [sum(s[i] * rows[i][k] for i in range(d)) for k in range(d)]
-    return s
-
-
-def _integer_column_sums(M: np.ndarray, n_max: int) -> list[list[int]]:
+def column_sum_sequence(A, n_max: int) -> list[list[int]]:
+    """Column sums of A^n for n = 1..n_max of a nonnegative integer matrix, in
+    arbitrary-precision integers, so the result is exact at any n."""
+    M = as_nonnegative(A)
+    if np.any(M != np.rint(M)):
+        raise ValueError("matrix entries must be integers")
     d = M.shape[0]
     rows = [[int(x) for x in M[i]] for i in range(d)]
     out = []
@@ -358,6 +371,18 @@ def _integer_column_sums(M: np.ndarray, n_max: int) -> list[list[int]]:
         s = [sum(s[i] * rows[i][k] for i in range(d)) for k in range(d)]
         out.append(s)
     return out
+
+
+def column_sum_powers(A, r: int) -> list[int]:
+    """Column sums of A^r for a 0/1 matrix, as exact Python integers.
+
+    Component k is the number of paths of length r in the support digraph that
+    end at node k.
+    """
+    M = as_zero_one(A)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    return column_sum_sequence(M, r)[-1]
 
 
 def spectral_radius_bracket_sequences(A, n_max: int) -> tuple[list[float], list[float]]:
@@ -373,7 +398,7 @@ def spectral_radius_bracket_sequences(A, n_max: int) -> tuple[list[float], list[
         raise ValueError("n_max must be >= 1")
     lower, upper = [], []
     if np.all(M == np.rint(M)):
-        for n, s in enumerate(_integer_column_sums(np.rint(M).astype(int), n_max), start=1):
+        for n, s in enumerate(column_sum_sequence(M, n_max), start=1):
             smin, smax = min(s), max(s)
             lower.append(math.exp(math.log(smin) / n) if smin > 0 else 0.0)
             upper.append(math.exp(math.log(smax) / n) if smax > 0 else 0.0)

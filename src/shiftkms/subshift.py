@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,8 +39,20 @@ __all__ = [
 ]
 
 
+class _TransitionMatrixShift:
+    """A 0/1 transition-matrix presentation; its Perron data is solved once, on first use."""
+
+    @cached_property
+    def perron(self) -> spectral.PerronData | None:
+        """Perron data of the transition matrix, or None when it is reducible."""
+        try:
+            return spectral.perron_vectors(self.matrix, tol=spectral.PERRON_TOL)
+        except spectral.ReducibleMatrixError:
+            return None
+
+
 @dataclass(frozen=True)
-class FullShift:
+class FullShift(_TransitionMatrixShift):
     """Full shift on d symbols."""
 
     alphabet: int
@@ -49,9 +61,13 @@ class FullShift:
         if self.alphabet < 1:
             raise ValueError("alphabet size must be >= 1")
 
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.ones((self.alphabet, self.alphabet), dtype=int)
+
 
 @dataclass(frozen=True, eq=False)
-class SFT:
+class SFT(_TransitionMatrixShift):
     """Shift of finite type with transition matrix A: word w is admissible iff
     A[w_i, w_{i+1}] = 1 for all consecutive pairs."""
 
@@ -176,17 +192,20 @@ class Automaton:
                 f"{self.max_word_length}; rebuild with a larger digit_depth"
             )
 
-    def count_vector(self, n):
-        """Dict state -> number of admissible length-n words ending there (exact ints)."""
+    def count_vectors(self, n):
+        """For k = 1..n, the dict state -> number of admissible length-k words
+        ending there (exact ints)."""
         self.check_length(n)
         counts = {self.start: 1}
+        out = []
         for _ in range(n):
             nxt = {}
             for q, c in counts.items():
-                for _, qn in self._out[q].items():
+                for qn in self._out[q].values():
                     nxt[qn] = nxt.get(qn, 0) + c
             counts = nxt
-        return counts
+            out.append(counts)
+        return out
 
     def edges_by_symbol(self):
         by = {c: [] for c in range(1, self.alphabet + 1)}
@@ -393,7 +412,7 @@ def count_words(spec, n: int) -> int:
         return 0
     if n == 0:
         return 1
-    return sum(aut.count_vector(n).values())
+    return sum(aut.count_vectors(n)[-1].values())
 
 
 def count_words_sequence(spec, n_max: int) -> list[int]:
@@ -401,17 +420,7 @@ def count_words_sequence(spec, n_max: int) -> list[int]:
     aut = automaton_for(spec)
     if aut.is_empty:
         return [0] * n_max
-    aut.check_length(n_max)
-    out = []
-    counts = {aut.start: 1}
-    for _ in range(n_max):
-        nxt = {}
-        for q, c in counts.items():
-            for qn in aut._out[q].values():
-                nxt[qn] = nxt.get(qn, 0) + c
-        counts = nxt
-        out.append(sum(counts.values()))
-    return out
+    return [sum(counts.values()) for counts in aut.count_vectors(n_max)]
 
 
 @dataclass(frozen=True)
@@ -456,7 +465,7 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
         exact = math.log(spec.alphabet)
         method = "full"
     elif isinstance(spec, SFT):
-        exact = sft_entropy_exact(spec.matrix)
+        exact = sft_entropy_exact(spec.perron or spec.matrix)
         method = "transfer-matrix"
     elif isinstance(spec, ForbiddenWords):
         method = "forbidden-factor-automaton"
@@ -472,8 +481,9 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
 
 
 def sft_entropy_exact(A) -> float:
-    """log of the spectral radius of the transition matrix."""
-    M = spectral.as_zero_one(A)
+    """log of the spectral radius of the transition matrix; A may be the
+    matrix or its Perron data."""
+    M = spectral.as_zero_one(spectral.matrix_of(A))
     if spectral.has_zero_row(M) or spectral.has_zero_column(M):
         raise ValueError("SFT matrix must have no zero row and no zero column")
-    return math.log(spectral.spectral_radius(M))
+    return math.log(spectral.spectral_radius(A, tol=spectral.PERRON_TOL))

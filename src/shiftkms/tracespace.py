@@ -21,17 +21,17 @@ import numpy as np
 
 from . import spectral
 from .spectral import (
+    PERRON_TOL,
     ReducibleMatrixError,
-    aperiodic,
     as_nonnegative,
     as_zero_one,
-    column_sum_powers,
+    column_sum_sequence,
     component_perron_data,
     has_zero_column,
     has_zero_row,
-    irreducible,
+    matrix_of,
     perron_vectors,
-    strongly_connected_components,
+    strongly_connected_components,  # noqa: F401  (kept importable from this module)
 )
 
 COHERENCE_TOL = 1e-9
@@ -61,8 +61,11 @@ class CoherentSequence:
     matrix: np.ndarray
     levels: tuple[np.ndarray, ...]
     residuals: tuple[float, ...]
-    normalized: bool
     tol: float
+
+    @property
+    def normalized(self) -> bool:
+        return abs(float(self.levels[0].sum()) - 1.0) <= 1e-12
 
     @property
     def depth(self) -> int:
@@ -90,8 +93,7 @@ def coherent_sequence(A, levels, tol: float = COHERENCE_TOL, require: bool = Tru
     )
     if require and any(r > tol for r in residuals):
         raise ValueError(f"sequence is not coherent within {tol}: residuals {residuals}")
-    normalized = abs(float(levs[0].sum()) - 1.0) <= 1e-12
-    return CoherentSequence(matrix=M, levels=levs, residuals=residuals, normalized=normalized, tol=tol)
+    return CoherentSequence(matrix=M, levels=levs, residuals=residuals, tol=tol)
 
 
 def s_prime(seq: CoherentSequence) -> CoherentSequence:
@@ -99,24 +101,15 @@ def s_prime(seq: CoherentSequence) -> CoherentSequence:
     top = seq.matrix @ seq.levels[0]
     levels = (top,) + seq.levels[:-1]
     residuals = ((0.0,) + seq.residuals[:-1]) if seq.residuals else ()
-    normalized = abs(float(top.sum()) - 1.0) <= 1e-12
-    return CoherentSequence(
-        matrix=seq.matrix, levels=levels, residuals=residuals, normalized=normalized, tol=seq.tol
-    )
+    return CoherentSequence(matrix=seq.matrix, levels=levels, residuals=residuals, tol=seq.tol)
 
 
 def t_prime(seq: CoherentSequence) -> CoherentSequence:
     """(t_0, ..., t_R) -> (t_1, ..., t_R); depth drops by one."""
     if seq.depth == 0:
         raise ValueError("cannot shift a depth-0 sequence")
-    levels = seq.levels[1:]
-    normalized = abs(float(levels[0].sum()) - 1.0) <= 1e-12
     return CoherentSequence(
-        matrix=seq.matrix,
-        levels=levels,
-        residuals=seq.residuals[1:],
-        normalized=normalized,
-        tol=seq.tol,
+        matrix=seq.matrix, levels=seq.levels[1:], residuals=seq.residuals[1:], tol=seq.tol
     )
 
 
@@ -152,14 +145,13 @@ def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
     return coherent_sequence(seq.matrix, levels, tol=seq.tol, require=False)
 
 
-def kms_eigen_sequence(A, R: int, tol: float = 1e-13) -> CoherentSequence:
+def kms_eigen_sequence(A, R: int, tol: float = PERRON_TOL) -> CoherentSequence:
     """Eigen-sequence t_r = lam^(-r) u with u the Perron right eigenvector
     normalized to sum 1; the coherence residuals inherit the Perron residual
-    and stay below 1e-12."""
-    M = as_nonnegative(A)
-    p = perron_vectors(M, tol=tol)
+    and stay below 1e-12.  A may be a matrix or its Perron data."""
+    p = perron_vectors(A, tol=tol)
     levels = [p.u * p.lam ** (-r) for r in range(R + 1)]
-    return coherent_sequence(M, levels, tol=1e-12, require=True)
+    return coherent_sequence(p.matrix, levels, tol=1e-12, require=True)
 
 
 def coherent_truncation(A, t0, R: int, tol: float = COHERENCE_TOL) -> CoherentSequence:
@@ -266,36 +258,36 @@ def kms_temperature(
     Irreducible A has a single temperature log r(A) with the Perron
     eigen-sequence; the uniqueness flag is set when A is aperiodic.  Reducible
     A is rejected unless reducible_mode is set, in which case the bracket of
-    per-component candidates is reported.
+    per-component candidates is reported.  A may be a matrix or its Perron
+    data.
     """
-    M = as_zero_one(A)
+    M = as_zero_one(matrix_of(A))
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
-    if irreducible(M):
-        # same deterministic computation as sft_entropy_exact, so the reported
-        # temperature equals log(exact entropy) bitwise; tol governs the
-        # eigen-sequence residuals
-        lam = spectral.spectral_radius(M)
+    try:
+        p = perron_vectors(A, tol=min(tol, PERRON_TOL))
+    except ReducibleMatrixError:
+        if not reducible_mode:
+            raise ReducibleMatrixError(
+                "matrix is reducible; pass reducible_mode=True for the per-component bracket"
+            ) from None
+        radii = [c.radius for c in component_perron_data(M, tol=tol) if c.radius > 0]
         return KmsReport(
-            lam=lam,
-            beta=math.log(lam),
-            eigen_sequence=kms_eigen_sequence(M, depth, tol=min(tol, 1e-13)),
-            uniqueness_flag=aperiodic(M),
-            bracket=None,
-            heuristic=False,
+            lam=None,
+            beta=None,
+            eigen_sequence=None,
+            uniqueness_flag=False,
+            bracket=(math.log(min(radii)), math.log(max(radii))),
+            heuristic=True,
         )
-    if not reducible_mode:
-        raise ReducibleMatrixError(
-            "matrix is reducible; pass reducible_mode=True for the per-component bracket"
-        )
-    radii = [c.radius for c in component_perron_data(M, tol=tol) if c.radius > 0]
+    # the solve sft_entropy_exact makes, so beta equals log(exact entropy) bitwise
     return KmsReport(
-        lam=None,
-        beta=None,
-        eigen_sequence=None,
-        uniqueness_flag=False,
-        bracket=(math.log(min(radii)), math.log(max(radii))),
-        heuristic=True,
+        lam=p.lam,
+        beta=math.log(p.lam),
+        eigen_sequence=kms_eigen_sequence(p, depth, tol=min(tol, PERRON_TOL)),
+        uniqueness_flag=p.period == 1,
+        bracket=None,
+        heuristic=False,
     )
 
 
@@ -310,11 +302,9 @@ class BimoduleKms:
 def bimodule_kms(Lambda, depth: int = 10, tol: float = 1e-12) -> BimoduleKms:
     """KMS temperature log r(Lambda) for a coherent lambda-matrix of a
     Cuntz-Krieger bimodule; v0 is the Perron right eigenvector with sum 1 and
-    the sequence iterates v^r = lam^(-r) v0."""
-    M = as_nonnegative(Lambda)
-    if not irreducible(M):
-        raise ReducibleMatrixError("the lambda-matrix must be irreducible")
-    p = perron_vectors(M, tol=tol)
+    the sequence iterates v^r = lam^(-r) v0.  Lambda may be a matrix or its
+    Perron data."""
+    p = perron_vectors(Lambda, tol=tol)
     seq = tuple(p.u * p.lam ** (-r) for r in range(depth + 1))
     return BimoduleKms(lam=p.lam, beta=math.log(p.lam), v0=p.u, sequence=seq)
 
@@ -348,15 +338,10 @@ def temperature_sign(A, n_evidence: int = 12, tol: float = 1e-9) -> TemperatureS
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
     d = M.shape[0]
-    comps = strongly_connected_components(M)
-    radius_of_node = np.zeros(d)
-    for comp in comps:
-        idx = np.array(comp)
-        sub = M[np.ix_(idx, idx)]
-        r = 0.0 if (len(comp) == 1 and sub[0, 0] == 0.0) else spectral.spectral_radius(sub)
-        for i in comp:
-            radius_of_node[i] = r
-    growth = radius_of_node.copy()
+    comps = component_perron_data(M)
+    growth = np.zeros(d)
+    for c in comps:
+        growth[list(c.indices)] = c.radius
     edges = [(i, j) for i in range(d) for j in range(d) if M[i, j] > 0]
     for _ in range(len(comps)):
         for i, j in edges:
@@ -385,10 +370,7 @@ def temperature_sign(A, n_evidence: int = 12, tol: float = 1e-9) -> TemperatureS
 def normalization_profile(seq: CoherentSequence) -> list[float]:
     """sum_k t_r(k) d_{r,k} for r = 0..R; constant (= sum t_0) on a coherent
     normalized sequence."""
-    M = seq.matrix
-    as_zero_one(M)
-    out = [float(seq.levels[0].sum())]
-    for r in range(1, len(seq.levels)):
-        d_r = np.array(column_sum_powers(M, r), dtype=float)
-        out.append(float(d_r @ seq.levels[r]))
-    return out
+    sums = column_sum_sequence(as_zero_one(seq.matrix), seq.depth)
+    return [float(seq.levels[0].sum())] + [
+        float(np.array(s, dtype=float) @ t) for s, t in zip(sums, seq.levels[1:])
+    ]

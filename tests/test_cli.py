@@ -7,6 +7,7 @@ import pytest
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT
 from shiftkms.cli import InputError, main, parse_spec, run
 from shiftkms.equilibrium import InvariantViolation
+from shiftkms.spectral import ConvergenceError
 
 GOLDEN_DOC = '{"type": "sft", "matrix": [[1, 1], [1, 0]]}'
 
@@ -50,6 +51,14 @@ def test_parse_spec_diagnostics_name_the_field():
         parse_spec("{not json")
     with pytest.raises(InputError, match="unknown"):
         parse_spec('{"type": "mystery"}')
+    for bad in ("2.7", "true", '"3"'):
+        with pytest.raises(InputError, match="alphabet"):
+            parse_spec('{"type": "full", "alphabet": %s}' % bad)
+        with pytest.raises(InputError, match="alphabet"):
+            parse_spec('{"type": "forbidden", "alphabet": %s, "words": [[1]]}' % bad)
+        depth = bad.replace("2.7", "64.5")
+        with pytest.raises(InputError, match="digit_depth"):
+            parse_spec('{"type": "beta", "beta": 1.7, "digit_depth": %s}' % depth)
 
 
 def test_cross_command_consistency():
@@ -166,6 +175,27 @@ def test_main_invariant_violation_exits_two(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("shiftkms.cli.equilibrium.variational_scan", boom)
     assert main(["variational", str(doc)]) == 2
+
+
+def test_main_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+
+    def stuck(*args, **kwargs):
+        raise ConvergenceError("synthetic stall")
+
+    monkeypatch.setattr("shiftkms.cli.tracespace.kms_temperature", stuck)
+    assert main(["kms", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "synthetic stall" in captured.err
+
+
+def test_main_non_finite_lambda_exits_two(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308], [1e308, 1e308]]}')
+    assert main(["kms", str(doc), "--no-timestamp"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_main_reads_stdin(monkeypatch, capsys):

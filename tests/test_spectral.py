@@ -175,6 +175,11 @@ def test_convergence_error_carries_state():
     assert err.value.residual is None or err.value.residual > 0
 
 
+def test_perron_rejects_non_finite_lambda():
+    with pytest.raises(ConvergenceError):
+        perron_vectors(np.full((2, 2), 1e308))
+
+
 def test_column_sum_powers_examples():
     # ones 2x2: A^3 = 4 * ones, so each column sums to 8 = 2^3
     assert column_sum_powers(np.ones((2, 2), dtype=int), 3) == [8, 8]
