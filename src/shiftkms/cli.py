@@ -169,6 +169,7 @@ def _section_krieger(spec, flags, warnings):
         "sofic_detected": report.sofic_detected,
         "l_max": report.l_max,
         "depth": report.depth,
+        "fixed_point_depth": report.fixed_point_depth,
     }
 
 
@@ -187,6 +188,7 @@ def _section_bracket(spec, flags, warnings):
         "sofic_detected": report.sofic_detected,
         "n_max": report.n_max,
         "depth": report.depth,
+        "fixed_point_depth": report.fixed_point_depth,
     }
 
 

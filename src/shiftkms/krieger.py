@@ -6,12 +6,22 @@ of w is determined by which states can read w, restricted to states reachable
 from the start in <= l steps; class counting therefore reduces to a backward
 subset iteration and never enumerates words unless the words themselves are
 requested.
+
+`dim_q`, `sofic_check` and `entropy_bracket` share one counting core.  It holds
+the subset family as a packed bitset matrix (one distinct subset per row) and
+stops at the first depth whose family equals the next one: the recursion is
+deterministic, so every deeper family is the same and the counts are final for
+the presenting automaton.  The reports give that depth as `fixed_point_depth`
+(None when the family still changes at the requested depth).  `omega_l` and
+`predecessor_set` enumerate words and serve as the independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .subshift import Automaton, admissible, automaton_for, topological_entropy, validate_word
 
@@ -49,6 +59,7 @@ class DimQ:
     stabilized: bool
     l: int
     depth: int
+    fixed_point_depth: int | None
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,7 @@ class SoficReport:
     l_max: int
     depth: int
     window: int
+    fixed_point_depth: int | None
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,7 @@ class BracketReport:
     sofic_detected: bool
     n_max: int
     depth: int
+    fixed_point_depth: int | None
 
     @property
     def width(self) -> float:
@@ -191,25 +204,80 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
     )
 
 
-def _subset_family(aut: Automaton, depth: int) -> list[set[frozenset]]:
-    """family[m] = set of readability subsets {q : w readable from q} over length-m words."""
-    by_sym = aut.edges_by_symbol()
-    family = [{frozenset(aut.states)}]
-    current = family[0]
-    for _ in range(depth):
-        nxt = set()
-        for B in current:
-            for edges in by_sym.values():
-                pre = frozenset(q for (q, qn) in edges if qn in B)
-                if pre:
-                    nxt.add(pre)
-        family.append(nxt)
-        current = nxt
-    return family
+def _class_counts(aut: Automaton, n_max: int, depth: int):
+    """(counts at `depth`, counts at `depth - 1`, fixed_point_depth).
+
+    A family is a bool matrix whose rows are its distinct readability subsets
+    (columns follow aut.states); the next one holds the nonempty preimages of
+    its rows under each symbol.  counts[n], n = 0..n_max, is the number of
+    distinct restrictions to R_n (states reachable in <= n steps) of the rows
+    that hold the start state.
+    """
+    index = {q: i for i, q in enumerate(aut.states)}
+    size = len(aut.states)
+    succ = np.zeros((aut.alphabet, size), dtype=np.intp)
+    ok = np.zeros((aut.alphabet, size), dtype=bool)
+    for (q, c), qn in aut.delta.items():
+        succ[c - 1, index[q]] = index[qn]
+        ok[c - 1, index[q]] = True
+
+    # a packed row viewed as one opaque item, so a 1-d sort orders the rows by bytes
+    # (np.unique would do the same but imports numpy.ma, about 1 MB, on first use)
+    row = np.dtype((np.void, (size + 7) // 8))
+    family = prev = np.ones((1, size), dtype=bool)
+    packed = np.packbits(family, axis=1).view(row).ravel()
+    fixed_point_depth = None
+    for m in range(depth):
+        pre = (family[:, succ] & ok).reshape(-1, size)
+        nxt = np.sort(np.packbits(pre[pre.any(axis=1)], axis=1).view(row).ravel())
+        distinct = np.ones(len(nxt), dtype=bool)
+        distinct[1:] = nxt[1:] != nxt[:-1]
+        nxt = nxt[distinct]
+        # sorted distinct rows, so this is set equality; every deeper family is this one
+        if np.array_equal(nxt, packed):
+            fixed_point_depth = m
+            break
+        prev, packed = family, nxt
+        nxt_bytes = nxt.view(np.uint8).reshape(-1, row.itemsize)
+        family = np.unpackbits(nxt_bytes, axis=1, count=size).view(bool)
+    if not len(family):
+        raise ValueError(f"no admissible words of length {depth}")
+
+    # R_0 ⊆ R_1 ⊆ ... : list states in BFS discovery order, so R_n is a prefix
+    start = index[aut.start]
+    seen = np.zeros(size, dtype=bool)
+    seen[start] = True
+    order, frontier, sizes = [start], np.array([start]), [1]
+    for _ in range(n_max):
+        hit = np.zeros(size, dtype=bool)
+        hit[succ[:, frontier][ok[:, frontier]]] = True
+        frontier = np.flatnonzero(hit & ~seen)
+        seen[frontier] = True
+        order.extend(frontier.tolist())
+        sizes.append(len(order))
+
+    def counts(fam):
+        rows = fam[fam[:, start]][:, order]
+        if not len(rows):
+            return [0] * (n_max + 1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        differs = rows[1:] != rows[:-1]
+        first = np.sort(np.where(differs.any(axis=1), differs.argmax(axis=1), len(order)))
+        # distinct prefixes of length k = 1 + adjacent pairs first differing before k
+        return (1 + np.searchsorted(first, sizes)).tolist()
+
+    at_depth = counts(family)
+    before = at_depth if fixed_point_depth is not None else counts(prev)
+    return at_depth, before, fixed_point_depth
 
 
-def _count_at(aut: Automaton, subsets: set[frozenset], restriction: frozenset) -> int:
-    return len({B & restriction for B in subsets if aut.start in B})
+def _sofic_detected(counts, stabilized, window: int) -> bool:
+    """Eventually constant, stabilized counts over the trailing window."""
+    return (
+        len(counts) >= window
+        and len(set(counts[-window:])) == 1
+        and all(stabilized[-window:])
+    )
 
 
 def dim_q(spec, n: int, depth: int) -> DimQ:
@@ -223,13 +291,9 @@ def dim_q(spec, n: int, depth: int) -> DimQ:
         raise ValueError("depth must be >= max(n, 1)")
     aut = automaton_for(spec)
     aut.check_length(n + depth)
-    family = _subset_family(aut, depth)
-    if not family[depth]:
-        raise ValueError(f"no admissible words of length {depth}")
-    R = aut.reachable_within(n)
-    count = _count_at(aut, family[depth], R)
-    stabilized = depth - 1 >= max(n, 1) and _count_at(aut, family[depth - 1], R) == count
-    return DimQ(count=count, stabilized=stabilized, l=n, depth=depth)
+    counts, before, fixed = _class_counts(aut, n, depth)
+    stabilized = depth - 1 >= max(n, 1) and before[n] == counts[n]
+    return DimQ(count=counts[n], stabilized=stabilized, l=n, depth=depth, fixed_point_depth=fixed)
 
 
 def sofic_check(spec, l_max: int, depth: int | None = None, window: int = 3) -> SoficReport:
@@ -246,27 +310,17 @@ def sofic_check(spec, l_max: int, depth: int | None = None, window: int = 3) -> 
         raise ValueError("depth must be >= max(l_max, 2)")
     aut = automaton_for(spec)
     aut.check_length(l_max + depth)
-    family = _subset_family(aut, depth)
-    if not family[depth]:
-        raise ValueError(f"no admissible words of length {depth}")
-    counts, stab = [], []
-    for l in range(1, l_max + 1):
-        R = aut.reachable_within(l)
-        c = _count_at(aut, family[depth], R)
-        counts.append(c)
-        stab.append(_count_at(aut, family[depth - 1], R) == c)
-    detected = (
-        len(counts) >= window
-        and len(set(counts[-window:])) == 1
-        and all(stab[-window:])
-    )
+    counts, before, fixed = _class_counts(aut, l_max, depth)
+    counts = counts[1:]
+    stab = [b == c for b, c in zip(before[1:], counts)]
     return SoficReport(
-        sofic_detected=detected,
+        sofic_detected=_sofic_detected(counts, stab, window),
         counts=tuple(counts),
         stabilized=tuple(stab),
         l_max=l_max,
         depth=depth,
         window=window,
+        fixed_point_depth=fixed,
     )
 
 
@@ -286,17 +340,11 @@ def entropy_bracket(spec, n_max: int, depth: int | None = None, window: int = 5)
     aut = automaton_for(spec)
     aut.check_length(n_max + depth)
     lower = topological_entropy(spec, n_max).extrapolated
-    family = _subset_family(aut, depth)
-    if not family[depth]:
-        raise ValueError(f"no admissible words of length {depth}")
-    dims, stab = [], []
-    for n in range(1, n_max + 1):
-        R = aut.reachable_within(n)
-        c = _count_at(aut, family[depth], R)
-        dims.append(c)
-        stab.append(_count_at(aut, family[depth - 1], R) == c)
+    dims, before, fixed = _class_counts(aut, n_max, depth)
+    dims = dims[1:]
+    stab = [b == c for b, c in zip(before[1:], dims)]
     corrections = tuple(2.0 * math.log(dims[n - 1]) / n for n in range(1, n_max + 1))
-    sofic = len(dims) >= 3 and len(set(dims[-3:])) == 1 and all(stab[-3:])
+    sofic = _sofic_detected(dims, stab, 3)
     if sofic:
         upper = lower
     else:
@@ -310,4 +358,5 @@ def entropy_bracket(spec, n_max: int, depth: int | None = None, window: int = 5)
         sofic_detected=sofic,
         n_max=n_max,
         depth=depth,
+        fixed_point_depth=fixed,
     )

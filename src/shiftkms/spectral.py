@@ -189,7 +189,8 @@ def _power_iteration(B: np.ndarray, tol: float, max_iter: int):
     resid = math.inf
     for k in range(1, max_iter + 1):
         w = B @ v
-        lam = float(w.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            lam = float(w.sum())
         if not 0.0 < lam < math.inf:
             raise ConvergenceError(
                 f"iterate sum {lam} is not positive and finite", last_vector=v, residual=resid

@@ -207,12 +207,6 @@ class Automaton:
             out.append(counts)
         return out
 
-    def edges_by_symbol(self):
-        by = {c: [] for c in range(1, self.alphabet + 1)}
-        for (q, c), qn in self.delta.items():
-            by[c].append((q, qn))
-        return by
-
     def reachable_within(self, l):
         """Frozenset of states reachable from the start by words of length <= l."""
         seen = {self.start}

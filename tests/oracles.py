@@ -5,6 +5,12 @@ admissibility is checked straight from the definitions, counting enumerates,
 matrix powers are exact, and the spectral-radius oracle uses repeated
 squaring.  Agreement between these and the fast implementations is what the
 oracle-equivalence tests assert.
+
+The exception is the Krieger class-count reference (`subset_family_brute`,
+`class_counts_brute`): it runs the frozenset subset recursion on the package's
+presenting automaton to every requested depth, with no fixed-point stop, and
+restricts with `Automaton.reachable_within`, so it checks the bitset core of
+`shiftkms.krieger` on the same automaton.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT
+from shiftkms.subshift import automaton_for
 
 
 def sft_admissible_direct(word, matrix) -> bool:
@@ -119,6 +126,44 @@ def past_classes_brute(spec, l, depth) -> int:
     words = enumerate_words(spec, depth)
     keys = {tuple(predecessor_set_brute(w, l, spec)) for w in words}
     return len(keys)
+
+
+def subset_family_brute(aut, depth) -> list[set[frozenset]]:
+    """family[m] = set of readability subsets {q : w readable from q} over the
+    admissible words w of length m, for m = 0..depth.
+
+    The preimage of a subset is a pure function of it, so it is memoized;
+    every depth is still built from the one before it.
+    """
+    by_sym = {}
+    for (q, c), qn in aut.delta.items():
+        by_sym.setdefault(c, []).append((q, qn))
+    preimages = {}
+
+    def preimages_of(B):
+        if B not in preimages:
+            pres = (frozenset(q for (q, qn) in edges if qn in B) for edges in by_sym.values())
+            preimages[B] = {pre for pre in pres if pre}
+        return preimages[B]
+
+    family = [{frozenset(aut.states)}]
+    for _ in range(depth):
+        family.append(set().union(*(preimages_of(B) for B in family[-1])))
+    return family
+
+
+def class_counts_brute(spec, n_max, depth):
+    """(counts at depth, counts at depth - 1), each indexed by n = 0..n_max:
+    the number of distinct restrictions B & R_n of the family's subsets B that
+    hold the start state."""
+    aut = automaton_for(spec)
+    family = subset_family_brute(aut, depth)
+
+    def count(subsets, R):
+        return len({B & R for B in subsets if aut.start in B})
+
+    Rs = [aut.reachable_within(n) for n in range(n_max + 1)]
+    return [count(family[depth], R) for R in Rs], [count(family[depth - 1], R) for R in Rs]
 
 
 def reachability_irreducible(matrix) -> bool:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,15 @@ def test_main_non_finite_lambda_exits_two(tmp_path, capsys):
     doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308], [1e308, 1e308]]}')
     assert main(["kms", str(doc), "--no-timestamp"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_main_overflowing_lambda_prints_only_the_error(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308], [1e308, 1e308]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kms", str(doc), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_main_reads_stdin(monkeypatch, capsys):

@@ -14,6 +14,7 @@ from shiftkms import (
     predecessor_set,
     sofic_check,
 )
+from shiftkms.subshift import automaton_for
 
 import oracles
 
@@ -220,3 +221,86 @@ def test_validation_errors():
         entropy_bracket(GOLDEN, 3)
     with pytest.raises(ValueError):
         omega_l(ForbiddenWords(1, ((1,),)), 1, 3)
+    # the empty family is a fixed point at depth 1, reached before the requested depth
+    empty = ForbiddenWords(1, ((1,),))
+    with pytest.raises(ValueError, match="no admissible words of length 5"):
+        dim_q(empty, 2, 5)
+    with pytest.raises(ValueError, match="no admissible words of length 7"):
+        sofic_check(empty, 3)
+    with pytest.raises(ValueError, match=r"subshift is empty \(theta_1 = 0\)"):
+        entropy_bracket(empty, 5)
+    capped = BetaShift("1.7", digit_depth=32)
+    for call in (dim_q, sofic_check, entropy_bracket):
+        with pytest.raises(ValueError, match="word length 40 exceeds the presentation depth 32"):
+            call(capped, 10, 30)
+
+
+def _detected(counts, stabilized, window):
+    tail = counts[-window:]
+    return len(counts) >= window and len(set(tail)) == 1 and all(stabilized[-window:])
+
+
+SNAPPED_GOLDEN = BetaShift("1.6180339887", digit_depth=230)
+SNAPPED_TRIBONACCI = BetaShift("1.8392867552", digit_depth=230)
+
+# (spec, l_max, depths); every finite presentation is checked well past its
+# fixed point, the snapped bases (whose family grows toward the horizon state
+# of the depth-capped automaton) at the depths of `shiftkms all --max-n 100
+# --depth 110`
+REFERENCE_CASES = [
+    (FullShift(3), 6, (6, 9, 20)),
+    (GOLDEN, 8, (8, 12, 30)),
+    (SFT([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 6, (6, 10, 25)),
+    (ForbiddenWords(3, ((1, 2), (3, 3, 1))), 6, (6, 10, 25)),
+    (EVEN_TRUNC, 16, (16, 20, 40)),
+    (BetaShift("1.7", digit_depth=80), 8, (8, 12, 40)),
+    (BetaShift(2.5, digit_depth=64), 8, (8, 12, 40)),
+    (SNAPPED_GOLDEN, 100, (100, 110)),
+    (SNAPPED_TRIBONACCI, 100, (100, 110)),
+]
+
+
+@pytest.mark.parametrize("spec,l_max,depths", REFERENCE_CASES)
+def test_class_counts_match_frozenset_reference(spec, l_max, depths):
+    aut = automaton_for(spec)
+    for depth in depths:
+        counts, before = oracles.class_counts_brute(spec, l_max, depth)
+        stab = tuple(b == c for b, c in zip(before[1:], counts[1:]))
+
+        sofic = sofic_check(spec, l_max, depth)
+        assert sofic.counts == tuple(counts[1:])
+        assert sofic.stabilized == stab
+        assert sofic.sofic_detected == _detected(counts[1:], stab, 3)
+
+        bracket = entropy_bracket(spec, l_max, depth)
+        assert bracket.dims == tuple(counts[1:])
+        assert bracket.dims_stabilized == stab
+        assert bracket.sofic_detected == _detected(counts[1:], stab, 3)
+
+        for n in range(0, l_max + 1, max(1, l_max // 8)):
+            res = dim_q(spec, n, depth)
+            assert res.count == counts[n]
+            assert res.stabilized == (depth - 1 >= max(n, 1) and before[n] == counts[n])
+
+        # fixed_point_depth is the first m with family(m) == family(m + 1)
+        family = oracles.subset_family_brute(aut, depth)
+        repeats = [m for m in range(depth) if family[m] == family[m + 1]]
+        expected = repeats[0] if repeats else None
+        assert sofic.fixed_point_depth == bracket.fixed_point_depth == expected
+        assert dim_q(spec, 1, depth).fixed_point_depth == expected
+    if spec in (SNAPPED_GOLDEN, SNAPPED_TRIBONACCI):
+        assert expected is None
+    else:
+        assert expected is not None and all(f == family[-1] for f in family[expected:])
+
+
+def test_beta_17_family_fixed_point_certifies_deep_bracket():
+    # without the fixed-point stop this bracket builds 220 families of up to
+    # 496 subsets of 501 states
+    spec = BetaShift(1.7, digit_depth=500)
+    report = entropy_bracket(spec, 200, depth=220)
+    assert report.fixed_point_depth is not None and report.fixed_point_depth <= 22
+    counts, before = oracles.class_counts_brute(spec, 200, 220)
+    assert report.dims == tuple(counts[1:]) == tuple(n + 1 for n in range(1, 201))
+    assert report.dims_stabilized == tuple(b == c for b, c in zip(before[1:], counts[1:]))
+    assert all(report.dims_stabilized) and not report.sofic_detected
