@@ -6,6 +6,11 @@ chain p_ij = a_ij u_j / (lam u_i) with stationary vector pi_i = u_i v_i is the
 unique maximal-entropy measure of the shift; its cylinder weights also have
 the closed eigenvector form v_{w_1} u_{w_r} prod(a) / lam^(r-1), and both
 forms are implemented so they can be checked against each other.
+
+The variational check draws sample i from its own generator,
+SeedSequence([seed, i]), so the draws do not depend on the batch; the
+stationary vectors of all samples come from one stacked linear solve, with no
+iteration, and entropies take logarithms only on the support.
 """
 
 from __future__ import annotations
@@ -164,15 +169,16 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
     parry = parry_measure(perron_vectors(A, tol=PERRON_TOL))
     top = math.log(parry.lam)
     mask = M > 0
-    Ps = np.zeros((n_samples, d, d))
+    Ps = np.empty((n_samples, d, d))
     for idx in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        draws = rng.standard_exponential((d, d)) * mask
-        Ps[idx] = draws / draws.sum(axis=1, keepdims=True)
+        rng.standard_exponential(out=Ps[idx])
+    Ps *= mask
+    Ps /= Ps.sum(axis=2, keepdims=True)
     pis = _stationary_batch(Ps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(Ps > 0, Ps * np.log(np.where(Ps > 0, Ps, 1.0)), 0.0)
-    entropies = -(pis[:, :, None] * plogp).sum(axis=(1, 2))
+    plogp = np.log(Ps, out=np.zeros_like(Ps), where=mask)
+    plogp *= Ps
+    entropies = -np.einsum("nd,nd->n", pis, plogp.sum(axis=2))
     violations = int(np.sum(entropies > top + slack))
     if violations:
         raise InvariantViolation(
@@ -194,17 +200,27 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
     )
 
 
-def _stationary_batch(Ps: np.ndarray, tol: float = 1e-13, max_iter: int = 200_000) -> np.ndarray:
-    """Stationary rows of a batch of stochastic matrices by lazy power
-    iteration (average with the identity handles periodic chains)."""
+def _stationary_batch(Ps: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """Stationary rows of a batch of stochastic matrices by one stacked solve.
+
+    Each system is (P^T - I) pi = 0 with its last row replaced by sum(pi) = 1.
+    For an irreducible chain, periodic or not, it is nonsingular: the rows of
+    P^T - I sum to zero and span the orthogonal complement of pi, so any d - 1
+    of them do, and 1 . pi != 0.  A singular system (a reducible chain) or a
+    stationarity residual max |pi P - pi|_1 above tol raises InvariantViolation.
+    """
     n, d, _ = Ps.shape
-    pis = np.full((n, d), 1.0 / d)
-    for _ in range(max_iter):
-        nxt = 0.5 * (pis + np.einsum("nd,nde->ne", pis, Ps))
-        err = np.abs(nxt - pis).sum(axis=1).max()
-        pis = nxt
-        if err <= tol:
-            break
-    else:
-        raise InvariantViolation("stationary iteration did not converge")
-    return pis / pis.sum(axis=1, keepdims=True)
+    systems = Ps.transpose(0, 2, 1) - np.eye(d)
+    systems[:, -1, :] = 1.0
+    rhs = np.zeros((n, d, 1))
+    rhs[:, -1] = 1.0
+    try:
+        pis = np.linalg.solve(systems, rhs)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolation(
+            f"stationary solve failed, a sampled chain is reducible: {exc}"
+        ) from None
+    residual = float(np.abs((pis[:, None, :] @ Ps)[:, 0, :] - pis).sum(axis=1).max())
+    if not residual <= tol:
+        raise InvariantViolation(f"stationary residual {residual:.2e} exceeds {tol:.0e}")
+    return pis

@@ -28,7 +28,6 @@ __all__ = [
     "BetaShift",
     "Automaton",
     "EntropyEstimate",
-    "alphabet_size",
     "build_automaton",
     "admissible",
     "count_words",
@@ -133,18 +132,6 @@ def _cached_expansion(beta, digit_depth, snap_tol, guard_bits):
     return beta_expansion_of_one(beta, digit_depth, snap_tol=snap_tol, guard_bits=guard_bits)
 
 
-def alphabet_size(spec) -> int:
-    if isinstance(spec, FullShift):
-        return spec.alphabet
-    if isinstance(spec, SFT):
-        return int(spec.matrix.shape[0])
-    if isinstance(spec, ForbiddenWords):
-        return spec.alphabet
-    if isinstance(spec, BetaShift):
-        return spec.alphabet
-    raise TypeError(f"not a subshift presentation: {spec!r}")
-
-
 class Automaton:
     """Deterministic partial automaton over symbols 1..d.
 
@@ -167,6 +154,7 @@ class Automaton:
         self._out = {q: {} for q in self.states}
         for (q, c), qn in self.delta.items():
             self._out[q][c] = qn
+        self._count_vectors = []
 
     @property
     def is_empty(self) -> bool:
@@ -194,18 +182,23 @@ class Automaton:
 
     def count_vectors(self, n):
         """For k = 1..n, the dict state -> number of admissible length-k words
-        ending there (exact ints)."""
+        ending there (exact ints).
+
+        The dicts are kept on the automaton and only extended, so a longer
+        call continues where the last one stopped; callers must not mutate them.
+        """
         self.check_length(n)
-        counts = {self.start: 1}
-        out = []
-        for _ in range(n):
-            nxt = {}
-            for q, c in counts.items():
-                for qn in self._out[q].values():
-                    nxt[qn] = nxt.get(qn, 0) + c
-            counts = nxt
-            out.append(counts)
-        return out
+        out = self._count_vectors
+        while len(out) < n:
+            out.append(self._next_counts(out[-1] if out else {self.start: 1}))
+        return out[:n]
+
+    def _next_counts(self, counts):
+        nxt = {}
+        for q, c in counts.items():
+            for qn in self._out[q].values():
+                nxt[qn] = nxt.get(qn, 0) + c
+        return nxt
 
     def reachable_within(self, l):
         """Frozenset of states reachable from the start by words of length <= l."""

@@ -31,7 +31,6 @@ from .spectral import (
     has_zero_row,
     matrix_of,
     perron_vectors,
-    strongly_connected_components,  # noqa: F401  (kept importable from this module)
 )
 
 COHERENCE_TOL = 1e-9

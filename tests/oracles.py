@@ -10,7 +10,13 @@ The exception is the Krieger class-count reference (`subset_family_brute`,
 `class_counts_brute`): it runs the frozenset subset recursion on the package's
 presenting automaton to every requested depth, with no fixed-point stop, and
 restricts with `Automaton.reachable_within`, so it checks the bitset core of
-`shiftkms.krieger` on the same automaton.
+`shiftkms.krieger` on the same automaton.  The word enumerators read only
+the alphabet size from the presenting automaton.
+
+The variational references (`stationary_lazy_brute`,
+`variational_entropies_brute`) are the scan's earlier algorithm: per-sample
+draws normalized one matrix at a time, stationary vectors by lazy power
+iteration, and entropies through masked `np.where` logarithms.
 """
 
 from __future__ import annotations
@@ -98,9 +104,7 @@ def forbidden_occurs_brute(word, forbidden, d, horizon=None) -> bool:
 def enumerate_words(spec, n, d=None):
     """All admissible words of length n by filtering the full product."""
     if d is None:
-        from shiftkms.subshift import alphabet_size
-
-        d = alphabet_size(spec)
+        d = automaton_for(spec).alphabet
     return [w for w in itertools.product(range(1, d + 1), repeat=n) if admissible_direct(w, spec)]
 
 
@@ -110,9 +114,7 @@ def count_words_brute(spec, n) -> int:
 
 def predecessor_set_brute(word, l, spec):
     """Exhaustive predecessor search straight from the definitions."""
-    from shiftkms.subshift import alphabet_size
-
-    d = alphabet_size(spec)
+    d = automaton_for(spec).alphabet
     out = []
     for k in range(l + 1):
         for mu in itertools.product(range(1, d + 1), repeat=k):
@@ -164,6 +166,38 @@ def class_counts_brute(spec, n_max, depth):
 
     Rs = [aut.reachable_within(n) for n in range(n_max + 1)]
     return [count(family[depth], R) for R in Rs], [count(family[depth - 1], R) for R in Rs]
+
+
+def stationary_lazy_brute(Ps, tol=1e-13, max_iter=200_000):
+    """Stationary rows of a batch of stochastic matrices by lazy power
+    iteration pi <- (pi + pi P) / 2, which also converges on periodic chains."""
+    n, d, _ = Ps.shape
+    pis = np.full((n, d), 1.0 / d)
+    for _ in range(max_iter):
+        nxt = 0.5 * (pis + np.einsum("nd,nde->ne", pis, Ps))
+        err = np.abs(nxt - pis).sum(axis=1).max()
+        pis = nxt
+        if err <= tol:
+            return pis / pis.sum(axis=1, keepdims=True)
+    raise RuntimeError("stationary iteration did not converge")
+
+
+def variational_entropies_brute(matrix, n_samples, seed):
+    """(Ps, pis, entropies) of the variational scan's samples: sample idx is
+    drawn from SeedSequence([seed, idx]), masked to the support of the matrix
+    and row-normalized on its own."""
+    mask = np.asarray(matrix) > 0
+    d = mask.shape[0]
+    Ps = np.zeros((n_samples, d, d))
+    for idx in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        draws = rng.standard_exponential((d, d)) * mask
+        Ps[idx] = draws / draws.sum(axis=1, keepdims=True)
+    pis = stationary_lazy_brute(Ps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(Ps > 0, Ps * np.log(np.where(Ps > 0, Ps, 1.0)), 0.0)
+    entropies = -(pis[:, :, None] * plogp).sum(axis=(1, 2))
+    return Ps, pis, entropies
 
 
 def reachability_irreducible(matrix) -> bool:

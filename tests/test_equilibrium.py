@@ -12,6 +12,8 @@ from shiftkms import (
     resolvent_vector,
     variational_scan,
 )
+from shiftkms import equilibrium
+from shiftkms.equilibrium import InvariantViolation
 
 import oracles
 
@@ -153,3 +155,51 @@ def test_variational_reproducible():
     assert np.array_equal(a.entropies, b.entropies)
     c = variational_scan(GOLDEN, 64, seed=10)
     assert not np.array_equal(a.entropies, c.entropies)
+
+
+def _block_cyclic_period_3():
+    M = np.zeros((6, 6), dtype=int)
+    for k in range(3):
+        nxt = (k + 1) % 3
+        M[2 * k : 2 * k + 2, 2 * nxt : 2 * nxt + 2] = 1
+    return M
+
+
+@pytest.mark.parametrize(
+    "matrix, n_samples",
+    [
+        (GOLDEN, 300),
+        (np.ones((3, 3), dtype=int), 300),
+        ([[0, 1], [1, 0]], 50),
+        (_block_cyclic_period_3(), 300),
+        (oracles.random_irreducible_zero_one(np.random.default_rng(16), 16, 0.6), 300),
+        (oracles.random_irreducible_zero_one(np.random.default_rng(64), 64, 0.6), 100),
+    ],
+    ids=["golden", "ones3", "permutation", "block-cyclic3", "random16", "random64"],
+)
+def test_variational_scan_matches_lazy_reference(matrix, n_samples, monkeypatch):
+    seen = {}
+    solve = equilibrium._stationary_batch
+
+    def spy(Ps):
+        seen["Ps"] = Ps.copy()
+        seen["pis"] = solve(Ps)
+        return seen["pis"]
+
+    monkeypatch.setattr(equilibrium, "_stationary_batch", spy)
+    report = variational_scan(matrix, n_samples, seed=3)
+    Ps, pis, entropies = oracles.variational_entropies_brute(matrix, n_samples, seed=3)
+    assert np.array_equal(seen["Ps"], Ps)
+    assert np.abs(seen["pis"] - pis).max() <= 1e-12
+    assert np.allclose(report.entropies, entropies, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.eye(2), np.array([[0.5, 0.6], [1.0, 0.0]])],
+    ids=["reducible", "not-stochastic"],
+)
+def test_stationary_batch_rejects_chains_without_one_stationary_vector(bad):
+    golden_chain = np.array([[0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(InvariantViolation):
+        equilibrium._stationary_batch(np.stack([golden_chain, bad]))

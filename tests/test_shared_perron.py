@@ -25,6 +25,7 @@ from shiftkms import (
     variational_scan,
 )
 from shiftkms.cli import run
+from shiftkms.subshift import Automaton
 
 import oracles
 
@@ -122,3 +123,19 @@ def test_kms_beta_equals_exact_entropy_bitwise():
     spec = SFT(M)
     report = run("all", spec, FLAGS)["results"]
     assert report["kms"]["beta"] == report["entropy"]["exact"]
+
+
+def test_cli_all_runs_the_word_count_recursion_once(monkeypatch):
+    steps = Counter()
+    step = Automaton._next_counts
+
+    def counted(self, counts):
+        steps["steps"] += 1
+        return step(self, counts)
+
+    monkeypatch.setattr(Automaton, "_next_counts", counted)
+    flags = dict(FLAGS, max_n=20, depth=22)
+    report = run("all", SFT(_random_sft_matrix()), flags)
+    assert report["results"]["entropy"]["n_max"] == 20
+    assert report["results"]["bracket"]["n_max"] == 20
+    assert steps["steps"] == 20

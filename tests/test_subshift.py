@@ -260,6 +260,29 @@ def test_beta_word_length_guard():
     assert count_words(spec, 8) > 0
 
 
+def test_counts_agree_in_any_call_order():
+    M = oracles.random_irreducible_zero_one(np.random.default_rng(5), 5)
+
+    def theta(n):
+        return sum(map(sum, oracles.matrix_power_exact(M, n - 1)))
+
+    spec = SFT(M)
+    assert count_words_sequence(spec, 4) == [theta(n) for n in range(1, 5)]
+    assert count_words(spec, 9) == theta(9)
+    assert count_words(spec, 2) == theta(2)
+    assert count_words_sequence(spec, 12) == [theta(n) for n in range(1, 13)]
+    assert count_words_sequence(spec, 6) == [theta(n) for n in range(1, 7)]
+
+
+def test_beta_word_length_guard_after_shorter_counts():
+    spec = BetaShift("1.7", digit_depth=64)
+    assert len(count_words_sequence(spec, 30)) == 30
+    for call in (count_words, count_words_sequence):
+        with pytest.raises(ValueError, match="exceeds the presentation depth"):
+            call(spec, 70)
+    assert count_words(spec, 64) > 0
+
+
 def test_beta_counts_fuzz_random_bases():
     for text in ("1.3", "2.2", "1.9", "2.8"):
         spec = BetaShift(text, digit_depth=24)
