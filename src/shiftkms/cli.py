@@ -9,8 +9,10 @@ Input documents are JSON, UTF-8, lowercase keys, 1-based symbols:
     {"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}
 
 Exit codes: 0 success, 1 bad input, 2 violated internal invariant or failed
-numerical solver.  A matrix document's Perron data is solved once, on first
-use, and shared by every section of the report.
+numerical solver.  Every sized input is bounded by the MAX_* constants below;
+a value past its bound is bad input, named in the message.  A matrix
+document's Perron data is solved once, on first use, and shared by every
+section of the report.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,8 +31,25 @@ from .spectral import ConvergenceError, ReducibleMatrixError, as_nonnegative, pe
 from .subshift import SFT, BetaShift, ForbiddenWords, FullShift
 
 
+# Bounds on sized inputs.  A matrix document's dimension, an alphabet and
+# ceil(beta) share one bound: on a d-symbol SFT the Krieger passes gather
+# (d, d, d + 2) bool arrays, 17 MB at d = 256.
+MAX_DIMENSION = 256
+MAX_DIGIT_DEPTH = 4096
+MAX_WORD_LENGTH = 1000  # --max-n and --depth
+MAX_SAMPLES = 100_000
+# the variational scan allocates (samples, d, d) float64 arrays, 64 MB each at this bound
+MAX_SAMPLE_ENTRIES = 2**23
+
+
 class InputError(ValueError):
     """Malformed or inapplicable input document."""
+
+
+def _at_most(name, value, bound):
+    if not value <= bound:
+        raise InputError(f"{name} must be at most {bound}, got {value!r}")
+    return value
 
 
 def parse_spec(document):
@@ -52,16 +72,19 @@ def parse_spec(document):
         raise InputError("missing field 'type'")
     try:
         if kind == "full":
-            return FullShift(_integer(doc, "alphabet"))
+            return FullShift(_alphabet(doc))
         if kind == "sft":
-            return SFT(np.asarray(_need(doc, "matrix")))
+            return SFT(_matrix(doc))
         if kind == "forbidden":
             words = tuple(tuple(w) for w in _need(doc, "words"))
-            return ForbiddenWords(_integer(doc, "alphabet"), words)
+            return ForbiddenWords(_alphabet(doc), words)
         if kind == "beta":
-            return BetaShift(beta=_need(doc, "beta"), digit_depth=_integer(doc, "digit_depth", 64))
+            digit_depth = _at_most("field 'digit_depth'", _integer(doc, "digit_depth", 64), MAX_DIGIT_DEPTH)
+            spec = BetaShift(beta=_need(doc, "beta"), digit_depth=digit_depth)
+            _at_most("field 'beta'", float(spec.beta), MAX_DIMENSION)
+            return spec
         if kind == "nonnegative":
-            return ("nonnegative", as_nonnegative(_need(doc, "matrix")))
+            return ("nonnegative", as_nonnegative(_matrix(doc)))
     except InputError:
         raise
     except (ValueError, TypeError) as exc:
@@ -73,6 +96,16 @@ def _need(doc, field):
     if field not in doc:
         raise InputError(f"missing field '{field}'")
     return doc[field]
+
+
+def _alphabet(doc):
+    return _at_most("field 'alphabet'", _integer(doc, "alphabet"), MAX_DIMENSION)
+
+
+def _matrix(doc):
+    M = np.asarray(_need(doc, "matrix"))
+    _at_most("the dimension of field 'matrix'", max(M.shape, default=0), MAX_DIMENSION)
+    return M
 
 
 def _integer(doc, field, default=None):
@@ -249,6 +282,14 @@ def run(command: str, spec, flags) -> dict:
     """Execute one command and assemble the deterministic report."""
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
+    _at_most("--max-n", flags["max_n"], MAX_WORD_LENGTH)
+    _at_most("--depth", flags["depth"], MAX_WORD_LENGTH)
+    _at_most("--samples", flags["samples"], MAX_SAMPLES)
+    if not (math.isfinite(flags["tol"]) and flags["tol"] > 0):
+        raise InputError(f"--tol must be finite and > 0, got {flags['tol']!r}")
+    if command in ("variational", "all") and isinstance(spec, TRANSITION_MATRIX):
+        d = len(spec.matrix)
+        _at_most(f"--samples times d^2 (d = {d})", flags["samples"] * d * d, MAX_SAMPLE_ENTRIES)
     warnings: list[str] = []
     results = {}
     for name, (types, section) in SECTIONS.items():

@@ -13,7 +13,9 @@ stops at the first depth whose family equals the next one: the recursion is
 deterministic, so every deeper family is the same and the counts are final for
 the presenting automaton.  The reports give that depth as `fixed_point_depth`
 (None when the family still changes at the requested depth).  `omega_l` and
-`predecessor_set` enumerate words and serve as the independent cross-check.
+`predecessor_set` enumerate words, layer by layer through one enumerator, and
+serve as the independent cross-check.  Every pass reads the automaton's
+successor table `succ`.
 """
 
 from __future__ import annotations
@@ -97,49 +99,25 @@ class BracketReport:
         return self.upper - self.lower
 
 
-def _readable_from(aut: Automaton, state, word) -> bool:
-    q = state
-    for c in word:
-        q = aut.step(q, c)
-        if q is None:
-            return False
-    return True
+def _layers(aut: Automaton, m: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """layers[k] = the admissible words of length k with their end states, for
+    k = 0..m; each layer is in lexicographic order, so together they are shortlex."""
+    edges = [
+        [(c, qn) for c, qn in enumerate(targets, start=1) if qn != aut.sink]
+        for targets in aut.succ.T.tolist()
+    ]
+    layers = [[] if aut.is_empty else [((), aut.start)]]
+    for _ in range(m):
+        layers.append([(w + (c,), qn) for w, q in layers[-1] for c, qn in edges[q]])
+    return layers
 
 
-def _admissible_words(aut: Automaton, m: int) -> list[tuple[int, ...]]:
-    if aut.is_empty:
-        return []
-    if m == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, q):
-        if len(prefix) == m:
-            out.append(prefix)
-            return
-        for c in range(1, aut.alphabet + 1):
-            qn = aut.step(q, c)
-            if qn is not None:
-                rec(prefix + (c,), qn)
-
-    rec((), aut.start)
-    return out
-
-
-def _admissible_prefixes_upto(aut: Automaton, l: int) -> list[tuple[tuple[int, ...], object]]:
-    """All admissible words of length <= l with their end states, shortlex order."""
-    out = [((), aut.start)] if not aut.is_empty else []
-    layer = [((), aut.start)] if not aut.is_empty else []
-    for _ in range(l):
-        nxt = []
-        for mu, q in layer:
-            for c in range(1, aut.alphabet + 1):
-                qn = aut.step(q, c)
-                if qn is not None:
-                    nxt.append((mu + (c,), qn))
-        out.extend(nxt)
-        layer = nxt
-    return out
+def _readable(aut: Automaton, words) -> np.ndarray:
+    """Bool matrix whose entry [i, q] says whether words[i] can be read from state q."""
+    q = np.tile(np.arange(aut.sink), (len(words), 1))
+    for column in np.array(words, dtype=np.intp).T:
+        q = aut.succ[column[:, None] - 1, q]
+    return q != aut.sink
 
 
 def predecessor_set(word, l: int, spec) -> list[tuple[int, ...]]:
@@ -156,12 +134,8 @@ def predecessor_set(word, l: int, spec) -> list[tuple[int, ...]]:
     aut.check_length(l + len(w))
     if not admissible(w, spec):
         raise ValueError(f"word {w} is not admissible")
-    readable = {q for q in aut.states if _readable_from(aut, q, w)}
-    return [mu for mu, q in _admissible_prefixes_upto(aut, l) if q in readable]
-
-
-def _class_key(aut: Automaton, word, restriction) -> frozenset:
-    return frozenset(q for q in restriction if _readable_from(aut, q, word))
+    readable = _readable(aut, [w])[0]
+    return [mu for layer in _layers(aut, l) for mu, q in layer if readable[q]]
 
 
 def omega_l(spec, l: int, depth: int) -> PastPartition:
@@ -176,25 +150,29 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
         raise ValueError("depth must be >= max(l, 1)")
     aut = automaton_for(spec)
     aut.check_length(l + depth)
-    words = _admissible_words(aut, depth)
+    layers = _layers(aut, depth)
+    words = [w for w, _ in layers[depth]]
     if not words:
         raise ValueError(f"no admissible words of length {depth}")
-    R = aut.reachable_within(l)
-    groups: dict[frozenset, list[tuple[int, ...]]] = {}
-    for w in words:
-        groups.setdefault(_class_key(aut, w, R), []).append(w)
-    prefixes = _admissible_prefixes_upto(aut, l)
+    # a word's class key is its readability restricted to R_l; every
+    # predecessor of length <= l ends in R_l
+    order, sizes = aut.reach_order(l)
+    R = order[: sizes[l]]
+    groups: dict[bytes, tuple[np.ndarray, list[tuple[int, ...]]]] = {}
+    for w, readable in zip(words, _readable(aut, words)):
+        groups.setdefault(readable[R].tobytes(), (readable, []))[1].append(w)
+    prefixes = [(mu, q) for layer in layers[: l + 1] for mu, q in layer]
     classes = []
-    for key, members in groups.items():
-        preds = tuple(mu for mu, q in prefixes if q in key)
+    for readable, members in groups.values():
+        preds = tuple(mu for mu, q in prefixes if readable[q])
         classes.append(
             PastClass(representative=members[0], words=tuple(members), predecessors=preds)
         )
     classes.sort(key=lambda c: c.representative)
     prev_count = None
     if depth - 1 >= max(l, 1):
-        prev_words = _admissible_words(aut, depth - 1)
-        prev_count = len({_class_key(aut, w, R) for w in prev_words})
+        prev_words = [w for w, _ in layers[depth - 1]]
+        prev_count = len({r.tobytes() for r in _readable(aut, prev_words)[:, R]})
     return PastPartition(
         l=l,
         depth=depth,
@@ -208,27 +186,23 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     """(counts at `depth`, counts at `depth - 1`, fixed_point_depth).
 
     A family is a bool matrix whose rows are its distinct readability subsets
-    (columns follow aut.states); the next one holds the nonempty preimages of
-    its rows under each symbol.  counts[n], n = 0..n_max, is the number of
-    distinct restrictions to R_n (states reachable in <= n steps) of the rows
-    that hold the start state.
+    (columns are the states 0..N of aut.succ, the sink N last); the next one
+    holds the nonempty preimages of its rows under each symbol.  The sink
+    column starts False and stays False, since the sink only leads to itself,
+    so a move into the sink makes a row unreadable there.  counts[n],
+    n = 0..n_max, is the number of distinct restrictions to R_n (states
+    reachable in <= n steps) of the rows that hold the start state.
     """
-    index = {q: i for i, q in enumerate(aut.states)}
-    size = len(aut.states)
-    succ = np.zeros((aut.alphabet, size), dtype=np.intp)
-    ok = np.zeros((aut.alphabet, size), dtype=bool)
-    for (q, c), qn in aut.delta.items():
-        succ[c - 1, index[q]] = index[qn]
-        ok[c - 1, index[q]] = True
-
+    size = aut.sink + 1
     # a packed row viewed as one opaque item, so a 1-d sort orders the rows by bytes
     # (np.unique would do the same but imports numpy.ma, about 1 MB, on first use)
     row = np.dtype((np.void, (size + 7) // 8))
     family = prev = np.ones((1, size), dtype=bool)
+    family[0, aut.sink] = False
     packed = np.packbits(family, axis=1).view(row).ravel()
     fixed_point_depth = None
     for m in range(depth):
-        pre = (family[:, succ] & ok).reshape(-1, size)
+        pre = family[:, aut.succ].reshape(-1, size)
         nxt = np.sort(np.packbits(pre[pre.any(axis=1)], axis=1).view(row).ravel())
         distinct = np.ones(len(nxt), dtype=bool)
         distinct[1:] = nxt[1:] != nxt[:-1]
@@ -243,21 +217,10 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     if not len(family):
         raise ValueError(f"no admissible words of length {depth}")
 
-    # R_0 ⊆ R_1 ⊆ ... : list states in BFS discovery order, so R_n is a prefix
-    start = index[aut.start]
-    seen = np.zeros(size, dtype=bool)
-    seen[start] = True
-    order, frontier, sizes = [start], np.array([start]), [1]
-    for _ in range(n_max):
-        hit = np.zeros(size, dtype=bool)
-        hit[succ[:, frontier][ok[:, frontier]]] = True
-        frontier = np.flatnonzero(hit & ~seen)
-        seen[frontier] = True
-        order.extend(frontier.tolist())
-        sizes.append(len(order))
+    order, sizes = aut.reach_order(n_max)
 
     def counts(fam):
-        rows = fam[fam[:, start]][:, order]
+        rows = fam[fam[:, aut.start]][:, order]
         if not len(rows):
             return [0] * (n_max + 1)
         rows = rows[np.lexsort(rows.T[::-1])]

@@ -358,20 +358,41 @@ def spectral_radius(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
     return max(c.radius for c in component_perron_data(M, tol=tol, max_iter=max_iter))
 
 
+def integer_vector_powers(start, rows, n: int) -> list[list[int]]:
+    """start B^k for k = 1..n in arbitrary-precision integers, so the result is
+    exact at any n.
+
+    B is given by sparse rows of Python ints: rows[i] lists the pairs
+    (j, B[i, j]) with a nonzero weight.  Column sums of matrix powers and the
+    word counts of a presenting automaton both run this one recursion.
+    """
+    out = []
+    v = list(start)
+    for _ in range(n):
+        nxt = [0] * len(rows)
+        for s, row in zip(v, rows):
+            if s:
+                for j, w in row:
+                    nxt[j] += s * w
+        v = nxt
+        out.append(v)
+    return out
+
+
 def column_sum_sequence(A, n_max: int) -> list[list[int]]:
     """Column sums of A^n for n = 1..n_max of a nonnegative integer matrix, in
     arbitrary-precision integers, so the result is exact at any n."""
     M = as_nonnegative(A)
     if np.any(M != np.rint(M)):
         raise ValueError("matrix entries must be integers")
-    d = M.shape[0]
-    rows = [[int(x) for x in M[i]] for i in range(d)]
-    out = []
-    s = [1] * d
-    for _ in range(n_max):
-        s = [sum(s[i] * rows[i][k] for i in range(d)) for k in range(d)]
-        out.append(s)
-    return out
+    # rows share one (j, weight) tuple per distinct entry: a 0/1 matrix holds d
+    # of them, not one per nonzero entry
+    pairs = {}
+    rows = []
+    for row in M:
+        js = np.flatnonzero(row)
+        rows.append([pairs.setdefault(p, p) for p in zip(js.tolist(), map(int, row[js].tolist()))])
+    return integer_vector_powers([1] * len(rows), rows, n_max)
 
 
 def column_sum_powers(A, r: int) -> list[int]:

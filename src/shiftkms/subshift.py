@@ -3,8 +3,9 @@
 Four presentations are supported: the full shift, a 0/1 transition-matrix
 shift, a shift given by finitely many forbidden factors, and the beta-shift of
 a base b > 1.  Each compiles to a deterministic partial automaton whose
-defined paths are exactly the admissible words, so counting is a transfer
-recursion in exact integers and admissibility is a single run.
+defined paths are exactly the admissible words, held as one successor table:
+admissibility is a single run, counting is spectral's exact integer recursion
+over its transition-count matrix, and the Krieger passes read the same table.
 
 Symbols are 1-based (alphabet {1, ..., d}).  Beta-shift digits {0, ..., d-1}
 map to symbols by adding 1.
@@ -13,6 +14,7 @@ map to symbols by adding 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -133,45 +135,46 @@ def _cached_expansion(beta, digit_depth, snap_tol, guard_bits):
 
 
 class Automaton:
-    """Deterministic partial automaton over symbols 1..d.
+    """Deterministic partial automaton over symbols 1..d, held as one successor table.
 
-    A word is in the presented language iff running it from the start state
-    stays defined.  Every state has at least one outgoing transition (the
-    build trims dead ends), except an optional horizon state in depth-capped
-    presentations; max_word_length says how long a run is trustworthy.
+    The states are relabelled 0..N-1 in the sorted order of the labels the
+    build used (`delta` and `start` are given in the new labels), and N is a
+    sink: succ[c-1, q] is the state reached from q on symbol c, N when that
+    move is undefined, and the sink only leads to itself.  A word is in the
+    presented language iff its run from the start never reaches the sink.
+    Every state has at least one outgoing transition (the build trims dead
+    ends), except an optional horizon state in depth-capped presentations;
+    max_word_length says how long a run is trustworthy.
     """
 
     def __init__(self, alphabet, delta, start, max_word_length=None):
+        labels = {start, *(q for q, _ in delta), *delta.values()}
+        index = {q: i for i, q in enumerate(sorted(labels))}
         self.alphabet = alphabet
-        self.delta = dict(delta)
-        self.start = start
+        self.delta = {(index[q], c): index[qn] for (q, c), qn in delta.items()}
+        self.start = index[start]
         self.max_word_length = max_word_length
-        states = {start}
-        for (q, _), qn in self.delta.items():
-            states.add(q)
-            states.add(qn)
-        self.states = tuple(sorted(states))
-        self._out = {q: {} for q in self.states}
-        for (q, c), qn in self.delta.items():
-            self._out[q][c] = qn
+        self.states = range(len(index))
+        self.sink = len(index)
+        self.succ = np.full((alphabet, self.sink + 1), self.sink, dtype=np.intp)
+        qs, cs = np.array(list(self.delta), dtype=np.intp).reshape(-1, 2).T
+        self.succ[cs - 1, qs] = list(self.delta.values())
         self._count_vectors = []
 
     @property
     def is_empty(self) -> bool:
-        return not self._out[self.start]
-
-    def step(self, state, sym):
-        return self._out[state].get(sym)
+        return bool(np.all(self.succ[:, self.start] == self.sink))
 
     def run(self, word, state=None):
-        """End state of the word, or None when it leaves the language."""
+        """End state of the word, or None when it leaves the language (a
+        symbol outside 1..d leaves it too)."""
         self.check_length(len(word))
         q = self.start if state is None else state
         for c in word:
-            q = self._out[q].get(c)
-            if q is None:
+            if not 0 < c <= self.alphabet:
                 return None
-        return q
+            q = self.succ[c - 1, q]
+        return None if q == self.sink else int(q)
 
     def check_length(self, n):
         if self.max_word_length is not None and n > self.max_word_length:
@@ -181,35 +184,40 @@ class Automaton:
             )
 
     def count_vectors(self, n):
-        """For k = 1..n, the dict state -> number of admissible length-k words
-        ending there (exact ints).
+        """For k = 1..n, the list whose entry q is the number of admissible
+        length-k words ending in state q (exact ints).
 
-        The dicts are kept on the automaton and only extended, so a longer
+        The lists are kept on the automaton and only extended, so a longer
         call continues where the last one stopped; callers must not mutate them.
         """
         self.check_length(n)
         out = self._count_vectors
-        while len(out) < n:
-            out.append(self._next_counts(out[-1] if out else {self.start: 1}))
+        if len(out) < n:
+            start = out[-1] if out else [int(q == self.start) for q in self.states]
+            # row q of the transition-count matrix: (target, number of symbols) pairs
+            rows = [[] for _ in self.states]
+            moves = zip(list(self.states) * self.alphabet, self.succ[:, : self.sink].ravel().tolist())
+            for (q, qn), k in Counter(moves).items():
+                if qn != self.sink:
+                    rows[q].append((qn, k))
+            out.extend(spectral.integer_vector_powers(start, rows, n - len(out)))
         return out[:n]
 
-    def _next_counts(self, counts):
-        nxt = {}
-        for q, c in counts.items():
-            for qn in self._out[q].values():
-                nxt[qn] = nxt.get(qn, 0) + c
-        return nxt
-
-    def reachable_within(self, l):
-        """Frozenset of states reachable from the start by words of length <= l."""
-        seen = {self.start}
-        frontier = {self.start}
+    def reach_order(self, l):
+        """(order, sizes): the states reachable from the start by words of
+        length <= l in breadth-first discovery order, and sizes[k] = |R_k| for
+        k = 0..l, so R_k (reachable in <= k steps) is the prefix order[:sizes[k]]."""
+        seen = np.zeros(self.sink + 1, dtype=bool)
+        seen[[self.start, self.sink]] = True
+        order, frontier, sizes = [self.start], np.array([self.start]), [1]
         for _ in range(l):
-            frontier = {qn for q in frontier for qn in self._out[q].values()} - seen
-            if not frontier:
-                break
-            seen |= frontier
-        return frozenset(seen)
+            hit = np.zeros_like(seen)
+            hit[self.succ[:, frontier]] = True
+            frontier = np.flatnonzero(hit & ~seen)
+            seen[frontier] = True
+            order.extend(frontier.tolist())
+            sizes.append(len(order))
+        return order, sizes
 
 
 def _full_automaton(d):
@@ -399,7 +407,7 @@ def count_words(spec, n: int) -> int:
         return 0
     if n == 0:
         return 1
-    return sum(aut.count_vectors(n)[-1].values())
+    return sum(aut.count_vectors(n)[-1])
 
 
 def count_words_sequence(spec, n_max: int) -> list[int]:
@@ -407,7 +415,7 @@ def count_words_sequence(spec, n_max: int) -> list[int]:
     aut = automaton_for(spec)
     if aut.is_empty:
         return [0] * n_max
-    return [sum(counts.values()) for counts in aut.count_vectors(n_max)]
+    return [sum(counts) for counts in aut.count_vectors(n_max)]
 
 
 @dataclass(frozen=True)

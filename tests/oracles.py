@@ -9,9 +9,10 @@ oracle-equivalence tests assert.
 The exception is the Krieger class-count reference (`subset_family_brute`,
 `class_counts_brute`): it runs the frozenset subset recursion on the package's
 presenting automaton to every requested depth, with no fixed-point stop, and
-restricts with `Automaton.reachable_within`, so it checks the bitset core of
-`shiftkms.krieger` on the same automaton.  The word enumerators read only
-the alphabet size from the presenting automaton.
+restricts with `reachable_brute`, a set breadth-first search over the
+automaton's `delta` dict, so it checks the bitset core of `shiftkms.krieger`
+on the same automaton without sharing its successor table or its BFS.  The
+word enumerators read only the alphabet size from the presenting automaton.
 
 The variational references (`stationary_lazy_brute`,
 `variational_entropies_brute`) are the scan's earlier algorithm: per-sample
@@ -154,6 +155,21 @@ def subset_family_brute(aut, depth) -> list[set[frozenset]]:
     return family
 
 
+def reachable_brute(aut, l) -> frozenset:
+    """States reachable from the start by words of length <= l, walking aut.delta."""
+    out = {}
+    for (q, _), qn in aut.delta.items():
+        out.setdefault(q, set()).add(qn)
+    seen = {aut.start}
+    frontier = {aut.start}
+    for _ in range(l):
+        frontier = {qn for q in frontier for qn in out.get(q, ())} - seen
+        if not frontier:
+            break
+        seen |= frontier
+    return frozenset(seen)
+
+
 def class_counts_brute(spec, n_max, depth):
     """(counts at depth, counts at depth - 1), each indexed by n = 0..n_max:
     the number of distinct restrictions B & R_n of the family's subsets B that
@@ -164,7 +180,7 @@ def class_counts_brute(spec, n_max, depth):
     def count(subsets, R):
         return len({B & R for B in subsets if aut.start in B})
 
-    Rs = [aut.reachable_within(n) for n in range(n_max + 1)]
+    Rs = [reachable_brute(aut, n) for n in range(n_max + 1)]
     return [count(family[depth], R) for R in Rs], [count(family[depth - 1], R) for R in Rs]
 
 

@@ -1,12 +1,23 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT
-from shiftkms.cli import InputError, main, parse_spec, run
+from shiftkms.cli import (
+    MAX_DIGIT_DEPTH,
+    MAX_DIMENSION,
+    MAX_SAMPLE_ENTRIES,
+    MAX_SAMPLES,
+    MAX_WORD_LENGTH,
+    InputError,
+    main,
+    parse_spec,
+    run,
+)
 from shiftkms.equilibrium import InvariantViolation
 from shiftkms.spectral import ConvergenceError
 
@@ -215,3 +226,117 @@ def test_main_reads_stdin(monkeypatch, capsys):
     assert main(["entropy", "-", "--no-timestamp"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["results"]["entropy"]["exact"] - math.log(2)) < 1e-15
+
+
+# one oversized value per bounded field of a document (bounds in shiftkms.cli)
+OVERSIZED_DOCS = [
+    ("alphabet", {"type": "full", "alphabet": 100_000_000}),
+    ("alphabet", {"type": "forbidden", "alphabet": 257, "words": [[1]]}),
+    ("matrix", {"type": "sft", "matrix": np.ones((257, 257)).tolist()}),
+    ("matrix", {"type": "nonnegative", "matrix": np.ones((257, 257)).tolist()}),
+    ("beta", {"type": "beta", "beta": 256.5}),
+    ("beta", {"type": "beta", "beta": "1e400"}),
+    ("beta", {"type": "beta", "beta": "nan"}),
+    ("digit_depth", {"type": "beta", "beta": 1.7, "digit_depth": 4097}),
+]
+
+
+@pytest.mark.parametrize("field,doc", OVERSIZED_DOCS, ids=[f for f, _ in OVERSIZED_DOCS])
+def test_parse_spec_rejects_oversized_field(field, doc):
+    with pytest.raises(InputError, match=f"field '{field}'"):
+        parse_spec(doc)
+
+
+# one oversized value per bounded flag; the variational scan allocates
+# (samples, d, d) float64 arrays, so at d = 64 samples stop at 2^23 / 64^2
+OVERSIZED_FLAGS = [
+    ("--max-n", "entropy", FullShift(2), {"max_n": 1001}),
+    ("--depth", "entropy", FullShift(2), {"depth": 1001}),
+    ("--samples", "entropy", FullShift(2), {"samples": 100_001}),
+    ("--samples", "variational", FullShift(64), {"samples": 2049}),
+    ("--samples", "all", FullShift(64), {"samples": 2049}),
+    ("--tol", "kms", FullShift(2), {"tol": -1.0}),
+    ("--tol", "kms", FullShift(2), {"tol": 0.0}),
+    ("--tol", "kms", FullShift(2), {"tol": math.nan}),
+    ("--tol", "kms", FullShift(2), {"tol": math.inf}),
+]
+
+
+@pytest.mark.parametrize("name,command,spec,flags", OVERSIZED_FLAGS, ids=[f[0] for f in OVERSIZED_FLAGS])
+def test_run_rejects_oversized_flag(name, command, spec, flags):
+    with pytest.raises(InputError, match=re.escape(name)):
+        run(command, spec, dict(DEFAULT_FLAGS, **flags))
+
+
+def test_bounds_themselves_are_accepted():
+    assert parse_spec({"type": "full", "alphabet": MAX_DIMENSION}).alphabet == MAX_DIMENSION
+    square = np.ones((MAX_DIMENSION, MAX_DIMENSION)).tolist()
+    assert parse_spec({"type": "sft", "matrix": square}).matrix.shape[0] == MAX_DIMENSION
+    spec = parse_spec({"type": "beta", "beta": MAX_DIMENSION, "digit_depth": MAX_DIGIT_DEPTH})
+    assert spec.alphabet == MAX_DIMENSION and spec.digit_depth == MAX_DIGIT_DEPTH
+    flags = dict(DEFAULT_FLAGS, max_n=MAX_WORD_LENGTH, depth=MAX_WORD_LENGTH, samples=MAX_SAMPLES)
+    assert run("entropy", FullShift(2), flags)["results"]["entropy"]["n_max"] == MAX_WORD_LENGTH
+    # the samples x d^2 bound only applies where the scan runs
+    assert run("entropy", FullShift(64), dict(DEFAULT_FLAGS, samples=2049))["results"]
+    assert MAX_SAMPLE_ENTRIES // 64**2 == 2048
+
+
+def test_main_rejects_bad_tol_before_any_section(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+    for tol in ("-1", "nan"):
+        assert main(["all", str(doc), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
+
+
+# Exact fields of `all` on the README documents and a forbidden-word document
+# whose automaton states are relabelled; max_n 24 keeps the bracket of the
+# depth-64 tribonacci document inside its presentation depth.
+GOLDEN_FIELDS = [
+    ('{"type": "full", "alphabet": 3}', {
+        "theta": [3**n for n in range(1, 25)],
+        "counts": [1] * 10, "stabilized": [True] * 10, "krieger_fixed": 0, "krieger_sofic": True,
+        "dims": [1] * 24, "bracket_fixed": 0, "bracket_sofic": True}),
+    (GOLDEN_DOC, {
+        "theta": [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765,
+                  10946, 17711, 28657, 46368, 75025, 121393],
+        "counts": [2] * 10, "stabilized": [True] * 10, "krieger_fixed": 1, "krieger_sofic": True,
+        "dims": [2] * 24, "bracket_fixed": 1, "bracket_sofic": True}),
+    ('{"type": "forbidden", "alphabet": 2, "words": [[1, 1]]}', {
+        "theta": [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765,
+                  10946, 17711, 28657, 46368, 75025, 121393],
+        "counts": [2] * 10, "stabilized": [True] * 10, "krieger_fixed": 1, "krieger_sofic": True,
+        "dims": [2] * 24, "bracket_fixed": 1, "bracket_sofic": True}),
+    ('{"type": "beta", "beta": 1.8392867552, "digit_depth": 64}', {
+        "theta": [2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927, 1705, 3136, 5768, 10609, 19513, 35890,
+                  66012, 121415, 223317, 410744, 755476, 1389537, 2555757],
+        "counts": [2] + [3] * 9, "stabilized": [True] * 10, "krieger_fixed": None, "krieger_sofic": True,
+        "dims": [2] + [3] * 23, "bracket_fixed": None, "bracket_sofic": True}),
+    ('{"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}', {}),
+    ('{"type": "forbidden", "alphabet": 3, "words": [[1, 2], [3, 3, 1]]}', {
+        "theta": [3, 8, 20, 50, 125, 313, 784, 1964, 4920, 12325, 30875, 77344, 193752, 485362,
+                  1215865, 3045825, 7630000, 19113672, 47881056, 119945321, 300471235, 752701000,
+                  1885567500, 4723475586],
+        "counts": [3] + [4] * 9, "stabilized": [True] * 10, "krieger_fixed": 2, "krieger_sofic": True,
+        "dims": [3] + [4] * 23, "bracket_fixed": 2, "bracket_sofic": True}),
+]
+
+
+@pytest.mark.parametrize("doc,expected", GOLDEN_FIELDS, ids=range(len(GOLDEN_FIELDS)))
+def test_all_exact_fields_are_pinned(doc, expected):
+    results = run("all", parse_spec(doc), dict(DEFAULT_FLAGS, max_n=24))["results"]
+    got = {}
+    if "entropy" in results:
+        krieger, bracket = results["krieger"], results["bracket"]
+        got = {
+            "theta": results["entropy"]["theta"],
+            "counts": krieger["counts"],
+            "stabilized": krieger["stabilized"],
+            "krieger_fixed": krieger["fixed_point_depth"],
+            "krieger_sofic": krieger["sofic_detected"],
+            "dims": bracket["dims"],
+            "bracket_fixed": bracket["fixed_point_depth"],
+            "bracket_sofic": bracket["sofic_detected"],
+        }
+    assert got == expected

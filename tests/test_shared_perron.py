@@ -25,7 +25,6 @@ from shiftkms import (
     variational_scan,
 )
 from shiftkms.cli import run
-from shiftkms.subshift import Automaton
 
 import oracles
 
@@ -127,13 +126,14 @@ def test_kms_beta_equals_exact_entropy_bitwise():
 
 def test_cli_all_runs_the_word_count_recursion_once(monkeypatch):
     steps = Counter()
-    step = Automaton._next_counts
+    powers = spectral.integer_vector_powers
 
-    def counted(self, counts):
-        steps["steps"] += 1
-        return step(self, counts)
+    def counted(start, rows, n):
+        out = powers(start, rows, n)
+        steps["steps"] += len(out)
+        return out
 
-    monkeypatch.setattr(Automaton, "_next_counts", counted)
+    monkeypatch.setattr(spectral, "integer_vector_powers", counted)
     flags = dict(FLAGS, max_n=20, depth=22)
     report = run("all", SFT(_random_sft_matrix()), flags)
     assert report["results"]["entropy"]["n_max"] == 20

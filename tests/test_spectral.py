@@ -12,6 +12,7 @@ from shiftkms import (
     irreducible,
     period,
     perron_vectors,
+    spectral,
     spectral_radius,
     spectral_radius_bracket_sequences,
     strongly_connected_components,
@@ -201,6 +202,19 @@ def test_column_sum_powers_matches_exact_matrix_power():
 def test_column_sum_powers_large_r_no_overflow():
     out = column_sum_powers(np.ones((3, 3), dtype=int), 100)
     assert out == [3**100] * 3
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[0, 2], [3, 0]], np.random.default_rng(31).integers(0, 1000, (6, 6))],
+    ids=["weighted2", "random6"],
+)
+def test_column_sum_sequence_matches_object_matrix_power(matrix):
+    # weights up to 999 overflow int64 within these powers; object dtype stays exact
+    M = np.asarray(matrix).astype(object)
+    ones = np.ones(len(M), dtype=object)
+    expected = [list(ones @ np.linalg.matrix_power(M, n)) for n in range(1, 31)]
+    assert spectral.column_sum_sequence(matrix, 30) == expected
 
 
 def test_column_sum_powers_rejects_r_zero():

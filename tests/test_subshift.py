@@ -17,6 +17,7 @@ from shiftkms import (
     spectral_radius,
     topological_entropy,
 )
+from shiftkms.subshift import Automaton, automaton_for
 
 import oracles
 
@@ -296,3 +297,57 @@ def test_desk_scale_dimension():
     est = topological_entropy(FullShift(d), 10)
     assert abs(est.exact - math.log(d)) < 1e-12
     assert abs(sft_entropy_exact(np.ones((d, d), dtype=int)) - math.log(d)) < 1e-12
+
+
+# every kind of presentation; the forbidden list's live trie nodes are 0, 1,
+# 3 and 4 (node 2 ends the factor 12), and the last list kills every word
+TABLE_CASES = [
+    FullShift(3),
+    GOLDEN,
+    SFT([[1, 1, 0, 1], [0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]]),
+    ForbiddenWords(3, ((1, 2), (3, 3, 1))),
+    BetaShift("1.7", digit_depth=40),
+    BetaShift(2.5, digit_depth=40),
+    ForbiddenWords(2, ((1,), (2,))),
+]
+
+
+def _dict_walk(aut, word):
+    q = aut.start
+    for c in word:
+        q = aut.delta.get((q, c))
+        if q is None:
+            return None
+    return q
+
+
+def _check_table(aut, rng):
+    n = len(aut.states)
+    assert aut.sink == n and aut.succ.shape == (aut.alphabet, n + 1)
+    assert set(aut.states) == {q for q, _ in aut.delta} | set(aut.delta.values()) | {aut.start}
+    for q in range(n):
+        for c in range(1, aut.alphabet + 1):
+            assert aut.succ[c - 1, q] == aut.delta.get((q, c), n)
+    assert (aut.succ[:, n] == n).all()
+    assert aut.is_empty == (not any(q == aut.start for q, _ in aut.delta))
+    for _ in range(200):
+        word = tuple(int(c) for c in rng.integers(1, aut.alphabet + 1, rng.integers(0, 13)))
+        assert aut.run(word) == _dict_walk(aut, word)
+
+
+@pytest.mark.parametrize("spec", TABLE_CASES, ids=lambda s: type(s).__name__)
+def test_successor_table_agrees_with_delta(spec):
+    _check_table(automaton_for(spec), np.random.default_rng(8))
+    assert count_words_sequence(spec, 7) == [oracles.count_words_brute(spec, n) for n in range(1, 8)]
+
+
+def test_successor_table_relabels_noncontiguous_states():
+    raw = {(10, 1): 10, (10, 2): 30, (30, 1): 70, (70, 1): 10, (70, 2): 70}
+    aut = Automaton(2, raw, start=10)
+    assert aut.states == range(3) and aut.start == 0
+    assert aut.delta == {(0, 1): 0, (0, 2): 1, (1, 1): 2, (2, 1): 0, (2, 2): 2}
+    _check_table(aut, np.random.default_rng(9))
+    # state 30 (now 1) has no move on symbol 2
+    assert aut.run((2, 2)) is None and aut.run((2, 1, 2, 2, 1)) == 0
+    # symbols outside the alphabet leave the language, never index the table
+    assert aut.run((0,)) is None and aut.run((1, 3)) is None
