@@ -80,9 +80,9 @@ def parse_spec(document):
             return ForbiddenWords(_alphabet(doc), words)
         if kind == "beta":
             digit_depth = _at_most("field 'digit_depth'", _integer(doc, "digit_depth", 64), MAX_DIGIT_DEPTH)
-            spec = BetaShift(beta=_need(doc, "beta"), digit_depth=digit_depth)
-            _at_most("field 'beta'", float(spec.beta), MAX_DIMENSION)
-            return spec
+            beta = _need(doc, "beta")
+            _at_most("field 'beta'", float(beta), MAX_DIMENSION)
+            return BetaShift(beta=beta, digit_depth=digit_depth)
         if kind == "nonnegative":
             return ("nonnegative", as_nonnegative(_matrix(doc)))
     except InputError:

@@ -1,10 +1,15 @@
 """Nonnegative-matrix analytics: connectivity, period, spectral radius, Perron vectors.
 
 A square nonnegative matrix is read as the weight matrix of a digraph with an
-edge i -> j whenever A[i, j] > 0.  Spectral data is produced by deterministic
-power iteration (all-ones start vector); path and column-sum counts use exact
-integer arithmetic so they cannot silently overflow.  Logarithms are natural
-throughout the package.
+edge i -> j whenever A[i, j] > 0.  Components come from the boolean
+reachability closure of that digraph and the period from the gcd of BFS level
+differences along its edges.  The Perron triple (lam, u, v) comes from Noda
+iteration, inverse iteration shifted by the current Collatz-Wielandt upper
+bound, which needs no special case for periodic matrices; the bracket
+min (A u)_i / u_i <= lam <= max (A u)_i / u_i of the final u, widened for
+float rounding, is returned with it as a certificate.  Path and column-sum
+counts use exact integer arithmetic so they cannot silently overflow.
+Logarithms are natural throughout the package.
 """
 
 from __future__ import annotations
@@ -15,20 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
 PERRON_TOL = 1e-13  # the strictest default acceptance of any thermodynamic result
+_MAX_SOLVES = 100  # Noda iteration converges superlinearly: 5-16 solves on desk-scale input
 
 
 def residual_noise_floor(d: int, lam: float = 1.0) -> float:
-    """l1 eigen-residual a float64 power iteration can actually reach for a
-    d x d matrix with Perron value lam; requested tolerances are floored here
-    so honest desk-scale inputs are not rejected for exceeding machine noise.
+    """l1 eigen-residual a float64 solve can actually reach for a unit-sum
+    eigenvector of a d x d matrix with Perron value lam; requested tolerances
+    are floored here so honest desk-scale inputs are not rejected for
+    exceeding machine noise.
     """
     return 16.0 * np.finfo(float).eps * d * max(lam, 1.0)
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration did not reach the requested residual.
+    """The Perron solve did not reach the requested residual, or its
+    Collatz-Wielandt bracket is not positive and finite.
 
     Carries the last iterate and its residual so the caller can inspect the
     near-answer or retry with a looser tolerance.
@@ -76,59 +83,32 @@ def has_zero_column(A) -> bool:
     return bool(np.any(M.sum(axis=0) == 0))
 
 
+def reachability(A) -> np.ndarray:
+    """Boolean transitive closure of the support digraph: R[i, j] is True iff
+    a path of length >= 1 leads from i to j.
+
+    The 0/1 matrix is squared in float32 (exact below 2^24 nodes), capped at
+    1, until it stops changing; after k rounds it holds every path of length
+    up to 2^k.
+    """
+    R = (as_nonnegative(A) > 0).astype(np.float32)
+    while True:
+        nxt = np.minimum(R + R @ R, 1.0)
+        if np.array_equal(nxt, R):
+            return R > 0
+        R = nxt
+
+
 def strongly_connected_components(A) -> list[tuple[int, ...]]:
-    """Strongly connected components of the support digraph (iterative Tarjan).
+    """Strongly connected components of the support digraph (reachability closure).
 
     Returns a list of components, each a sorted tuple of 0-based node indices,
     ordered by smallest member for determinism.
     """
-    M = as_nonnegative(A)
-    d = M.shape[0]
-    succ = [np.nonzero(M[i] > 0)[0].tolist() for i in range(d)]
-    index = [-1] * d
-    low = [0] * d
-    on_stack = [False] * d
-    stack: list[int] = []
-    comps: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(d):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    comps.sort(key=lambda c: c[0])
-    return comps
+    R = reachability(A)
+    mutual = (R & R.T) | np.eye(R.shape[0], dtype=bool)
+    leaders = np.unique(mutual.argmax(axis=1))  # smallest member of each node's component
+    return [tuple(np.flatnonzero(mutual[i]).tolist()) for i in leaders]
 
 
 def irreducible(A) -> bool:
@@ -144,24 +124,17 @@ def irreducible(A) -> bool:
 
 
 def _cycle_gcd(M: np.ndarray) -> int:
-    """gcd of the cycle lengths of an irreducible support digraph (one BFS)."""
-    d = M.shape[0]
-    succ = [np.nonzero(M[i] > 0)[0].tolist() for i in range(d)]
-    level = [-1] * d
-    level[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in succ[u]:
-                if level[w] == -1:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-                else:
-                    g = math.gcd(g, level[u] + 1 - level[w])
-        queue = nxt
-    return abs(g) if g != 0 else 1
+    """gcd of the cycle lengths of an irreducible support digraph: the gcd of
+    level[i] + 1 - level[j] over its edges i -> j, levels from one BFS."""
+    A = M > 0
+    level = np.full(A.shape[0], -1)
+    frontier, depth = np.arange(A.shape[0]) == 0, 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = A[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    i, j = np.nonzero(A)
+    return int(np.gcd.reduce(np.abs(level[i] + 1 - level[j])))
 
 
 def period(A) -> int:
@@ -177,33 +150,39 @@ def aperiodic(A) -> bool:
     return period(A) == 1
 
 
-def _power_iteration(B: np.ndarray, tol: float, max_iter: int):
-    """Deterministic power iteration on a converging nonnegative matrix B.
+def _noda(B: np.ndarray, shift: float | None = None):
+    """Noda iteration x <- (sigma I - B)^-1 x / sum for the Perron vector of an
+    irreducible B, from x = ones/d.
 
-    Start vector is all-ones/d.  Returns (lam, v, iterations, residual) with
-    sum(v) = 1 and residual = l1 norm of B v - lam v at acceptance.
+    sigma is the Collatz-Wielandt upper bound max (B x)_i / x_i of the current
+    x, above the Perron value, so every solve is positive; a given shift
+    replaces it in the first solve.  The iteration stops when the bracket
+    [min, max] of (B x)_i / x_i stops shrinking.  Returns (x, lo, hi, solves)
+    for the x with the narrowest bracket, sum(x) = 1.
     """
     d = B.shape[0]
-    v = np.full(d, 1.0 / d)
-    lam = 0.0
-    resid = math.inf
-    for k in range(1, max_iter + 1):
-        w = B @ v
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            lam = float(w.sum())
-        if not 0.0 < lam < math.inf:
-            raise ConvergenceError(
-                f"iterate sum {lam} is not positive and finite", last_vector=v, residual=resid
-            )
-        resid = float(np.abs(w - lam * v).sum())
-        if resid <= max(tol, residual_noise_floor(d, lam)):
-            return lam, v, k, resid
-        v = w / lam
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations (residual {resid:.3e})",
-        last_vector=v,
-        residual=resid,
-    )
+    x = np.full(d, 1.0 / d)
+    best = None
+    with np.errstate(all="ignore"):  # overflow or a lost sign shows in the bracket
+        for solves in range(_MAX_SOLVES):
+            ratio = (B @ x) / x
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if best is None and not 0.0 < lo <= hi < math.inf:
+                msg = f"Collatz-Wielandt bracket [{lo}, {hi}] is not positive and finite"
+                raise ConvergenceError(msg, last_vector=x, residual=math.inf)
+            if best is not None and not (np.all(x > 0.0) and hi - lo < best[2] - best[1]):
+                return (*best, solves)
+            best = (x, lo, hi)
+            if lo == hi:
+                return (*best, solves)
+            try:
+                z = np.linalg.solve((hi if shift is None else shift) * np.eye(d) - B, x)
+            except np.linalg.LinAlgError:  # the shift met the Perron value exactly
+                return (*best, solves + 1)
+            shift = None
+            x = z / z.sum()
+    msg = f"Noda iteration did not converge in {_MAX_SOLVES} solves (bracket width {hi - lo:.3e})"
+    raise ConvergenceError(msg, last_vector=best[0], residual=hi - lo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +192,10 @@ class PerronData:
     matrix is the validated float matrix the data belongs to and period the
     gcd of its cycle lengths.  u is the right eigenvector scaled so
     sum(u) = 1, v the left eigenvector scaled so sum(u * v) = 1; residual
-    bounds both l1 eigen-residuals.
+    bounds the l1 eigen-residuals of u and of v rescaled to sum 1.  [lo, hi]
+    is the Collatz-Wielandt bracket of u, widened outward for float rounding:
+    it holds the Perron value, and lo <= lam <= hi.  iterations counts the
+    linear solves of both vectors.
     """
 
     matrix: np.ndarray
@@ -223,6 +205,8 @@ class PerronData:
     period: int
     iterations: int
     residual: float
+    lo: float
+    hi: float
 
     @property
     def beta(self) -> float:
@@ -243,55 +227,41 @@ def matrix_of(A):
     return A.matrix if isinstance(A, PerronData) else A
 
 
-def _accept(M: np.ndarray, lam: float, v: np.ndarray, residual: float, tol: float) -> None:
-    # rescaling v inflates its absolute residual by ||v||_1, so the floor must
-    # scale the same way before an honest input is rejected
-    scale = max(1.0, float(np.abs(v).sum()))
-    accept = max(tol, 4.0 * scale * residual_noise_floor(M.shape[0], lam))
+def _accept(d: int, lam: float, residual: float, tol: float, vector=None) -> None:
+    accept = max(tol, residual_noise_floor(d, lam))
     if residual > accept:
-        raise ConvergenceError(
-            f"Perron residual {residual:.3e} exceeds tolerance {accept:.3e}",
-            last_vector=v,
-            residual=residual,
-        )
+        msg = f"Perron residual {residual:.3e} exceeds tolerance {accept:.3e}"
+        raise ConvergenceError(msg, last_vector=vector, residual=residual)
 
 
-def _perron(M: np.ndarray, tol: float, max_iter: int) -> PerronData:
-    """Perron data of a validated irreducible matrix.  Periodic matrices are
-    iterated on M + I, which is primitive and shares the eigenvectors; the
-    eigenvalue shift by 1 is exact."""
+def _perron(M: np.ndarray, tol: float) -> PerronData:
+    """Perron data of a validated irreducible matrix: Noda iteration for u,
+    then for v on M.T, its first shift just above the certified bound on lam."""
     d = M.shape[0]
-    per = _cycle_gcd(M)
-    if d == 1:
-        lam, u, v_raw, iterations, res_u = float(M[0, 0]), np.array([1.0]), np.array([1.0]), 0, 0.0
-    else:
-        inner = min(tol, DEFAULT_TOL) / 8.0
-        if per == 1:
-            right, left, shift = M, M.T, 0.0
-        else:
-            right, left, shift = M + np.eye(d), M.T + np.eye(d), 1.0
-        lam, u, it_u, res_u = _power_iteration(right, inner, max_iter)
-        _, v_raw, it_v, _ = _power_iteration(left, inner, max_iter)
-        lam -= shift
-        iterations = it_u + it_v
-    pairing = float(u @ v_raw)
-    if pairing <= 0.0:
-        raise ConvergenceError("left/right eigenvector pairing is not positive", last_vector=v_raw)
-    v = v_raw / pairing
-    res_v = float(np.abs(M.T @ v - lam * v).sum())
-    residual = max(res_u, res_v)
-    _accept(M, lam, v, residual, tol)
-    if float(u.min()) <= 0.0 or float(v.min()) <= 0.0:
-        raise ConvergenceError("Perron vectors must be strictly positive for irreducible input")
+    u, lo, hi, solves_u = _noda(M)
+    widen = (d + 1) * np.finfo(float).eps
+    v, _, _, solves_v = _noda(M.T, hi * (1.0 + 2.0 * widen))
+    # the two-sided Rayleigh quotient, kept inside the float bracket of u
+    lam = min(max(float(v @ M @ u) / float(v @ u), lo), hi)
+    residual = max(float(np.abs(M @ u - lam * u).sum()), float(np.abs(M.T @ v - lam * v).sum()))
+    _accept(d, lam, residual, tol, u)
     return PerronData(
-        matrix=M, lam=lam, u=u, v=v, period=per, iterations=iterations, residual=residual
+        matrix=M,
+        lam=lam,
+        u=u,
+        v=v / float(u @ v),
+        period=_cycle_gcd(M),
+        iterations=solves_u + solves_v,
+        residual=residual,
+        lo=lo * (1.0 - widen),
+        hi=hi * (1.0 + widen),
     )
 
 
-def perron_vectors(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> PerronData:
+def perron_vectors(A, tol: float = DEFAULT_TOL) -> PerronData:
     """Perron value with normalized right/left eigenvectors of an irreducible matrix.
 
-    One SCC pass, one period BFS and one power iteration per vector.  Perron
+    One SCC pass, one period BFS and one Noda iteration per vector.  Perron
     data passed as A is returned unchanged once it meets the acceptance for tol.
 
     Parameters
@@ -299,20 +269,19 @@ def perron_vectors(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
     A : array_like or PerronData
         Square nonnegative irreducible matrix, or its Perron data.
     tol : float
-        Acceptance bound for the l1 eigen-residuals of both vectors.
-    max_iter : int
-        Iteration budget for each power iteration.
+        Acceptance bound for the l1 eigen-residuals of both unit-sum vectors,
+        floored at residual_noise_floor.
 
     Raises
     ------
     ReducibleMatrixError
         For reducible input; use component_perron_data for the per-component mode.
     ConvergenceError
-        When either iteration fails to meet tol within max_iter, or an
-        iterate sum is zero or not finite (an overflowing Perron value).
+        When either vector misses tol, or the Collatz-Wielandt bracket is not
+        positive and finite (an overflowing Perron value).
     """
     if isinstance(A, PerronData):
-        _accept(A.matrix, A.lam, A.v, A.residual, tol)
+        _accept(A.matrix.shape[0], A.lam, A.residual, tol, A.u)
         return A
     M = as_nonnegative(A)
     if not irreducible(M):
@@ -320,12 +289,10 @@ def perron_vectors(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
             "Perron data needs an irreducible matrix; "
             "component_perron_data analyses a reducible one per component"
         )
-    return _perron(M, tol, max_iter)
+    return _perron(M, tol)
 
 
-def component_perron_data(
-    A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> list[ComponentPerron]:
+def component_perron_data(A, tol: float = DEFAULT_TOL) -> list[ComponentPerron]:
     """Per-component Perron data for a possibly reducible matrix.
 
     Each strongly connected component is analysed on its own; a single node
@@ -334,17 +301,13 @@ def component_perron_data(
     M = as_nonnegative(A)
     out = []
     for comp in strongly_connected_components(M):
-        idx = np.array(comp)
-        sub = M[np.ix_(idx, idx)]
-        if len(comp) == 1 and sub[0, 0] == 0.0:
-            out.append(ComponentPerron(indices=comp, radius=0.0, data=None))
-        else:
-            data = _perron(sub, tol, max_iter)
-            out.append(ComponentPerron(indices=comp, radius=data.lam, data=data))
+        sub = M[np.ix_(comp, comp)]
+        data = _perron(sub, tol) if sub.any() else None  # a lone node without a self-loop
+        out.append(ComponentPerron(indices=comp, radius=data.lam if data else 0.0, data=data))
     return out
 
 
-def spectral_radius(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
+def spectral_radius(A, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius of a nonnegative matrix, or the Perron value of Perron data.
 
     The radius is the maximum over the component Perron values, so on an
@@ -355,7 +318,7 @@ def spectral_radius(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITE
     M = as_nonnegative(A)
     if not np.any(M > 0):
         raise ValueError("spectral_radius requires a matrix that is not identically zero")
-    return max(c.radius for c in component_perron_data(M, tol=tol, max_iter=max_iter))
+    return max(c.radius for c in component_perron_data(M, tol=tol))
 
 
 def integer_vector_powers(start, rows, n: int) -> list[list[int]]:

@@ -116,8 +116,8 @@ class BetaShift:
 
     def __post_init__(self):
         b = float(self.beta)
-        if b <= 1.0:
-            raise ValueError(f"beta must be > 1, got {b}")
+        if not 1.0 < b < math.inf:  # also false for nan
+            raise ValueError(f"beta must be a finite number > 1, got {self.beta!r}")
         if self.digit_depth < 1:
             raise ValueError("digit_depth must be >= 1")
 

@@ -31,6 +31,7 @@ from .spectral import (
     has_zero_row,
     matrix_of,
     perron_vectors,
+    reachability,
 )
 
 COHERENCE_TOL = 1e-9
@@ -313,7 +314,7 @@ class TemperatureSign:
     """Sign classification of admissible KMS temperatures.
 
     lower/upper are the limits of (min/max column sum of A^n)^(1/n), obtained
-    from per-component spectral radii propagated along reachability; the
+    from per-component spectral radii taken over the reachability closure; the
     bracket sequences at small n are attached as finite evidence.
     """
 
@@ -330,22 +331,17 @@ def temperature_sign(A, n_evidence: int = 12, tol: float = 1e-9) -> TemperatureS
     or mixed.
 
     The limit of the bracket for column k is the largest component radius
-    among components that reach k; classification compares the extreme limits
-    against 1.
+    among the nodes that reach k in the reachability closure; classification
+    compares the extreme limits against 1.
     """
     M = as_nonnegative(A)
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
-    d = M.shape[0]
-    comps = component_perron_data(M)
-    growth = np.zeros(d)
-    for c in comps:
-        growth[list(c.indices)] = c.radius
-    edges = [(i, j) for i in range(d) for j in range(d) if M[i, j] > 0]
-    for _ in range(len(comps)):
-        for i, j in edges:
-            if growth[i] > growth[j]:
-                growth[j] = growth[i]
+    radius = np.zeros(M.shape[0])
+    for c in component_perron_data(M):
+        radius[list(c.indices)] = c.radius
+    reaches = reachability(M) | np.eye(M.shape[0], dtype=bool)
+    growth = np.where(reaches, radius[:, None], 0.0).max(axis=0)
     lower, upper = float(growth.min()), float(growth.max())
     if lower > 1.0 + tol:
         cls = "positive"

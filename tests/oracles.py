@@ -14,6 +14,12 @@ automaton's `delta` dict, so it checks the bitset core of `shiftkms.krieger`
 on the same automaton without sharing its successor table or its BFS.  The
 word enumerators read only the alphabet size from the presenting automaton.
 
+The graph references are `reachability_irreducible` (boolean powers),
+`period_brute` (closed walks at node 0) and `scc_tarjan`, an iterative Tarjan
+that checks the reachability-closure components of `shiftkms.spectral`.
+`cycle_chord`, `block_cyclic` and `sparse_d256` build the matrices the
+certified Perron tests run on.
+
 The variational references (`stationary_lazy_brute`,
 `variational_entropies_brute`) are the scan's earlier algorithm: per-sample
 draws normalized one matrix at a time, stationary vectors by lazy power
@@ -230,6 +236,58 @@ def reachability_irreducible(matrix) -> bool:
     return bool(acc.all())
 
 
+def scc_tarjan(matrix) -> list[tuple[int, ...]]:
+    """Strongly connected components of the support digraph by iterative
+    Tarjan: sorted tuples, ordered by smallest member."""
+    M = np.asarray(matrix) > 0
+    d = M.shape[0]
+    succ = [np.nonzero(M[i])[0].tolist() for i in range(d)]
+    index = [-1] * d
+    low = [0] * d
+    on_stack = [False] * d
+    stack: list[int] = []
+    comps: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(d):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for k in range(pi, len(succ[v])):
+                w = succ[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(tuple(sorted(comp)))
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
 def period_brute(matrix) -> int:
     """gcd of closed-walk lengths at node 0 via exact boolean powers."""
     M = np.asarray(matrix) > 0
@@ -294,4 +352,35 @@ def random_irreducible_zero_one(rng, d, density=0.5):
         if (M.sum(axis=0) == 0).any() or (M.sum(axis=1) == 0).any():
             continue
         if reachability_irreducible(M):
+            return M
+
+
+def cycle_chord(n):
+    """n-cycle plus the chord 0 -> 2: aperiodic, with |lambda_2| / lambda near 1."""
+    M = np.zeros((n, n), dtype=int)
+    M[np.arange(n), (np.arange(n) + 1) % n] = 1
+    M[0, 2] = 1
+    return M
+
+
+def block_cyclic(rng, period, block, density=0.3):
+    """Seeded irreducible 0/1 matrix of the given period: block k maps only to block k + 1."""
+    d = period * block
+    while True:
+        M = np.zeros((d, d), dtype=int)
+        for k in range(period):
+            nxt = (k + 1) % period
+            M[k * block:(k + 1) * block, nxt * block:(nxt + 1) * block] = rng.random((block, block)) < density
+        if M.sum(axis=0).min() > 0 and M.sum(axis=1).min() > 0 and len(scc_tarjan(M)) == 1:
+            return M
+
+
+def sparse_d256():
+    """The sparse d = 256 matrix of density 12/256 drawn from default_rng([99, 121, 256])
+    by rejection until irreducible with no zero row or column (the draws of the
+    benchmark's Parry-chain probe)."""
+    rng = np.random.default_rng([99, 121, 256])
+    while True:
+        M = (rng.random((256, 256)) < 12 / 256).astype(np.int64)
+        if M.sum(axis=0).min() > 0 and M.sum(axis=1).min() > 0 and len(scc_tarjan(M)) == 1:
             return M

@@ -33,6 +33,12 @@ def admissible_words_of(matrix, n):
     ]
 
 
+def test_parry_on_sparse_d256_meets_markov_invariants():
+    # parry_measure raises InvariantViolation when a Markov invariant misses 1e-12
+    m = parry_measure(oracles.sparse_d256())
+    assert abs(float(m.stationary.sum()) - 1.0) <= 1e-12
+
+
 def test_parry_uniform_bernoulli_on_ones():
     m = parry_measure(np.ones((2, 2), dtype=int))
     assert np.allclose(m.transitions, 0.5)

@@ -229,6 +229,9 @@ def test_validation_errors():
         sofic_check(empty, 3)
     with pytest.raises(ValueError, match=r"subshift is empty \(theta_1 = 0\)"):
         entropy_bracket(empty, 5)
+    for base in ("nan", "1e400", float("inf")):
+        with pytest.raises(ValueError, match=f"got '?{base}"):
+            BetaShift(base)
     capped = BetaShift("1.7", digit_depth=32)
     for call in (dim_q, sofic_check, entropy_bracket):
         with pytest.raises(ValueError, match="word length 40 exceeds the presentation depth 32"):

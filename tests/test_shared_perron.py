@@ -1,7 +1,8 @@
 """One Perron solve and one SCC pass per matrix.
 
 The counters wrap the two routines every Perron analysis runs through: the
-strongly-connected-components pass and the power iteration.  A consumer given
+strongly-connected-components pass and the Noda iteration, which runs once for
+the right and once for the left Perron vector.  A consumer given
 a matrix makes exactly one analysis; a consumer given the resulting Perron
 data makes none and returns bitwise-identical results.
 """
@@ -42,7 +43,7 @@ FLAGS = {
 @pytest.fixture
 def counts(monkeypatch):
     seen = Counter()
-    for name in ("strongly_connected_components", "_power_iteration"):
+    for name in ("strongly_connected_components", "_noda"):
         original = getattr(spectral, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -52,7 +53,7 @@ def counts(monkeypatch):
         monkeypatch.setattr(spectral, name, counted)
 
     def read():
-        out = (seen["strongly_connected_components"], seen["_power_iteration"])
+        out = (seen["strongly_connected_components"], seen["_noda"])
         seen.clear()
         return out
 

@@ -73,6 +73,45 @@ def test_scc_decomposition():
     assert strongly_connected_components(GOLDEN) == [(0, 1)]
 
 
+def test_scc_closure_matches_tarjan_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        d = int(rng.integers(1, 41))
+        # edges only from a lower to a higher-or-equal group, in shuffled labels:
+        # reducible whenever two groups are used
+        group = rng.integers(0, int(rng.integers(1, 6)), d)
+        M = (rng.random((d, d)) < rng.uniform(0.05, 0.4)) & (group[:, None] <= group[None, :])
+        perm = rng.permutation(d)
+        M = M[np.ix_(perm, perm)].astype(int)
+        assert strongly_connected_components(M) == oracles.scc_tarjan(M)
+    # a trivial node 0 feeding the long cycle 39 -> 38 -> ... -> 1 -> 39
+    M = np.zeros((40, 40), dtype=int)
+    M[np.arange(2, 40), np.arange(1, 39)] = 1
+    M[1, 39] = 1
+    M[0, 5] = 1
+    comps = strongly_connected_components(M)
+    assert comps == oracles.scc_tarjan(M) == [(0,), tuple(range(1, 40))]
+
+
+CERTIFIED = {
+    "chord30": lambda: oracles.cycle_chord(30),
+    "chord100": lambda: oracles.cycle_chord(100),
+    "chord300": lambda: oracles.cycle_chord(300),
+    "sparse256": oracles.sparse_d256,
+    "cyclic3": lambda: oracles.block_cyclic(np.random.default_rng(3), 3, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_perron_certificate_brackets_the_eigenvalue(name):
+    M = CERTIFIED[name]()
+    p = perron_vectors(M)
+    assert p.lo <= p.lam <= p.hi
+    assert p.hi - p.lo <= 1e-12 * p.lam
+    assert abs(p.lam - np.abs(np.linalg.eigvals(M)).max()) <= 1e-13 * p.lam
+    assert p.period == (3 if name == "cyclic3" else 1)
+
+
 def test_spectral_radius_golden():
     r = spectral_radius(GOLDEN)
     assert abs(r - PHI) < 1e-12
@@ -171,9 +210,11 @@ def test_component_perron_data():
 
 
 def test_convergence_error_carries_state():
+    # the Perron value 2e308 overflows: the error keeps the positive start vector
     with pytest.raises(ConvergenceError) as err:
-        perron_vectors(GOLDEN, max_iter=2)
-    assert err.value.residual is None or err.value.residual > 0
+        perron_vectors(np.full((2, 2), 1e308))
+    assert np.array_equal(err.value.last_vector, [0.5, 0.5])
+    assert err.value.residual == math.inf
 
 
 def test_perron_rejects_non_finite_lambda():

@@ -256,6 +256,19 @@ def test_temperature_sign_classifications():
     assert chain.classification == "tracial"
 
 
+def test_temperature_sign_propagates_against_index_order():
+    # node 0 (radius 2) feeds the cycle 5 -> 4 -> 3 -> 2 -> 1 -> 5, which runs
+    # against index order: every column sum of A^n grows like 2^n
+    M = np.zeros((6, 6), dtype=int)
+    M[0, 0] = 2
+    M[0, 5] = 1
+    M[[5, 4, 3, 2, 1], [4, 3, 2, 1, 5]] = 1
+    sign = temperature_sign(M)
+    assert sign.column_growth == (2.0,) * 6
+    assert sign.lower == sign.upper == 2.0
+    assert sign.classification == "positive"
+
+
 def test_normalization_profile_constant():
     seq = kms_eigen_sequence(GOLDEN, 10)
     profile = normalization_profile(seq)
