@@ -7,9 +7,10 @@ differences along its edges.  The Perron triple (lam, u, v) comes from Noda
 iteration, inverse iteration shifted by the current Collatz-Wielandt upper
 bound, which needs no special case for periodic matrices; the bracket
 min (A u)_i / u_i <= lam <= max (A u)_i / u_i of the final u, widened for
-float rounding, is returned with it as a certificate.  Path and column-sum
-counts use exact integer arithmetic so they cannot silently overflow.
-Logarithms are natural throughout the package.
+float rounding, is returned with it as a certificate.  Growth sequences
+1^T A^k x, the column-sum bracket among them, come from one rescaled power
+recursion; exact path and column-sum counts use Python integers.  Logarithms
+are natural throughout the package.
 """
 
 from __future__ import annotations
@@ -99,16 +100,20 @@ def reachability(A) -> np.ndarray:
         R = nxt
 
 
+def _closure_components(R: np.ndarray) -> list[tuple[int, ...]]:
+    """Strongly connected components read off a reachability closure R."""
+    mutual = (R & R.T) | np.eye(R.shape[0], dtype=bool)
+    leaders = np.unique(mutual.argmax(axis=1))  # smallest member of each node's component
+    return [tuple(np.flatnonzero(mutual[i]).tolist()) for i in leaders]
+
+
 def strongly_connected_components(A) -> list[tuple[int, ...]]:
     """Strongly connected components of the support digraph (reachability closure).
 
     Returns a list of components, each a sorted tuple of 0-based node indices,
     ordered by smallest member for determinism.
     """
-    R = reachability(A)
-    mutual = (R & R.T) | np.eye(R.shape[0], dtype=bool)
-    leaders = np.unique(mutual.argmax(axis=1))  # smallest member of each node's component
-    return [tuple(np.flatnonzero(mutual[i]).tolist()) for i in leaders]
+    return _closure_components(reachability(A))
 
 
 def irreducible(A) -> bool:
@@ -299,8 +304,13 @@ def component_perron_data(A, tol: float = DEFAULT_TOL) -> list[ComponentPerron]:
     without a self-loop is reported with radius 0 and no eigendata.
     """
     M = as_nonnegative(A)
+    return _component_perron(M, strongly_connected_components(M), tol)
+
+
+def _component_perron(M: np.ndarray, components, tol: float = DEFAULT_TOL) -> list[ComponentPerron]:
+    """component_perron_data of a validated M over components a caller already holds."""
     out = []
-    for comp in strongly_connected_components(M):
+    for comp in components:
         sub = M[np.ix_(comp, comp)]
         data = _perron(sub, tol) if sub.any() else None  # a lone node without a self-loop
         out.append(ComponentPerron(indices=comp, radius=data.lam if data else 0.0, data=data))
@@ -319,6 +329,25 @@ def spectral_radius(A, tol: float = DEFAULT_TOL) -> float:
     if not np.any(M > 0):
         raise ValueError("spectral_radius requires a matrix that is not identically zero")
     return max(c.radius for c in component_perron_data(M, tol=tol))
+
+
+def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:
+    """log(1^T A^k x) and the unit-sum vectors A^k x / 1^T A^k x for k = 1..n,
+    the one growth recursion of the package: nothing overflows at any n.  The
+    lists stop at the first vanishing sum, so they may be shorter than n."""
+    M = as_nonnegative(A)
+    logs, vectors = [], []
+    acc = 0.0
+    for _ in range(n):
+        x = M @ x
+        s = float(x.sum())
+        if s <= 0.0:
+            break
+        acc += math.log(s)
+        x = x / s
+        logs.append(acc)
+        vectors.append(x)
+    return logs, vectors
 
 
 def integer_vector_powers(start, rows, n: int) -> list[list[int]]:
@@ -375,32 +404,15 @@ def spectral_radius_bracket_sequences(A, n_max: int) -> tuple[list[float], list[
 
     Returns (min-column-sum(A^n))^(1/n) and (max-column-sum(A^n))^(1/n) for
     n = 1..n_max.  For irreducible A both sequences converge to r(A) and
-    bracket it at every n.  Integer matrices are handled exactly; general
-    nonnegative matrices use a log-scaled float recursion.
+    bracket it at every n.  The column sums come from normalized_powers on A^T
+    from ones; entries after the powers vanish are 0.0.
     """
     M = as_nonnegative(A)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    lower, upper = [], []
-    if np.all(M == np.rint(M)):
-        for n, s in enumerate(column_sum_sequence(M, n_max), start=1):
-            smin, smax = min(s), max(s)
-            lower.append(math.exp(math.log(smin) / n) if smin > 0 else 0.0)
-            upper.append(math.exp(math.log(smax) / n) if smax > 0 else 0.0)
-        return lower, upper
-    s = np.ones(M.shape[0])
-    log_scale = 0.0
-    for n in range(1, n_max + 1):
-        if float(s.sum()) > 0.0:
-            s = s @ M
-        total = float(s.sum())
-        if total <= 0.0:
-            lower.append(0.0)
-            upper.append(0.0)
-            continue
-        log_scale += math.log(total)
-        s = s / total
+    lower, upper = [0.0] * n_max, [0.0] * n_max
+    for n, (log_n, s) in enumerate(zip(*normalized_powers(M.T, np.ones(M.shape[0]), n_max)), 1):
         smin, smax = float(s.min()), float(s.max())
-        lower.append(math.exp((log_scale + math.log(smin)) / n) if smin > 0.0 else 0.0)
-        upper.append(math.exp((log_scale + math.log(smax)) / n))
+        lower[n - 1] = math.exp((log_n + math.log(smin)) / n) if smin > 0.0 else 0.0
+        upper[n - 1] = math.exp((log_n + math.log(smax)) / n)
     return lower, upper

@@ -25,16 +25,17 @@ from .spectral import (
     ReducibleMatrixError,
     as_nonnegative,
     as_zero_one,
-    column_sum_sequence,
     component_perron_data,
     has_zero_column,
     has_zero_row,
     matrix_of,
+    normalized_powers,
     perron_vectors,
     reachability,
 )
 
 COHERENCE_TOL = 1e-9
+_LOG_RANGE = -math.log(np.finfo(float).tiny)  # exp(+-_LOG_RANGE) are normal floats
 
 
 def as_trace_vector(t, tol: float = 1e-12) -> np.ndarray:
@@ -116,19 +117,9 @@ def t_prime(seq: CoherentSequence) -> CoherentSequence:
 def k_iterate(A, t, n: int) -> list[np.ndarray]:
     """n steps of t -> A t / (1^T A t); a power iteration toward the right
     Perron direction for irreducible aperiodic A.  Returns the n iterates."""
-    M = as_nonnegative(A)
-    if has_zero_column(M):
+    if has_zero_column(as_nonnegative(A)):
         raise ValueError("k iteration requires a matrix with no zero column")
-    v = as_trace_vector(t)
-    out = []
-    for _ in range(n):
-        w = M @ v
-        s = float(w.sum())
-        if s <= 0.0:
-            raise ValueError("iterate collapsed to zero")
-        v = w / s
-        out.append(v)
-    return out
+    return normalized_powers(A, as_trace_vector(t), n)[1]
 
 
 def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
@@ -173,21 +164,22 @@ def coherent_truncation(A, t0, R: int, tol: float = COHERENCE_TOL) -> CoherentSe
 def coherent_from_boundary(A, boundary, R: int, tol: float = COHERENCE_TOL) -> CoherentSequence:
     """Exactly coherent truncation built downward from a deep boundary level:
     t_R proportional to the boundary vector, t_r = A t_{r+1}, everything scaled
-    so sum(t_0) = 1."""
+    so sum(t_0) = 1; a ValueError when no t_R in float64 range gets there."""
     M = as_nonnegative(A)
     b = np.asarray(boundary, dtype=float)
     if b.shape != (M.shape[0],) or np.any(b < 0) or float(b.sum()) <= 0.0:
         raise ValueError("boundary must be a nonnegative vector with positive sum")
-    probe = b
-    for _ in range(R):
-        probe = M @ probe
-    scale = float(probe.sum())
-    if scale <= 0.0:
-        raise ValueError("boundary vector dies under the matrix; choose another boundary")
-    # rebuild from the rescaled boundary so every level is bitwise A @ next
-    levels = [b / scale]
-    for _ in range(R):
-        levels.append(M @ levels[-1])
+    b = b / float(b.sum())
+    logs = [0.0] + normalized_powers(M, b, R)[0]  # log(1^T A^k b) for k = 0..R
+    if len(logs) <= R or abs(logs[-1]) > _LOG_RANGE:  # the boundary dies, or t_R is no normal float
+        raise ValueError(f"1^T A^R b vanishes or leaves the float64 range at R = {R}")
+    # every level is bitwise A @ next; the second pass divides out the rounding of logs[-1]
+    top = b / math.exp(logs[-1])
+    for _ in range(2):
+        levels = [top]
+        for _ in range(R):
+            levels.append(M @ levels[-1])
+        top = top / float(levels[-1].sum())
     levels.reverse()
     return coherent_sequence(M, levels, tol=tol, require=True)
 
@@ -208,18 +200,9 @@ def epsilon_sequence(A, t, n_max: int) -> EpsilonSequence:
     """log eps_n and (1/n) log eps_n for n = 1..n_max via a normalized recursion."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    M = as_nonnegative(A)
-    v = as_trace_vector(t)
-    log_values = []
-    acc = 0.0
-    for _ in range(n_max):
-        v = M @ v
-        s = float(v.sum())
-        if s <= 0.0:
-            raise ValueError("eps_n vanished; the matrix has a dead column for this trace")
-        acc += math.log(s)
-        v = v / s
-        log_values.append(acc)
+    log_values, _ = normalized_powers(A, as_trace_vector(t), n_max)
+    if len(log_values) < n_max:
+        raise ValueError("eps_n vanished; the matrix has a dead column for this trace")
     rates = tuple(lv / n for n, lv in enumerate(log_values, start=1))
     return EpsilonSequence(log_values=tuple(log_values), rates=rates)
 
@@ -338,9 +321,10 @@ def temperature_sign(A, n_evidence: int = 12, tol: float = 1e-9) -> TemperatureS
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
     radius = np.zeros(M.shape[0])
-    for c in component_perron_data(M):
+    closure = reachability(M)
+    for c in spectral._component_perron(M, spectral._closure_components(closure)):
         radius[list(c.indices)] = c.radius
-    reaches = reachability(M) | np.eye(M.shape[0], dtype=bool)
+    reaches = closure | np.eye(M.shape[0], dtype=bool)
     growth = np.where(reaches, radius[:, None], 0.0).max(axis=0)
     lower, upper = float(growth.min()), float(growth.max())
     if lower > 1.0 + tol:
@@ -363,9 +347,12 @@ def temperature_sign(A, n_evidence: int = 12, tol: float = 1e-9) -> TemperatureS
 
 
 def normalization_profile(seq: CoherentSequence) -> list[float]:
-    """sum_k t_r(k) d_{r,k} for r = 0..R; constant (= sum t_0) on a coherent
-    normalized sequence."""
-    sums = column_sum_sequence(as_zero_one(seq.matrix), seq.depth)
-    return [float(seq.levels[0].sum())] + [
-        float(np.array(s, dtype=float) @ t) for s, t in zip(sums, seq.levels[1:])
-    ]
+    """sum_k t_r(k) d_{r,k} = 1^T A^r t_r for r = 0..R over any nonnegative
+    matrix, as exp(log(1^T A^r 1) + log(s_r . t_r)) with s_r the column-sum
+    shares of A^r; constant (= sum t_0) on a coherent normalized sequence."""
+    profile = [float(seq.levels[0].sum())] + [0.0] * seq.depth
+    logs, shares = normalized_powers(seq.matrix.T, np.ones_like(seq.levels[0]), seq.depth)
+    for r, (log_r, s) in enumerate(zip(logs, shares), start=1):
+        dot = float(s @ seq.levels[r])
+        profile[r] = math.exp(log_r + math.log(dot)) if dot > 0.0 else 0.0
+    return profile

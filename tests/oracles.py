@@ -20,6 +20,11 @@ that checks the reachability-closure components of `shiftkms.spectral`.
 `cycle_chord`, `block_cyclic` and `sparse_d256` build the matrices the
 certified Perron tests run on.
 
+`bracket_sequences_exact` is the column-sum bracket in exact integers: it
+reads the column sums of A^n from `shiftkms.spectral.column_sum_sequence`,
+so it checks the rescaled float recursion of
+`spectral_radius_bracket_sequences` against exact counts.
+
 The variational references (`stationary_lazy_brute`,
 `variational_entropies_brute`) are the scan's earlier algorithm: per-sample
 draws normalized one matrix at a time, stationary vectors by lazy power
@@ -34,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT
+from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral
 from shiftkms.subshift import automaton_for
 
 
@@ -312,6 +317,18 @@ def matrix_power_exact(matrix, r):
             for i in range(d)
         ]
     return out
+
+
+def bracket_sequences_exact(matrix, n_max):
+    """(min column sum of A^n)^(1/n) and (max column sum of A^n)^(1/n) for
+    n = 1..n_max of a nonnegative integer matrix, from exact column sums;
+    a vanishing sum gives 0.0."""
+    lower, upper = [], []
+    for n, s in enumerate(spectral.column_sum_sequence(matrix, n_max), start=1):
+        smin, smax = min(s), max(s)
+        lower.append(math.exp(math.log(smin) / n) if smin > 0 else 0.0)
+        upper.append(math.exp(math.log(smax) / n) if smax > 0 else 0.0)
+    return lower, upper
 
 
 def spectral_radius_squaring(matrix, doublings=40) -> float:

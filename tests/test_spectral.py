@@ -282,3 +282,38 @@ def test_bracket_sequences_bracket_the_radius():
         for a, b in zip(lo, up):
             assert a - 1e-9 <= r <= b + 1e-9
         assert up[-1] - lo[-1] < up[0] - lo[0] + 1e-12
+
+
+def _bracket_matrices():
+    rng = np.random.default_rng(29)
+    for d in (2, 5, 16, 64, 256):
+        yield (rng.random((d, d)) < 0.6).astype(int)
+        yield rng.integers(0, 10, (d, d)) * (rng.random((d, d)) < 0.3)
+    yield np.triu(np.ones((5, 5), dtype=int), 1)  # nilpotent: every power vanishes from n = 5
+    yield np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]])  # a zero column
+
+
+def test_bracket_sequences_match_exact_oracle():
+    for M in _bracket_matrices():
+        got = spectral_radius_bracket_sequences(M, 24)
+        expected = oracles.bracket_sequences_exact(M, 24)
+        for g, e in zip(got[0] + got[1], expected[0] + expected[1]):
+            if e == 0.0:
+                assert g == 0.0
+            else:
+                assert abs(g - e) <= 1e-13 * e
+
+
+def test_normalized_powers_against_exact_powers():
+    M = np.array([[0, 2, 1], [3, 0, 0], [1, 1, 1]])
+    x = np.array([0.25, 0.5, 0.25])
+    logs, vectors = spectral.normalized_powers(M, x, 12)
+    Mo = M.astype(object)
+    for k, (log_k, v) in enumerate(zip(logs, vectors), start=1):
+        exact = np.linalg.matrix_power(Mo, k) @ (4 * x).astype(int).astype(object)
+        total = sum(exact)
+        assert abs(log_k - math.log(total / 4)) < 1e-13 * k
+        assert np.allclose(v, [e / total for e in exact], rtol=1e-14, atol=0.0)
+    # the lists stop at the first vanishing sum
+    logs, vectors = spectral.normalized_powers(np.triu(np.ones((3, 3)), 1), np.ones(3) / 3, 5)
+    assert len(logs) == len(vectors) == 2

@@ -18,9 +18,11 @@ from shiftkms import (
     normalization_profile,
     perron_vectors,
     s_prime,
+    spectral,
     t_prime,
     temperature_from_trace,
     temperature_sign,
+    tracespace,
 )
 from shiftkms.tracespace import as_trace_vector
 
@@ -303,3 +305,40 @@ def test_desk_scale_matrices_stay_within_posted_tolerances():
         p = perron_vectors(M)
         assert abs(p.u.sum() - 1.0) < 1e-12
         assert abs(float(p.u @ p.v) - 1.0) < 1e-12
+
+
+def test_temperature_sign_builds_the_closure_once(monkeypatch):
+    calls = []
+    original = spectral.reachability
+
+    def counting(A):
+        calls.append(1)
+        return original(A)
+
+    for module in (spectral, tracespace):
+        if hasattr(module, "reachability"):
+            monkeypatch.setattr(module, "reachability", counting)
+    temperature_sign([[1, 1, 0], [0, 1, 1], [0, 1, 1]])
+    assert len(calls) == 1
+
+
+def test_coherent_from_boundary_rejects_a_level_beyond_float64():
+    # 1^T A^400 b = 8^400 overflows float64: no honest t_400 with sum(t_0) = 1 exists
+    with pytest.raises(ValueError, match="R = 400"):
+        coherent_from_boundary(np.ones((8, 8)), np.ones(8), 400)
+    seq = coherent_from_boundary(np.ones((8, 8)), np.ones(8), 300)
+    assert seq.coherent and seq.normalized
+
+
+def test_normalization_profile_deep_sequence():
+    # column sums of A^1030 exceed the float64 range; the profile must not
+    profile = normalization_profile(kms_eigen_sequence(np.ones((2, 2), dtype=int), 1030))
+    assert max(abs(x - 1.0) for x in profile) < 1e-9
+
+
+def test_normalization_profile_beyond_zero_one_matrices():
+    for seq in (
+        coherent_from_boundary([[0, 2], [3, 0]], [0.3, 0.7], 10),
+        kms_eigen_sequence([[0.5, 1.5], [1.0, 0.25]], 10),
+    ):
+        assert max(abs(x - 1.0) for x in normalization_profile(seq)) < 1e-9
