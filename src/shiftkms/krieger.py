@@ -66,6 +66,9 @@ class DimQ:
 
 @dataclass(frozen=True)
 class SoficReport:
+    """sofic_detected needs equal, stabilized trailing counts on a presentation
+    of the whole shift; a depth-capped beta presentation never claims it."""
+
     sofic_detected: bool
     counts: tuple[int, ...]
     stabilized: tuple[bool, ...]
@@ -81,7 +84,9 @@ class BracketReport:
 
     lower is the estimated topological entropy; the correction sequence is
     2 log(dim Q_n)/n.  A detected-sofic input has bounded cover dimensions, so
-    the correction limit vanishes and the bracket closes.
+    the correction limit vanishes and the bracket closes.  Detection needs a
+    presentation of the whole shift, so the bracket can close only on a full
+    shift, an SFT, a forbidden-word shift or a terminated beta expansion.
     """
 
     lower: float
@@ -234,10 +239,12 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     return at_depth, before, fixed_point_depth
 
 
-def _sofic_detected(counts, stabilized, window: int) -> bool:
-    """Eventually constant, stabilized counts over the trailing window."""
+def _sofic_detected(aut: Automaton, counts, stabilized, window: int) -> bool:
+    """Eventually constant, stabilized counts over the trailing window, on an
+    uncapped automaton: a depth-capped one presents only a truncation."""
     return (
-        len(counts) >= window
+        aut.max_word_length is None
+        and len(counts) >= window
         and len(set(counts[-window:])) == 1
         and all(stabilized[-window:])
     )
@@ -262,8 +269,9 @@ def dim_q(spec, n: int, depth: int) -> DimQ:
 def sofic_check(spec, l_max: int, depth: int | None = None, window: int = 3) -> SoficReport:
     """Detect soficity from stabilized, eventually constant class counts.
 
-    True is reliable at desk scale for the supported presentations; False only
-    means not detected within l_max.
+    True is reliable at desk scale for the supported presentations and is
+    never claimed on a depth-capped presentation; False only means not
+    detected within l_max.
     """
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
@@ -277,7 +285,7 @@ def sofic_check(spec, l_max: int, depth: int | None = None, window: int = 3) -> 
     counts = counts[1:]
     stab = [b == c for b, c in zip(before[1:], counts)]
     return SoficReport(
-        sofic_detected=_sofic_detected(counts, stab, window),
+        sofic_detected=_sofic_detected(aut, counts, stab, window),
         counts=tuple(counts),
         stabilized=tuple(stab),
         l_max=l_max,
@@ -307,7 +315,7 @@ def entropy_bracket(spec, n_max: int, depth: int | None = None, window: int = 5)
     dims = dims[1:]
     stab = [b == c for b, c in zip(before[1:], dims)]
     corrections = tuple(2.0 * math.log(dims[n - 1]) / n for n in range(1, n_max + 1))
-    sofic = _sofic_detected(dims, stab, 3)
+    sofic = _sofic_detected(aut, dims, stab, 3)
     if sofic:
         upper = lower
     else:

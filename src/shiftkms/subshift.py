@@ -105,8 +105,11 @@ class BetaShift:
     """Beta-shift: digit sequences admissible for the greedy beta-expansion.
 
     The base may be a float (used at its exact binary value) or a decimal
-    string.  digit_depth caps both the computed expansion of 1 and the word
-    lengths the presentation can answer for.
+    string.  The presentation is Parry's follower graph on the quasi-greedy
+    expansion of 1, computed to digit_depth digits.  When the expansion
+    terminates (an integer or snapped Parry base) the graph is finite and
+    answers for words of any length; otherwise digit_depth also caps the word
+    lengths it can answer for.
     """
 
     beta: float | str
@@ -299,18 +302,6 @@ def _forbidden_automaton(d, words):
     return Automaton(d, delta, start=0)
 
 
-def _prefix_function(digits):
-    pi = [0] * len(digits)
-    k = 0
-    for i in range(1, len(digits)):
-        while k and digits[i] != digits[k]:
-            k = pi[k - 1]
-        if digits[i] == digits[k]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
 def _shift_dominated(digits) -> bool:
     # the follower-state reduction is only valid when the expansion of 1
     # dominates all of its shifts lexicographically
@@ -325,34 +316,30 @@ def _shift_dominated(digits) -> bool:
 
 
 def _beta_automaton(spec: BetaShift):
-    # State j = length of the longest suffix of the word read so far that is a
-    # prefix of the quasi-greedy expansion of 1.  Reading digit c from state j:
-    # c greater than the next expansion digit is inadmissible, equality
-    # advances, and a smaller digit falls back along the prefix function.
+    # Parry's follower graph on the quasi-greedy expansion d*(1) = d_0 d_1 ...:
+    # from state j the digit d_j advances, a larger one is inadmissible and a
+    # smaller one returns to state 0 (under shift dominance the word then lies
+    # below every prefix of d*(1) it ends in).  A terminated expansion is the
+    # block d_0 ... d_{m-1} repeated, so state m-1 wraps to 0 and the graph
+    # presents the whole shift; otherwise the chain ends at a horizon state.
     exp = spec.expansion()
-    digits = exp.quasi_greedy_digits(spec.digit_depth)
-    L = len(digits)
-    d = spec.alphabet
-    if not _shift_dominated(digits):
+    if exp.terminated:
+        digits, horizon = exp.quasi_greedy_block, None
+    else:
+        digits = exp.quasi_greedy_digits(spec.digit_depth)
+        horizon = len(digits)
+    # two periods decide dominance of a periodic word
+    if not _shift_dominated(digits if horizon else digits * 2):
         raise ValueError(
             f"computed expansion of 1 for beta={spec.beta} does not dominate its "
             "shifts; the digits are unreliable, raise guard_bits or give beta "
             "more precisely"
         )
-    pi = _prefix_function(digits)
     delta = {}
-    table = [[0] * d for _ in range(L)]
-    for j in range(L):
-        for c in range(d):
-            if c == digits[j]:
-                table[j][c] = j + 1
-            elif j == 0:
-                table[j][c] = 0
-            else:
-                table[j][c] = table[pi[j - 1]][c]
-            if c <= digits[j]:
-                delta[(j, c + 1)] = table[j][c]
-    return Automaton(d, delta, start=0, max_word_length=L)
+    for j, dj in enumerate(digits):
+        delta.update({(j, c + 1): 0 for c in range(dj)})
+        delta[(j, dj + 1)] = j + 1 if horizon else (j + 1) % len(digits)
+    return Automaton(spec.alphabet, delta, start=0, max_word_length=horizon)
 
 
 def build_automaton(spec) -> Automaton:

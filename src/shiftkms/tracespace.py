@@ -25,7 +25,6 @@ from .spectral import (
     ReducibleMatrixError,
     as_nonnegative,
     as_zero_one,
-    component_perron_data,
     has_zero_column,
     has_zero_row,
     matrix_of,
@@ -247,22 +246,27 @@ def kms_temperature(
     M = as_zero_one(matrix_of(A))
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
-    try:
+    if isinstance(A, spectral.PerronData):
         p = perron_vectors(A, tol=min(tol, PERRON_TOL))
-    except ReducibleMatrixError:
-        if not reducible_mode:
-            raise ReducibleMatrixError(
-                "matrix is reducible; pass reducible_mode=True for the per-component bracket"
-            ) from None
-        radii = [c.radius for c in component_perron_data(M, tol=tol) if c.radius > 0]
-        return KmsReport(
-            lam=None,
-            beta=None,
-            eigen_sequence=None,
-            uniqueness_flag=False,
-            bracket=(math.log(min(radii)), math.log(max(radii))),
-            heuristic=True,
-        )
+    else:
+        # one component pass for both branches: with no zero row, one component is irreducible
+        F = as_nonnegative(A)
+        components = spectral.strongly_connected_components(F)
+        if len(components) > 1:
+            if not reducible_mode:
+                raise ReducibleMatrixError(
+                    "matrix is reducible; pass reducible_mode=True for the per-component bracket"
+                )
+            radii = [c.radius for c in spectral._component_perron(F, components, tol) if c.radius > 0]
+            return KmsReport(
+                lam=None,
+                beta=None,
+                eigen_sequence=None,
+                uniqueness_flag=False,
+                bracket=(math.log(min(radii)), math.log(max(radii))),
+                heuristic=True,
+            )
+        p = spectral._perron(F, min(tol, PERRON_TOL))
     # the solve sft_entropy_exact makes, so beta equals log(exact entropy) bitwise
     return KmsReport(
         lam=p.lam,

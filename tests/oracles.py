@@ -14,6 +14,12 @@ automaton's `delta` dict, so it checks the bitset core of `shiftkms.krieger`
 on the same automaton without sharing its successor table or its BFS.  The
 word enumerators read only the alphabet size from the presenting automaton.
 
+`beta_automaton_kmp` is the earlier beta-shift builder: a chain of
+`digit_depth` prefix states of the quasi-greedy expansion, where a smaller
+digit falls back along the KMP prefix function.  The package's Parry follower
+graph sends every smaller digit straight to state 0 and must give the same
+automaton whenever the expansion does not terminate.
+
 The graph references are `reachability_irreducible` (boolean powers),
 `period_brute` (closed walks at node 0) and `scc_tarjan`, an iterative Tarjan
 that checks the reachability-closure components of `shiftkms.spectral`.
@@ -40,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral
-from shiftkms.subshift import automaton_for
+from shiftkms.subshift import Automaton, automaton_for
 
 
 def sft_admissible_direct(word, matrix) -> bool:
@@ -193,6 +199,32 @@ def class_counts_brute(spec, n_max, depth):
 
     Rs = [reachable_brute(aut, n) for n in range(n_max + 1)]
     return [count(family[depth], R) for R in Rs], [count(family[depth - 1], R) for R in Rs]
+
+
+def beta_automaton_kmp(spec) -> Automaton:
+    """Prefix-chain automaton of a beta-shift: state j is the length of the
+    longest suffix of the word read so far that is a prefix of the first
+    digit_depth quasi-greedy digits of 1, and a smaller digit falls back along
+    the prefix function."""
+    digits = spec.expansion().quasi_greedy_digits(spec.digit_depth)
+    pi, k = [0] * len(digits), 0
+    for i in range(1, len(digits)):
+        while k and digits[i] != digits[k]:
+            k = pi[k - 1]
+        if digits[i] == digits[k]:
+            k += 1
+        pi[i] = k
+    table = [[0] * spec.alphabet for _ in digits]
+    delta = {}
+    for j, dj in enumerate(digits):
+        for c in range(spec.alphabet):
+            if c == dj:
+                table[j][c] = j + 1
+            elif j:
+                table[j][c] = table[pi[j - 1]][c]
+            if c <= dj:
+                delta[(j, c + 1)] = table[j][c]
+    return Automaton(spec.alphabet, delta, start=0, max_word_length=len(digits))
 
 
 def stationary_lazy_brute(Ps, tol=1e-13, max_iter=200_000):

@@ -291,8 +291,7 @@ def test_main_rejects_bad_tol_before_any_section(tmp_path, capsys):
 
 
 # Exact fields of `all` on the README documents and a forbidden-word document
-# whose automaton states are relabelled; max_n 24 keeps the bracket of the
-# depth-64 tribonacci document inside its presentation depth.
+# whose automaton states are relabelled.
 GOLDEN_FIELDS = [
     ('{"type": "full", "alphabet": 3}', {
         "theta": [3**n for n in range(1, 25)],
@@ -311,8 +310,8 @@ GOLDEN_FIELDS = [
     ('{"type": "beta", "beta": 1.8392867552, "digit_depth": 64}', {
         "theta": [2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927, 1705, 3136, 5768, 10609, 19513, 35890,
                   66012, 121415, 223317, 410744, 755476, 1389537, 2555757],
-        "counts": [2] + [3] * 9, "stabilized": [True] * 10, "krieger_fixed": None, "krieger_sofic": True,
-        "dims": [2] + [3] * 23, "bracket_fixed": None, "bracket_sofic": True}),
+        "counts": [2] + [3] * 9, "stabilized": [True] * 10, "krieger_fixed": 2, "krieger_sofic": True,
+        "dims": [2] + [3] * 23, "bracket_fixed": 2, "bracket_sofic": True}),
     ('{"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}', {}),
     ('{"type": "forbidden", "alphabet": 3, "words": [[1, 2], [3, 3, 1]]}', {
         "theta": [3, 8, 20, 50, 125, 313, 784, 1964, 4920, 12325, 30875, 77344, 193752, 485362,
@@ -340,3 +339,14 @@ def test_all_exact_fields_are_pinned(doc, expected):
             "bracket_sofic": bracket["sofic_detected"],
         }
     assert got == expected
+
+
+def test_readme_tribonacci_document_runs_all_at_default_flags():
+    # a terminated expansion is presented by its finite follower graph, so no
+    # word length is capped by digit_depth
+    doc = '{"type": "beta", "beta": 1.8392867552, "digit_depth": 64}'
+    flags = dict(DEFAULT_FLAGS, max_n=100, depth=110)
+    for report in (run("all", parse_spec(doc), DEFAULT_FLAGS), run("all", parse_spec(doc), flags)):
+        bracket = report["results"]["bracket"]
+        assert bracket["sofic_detected"] and bracket["width"] == 0
+        assert bracket["fixed_point_depth"] == report["results"]["krieger"]["fixed_point_depth"] == 2

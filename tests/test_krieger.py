@@ -246,10 +246,9 @@ def _detected(counts, stabilized, window):
 SNAPPED_GOLDEN = BetaShift("1.6180339887", digit_depth=230)
 SNAPPED_TRIBONACCI = BetaShift("1.8392867552", digit_depth=230)
 
-# (spec, l_max, depths); every finite presentation is checked well past its
-# fixed point, the snapped bases (whose family grows toward the horizon state
-# of the depth-capped automaton) at the depths of `shiftkms all --max-n 100
-# --depth 110`
+# (spec, l_max, depths); every presentation is checked well past its fixed
+# point, the snapped bases (finite Parry follower graphs of 2 and 3 states)
+# at the depths of `shiftkms all --max-n 100 --depth 110`
 REFERENCE_CASES = [
     (FullShift(3), 6, (6, 9, 20)),
     (GOLDEN, 8, (8, 12, 30)),
@@ -291,10 +290,7 @@ def test_class_counts_match_frozenset_reference(spec, l_max, depths):
         expected = repeats[0] if repeats else None
         assert sofic.fixed_point_depth == bracket.fixed_point_depth == expected
         assert dim_q(spec, 1, depth).fixed_point_depth == expected
-    if spec in (SNAPPED_GOLDEN, SNAPPED_TRIBONACCI):
-        assert expected is None
-    else:
-        assert expected is not None and all(f == family[-1] for f in family[expected:])
+    assert expected is not None and all(f == family[-1] for f in family[expected:])
 
 
 def test_beta_17_family_fixed_point_certifies_deep_bracket():
@@ -307,3 +303,15 @@ def test_beta_17_family_fixed_point_certifies_deep_bracket():
     assert report.dims == tuple(counts[1:]) == tuple(n + 1 for n in range(1, 201))
     assert report.dims_stabilized == tuple(b == c for b, c in zip(before[1:], counts[1:]))
     assert all(report.dims_stabilized) and not report.sofic_detected
+
+
+@pytest.mark.parametrize("base", ["1.01", "1.05", "1.1"])
+def test_truncated_beta_chain_never_claims_soficity(base):
+    # the expansion of 1 does not terminate, so the depth-capped chain presents
+    # a truncation: equal stabilized counts there prove nothing about the shift
+    spec = BetaShift(base, digit_depth=200)
+    check = sofic_check(spec, 10)
+    assert len(set(check.counts[-3:])) == 1 and all(check.stabilized[-3:])
+    assert not check.sofic_detected
+    bracket = entropy_bracket(spec, 50, depth=60)
+    assert not bracket.sofic_detected and bracket.width > 0

@@ -140,3 +140,24 @@ def test_cli_all_runs_the_word_count_recursion_once(monkeypatch):
     assert report["results"]["entropy"]["n_max"] == 20
     assert report["results"]["bracket"]["n_max"] == 20
     assert steps["steps"] == 20
+
+
+def test_kms_temperature_builds_one_reachability_closure(monkeypatch):
+    closures = Counter()
+    reachability = spectral.reachability
+
+    def counted(A):
+        closures["reachability"] += 1
+        return reachability(A)
+
+    monkeypatch.setattr(spectral, "reachability", counted)
+    report = kms_temperature([[1, 1], [0, 1]], reducible_mode=True)
+    assert report.heuristic and report.bracket == (0.0, 0.0)
+    assert closures["reachability"] == 1
+    closures.clear()
+    with pytest.raises(spectral.ReducibleMatrixError, match="reducible_mode=True"):
+        kms_temperature([[1, 1], [0, 1]])
+    assert closures["reachability"] == 1
+    closures.clear()
+    assert not kms_temperature(_random_sft_matrix()).heuristic
+    assert closures["reachability"] == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -351,3 +352,42 @@ def test_successor_table_relabels_noncontiguous_states():
     assert aut.run((2, 2)) is None and aut.run((2, 1, 2, 2, 1)) == 0
     # symbols outside the alphabet leave the language, never index the table
     assert aut.run((0,)) is None and aut.run((1, 3)) is None
+
+
+# bases whose expansion of 1 does not terminate: four fixed ones and 50
+# seeded 4-decimal bases in (1.05, 3.95)
+CHAIN_BASES = ["1.7", "2.5", "1.01", "1.1"] + [
+    f"{b:.4f}" for b in np.random.default_rng(11).uniform(1.05, 3.95, 50)
+]
+
+
+@pytest.mark.parametrize("digit_depth", (40, 230))
+def test_beta_follower_chain_matches_prefix_function_reference(digit_depth):
+    # a smaller digit returns to state 0, where the KMP fallback also lands
+    for base in CHAIN_BASES:
+        spec = BetaShift(base, digit_depth=digit_depth)
+        assert not spec.expansion().terminated, base
+        aut, ref = automaton_for(spec), oracles.beta_automaton_kmp(spec)
+        assert aut.delta == ref.delta, base
+        assert aut.max_word_length == ref.max_word_length == digit_depth
+        assert np.array_equal(aut.succ, ref.succ)
+
+
+@pytest.mark.parametrize(
+    "base,block",
+    [("3", (2,)), (3.0, (2,)), (2, (1,)), ("1.6180339887", (1, 0)), (PHI, (1, 0)),
+     ("1.8392867552", (1, 1, 0)), (TRIBONACCI, (1, 1, 0)), (1.0 + math.sqrt(2), (2, 0))],
+)
+def test_terminated_beta_is_its_finite_follower_graph(base, block):
+    spec = BetaShift(base, digit_depth=8)
+    assert spec.expansion().quasi_greedy_block == block
+    aut = automaton_for(spec)
+    assert len(aut.states) == len(block) and aut.max_word_length is None
+    assert aut.delta[(len(block) - 1, block[-1] + 1)] == 0  # the last state wraps around
+    # words longer than digit_depth, against the lexicographic definition on
+    # the periodic quasi-greedy expansion
+    n = spec.digit_depth + 1
+    words = list(itertools.product(range(1, spec.alphabet + 1), repeat=n))
+    want = [w for w in words if oracles.beta_admissible_direct(w, block * n)]
+    assert [w for w in words if admissible(w, spec)] == want
+    assert count_words(spec, n) == len(want)
