@@ -5,27 +5,23 @@ x_k = b x_{k-1} - d_k.  When the recursion terminates (some x_k = 0) the
 lexicographic admissibility reference is the quasi-greedy form
 (d_1 ... d_{m-1} (d_m - 1)) repeated.
 
-Digits are discontinuous in the base, so arithmetic runs in mpmath at a
-precision scaled to the requested depth plus a guard.  A product b*x landing
+Digits are discontinuous in the base, so the recursion runs exactly: every
+accepted base is rational (a decimal string is p/q, a float its binary value),
+and x_k is kept as an integer numerator over q^k.  A product b*x landing
 within ``snap_tol`` of an integer is treated as an exact hit of the intended
-base (termination) and flagged; a product closer to an integer than the
-accumulated float error bound, but outside ``snap_tol``, raises rather than
-guessing the digit.
+base (termination) and flagged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath
-
-DEFAULT_GUARD_BITS = 30
 DEFAULT_SNAP_TOL = 1e-9
 
 
 class UncertainDigitError(ValueError):
-    """A greedy digit could not be determined at the working precision."""
+    """A snap would end the expansion of 1 in digit 0, so the base is suspect."""
 
 
 @dataclass(frozen=True)
@@ -66,70 +62,56 @@ def _detect_periodicity(digits: tuple[int, ...]) -> tuple[int, int] | None:
 
     The periodic tail must span at least three full periods and eight digits,
     otherwise short coincidences at the end of the data would always match.
+    For a period p the smallest preperiod is one past the last mismatch
+    digits[i] != digits[i + p].
     """
     n = len(digits)
     for p in range(1, n // 3 + 1):
-        for p0 in range(0, n - max(3 * p, 8) + 1):
-            if all(digits[i] == digits[i + p] for i in range(p0, n - p)):
-                return (p0, p)
+        p0 = next((i + 1 for i in range(n - p - 1, -1, -1) if digits[i] != digits[i + p]), 0)
+        if p0 <= n - max(3 * p, 8):
+            return (p0, p)
     return None
 
 
-def beta_expansion_of_one(
-    beta,
-    n_digits: int,
-    snap_tol: float = DEFAULT_SNAP_TOL,
-    guard_bits: int = DEFAULT_GUARD_BITS,
-) -> BetaExpansion:
+def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TOL) -> BetaExpansion:
     """Greedy digits of 1 in base beta, with termination and periodicity report.
 
     Parameters
     ----------
     beta : float or str
         Base > 1.  A float is used at its exact binary value; a string is
-        parsed as a decimal at the working precision.
+        parsed as an exact decimal.
     n_digits : int
         Number of greedy digits to compute (>= 1).
     snap_tol : float
         Distance to an integer below which b*x is taken as an exact hit.
         Set to 0 to disable snapping.
-    guard_bits : int
-        Extra precision bits beyond what the requested depth consumes.
     """
     if n_digits < 1:
         raise ValueError("n_digits must be >= 1")
-    beta_float = float(mpmath.mpf(beta) if isinstance(beta, str) else mpmath.mpf(float(beta)))
+    b = Fraction(beta) if isinstance(beta, str) else Fraction(float(beta))
+    beta_float = float(b)
     if beta_float <= 1.0:
         raise ValueError(f"beta must be > 1, got {beta_float}")
-    prec = 64 + guard_bits + int(math.ceil(n_digits * math.log2(beta_float)))
-    with mpmath.workprec(prec):
-        b = mpmath.mpf(beta) if isinstance(beta, str) else mpmath.mpf(float(beta))
-        err_bound = mpmath.mpf(2) ** (-(prec - 8))
-        digits: list[int] = []
-        terminated = False
-        snapped = False
-        termination_index = None
-        x = mpmath.mpf(1)
-        for k in range(1, n_digits + 1):
-            y = b * x
-            nearest = mpmath.nint(y)
-            gap = abs(y - nearest)
-            if gap == 0 or gap <= snap_tol:
-                digits.append(int(nearest))
-                terminated = True
-                snapped = gap != 0
-                termination_index = k
-                break
-            if gap <= err_bound:
-                raise UncertainDigitError(
-                    f"digit {k}: b*x is within the accumulated error bound of an integer; "
-                    "increase guard_bits or supply beta more precisely"
-                )
-            d = int(mpmath.floor(y))
-            digits.append(d)
-            x = y - d
-            err_bound *= b
+    p, q = b.numerator, b.denominator
+    tol_num, tol_den = snap_tol.as_integer_ratio()
+    # x = num / den; b*x = p*num / (q*den) = d + r / (q*den), never reduced
+    num = den = 1
+    digits: list[int] = []
+    termination_index = None
+    for k in range(1, n_digits + 1):
+        den *= q
+        d, r = divmod(p * num, den)
+        up = 2 * r > den
+        gap = den - r if up else r
+        if gap == 0 or gap * tol_den <= tol_num * den:
+            digits.append(d + up)
+            termination_index = k
+            break
+        digits.append(d)
+        num = r
     greedy = tuple(digits)
+    terminated = termination_index is not None
     block = None
     if terminated:
         block = greedy[:-1] + (greedy[-1] - 1,)
@@ -144,8 +126,7 @@ def beta_expansion_of_one(
         greedy=greedy,
         terminated=terminated,
         termination_index=termination_index,
-        snapped=snapped,
+        snapped=terminated and gap != 0,
         quasi_greedy_block=block,
         periodicity=periodicity,
     )
-

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 bad input, 2 violated internal invariant or failed
 numerical solver.  Every sized input is bounded by the MAX_* constants below;
 a value past its bound is bad input, named in the message.  A matrix
 document's Perron data is solved once, on first use, and shared by every
-section of the report.
+section of the report; under `all --reducible-mode` a reducible matrix skips
+the sections that need it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ MAX_WORD_LENGTH = 1000  # --max-n and --depth
 MAX_SAMPLES = 100_000
 # the variational scan allocates (samples, d, d) float64 arrays, 64 MB each at this bound
 MAX_SAMPLE_ENTRIES = 2**23
+# symbols over all forbidden words (S), and alphabet times S: the Aho-Corasick
+# automaton has up to S + 1 states and the Krieger passes gather d-wide arrays
+# over them
+MAX_FORBIDDEN_SYMBOLS = 4096
+MAX_FORBIDDEN_ENTRIES = 2**16
 
 
 class InputError(ValueError):
@@ -76,8 +82,8 @@ def parse_spec(document):
         if kind == "sft":
             return SFT(_matrix(doc))
         if kind == "forbidden":
-            words = tuple(tuple(w) for w in _need(doc, "words"))
-            return ForbiddenWords(_alphabet(doc), words)
+            alphabet = _alphabet(doc)
+            return ForbiddenWords(alphabet, _words(doc, alphabet))
         if kind == "beta":
             digit_depth = _at_most("field 'digit_depth'", _integer(doc, "digit_depth", 64), MAX_DIGIT_DEPTH)
             beta = _need(doc, "beta")
@@ -108,12 +114,30 @@ def _matrix(doc):
     return M
 
 
+def _is_integer(value):
+    # an integral number such as 2.0 counts, a bool does not
+    return type(value) is int or type(value) is float and value.is_integer()
+
+
 def _integer(doc, field, default=None):
-    """A JSON integer field; an integral number such as 2.0 counts, a bool does not."""
+    """A JSON integer field."""
     value = _need(doc, field) if default is None else doc.get(field, default)
-    if not (type(value) is int or type(value) is float and value.is_integer()):
+    if not _is_integer(value):
         raise InputError(f"field '{field}' must be an integer, got {value!r}")
     return int(value)
+
+
+def _words(doc, alphabet):
+    """The forbidden words: lists of JSON integer symbols, bounded in total length."""
+    words = _need(doc, "words")
+    if not isinstance(words, list) or not all(isinstance(w, list) for w in words):
+        raise InputError("field 'words' must be a list of lists of symbols")
+    size = sum(map(len, words))
+    _at_most("the total length of field 'words'", size, MAX_FORBIDDEN_SYMBOLS)
+    _at_most("alphabet times the total length of field 'words'", alphabet * size, MAX_FORBIDDEN_ENTRIES)
+    if not all(_is_integer(s) for w in words for s in w):
+        raise InputError("field 'words' must hold integer symbols")
+    return tuple(tuple(map(int, w)) for w in words)
 
 
 def _echo(spec):
@@ -264,6 +288,8 @@ def _section_resolvent(spec, flags, warnings):
 SUBSHIFT = (FullShift, SFT, ForbiddenWords, BetaShift)
 TRANSITION_MATRIX = (FullShift, SFT)
 ANY_MATRIX = (FullShift, SFT, tuple)
+# sections that need the Perron data of an irreducible matrix
+NEEDS_PERRON = ("parry", "variational", "resolvent")
 
 # command -> (document types, section builder), in report order
 SECTIONS = {
@@ -300,6 +326,9 @@ def run(command: str, spec, flags) -> dict:
                 warnings.append(f"{name}: not applicable to this input, skipped")
                 continue
             raise InputError(f"command '{name}' is not applicable to this input")
+        if command == "all" and flags["reducible_mode"] and name in NEEDS_PERRON and spec.perron is None:
+            warnings.append(f"{name}: needs an irreducible matrix, skipped in reducible mode")
+            continue
         results[name] = section(spec, flags, warnings)
     report = {
         "tool": "shiftkms",

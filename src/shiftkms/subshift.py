@@ -115,7 +115,6 @@ class BetaShift:
     beta: float | str
     digit_depth: int = 64
     snap_tol: float = 1e-9
-    guard_bits: int = 30
 
     def __post_init__(self):
         b = float(self.beta)
@@ -129,12 +128,12 @@ class BetaShift:
         return int(math.ceil(float(self.beta)))
 
     def expansion(self):
-        return _cached_expansion(self.beta, self.digit_depth, self.snap_tol, self.guard_bits)
+        return _cached_expansion(self.beta, self.digit_depth, self.snap_tol)
 
 
 @lru_cache(maxsize=None)
-def _cached_expansion(beta, digit_depth, snap_tol, guard_bits):
-    return beta_expansion_of_one(beta, digit_depth, snap_tol=snap_tol, guard_bits=guard_bits)
+def _cached_expansion(beta, digit_depth, snap_tol):
+    return beta_expansion_of_one(beta, digit_depth, snap_tol=snap_tol)
 
 
 class Automaton:
@@ -331,9 +330,9 @@ def _beta_automaton(spec: BetaShift):
     # two periods decide dominance of a periodic word
     if not _shift_dominated(digits if horizon else digits * 2):
         raise ValueError(
-            f"computed expansion of 1 for beta={spec.beta} does not dominate its "
-            "shifts; the digits are unreliable, raise guard_bits or give beta "
-            "more precisely"
+            f"expansion of 1 for beta={spec.beta} does not dominate its shifts; "
+            "the snapped block is not a Parry expansion, lower snap_tol or give "
+            "beta more precisely"
         )
     delta = {}
     for j, dj in enumerate(digits):

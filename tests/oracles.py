@@ -26,6 +26,13 @@ that checks the reachability-closure components of `shiftkms.spectral`.
 `cycle_chord`, `block_cyclic` and `sparse_d256` build the matrices the
 certified Perron tests run on.
 
+`beta_expansion_mpmath` is the earlier expansion of 1: the Renyi map in
+mpmath at a working precision of 64 + guard_bits + n log2(b) bits, with a
+propagated error bound that raises `UncertainDigitError` when a product lands
+inside it, and the cubic periodicity scan `detect_periodicity_brute` that
+tries every preperiod with an `all()` over the tail.  The package runs the map
+exactly on the rational base and must report the same `BetaExpansion`.
+
 `bracket_sequences_exact` is the column-sum bracket in exact integers: it
 reads the column sums of A^n from `shiftkms.spectral.column_sum_sequence`,
 so it checks the rescaled float recursion of
@@ -43,9 +50,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral
+from shiftkms.beta import BetaExpansion, UncertainDigitError
 from shiftkms.subshift import Automaton, automaton_for
 
 
@@ -390,6 +399,58 @@ def greedy_digits_fraction(p, q, n) -> list[int]:
         if x == 0:
             break
     return out
+
+
+def detect_periodicity_brute(digits) -> tuple[int, int] | None:
+    """Smallest (preperiod, period) repeating through the whole tail, trying
+    every preperiod; the tail must span three periods and eight digits."""
+    n = len(digits)
+    for p in range(1, n // 3 + 1):
+        for p0 in range(0, n - max(3 * p, 8) + 1):
+            if all(digits[i] == digits[i + p] for i in range(p0, n - p)):
+                return (p0, p)
+    return None
+
+
+def beta_expansion_mpmath(beta, n_digits, snap_tol=1e-9, guard_bits=30) -> BetaExpansion:
+    """Expansion of 1 in base beta by the Renyi map in mpmath floats."""
+    if n_digits < 1:
+        raise ValueError("n_digits must be >= 1")
+    beta_float = float(mpmath.mpf(beta) if isinstance(beta, str) else mpmath.mpf(float(beta)))
+    if beta_float <= 1.0:
+        raise ValueError(f"beta must be > 1, got {beta_float}")
+    prec = 64 + guard_bits + int(math.ceil(n_digits * math.log2(beta_float)))
+    with mpmath.workprec(prec):
+        b = mpmath.mpf(beta) if isinstance(beta, str) else mpmath.mpf(float(beta))
+        err_bound = mpmath.mpf(2) ** (-(prec - 8))
+        digits = []
+        terminated = snapped = False
+        termination_index = None
+        x = mpmath.mpf(1)
+        for k in range(1, n_digits + 1):
+            y = b * x
+            nearest = mpmath.nint(y)
+            gap = abs(y - nearest)
+            if gap == 0 or gap <= snap_tol:
+                digits.append(int(nearest))
+                terminated, snapped, termination_index = True, gap != 0, k
+                break
+            if gap <= err_bound:
+                raise UncertainDigitError(f"digit {k}: b*x is within the error bound of an integer")
+            d = int(mpmath.floor(y))
+            digits.append(d)
+            x = y - d
+            err_bound *= b
+    greedy = tuple(digits)
+    block = None
+    if terminated:
+        block = greedy[:-1] + (greedy[-1] - 1,)
+        if block[-1] < 0:
+            raise UncertainDigitError("terminating expansion ended in digit 0; base is suspect")
+        periodicity = (0, len(block))
+    else:
+        periodicity = detect_periodicity_brute(greedy)
+    return BetaExpansion(beta_float, greedy, terminated, termination_index, snapped, block, periodicity)
 
 
 def random_irreducible_zero_one(rng, d, density=0.5):

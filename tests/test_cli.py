@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import shiftkms
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT
 from shiftkms.cli import (
     MAX_DIGIT_DEPTH,
     MAX_DIMENSION,
+    MAX_FORBIDDEN_ENTRIES,
+    MAX_FORBIDDEN_SYMBOLS,
     MAX_SAMPLE_ENTRIES,
     MAX_SAMPLES,
     MAX_WORD_LENGTH,
@@ -238,6 +244,8 @@ OVERSIZED_DOCS = [
     ("beta", {"type": "beta", "beta": "1e400"}),
     ("beta", {"type": "beta", "beta": "nan"}),
     ("digit_depth", {"type": "beta", "beta": 1.7, "digit_depth": 4097}),
+    ("words", {"type": "forbidden", "alphabet": 2, "words": [[1, 2]] * 2048 + [[1]]}),
+    ("words", {"type": "forbidden", "alphabet": 256, "words": [[1, 2, 3, 4]] * 65}),
 ]
 
 
@@ -279,6 +287,48 @@ def test_bounds_themselves_are_accepted():
     # the samples x d^2 bound only applies where the scan runs
     assert run("entropy", FullShift(64), dict(DEFAULT_FLAGS, samples=2049))["results"]
     assert MAX_SAMPLE_ENTRIES // 64**2 == 2048
+
+
+def test_forbidden_bounds_themselves_are_accepted():
+    words = [[1, 2, 3, 4]] * (MAX_FORBIDDEN_SYMBOLS // 4)
+    assert len(parse_spec({"type": "forbidden", "alphabet": 16, "words": words}).words) == 1024
+    words = [[1, 2, 3, 4]] * (MAX_FORBIDDEN_ENTRIES // 256 // 4)
+    assert len(parse_spec({"type": "forbidden", "alphabet": 256, "words": words}).words) == 64
+
+
+def test_forbidden_symbols_must_be_json_integers():
+    for bad in ("[[1.5, 2]]", "[[true, 2]]", '[["1", 2]]', "[[null]]", "[1, 2]", "3", '"12"'):
+        with pytest.raises(InputError, match="field 'words'"):
+            parse_spec('{"type": "forbidden", "alphabet": 2, "words": %s}' % bad)
+    spec = parse_spec('{"type": "forbidden", "alphabet": 2, "words": [[2.0, 1]]}')
+    assert spec.words == ((2, 1),) and type(spec.words[0][0]) is int
+
+
+def test_main_bad_forbidden_symbol_exits_one(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "forbidden", "alphabet": 2, "words": [[true, 2]]}')
+    assert main(["all", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "field 'words'" in captured.err
+
+
+REDUCIBLE_DOC = '{"type": "sft", "matrix": [[1, 1], [0, 1]]}'
+
+
+def test_all_in_reducible_mode_skips_the_perron_sections(tmp_path, capsys):
+    report = run("all", parse_spec(REDUCIBLE_DOC), dict(DEFAULT_FLAGS, reducible_mode=True))
+    assert list(report["results"]) == ["entropy", "kms", "krieger", "bracket"]
+    assert report["results"]["kms"]["bracket"]
+    for name in ("parry", "variational", "resolvent"):
+        assert sum(w.startswith(f"{name}:") for w in report["warnings"]) == 1
+    doc = tmp_path / "spec.json"
+    doc.write_text(REDUCIBLE_DOC)
+    assert main(["all", str(doc), "--reducible-mode", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == json.loads(json.dumps(report["results"]))
+    # without the flag, and for a single Perron command, it is still bad input
+    for argv in (["all", str(doc)], ["parry", str(doc), "--reducible-mode"]):
+        assert main(argv) == 1
+        assert "reducible" in capsys.readouterr().err
 
 
 def test_main_rejects_bad_tol_before_any_section(tmp_path, capsys):
@@ -350,3 +400,11 @@ def test_readme_tribonacci_document_runs_all_at_default_flags():
         bracket = report["results"]["bracket"]
         assert bracket["sofic_detected"] and bracket["width"] == 0
         assert bracket["fixed_point_depth"] == report["results"]["krieger"]["fixed_point_depth"] == 2
+
+
+def test_cli_import_leaves_mpmath_out():
+    # beta digits are exact integer arithmetic; mpmath is a test dependency only
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftkms.__file__)))
+    code = "import sys, shiftkms.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
