@@ -9,7 +9,8 @@ Digits are discontinuous in the base, so the recursion runs exactly: every
 accepted base is rational (a decimal string is p/q, a float its binary value),
 and x_k is kept as an integer numerator over q^k.  A product b*x landing
 within ``snap_tol`` of an integer is treated as an exact hit of the intended
-base (termination) and flagged.
+base (termination) and flagged.  Only a terminated expansion is periodic: a
+non-integer rational is no algebraic integer, so no Parry number (Parry 1960).
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class BetaExpansion:
     greedy holds the computed greedy digits (the final digit of a terminating
     expansion may equal floor(b), outside the shift alphabet).  For a
     terminating expansion quasi_greedy_block is the repeating block of the
-    quasi-greedy form; otherwise the quasi-greedy expansion is the greedy one.
-    periodicity is a (preperiod, period) candidate detected within the
-    computed digits, or None; it is a desk-depth observation, not a proof.
+    quasi-greedy form and periodicity is (0, len(quasi_greedy_block));
+    otherwise the quasi-greedy expansion is the greedy one, which is not
+    eventually periodic, and periodicity is None.
     """
 
     beta: float
@@ -57,24 +58,8 @@ class BetaExpansion:
         return self.greedy[:n]
 
 
-def _detect_periodicity(digits: tuple[int, ...]) -> tuple[int, int] | None:
-    """Smallest (preperiod, period) repeating through the whole computed tail.
-
-    The periodic tail must span at least three full periods and eight digits,
-    otherwise short coincidences at the end of the data would always match.
-    For a period p the smallest preperiod is one past the last mismatch
-    digits[i] != digits[i + p].
-    """
-    n = len(digits)
-    for p in range(1, n // 3 + 1):
-        p0 = next((i + 1 for i in range(n - p - 1, -1, -1) if digits[i] != digits[i + p]), 0)
-        if p0 <= n - max(3 * p, 8):
-            return (p0, p)
-    return None
-
-
 def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TOL) -> BetaExpansion:
-    """Greedy digits of 1 in base beta, with termination and periodicity report.
+    """Greedy digits of 1 in base beta, with termination report.
 
     Parameters
     ----------
@@ -112,15 +97,13 @@ def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TO
         num = r
     greedy = tuple(digits)
     terminated = termination_index is not None
-    block = None
+    block = periodicity = None
     if terminated:
         block = greedy[:-1] + (greedy[-1] - 1,)
         if block[-1] < 0:
             # greedy of 1 always ends in a digit >= 1 when it terminates
             raise UncertainDigitError("terminating expansion ended in digit 0; base is suspect")
         periodicity = (0, len(block))
-    else:
-        periodicity = _detect_periodicity(greedy)
     return BetaExpansion(
         beta=beta_float,
         greedy=greedy,

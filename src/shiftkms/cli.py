@@ -216,6 +216,8 @@ def _section_parry(spec, flags, warnings):
 
 
 def _section_krieger(spec, flags, warnings):
+    if flags["depth"] < 2:
+        raise InputError(f"--depth must be at least 2 for the krieger section, got {flags['depth']}")
     l_max = max(2, min(flags["max_n"], flags["depth"] - 2))
     report = krieger.sofic_check(spec, l_max, depth=flags["depth"])
     if not all(report.stabilized):
@@ -233,9 +235,9 @@ def _section_krieger(spec, flags, warnings):
 def _section_bracket(spec, flags, warnings):
     n_max = flags["max_n"]
     depth = flags["depth"] if flags["depth"] >= n_max else None
-    if depth is None:
-        warnings.append(f"bracket: depth raised to {n_max + 10} to cover n_max")
     report = krieger.entropy_bracket(spec, n_max, depth=depth)
+    if depth is None:
+        warnings.append(f"bracket: depth raised to {report.depth} to cover n_max")
     return {
         "lower": report.lower,
         "upper": report.upper,

@@ -1,4 +1,4 @@
-"""Past-equivalence classes, cover dimensions, sofic detection, entropy bracket.
+"""Past-equivalence classes, cover dimensions, the sofic verdict, entropy bracket.
 
 Two admissible words of length m are l-past equivalent when the same words of
 length <= l can precede them.  On a presenting automaton the predecessor set
@@ -16,6 +16,10 @@ the presenting automaton.  The reports give that depth as `fixed_point_depth`
 `predecessor_set` enumerate words, layer by layer through one enumerator, and
 serve as the independent cross-check.  Every pass reads the automaton's
 successor table `succ`.
+
+The sofic verdict reads the presentation: an uncapped automaton is finite,
+so its shift is sofic; a capped one presents a non-terminating beta expansion,
+whose rational base is no Parry number, so it is not (Parry 1960; Bertrand 1977).
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .subshift import Automaton, admissible, automaton_for, topological_entropy, validate_word
+
+_CORRECTION_WINDOW = 5  # an open bracket's upper end: the least of the last 5 corrections
 
 
 @dataclass(frozen=True)
@@ -66,15 +72,14 @@ class DimQ:
 
 @dataclass(frozen=True)
 class SoficReport:
-    """sofic_detected needs equal, stabilized trailing counts on a presentation
-    of the whole shift; a depth-capped beta presentation never claims it."""
+    """sofic_detected is the verdict of the presentation: True exactly when it
+    is uncapped.  counts, stabilized and fixed_point_depth are evidence only."""
 
     sofic_detected: bool
     counts: tuple[int, ...]
     stabilized: tuple[bool, ...]
     l_max: int
     depth: int
-    window: int
     fixed_point_depth: int | None
 
 
@@ -83,10 +88,9 @@ class BracketReport:
     """Entropy bracket [lower, upper] for the noncommutative shift entropy.
 
     lower is the estimated topological entropy; the correction sequence is
-    2 log(dim Q_n)/n.  A detected-sofic input has bounded cover dimensions, so
-    the correction limit vanishes and the bracket closes.  Detection needs a
-    presentation of the whole shift, so the bracket can close only on a full
-    shift, an SFT, a forbidden-word shift or a terminated beta expansion.
+    2 log(dim Q_n)/n.  A sofic shift has bounded cover dimensions, so the
+    correction limit vanishes and the bracket closes: on a full shift, an SFT,
+    a forbidden-word shift and a terminated beta expansion (see sofic_check).
     """
 
     lower: float
@@ -239,17 +243,6 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     return at_depth, before, fixed_point_depth
 
 
-def _sofic_detected(aut: Automaton, counts, stabilized, window: int) -> bool:
-    """Eventually constant, stabilized counts over the trailing window, on an
-    uncapped automaton: a depth-capped one presents only a truncation."""
-    return (
-        aut.max_word_length is None
-        and len(counts) >= window
-        and len(set(counts[-window:])) == 1
-        and all(stabilized[-window:])
-    )
-
-
 def dim_q(spec, n: int, depth: int) -> DimQ:
     """Cover dimension dim(Q_n) = number of n-past classes at the given proxy depth.
 
@@ -266,12 +259,9 @@ def dim_q(spec, n: int, depth: int) -> DimQ:
     return DimQ(count=counts[n], stabilized=stabilized, l=n, depth=depth, fixed_point_depth=fixed)
 
 
-def sofic_check(spec, l_max: int, depth: int | None = None, window: int = 3) -> SoficReport:
-    """Detect soficity from stabilized, eventually constant class counts.
-
-    True is reliable at desk scale for the supported presentations and is
-    never claimed on a depth-capped presentation; False only means not
-    detected within l_max.
+def sofic_check(spec, l_max: int, depth: int | None = None) -> SoficReport:
+    """The sofic verdict, True exactly on an uncapped presentation (see the
+    module notes), with the class counts for l = 1..l_max at `depth` as evidence.
     """
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
@@ -285,41 +275,39 @@ def sofic_check(spec, l_max: int, depth: int | None = None, window: int = 3) -> 
     counts = counts[1:]
     stab = [b == c for b, c in zip(before[1:], counts)]
     return SoficReport(
-        sofic_detected=_sofic_detected(aut, counts, stab, window),
+        sofic_detected=aut.max_word_length is None,
         counts=tuple(counts),
         stabilized=tuple(stab),
         l_max=l_max,
         depth=depth,
-        window=window,
         fixed_point_depth=fixed,
     )
 
 
-def entropy_bracket(spec, n_max: int, depth: int | None = None, window: int = 5) -> BracketReport:
+def entropy_bracket(spec, n_max: int, depth: int | None = None) -> BracketReport:
     """Bracket the noncommutative shift entropy between the subshift entropy and
     the dimension-corrected upper bound.
 
-    upper = lower + min of 2 log(dim Q_n)/n over the trailing window, except
-    that a detected-sofic input closes the bracket exactly.
+    upper = lower + min of 2 log(dim Q_n)/n over the last 5 n, except that a
+    sofic shift closes the bracket exactly.  The default depth n_max + 10 is
+    lowered on a capped presentation to what its cap leaves after n_max.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
+    aut = automaton_for(spec)
     if depth is None:
-        depth = n_max + 10
+        cap = aut.max_word_length
+        depth = n_max + 10 if cap is None else max(n_max, min(n_max + 10, cap - n_max))
     if depth < n_max:
         raise ValueError("depth must be >= n_max")
-    aut = automaton_for(spec)
     aut.check_length(n_max + depth)
     lower = topological_entropy(spec, n_max).extrapolated
     dims, before, fixed = _class_counts(aut, n_max, depth)
     dims = dims[1:]
     stab = [b == c for b, c in zip(before[1:], dims)]
     corrections = tuple(2.0 * math.log(dims[n - 1]) / n for n in range(1, n_max + 1))
-    sofic = _sofic_detected(aut, dims, stab, 3)
-    if sofic:
-        upper = lower
-    else:
-        upper = lower + min(corrections[-window:])
+    sofic = aut.max_word_length is None
+    upper = lower if sofic else lower + min(corrections[-_CORRECTION_WINDOW:])
     return BracketReport(
         lower=lower,
         upper=upper,

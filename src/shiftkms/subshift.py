@@ -41,15 +41,19 @@ __all__ = [
 
 
 class _TransitionMatrixShift:
-    """A 0/1 transition-matrix presentation; its Perron data is solved once, on first use."""
+    """A 0/1 transition-matrix presentation; its component Perron data is
+    solved once, on first use."""
 
     @cached_property
+    def components(self) -> list[spectral.ComponentPerron]:
+        """Perron data of each strongly connected component of the transition matrix."""
+        return spectral.component_perron_data(self.matrix, tol=spectral.PERRON_TOL)
+
+    @property
     def perron(self) -> spectral.PerronData | None:
         """Perron data of the transition matrix, or None when it is reducible."""
-        try:
-            return spectral.perron_vectors(self.matrix, tol=spectral.PERRON_TOL)
-        except spectral.ReducibleMatrixError:
-            return None
+        only, *rest = self.components
+        return None if rest else only.data
 
 
 @dataclass(frozen=True)
@@ -446,7 +450,7 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
         exact = math.log(spec.alphabet)
         method = "full"
     elif isinstance(spec, SFT):
-        exact = sft_entropy_exact(spec.perron or spec.matrix)
+        exact = math.log(max(c.radius for c in spec.components))
         method = "transfer-matrix"
     elif isinstance(spec, ForbiddenWords):
         method = "forbidden-factor-automaton"

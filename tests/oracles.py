@@ -29,9 +29,9 @@ certified Perron tests run on.
 `beta_expansion_mpmath` is the earlier expansion of 1: the Renyi map in
 mpmath at a working precision of 64 + guard_bits + n log2(b) bits, with a
 propagated error bound that raises `UncertainDigitError` when a product lands
-inside it, and the cubic periodicity scan `detect_periodicity_brute` that
-tries every preperiod with an `all()` over the tail.  The package runs the map
-exactly on the rational base and must report the same `BetaExpansion`.
+inside it.  Only a terminated expansion gets a periodicity, its block length.
+The package runs the map exactly on the rational base and must report the
+same `BetaExpansion`.
 
 `bracket_sequences_exact` is the column-sum bracket in exact integers: it
 reads the column sums of A^n from `shiftkms.spectral.column_sum_sequence`,
@@ -401,17 +401,6 @@ def greedy_digits_fraction(p, q, n) -> list[int]:
     return out
 
 
-def detect_periodicity_brute(digits) -> tuple[int, int] | None:
-    """Smallest (preperiod, period) repeating through the whole tail, trying
-    every preperiod; the tail must span three periods and eight digits."""
-    n = len(digits)
-    for p in range(1, n // 3 + 1):
-        for p0 in range(0, n - max(3 * p, 8) + 1):
-            if all(digits[i] == digits[i + p] for i in range(p0, n - p)):
-                return (p0, p)
-    return None
-
-
 def beta_expansion_mpmath(beta, n_digits, snap_tol=1e-9, guard_bits=30) -> BetaExpansion:
     """Expansion of 1 in base beta by the Renyi map in mpmath floats."""
     if n_digits < 1:
@@ -447,9 +436,7 @@ def beta_expansion_mpmath(beta, n_digits, snap_tol=1e-9, guard_bits=30) -> BetaE
         block = greedy[:-1] + (greedy[-1] - 1,)
         if block[-1] < 0:
             raise UncertainDigitError("terminating expansion ended in digit 0; base is suspect")
-        periodicity = (0, len(block))
-    else:
-        periodicity = detect_periodicity_brute(greedy)
+    periodicity = (0, len(block)) if terminated else None
     return BetaExpansion(beta_float, greedy, terminated, termination_index, snapped, block, periodicity)
 
 

@@ -184,6 +184,37 @@ def test_cli_bracket_on_beta_document(tmp_path, capsys):
     assert section["width"] > 0
 
 
+def test_cli_krieger_and_bracket_agree_on_soficity_at_shallow_depth():
+    results = run("all", FullShift(3), dict(DEFAULT_FLAGS, depth=4))["results"]
+    assert results["krieger"]["sofic_detected"] and results["bracket"]["sofic_detected"]
+    assert results["bracket"]["width"] == 0
+
+
+def test_cli_beta_document_runs_all_at_default_flags():
+    # 1.7 does not terminate, so digit_depth 64 caps the words: the bracket
+    # depth defaults to 64 - 30 = 34, not max_n + 10 = 40
+    spec = parse_spec('{"type": "beta", "beta": "1.7"}')
+    for command in ("all", "bracket"):
+        report = run(command, spec, DEFAULT_FLAGS)
+        assert report["results"]["bracket"]["depth"] == 34
+        assert "bracket: depth raised to 34 to cover n_max" in report["warnings"]
+        assert not report["results"]["bracket"]["sofic_detected"]
+    # an uncapped presentation keeps max_n + 10
+    report = run("bracket", FullShift(2), DEFAULT_FLAGS)
+    assert report["results"]["bracket"]["depth"] == 40
+    assert report["warnings"] == ["bracket: depth raised to 40 to cover n_max"]
+
+
+def test_cli_krieger_depth_error_names_the_flag(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+    assert main(["krieger", str(doc), "--depth", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "--depth" in err and "l_max" not in err
+    with pytest.raises(InputError, match="--depth"):
+        run("all", FullShift(2), dict(DEFAULT_FLAGS, depth=1))
+
+
 def test_main_invariant_violation_exits_two(tmp_path, monkeypatch, capsys):
     doc = tmp_path / "spec.json"
     doc.write_text(GOLDEN_DOC)

@@ -180,6 +180,19 @@ def test_sofic_check_detects_golden_beta_shift():
     assert set(report.counts) == {2}
 
 
+def test_sofic_verdict_needs_no_count_window():
+    # an uncapped presentation is a finite automaton, so the shift is sofic at
+    # any l_max; the class counts only report evidence
+    report = sofic_check(FullShift(3), 2)
+    assert report.sofic_detected
+    assert report.counts == (1, 1) and report.fixed_point_depth == 0
+    # growing stabilized counts up to n_max = 8, all below the one forbidden word
+    spec = ForbiddenWords(2, ((1, 2, 2, 2, 2, 2, 2, 2, 2, 1),))
+    bracket = entropy_bracket(spec, 8)
+    assert bracket.sofic_detected and bracket.width == 0
+    assert bracket.dims == tuple(range(2, 10)) and bracket.fixed_point_depth == 9
+
+
 def test_class_counts_are_presentation_independent():
     # three presentations of the same language give the same cover dimensions
     presentations = (GOLDEN, ForbiddenWords(2, ((2, 2),)), BetaShift(PHI, digit_depth=32))
@@ -238,11 +251,6 @@ def test_validation_errors():
             call(capped, 10, 30)
 
 
-def _detected(counts, stabilized, window):
-    tail = counts[-window:]
-    return len(counts) >= window and len(set(tail)) == 1 and all(stabilized[-window:])
-
-
 SNAPPED_GOLDEN = BetaShift("1.6180339887", digit_depth=230)
 SNAPPED_TRIBONACCI = BetaShift("1.8392867552", digit_depth=230)
 
@@ -265,19 +273,21 @@ REFERENCE_CASES = [
 @pytest.mark.parametrize("spec,l_max,depths", REFERENCE_CASES)
 def test_class_counts_match_frozenset_reference(spec, l_max, depths):
     aut = automaton_for(spec)
+    # a beta-shift is sofic iff its expansion of 1 terminated; every other case is an SFT
+    sofic = not isinstance(spec, BetaShift) or spec.expansion().terminated
     for depth in depths:
         counts, before = oracles.class_counts_brute(spec, l_max, depth)
         stab = tuple(b == c for b, c in zip(before[1:], counts[1:]))
 
-        sofic = sofic_check(spec, l_max, depth)
-        assert sofic.counts == tuple(counts[1:])
-        assert sofic.stabilized == stab
-        assert sofic.sofic_detected == _detected(counts[1:], stab, 3)
+        check = sofic_check(spec, l_max, depth)
+        assert check.counts == tuple(counts[1:])
+        assert check.stabilized == stab
+        assert check.sofic_detected == sofic
 
         bracket = entropy_bracket(spec, l_max, depth)
         assert bracket.dims == tuple(counts[1:])
         assert bracket.dims_stabilized == stab
-        assert bracket.sofic_detected == _detected(counts[1:], stab, 3)
+        assert bracket.sofic_detected == sofic
 
         for n in range(0, l_max + 1, max(1, l_max // 8)):
             res = dim_q(spec, n, depth)
@@ -288,7 +298,7 @@ def test_class_counts_match_frozenset_reference(spec, l_max, depths):
         family = oracles.subset_family_brute(aut, depth)
         repeats = [m for m in range(depth) if family[m] == family[m + 1]]
         expected = repeats[0] if repeats else None
-        assert sofic.fixed_point_depth == bracket.fixed_point_depth == expected
+        assert check.fixed_point_depth == bracket.fixed_point_depth == expected
         assert dim_q(spec, 1, depth).fixed_point_depth == expected
     assert expected is not None and all(f == family[-1] for f in family[expected:])
 

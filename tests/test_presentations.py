@@ -81,3 +81,13 @@ def test_irreducible_sft_agrees_with_its_forbidden_two_blocks():
         a, b = entropy_bracket(sft, 20, depth=30), entropy_bracket(forbidden, 20, depth=30)
         fields = ("dims", "dims_stabilized", "sofic_detected", "fixed_point_depth")
         assert [getattr(b, f) for f in fields] == [getattr(a, f) for f in fields], M
+
+
+def test_seeded_matrix_shifts_are_sofic_at_any_window():
+    # both presentations are finite automata: sofic at l_max = 2 and a closed
+    # bracket at n_max = 4, however far the class counts are from settling
+    for M in SEEDED_MATRICES:
+        for spec in (SFT(M), _zero_blocks(M)):
+            assert sofic_check(spec, 2).sofic_detected, M
+            bracket = entropy_bracket(spec, 4)
+            assert bracket.sofic_detected and bracket.width == 0, M

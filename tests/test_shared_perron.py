@@ -161,3 +161,22 @@ def test_kms_temperature_builds_one_reachability_closure(monkeypatch):
     closures.clear()
     assert not kms_temperature(_random_sft_matrix()).heuristic
     assert closures["reachability"] == 1
+
+
+def test_transition_matrix_document_makes_one_component_pass(monkeypatch):
+    closures = Counter()
+    reachability = spectral.reachability
+
+    def counted(A):
+        closures["reachability"] += 1
+        return reachability(A)
+
+    monkeypatch.setattr(spectral, "reachability", counted)
+    flags = dict(FLAGS, reducible_mode=True)
+    report = run("all", SFT([[1, 1], [0, 1]]), flags)
+    assert report["results"]["entropy"]["exact"] == 0.0
+    # the document's component pass, and the kms section's own on the bare matrix
+    assert closures["reachability"] == 2
+    closures.clear()
+    assert run("entropy", SFT([[1, 1], [0, 1]]), flags)["results"]["entropy"]["exact"] == 0.0
+    assert closures["reachability"] == 1
