@@ -189,6 +189,7 @@ def _section_kms(spec, flags, warnings):
         depth=flags["depth"],
         tol=flags["tol"],
         reducible_mode=flags["reducible_mode"],
+        components=spec.components,
     )
     section = {
         "kind": "cuntz-krieger",

@@ -7,14 +7,16 @@ unique maximal-entropy measure of the shift; its cylinder weights also have
 the closed eigenvector form v_{w_1} u_{w_r} prod(a) / lam^(r-1), and both
 forms are implemented so they can be checked against each other.
 
-The variational check draws sample i from its own generator,
-SeedSequence([seed, i]), so the draws do not depend on the batch; the
-stationary vectors of all samples come from one stacked linear solve, with no
-iteration, and entropies take logarithms only on the support.
+The variational check draws sample i from its own stream, SeedSequence([seed,
+i]) -> PCG64 -> standard_exponential, so the draws do not depend on the batch;
+all PCG64 states are derived in one vectorized pass (the per-sample
+construction is the test oracle), the stationary vectors come from one stacked
+linear solve, and entropies take logarithms only on the support.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -169,10 +171,7 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
     parry = parry_measure(perron_vectors(A, tol=PERRON_TOL))
     top = math.log(parry.lam)
     mask = M > 0
-    Ps = np.empty((n_samples, d, d))
-    for idx in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        rng.standard_exponential(out=Ps[idx])
+    Ps = _exponential_draws(seed, n_samples, d)
     Ps *= mask
     Ps /= Ps.sum(axis=2, keepdims=True)
     pis = _stationary_batch(Ps)
@@ -198,6 +197,46 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
         seed=seed,
         entropies=entropies,
     )
+
+
+_PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _exponential_draws(seed: int, n: int, d: int) -> np.ndarray:
+    """Ps[i] = standard_exponential((d, d)) of PCG64(SeedSequence([seed, i])),
+    i < n.  SeedSequence's pool mixing and generate_state(4, uint64) run on
+    uint32 arrays, one lane per i, where products wrap; PCG64's seeding (two
+    128-bit LCG steps) runs on Python ints, and one generator loads each state."""
+    words = [int(seed) >> k & 0xFFFFFFFF for k in range(0, max(int(seed).bit_length(), 1), 32)]
+    entropy = [np.full(n, w, np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(x, mult=0x931E8875):
+        nonlocal hash_const
+        x = x ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        x = x * np.uint32(hash_const)
+        return x ^ x >> np.uint32(16)
+
+    def mix(x, y):
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return r ^ r >> np.uint32(16)
+
+    pool = [hashmix(x) for x in (entropy + [np.zeros(n, np.uint32)] * 3)[:4]]  # zero-padded pool
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for x, dst in itertools.product(entropy[4:], range(4)):  # entropy past the pool size
+        pool[dst] = mix(pool[dst], hashmix(x))
+    hash_const = 0x8B51F9DD
+    out = np.stack([hashmix(pool[i % 4], mult=0x58F38DED) for i in range(8)], axis=1)
+    Ps = np.empty((n, d, d))
+    rng = np.random.default_rng(0)
+    for idx, (s_hi, s_lo, i_hi, i_lo) in enumerate(out.astype("<u4").view("<u8").tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+        rng.bit_generator.state = dict(bit_generator="PCG64", state=state, has_uint32=0, uinteger=0)
+        rng.standard_exponential(out=Ps[idx])
+    return Ps
 
 
 def _stationary_batch(Ps: np.ndarray, tol: float = 1e-13) -> np.ndarray:

@@ -311,7 +311,7 @@ def _component_perron(M: np.ndarray, components, tol: float = DEFAULT_TOL) -> li
     """component_perron_data of a validated M over components a caller already holds."""
     out = []
     for comp in components:
-        sub = M[np.ix_(comp, comp)]
+        sub = M if len(comp) == len(M) else M[np.ix_(comp, comp)]  # no copy of an irreducible M
         data = _perron(sub, tol) if sub.any() else None  # a lone node without a self-loop
         out.append(ComponentPerron(indices=comp, radius=data.lam if data else 0.0, data=data))
     return out

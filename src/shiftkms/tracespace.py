@@ -233,7 +233,7 @@ class KmsReport:
 
 
 def kms_temperature(
-    A, depth: int = 10, tol: float = 1e-12, reducible_mode: bool = False
+    A, depth: int = 10, tol: float = 1e-12, reducible_mode: bool = False, components=None
 ) -> KmsReport:
     """KMS inverse temperature(s) of the gauge action for a 0/1 matrix.
 
@@ -241,7 +241,7 @@ def kms_temperature(
     eigen-sequence; the uniqueness flag is set when A is aperiodic.  Reducible
     A is rejected unless reducible_mode is set, in which case the bracket of
     per-component candidates is reported.  A may be a matrix or its Perron
-    data.
+    data; components, the component Perron data of a matrix A, spares a pass.
     """
     M = as_zero_one(matrix_of(A))
     if has_zero_row(M) or has_zero_column(M):
@@ -249,15 +249,15 @@ def kms_temperature(
     if isinstance(A, spectral.PerronData):
         p = perron_vectors(A, tol=min(tol, PERRON_TOL))
     else:
-        # one component pass for both branches: with no zero row, one component is irreducible
-        F = as_nonnegative(A)
-        components = spectral.strongly_connected_components(F)
+        if components is None:
+            # one component pass for both branches: with no zero row, one component is irreducible
+            components = spectral.component_perron_data(A, tol=min(tol, PERRON_TOL))
         if len(components) > 1:
             if not reducible_mode:
                 raise ReducibleMatrixError(
                     "matrix is reducible; pass reducible_mode=True for the per-component bracket"
                 )
-            radii = [c.radius for c in spectral._component_perron(F, components, tol) if c.radius > 0]
+            radii = [c.radius for c in components if c.radius > 0]
             return KmsReport(
                 lam=None,
                 beta=None,
@@ -266,7 +266,7 @@ def kms_temperature(
                 bracket=(math.log(min(radii)), math.log(max(radii))),
                 heuristic=True,
             )
-        p = spectral._perron(F, min(tol, PERRON_TOL))
+        p = components[0].data
     # the solve sft_entropy_exact makes, so beta equals log(exact entropy) bitwise
     return KmsReport(
         lam=p.lam,

@@ -38,10 +38,13 @@ reads the column sums of A^n from `shiftkms.spectral.column_sum_sequence`,
 so it checks the rescaled float recursion of
 `spectral_radius_bracket_sequences` against exact counts.
 
-The variational references (`stationary_lazy_brute`,
-`variational_entropies_brute`) are the scan's earlier algorithm: per-sample
+The variational references (`exponential_draws_brute`,
+`stationary_lazy_brute`, `variational_entropies_brute`) are the scan's earlier
+algorithm: one `default_rng(SeedSequence([seed, idx]))` generator per sample,
 draws normalized one matrix at a time, stationary vectors by lazy power
-iteration, and entropies through masked `np.where` logarithms.
+iteration, and entropies through masked `np.where` logarithms.  The package
+derives the PCG64 states of all samples in one vectorized pass and must draw
+the same bits.
 """
 
 from __future__ import annotations
@@ -250,16 +253,25 @@ def stationary_lazy_brute(Ps, tol=1e-13, max_iter=200_000):
     raise RuntimeError("stationary iteration did not converge")
 
 
+def exponential_draws_brute(seed, n_samples, d):
+    """(n_samples, d, d) standard exponential draws, sample idx from its own
+    generator default_rng(SeedSequence([seed, idx]))."""
+    return np.stack(
+        [
+            np.random.default_rng(np.random.SeedSequence([seed, idx])).standard_exponential((d, d))
+            for idx in range(n_samples)
+        ]
+    )
+
+
 def variational_entropies_brute(matrix, n_samples, seed):
     """(Ps, pis, entropies) of the variational scan's samples: sample idx is
     drawn from SeedSequence([seed, idx]), masked to the support of the matrix
     and row-normalized on its own."""
     mask = np.asarray(matrix) > 0
-    d = mask.shape[0]
-    Ps = np.zeros((n_samples, d, d))
-    for idx in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        draws = rng.standard_exponential((d, d)) * mask
+    Ps = np.zeros((n_samples, *mask.shape))
+    for idx, draws in enumerate(exponential_draws_brute(seed, n_samples, mask.shape[0])):
+        draws = draws * mask
         Ps[idx] = draws / draws.sum(axis=1, keepdims=True)
     pis = stationary_lazy_brute(Ps)
     with np.errstate(divide="ignore", invalid="ignore"):

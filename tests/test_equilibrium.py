@@ -200,6 +200,31 @@ def test_variational_scan_matches_lazy_reference(matrix, n_samples, monkeypatch)
     assert np.allclose(report.entropies, entropies, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n_samples", [1, 1000])
+@pytest.mark.parametrize("d", [1, 2, 16, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**96, 10**39 + 7])
+def test_exponential_draws_match_one_generator_per_sample(seed, d, n_samples):
+    # seeds of one to five uint32 words: with four or more, the sample index
+    # falls past the four-word pool into SeedSequence's second mixing loop
+    draws = equilibrium._exponential_draws(seed, n_samples, d)
+    assert np.array_equal(draws, oracles.exponential_draws_brute(seed, n_samples, d))
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 + 1])
+def test_variational_scan_builds_one_generator(seed, monkeypatch):
+    calls = {"SeedSequence": 0, "default_rng": 0}
+    for name in calls:
+        original = getattr(equilibrium.np.random, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium.np.random, name, counted)
+    variational_scan(GOLDEN, 1000, seed=seed)
+    assert sum(calls.values()) <= 1
+
+
 @pytest.mark.parametrize(
     "bad",
     [np.eye(2), np.array([[0.5, 0.6], [1.0, 0.0]])],

@@ -175,8 +175,11 @@ def test_transition_matrix_document_makes_one_component_pass(monkeypatch):
     flags = dict(FLAGS, reducible_mode=True)
     report = run("all", SFT([[1, 1], [0, 1]]), flags)
     assert report["results"]["entropy"]["exact"] == 0.0
-    # the document's component pass, and the kms section's own on the bare matrix
-    assert closures["reachability"] == 2
+    # the document's component pass, which the kms section reads too
+    assert closures["reachability"] == 1
+    closures.clear()
+    assert run("kms", SFT([[1, 1], [0, 1]]), flags)["results"]["kms"]["bracket"] == [0.0, 0.0]
+    assert closures["reachability"] == 1
     closures.clear()
     assert run("entropy", SFT([[1, 1], [0, 1]]), flags)["results"]["entropy"]["exact"] == 0.0
     assert closures["reachability"] == 1
