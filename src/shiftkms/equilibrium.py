@@ -175,7 +175,8 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
     Ps *= mask
     Ps /= Ps.sum(axis=2, keepdims=True)
     pis = _stationary_batch(Ps)
-    plogp = np.log(Ps, out=np.zeros_like(Ps), where=mask)
+    plogp = Ps + ~mask  # 1 off the support, where the log is 0
+    np.log(plogp, out=plogp)
     plogp *= Ps
     entropies = -np.einsum("nd,nd->n", pis, plogp.sum(axis=2))
     violations = int(np.sum(entropies > top + slack))

@@ -23,6 +23,8 @@ import numpy as np
 from . import spectral
 from .beta import beta_expansion_of_one
 
+MAX_EXACT_STATES = 256  # the closure and Noda solves are dense: cli.MAX_DIMENSION's bound
+
 __all__ = [
     "FullShift",
     "SFT",
@@ -150,10 +152,11 @@ class Automaton:
     presented language iff its run from the start never reaches the sink.
     Every state has at least one outgoing transition (the build trims dead
     ends), except an optional horizon state in depth-capped presentations;
-    max_word_length says how long a run is trustworthy.
+    max_word_length says how long a run is trustworthy.  matrix_shift is the
+    full shift or SFT presented, if any, whose component data entropy reads.
     """
 
-    def __init__(self, alphabet, delta, start, max_word_length=None):
+    def __init__(self, alphabet, delta, start, max_word_length=None, matrix_shift=None):
         labels = {start, *(q for q, _ in delta), *delta.values()}
         index = {q: i for i, q in enumerate(sorted(labels))}
         self.alphabet = alphabet
@@ -166,6 +169,7 @@ class Automaton:
         qs, cs = np.array(list(self.delta), dtype=np.intp).reshape(-1, 2).T
         self.succ[cs - 1, qs] = list(self.delta.values())
         self._count_vectors = []
+        self.matrix_shift = matrix_shift
 
     @property
     def is_empty(self) -> bool:
@@ -200,14 +204,27 @@ class Automaton:
         out = self._count_vectors
         if len(out) < n:
             start = out[-1] if out else [int(q == self.start) for q in self.states]
-            # row q of the transition-count matrix: (target, number of symbols) pairs
-            rows = [[] for _ in self.states]
-            moves = zip(list(self.states) * self.alphabet, self.succ[:, : self.sink].ravel().tolist())
-            for (q, qn), k in Counter(moves).items():
-                if qn != self.sink:
-                    rows[q].append((qn, k))
-            out.extend(spectral.integer_vector_powers(start, rows, n - len(out)))
+            out.extend(spectral.integer_vector_powers(start, self._count_rows, n - len(out)))
         return out[:n]
+
+    @cached_property
+    def _count_rows(self):
+        """Row q of the transition-count matrix: (target, number of symbols) pairs."""
+        rows = [[] for _ in self.states]
+        moves = zip(list(self.states) * self.alphabet, self.succ[:, : self.sink].ravel().tolist())
+        for (q, qn), k in Counter(moves).items():
+            if qn != self.sink:
+                rows[q].append((qn, k))
+        return rows
+
+    @cached_property
+    def components(self) -> list[spectral.ComponentPerron]:
+        """Component Perron data of the transition-count matrix over the states 0..N-1."""
+        B = np.zeros((self.sink, self.sink))
+        for q, row in enumerate(self._count_rows):
+            for qn, k in row:
+                B[q, qn] = k
+        return spectral.component_perron_data(B, tol=spectral.PERRON_TOL)
 
     def reach_order(self, l):
         """(order, sizes): the states reachable from the start by words of
@@ -226,21 +243,16 @@ class Automaton:
         return order, sizes
 
 
-def _full_automaton(d):
-    delta = {(0, c): 0 for c in range(1, d + 1)}
-    return Automaton(d, delta, start=0)
+def _full_automaton(spec):
+    delta = {(0, c): 0 for c in range(1, spec.alphabet + 1)}
+    return Automaton(spec.alphabet, delta, start=0, matrix_shift=spec)
 
 
-def _sft_automaton(M):
-    d = M.shape[0]
-    delta = {}
-    for c in range(1, d + 1):
-        delta[(0, c)] = c
-    for i in range(1, d + 1):
-        for c in range(1, d + 1):
-            if M[i - 1, c - 1]:
-                delta[(i, c)] = c
-    return Automaton(d, delta, start=0)
+def _sft_automaton(spec):
+    d = len(spec.matrix)
+    delta = {(0, c): c for c in range(1, d + 1)}  # state c follows symbol c
+    delta.update({(i + 1, c + 1): c + 1 for i, c in np.argwhere(spec.matrix).tolist()})
+    return Automaton(d, delta, start=0, matrix_shift=spec)
 
 
 def _forbidden_automaton(d, words):
@@ -287,20 +299,15 @@ def _forbidden_automaton(d, words):
     # keep only states that are reachable and extend forever
     while True:
         live = {q for (q, _) in delta}
-        stale = [e for e, qn in delta.items() if qn not in live]
-        if not stale:
+        if all(qn in live for qn in delta.values()):
             break
-        for e in stale:
-            del delta[e]
-    reachable = {0}
-    frontier = [0]
+        delta = {e: qn for e, qn in delta.items() if qn in live}
+    reachable, frontier = {0}, [0]
     while frontier:
         q = frontier.pop()
-        for s in range(1, d + 1):
-            qn = delta.get((q, s))
-            if qn is not None and qn not in reachable:
-                reachable.add(qn)
-                frontier.append(qn)
+        new = {delta[(q, s)] for s in range(1, d + 1) if (q, s) in delta} - reachable
+        reachable |= new
+        frontier.extend(new)
     delta = {(q, s): qn for (q, s), qn in delta.items() if q in reachable}
     return Automaton(d, delta, start=0)
 
@@ -347,9 +354,9 @@ def _beta_automaton(spec: BetaShift):
 
 def build_automaton(spec) -> Automaton:
     if isinstance(spec, FullShift):
-        return _full_automaton(spec.alphabet)
+        return _full_automaton(spec)
     if isinstance(spec, SFT):
-        return _sft_automaton(spec.matrix)
+        return _sft_automaton(spec)
     if isinstance(spec, ForbiddenWords):
         return _forbidden_automaton(spec.alphabet, spec.words)
     if isinstance(spec, BetaShift):
@@ -414,8 +421,9 @@ class EntropyEstimate:
 
     theta[i] is the exact count of admissible words of length i+1 and
     log_rates[i] = log(theta[i]) / (i+1).  extrapolated combines the Fekete
-    infimum with a trailing log-ratio; exact is filled for presentations whose
-    entropy has a closed form (full shift, SFT).
+    infimum with a trailing log-ratio.  exact is the entropy h and method its
+    route: "transfer-matrix", "automaton-transfer-matrix", "log-beta", or
+    "word-counts" when exact is None (more than MAX_EXACT_STATES states).
     """
 
     theta: tuple[int, ...]
@@ -434,7 +442,7 @@ def _extrapolate(theta, log_rates) -> float:
 
 
 def topological_entropy(spec, n_max: int) -> EntropyEstimate:
-    """Entropy estimate from word counts up to length n_max (n_max >= 2).
+    """Word counts up to length n_max (n_max >= 2), their extrapolation and the entropy h.
 
     Raises ValueError for an empty subshift (theta_1 = 0).
     """
@@ -445,17 +453,18 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
         raise ValueError("subshift is empty (theta_1 = 0)")
     log_rates = tuple(math.log(t) / n for n, t in enumerate(theta, start=1))
     extrapolated = _extrapolate(theta, log_rates)
-    exact = None
-    if isinstance(spec, FullShift):
-        exact = math.log(spec.alphabet)
-        method = "full"
-    elif isinstance(spec, SFT):
-        exact = math.log(max(c.radius for c in spec.components))
+    # h: the log of the largest component Perron root of a right-resolving presentation
+    # (Lind & Marcus 1995, Thm 4.3.3), log beta on a non-terminating beta's chain (Parry 1960)
+    aut = automaton_for(spec)
+    exact, method = None, "word-counts"
+    if aut.max_word_length is not None:
+        exact, method = math.log(float(spec.beta)), "log-beta"
+    elif aut.matrix_shift is not None:
+        exact = math.log(max(c.radius for c in aut.matrix_shift.components))
         method = "transfer-matrix"
-    elif isinstance(spec, ForbiddenWords):
-        method = "forbidden-factor-automaton"
-    else:
-        method = "beta-follower-automaton"
+    elif aut.sink <= MAX_EXACT_STATES:
+        exact = math.log(max(c.radius for c in aut.components))
+        method = "automaton-transfer-matrix"
     return EntropyEstimate(
         theta=tuple(theta),
         log_rates=log_rates,
@@ -468,7 +477,5 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
 def sft_entropy_exact(A) -> float:
     """log of the spectral radius of the transition matrix; A may be the
     matrix or its Perron data."""
-    M = spectral.as_zero_one(spectral.matrix_of(A))
-    if spectral.has_zero_row(M) or spectral.has_zero_column(M):
-        raise ValueError("SFT matrix must have no zero row and no zero column")
+    SFT(spectral.matrix_of(A))  # validates the matrix
     return math.log(spectral.spectral_radius(A, tol=spectral.PERRON_TOL))

@@ -267,7 +267,7 @@ def kms_temperature(
                 heuristic=True,
             )
         p = components[0].data
-    # the solve sft_entropy_exact makes, so beta equals log(exact entropy) bitwise
+    # the component data topological_entropy also reads, so beta equals its exact entropy
     return KmsReport(
         lam=p.lam,
         beta=math.log(p.lam),

@@ -14,7 +14,7 @@ from shiftkms import (
     predecessor_set,
     sofic_check,
 )
-from shiftkms.subshift import automaton_for
+from shiftkms.subshift import automaton_for, topological_entropy
 
 import oracles
 
@@ -221,6 +221,19 @@ def test_bracket_beta_17_correction():
     assert report.dims == tuple(n + 1 for n in range(1, 31))
     expected = 2 * math.log(31) / 30
     assert abs((report.upper - report.lower) - expected) < 1e-12
+
+
+def test_bracket_lower_is_the_exact_entropy():
+    # the word-count extrapolation sits up to 5.3e-3 above log(phi) at n = 6
+    for n in range(4, 31):
+        report = entropy_bracket(GOLDEN, n)
+        assert report.lower == report.upper == topological_entropy(GOLDEN, n).exact, n
+        assert abs(report.lower - math.log(PHI)) <= 1e-15, n
+    spec = BetaShift("1.7", digit_depth=80)
+    assert topological_entropy(spec, 30).exact == math.log(1.7)
+    report = entropy_bracket(spec, 30, depth=40)
+    assert report.lower == math.log(1.7)
+    assert abs(report.width - 2 * math.log(31) / 30) < 1e-12
 
 
 def test_validation_errors():

@@ -2,18 +2,20 @@
 
 Each family lists different presentations of the same one-sided shift: the
 full shift on 3 symbols, and the golden-mean shift (no factor 22).  Word
-counts, past-class counts with their stabilized flags, sofic verdicts and
-brackets are properties of the language, so they must be equal within a
-family.  The depth at which the subset family stops changing depends on the
-presentation in general; these presentations reach it at the same depth (0
-and 1).  `entropy.exact` is not compared: only the matrix presentations have
-a closed form.
+counts, past-class counts with their stabilized flags, sofic verdicts,
+brackets and the exact entropy are properties of the language, so they must
+be equal within a family.  The depth at which the subset family stops
+changing depends on the presentation in general; these presentations reach
+it at the same depth (0 and 1).  The exact entropy is read off a different
+graph per presentation (a transition matrix or an automaton's transition
+counts), so it is compared to 1e-15 relative, or absolutely when it is 0.
 
 Seeded irreducible 0/1 matrices, d = 2..8, are also compared with the
 forbidden-word shift of their zero 2-blocks.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +29,11 @@ from shiftkms import (
     dim_q,
     entropy_bracket,
     sofic_check,
+    spectral,
+    subshift,
+    topological_entropy,
 )
+from shiftkms.cli import run
 
 import oracles
 
@@ -56,11 +62,17 @@ def test_presentations_of_one_shift_agree(name):
     bracket = entropy_bracket(first, 30)
     assert sofic.sofic_detected and bracket.width == 0
     assert sofic.fixed_point_depth == bracket.fixed_point_depth == fixed
+    exact = topological_entropy(first, 30).exact
     for spec in rest:
+        assert _same_entropy(topological_entropy(spec, 30).exact, exact), spec
         assert count_words_sequence(spec, 30) == theta, spec
         assert sofic_check(spec, 10) == sofic, spec
         assert entropy_bracket(spec, 30) == bracket, spec
         assert [dim_q(spec, n, 12) for n in range(6)] == [dim_q(first, n, 12) for n in range(6)]
+
+
+def _same_entropy(a, b):
+    return abs(a - b) <= 1e-15 * (abs(b) or 1.0)
 
 
 def _zero_blocks(M):
@@ -77,6 +89,8 @@ def test_irreducible_sft_agrees_with_its_forbidden_two_blocks():
     for M in SEEDED_MATRICES:
         sft, forbidden = SFT(M), _zero_blocks(M)
         assert count_words_sequence(forbidden, 20) == count_words_sequence(sft, 20), M
+        exact = topological_entropy(sft, 20).exact
+        assert _same_entropy(topological_entropy(forbidden, 20).exact, exact), M
         assert sofic_check(forbidden, 10, depth=12) == sofic_check(sft, 10, depth=12), M
         a, b = entropy_bracket(sft, 20, depth=30), entropy_bracket(forbidden, 20, depth=30)
         fields = ("dims", "dims_stabilized", "sofic_detected", "fixed_point_depth")
@@ -91,3 +105,56 @@ def test_seeded_matrix_shifts_are_sofic_at_any_window():
             assert sofic_check(spec, 2).sofic_detected, M
             bracket = entropy_bracket(spec, 4)
             assert bracket.sofic_detected and bracket.width == 0, M
+
+
+FLAGS = {
+    "max_n": 12,
+    "depth": 12,
+    "tol": 1e-12,
+    "samples": 20,
+    "seed": 0,
+    "reducible_mode": False,
+    "no_timestamp": True,
+}
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    # a presentation's automaton keeps its component data; start from no automaton
+    subshift._cached_automaton_for.cache_clear()
+    seen = Counter()
+    reachability = spectral.reachability
+
+    def counted(A):
+        seen["reachability"] += 1
+        return reachability(A)
+
+    monkeypatch.setattr(spectral, "reachability", counted)
+    return seen
+
+
+def test_automaton_entropy_makes_one_component_pass(closures):
+    # the forbidden automaton's component data is kept, so the bracket's
+    # second entropy call solves nothing
+    report = run("all", ForbiddenWords(3, ((1, 2), (3, 3, 1))), FLAGS)["results"]
+    assert report["entropy"]["method"] == "automaton-transfer-matrix"
+    assert report["bracket"]["lower"] == report["entropy"]["exact"]
+    assert closures["reachability"] == 1
+
+
+def test_capped_beta_entropy_solves_nothing(closures):
+    report = run("all", BetaShift("1.7", digit_depth=64), FLAGS)["results"]
+    assert report["entropy"]["exact"] == math.log(1.7)
+    assert report["entropy"]["method"] == "log-beta"
+    assert closures["reachability"] == 0
+
+
+def test_large_automaton_keeps_the_extrapolation(closures):
+    # 40 words of length 12 over {1, 2} leave 264 automaton states, past the
+    # dense bound (subshift.MAX_EXACT_STATES = 256)
+    words = np.random.default_rng(30).integers(1, 3, (40, 12))
+    spec = ForbiddenWords(2, tuple(map(tuple, words.tolist())))
+    assert len(subshift.automaton_for(spec).states) == 264
+    est = topological_entropy(spec, 12)
+    assert est.exact is None and est.method == "word-counts"
+    assert closures["reachability"] == 0

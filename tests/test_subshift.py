@@ -194,7 +194,7 @@ def test_entropy_extrapolation_close_for_small_sfts():
 def test_entropy_beta_estimates_log_beta():
     est = topological_entropy(BetaShift("1.7", digit_depth=64), 40)
     assert abs(est.extrapolated - math.log(1.7)) < 1e-2
-    assert est.exact is None
+    assert est.exact == math.log(1.7) and est.method == "log-beta"
 
 
 def test_entropy_empty_language_errors():
