@@ -39,8 +39,10 @@ MAX_DIMENSION = 256
 MAX_DIGIT_DEPTH = 4096
 MAX_WORD_LENGTH = 1000  # --max-n and --depth
 MAX_SAMPLES = 100_000
-# the variational scan allocates (samples, d, d) float64 arrays, 64 MB each at this bound
-MAX_SAMPLE_ENTRIES = 2**23
+# samples times d^3, the work of the variational scan's stationary solves:
+# 1000 samples at d = 256 take 3-4 s on a 2-vCPU VM.  The scan runs in
+# blocks of fixed size, so its memory does not grow with the samples
+MAX_SCAN_WORK = 2**34
 # symbols over all forbidden words (S), and alphabet times S: the Aho-Corasick
 # automaton has up to S + 1 states and the Krieger passes gather d-wide arrays
 # over them
@@ -217,8 +219,6 @@ def _section_parry(spec, flags, warnings):
 
 
 def _section_krieger(spec, flags, warnings):
-    if flags["depth"] < 2:
-        raise InputError(f"--depth must be at least 2 for the krieger section, got {flags['depth']}")
     l_max = max(2, min(flags["max_n"], flags["depth"] - 2))
     report = krieger.sofic_check(spec, l_max, depth=flags["depth"])
     if not all(report.stabilized):
@@ -316,23 +316,34 @@ def run(command: str, spec, flags) -> dict:
     _at_most("--samples", flags["samples"], MAX_SAMPLES)
     if not (math.isfinite(flags["tol"]) and flags["tol"] > 0):
         raise InputError(f"--tol must be finite and > 0, got {flags['tol']!r}")
-    if command in ("variational", "all") and isinstance(spec, TRANSITION_MATRIX):
-        d = len(spec.matrix)
-        _at_most(f"--samples times d^2 (d = {d})", flags["samples"] * d * d, MAX_SAMPLE_ENTRIES)
-    warnings: list[str] = []
-    results = {}
+    plan = []  # (name, section builder, the warning that skips it or None), in report order
     for name, (types, section) in SECTIONS.items():
         if command not in (name, "all"):
             continue
+        skip = None
         if not isinstance(spec, types):
-            if command == "all":
-                warnings.append(f"{name}: not applicable to this input, skipped")
-                continue
-            raise InputError(f"command '{name}' is not applicable to this input")
-        if command == "all" and flags["reducible_mode"] and name in NEEDS_PERRON and spec.perron is None:
-            warnings.append(f"{name}: needs an irreducible matrix, skipped in reducible mode")
-            continue
-        results[name] = section(spec, flags, warnings)
+            if command != "all":
+                raise InputError(f"command '{name}' is not applicable to this input")
+            skip = f"{name}: not applicable to this input, skipped"
+        elif command == "all" and flags["reducible_mode"] and name in NEEDS_PERRON and spec.perron is None:
+            skip = f"{name}: needs an irreducible matrix, skipped in reducible mode"
+        plan.append((name, section, skip))
+    # the flags of the sections that will run are checked before the first runs
+    running = {name for name, _, skip in plan if skip is None}
+    if "krieger" in running and flags["depth"] < 2:
+        raise InputError(f"--depth must be at least 2 for the krieger section, got {flags['depth']}")
+    if "variational" in running:
+        if flags["seed"] < 0:
+            raise InputError(f"--seed must be nonnegative for the variational section, got {flags['seed']}")
+        d = len(spec.matrix)
+        _at_most(f"--samples times d^3 (d = {d})", flags["samples"] * d**3, MAX_SCAN_WORK)
+    warnings: list[str] = []
+    results = {}
+    for name, section, skip in plan:
+        if skip is None:
+            results[name] = section(spec, flags, warnings)
+        else:
+            warnings.append(skip)
     report = {
         "tool": "shiftkms",
         "version": __version__,

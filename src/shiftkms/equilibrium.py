@@ -8,10 +8,12 @@ the closed eigenvector form v_{w_1} u_{w_r} prod(a) / lam^(r-1), and both
 forms are implemented so they can be checked against each other.
 
 The variational check draws sample i from its own stream, SeedSequence([seed,
-i]) -> PCG64 -> standard_exponential, so the draws do not depend on the batch;
-all PCG64 states are derived in one vectorized pass (the per-sample
-construction is the test oracle), the stationary vectors come from one stacked
-linear solve, and entropies take logarithms only on the support.
+i]) -> PCG64 -> standard_exponential, so the draws do not depend on how the
+samples are grouped; all PCG64 states are derived in one vectorized pass (the
+per-sample construction is the test oracle).  The scan then runs in blocks of
+about _BLOCK_ENTRIES float64 entries: each block draws its samples, solves for
+their stationary vectors in one stacked linear solve and takes logarithms only
+on the support, so memory does not grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -153,6 +155,12 @@ class VariationalReport:
     entropies: np.ndarray
 
 
+# float64 entries of one block of (samples, d, d) arrays in the variational
+# scan, 512 KB, so the two or three arrays a block holds at once fit a 2 MB
+# L2 cache: at d = 64 blocks of 2^16 entries ran faster than blocks of 2^18
+_BLOCK_ENTRIES = 2**16
+
+
 def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> VariationalReport:
     """Sample row-stochastic matrices supported exactly on A and compare their
     stationary entropies with log r(A).
@@ -160,7 +168,9 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
     Every sampled entropy must stay below log r(A) + slack (a violation raises
     InvariantViolation); the Parry measure is appended to the ensemble so the
     reported maximum attains the top value.  A may be a matrix or its Perron
-    data; the one Perron solve is handed on to parry_measure.
+    data; the one Perron solve is handed on to parry_measure.  Samples are
+    scanned in blocks of max(1, _BLOCK_ENTRIES // d^2); a sample's entropy
+    does not depend on its block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -171,14 +181,12 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
     parry = parry_measure(perron_vectors(A, tol=PERRON_TOL))
     top = math.log(parry.lam)
     mask = M > 0
-    Ps = _exponential_draws(seed, n_samples, d)
-    Ps *= mask
-    Ps /= Ps.sum(axis=2, keepdims=True)
-    pis = _stationary_batch(Ps)
-    plogp = Ps + ~mask  # 1 off the support, where the log is 0
-    np.log(plogp, out=plogp)
-    plogp *= Ps
-    entropies = -np.einsum("nd,nd->n", pis, plogp.sum(axis=2))
+    states = _stream_states(seed, n_samples)
+    rng = np.random.default_rng(0)
+    entropies = np.empty(n_samples)
+    size = max(1, _BLOCK_ENTRIES // (d * d))
+    for start in range(0, n_samples, size):
+        entropies[start : start + size] = _block_entropies(rng, states[start : start + size], mask)
     violations = int(np.sum(entropies > top + slack))
     if violations:
         raise InvariantViolation(
@@ -200,14 +208,26 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
     )
 
 
+def _block_entropies(rng, states: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Stationary entropies of the chains drawn from states and supported on
+    mask; the block's arrays are freed on return."""
+    Ps = _draw_exponentials(rng, states, mask.shape[0])
+    Ps *= mask
+    Ps /= Ps.sum(axis=2, keepdims=True)
+    pis = _stationary_batch(Ps)
+    plogp = Ps + ~mask  # 1 off the support, where the log is 0
+    np.log(plogp, out=plogp)
+    plogp *= Ps
+    return -np.einsum("nd,nd->n", pis, plogp.sum(axis=2))
+
+
 _PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
-def _exponential_draws(seed: int, n: int, d: int) -> np.ndarray:
-    """Ps[i] = standard_exponential((d, d)) of PCG64(SeedSequence([seed, i])),
-    i < n.  SeedSequence's pool mixing and generate_state(4, uint64) run on
-    uint32 arrays, one lane per i, where products wrap; PCG64's seeding (two
-    128-bit LCG steps) runs on Python ints, and one generator loads each state."""
+def _stream_states(seed: int, n: int) -> np.ndarray:
+    """(n, 4) uint64: row i is SeedSequence([seed, i]).generate_state(4, uint64),
+    the words PCG64 seeds itself from.  SeedSequence's pool mixing runs on
+    uint32 arrays, one lane per i, where products wrap."""
     words = [int(seed) >> k & 0xFFFFFFFF for k in range(0, max(int(seed).bit_length(), 1), 32)]
     entropy = [np.full(n, w, np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
     hash_const = 0x43B0D7E5
@@ -230,14 +250,26 @@ def _exponential_draws(seed: int, n: int, d: int) -> np.ndarray:
         pool[dst] = mix(pool[dst], hashmix(x))
     hash_const = 0x8B51F9DD
     out = np.stack([hashmix(pool[i % 4], mult=0x58F38DED) for i in range(8)], axis=1)
-    Ps = np.empty((n, d, d))
-    rng = np.random.default_rng(0)
-    for idx, (s_hi, s_lo, i_hi, i_lo) in enumerate(out.astype("<u4").view("<u8").tolist()):
+    return out.astype("<u4").view("<u8")
+
+
+def _draw_exponentials(rng, states: np.ndarray, d: int) -> np.ndarray:
+    """Ps[k] = standard_exponential((d, d)) of the PCG64 seeded from row k of
+    _stream_states.  PCG64's seeding (two 128-bit LCG steps) runs on Python
+    ints, and the generator rng loads each state in turn."""
+    Ps = np.empty((len(states), d, d))
+    for P, (s_hi, s_lo, i_hi, i_lo) in zip(Ps, states.tolist()):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         state = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
         rng.bit_generator.state = dict(bit_generator="PCG64", state=state, has_uint32=0, uinteger=0)
-        rng.standard_exponential(out=Ps[idx])
+        rng.standard_exponential(out=P)
     return Ps
+
+
+def _exponential_draws(seed: int, n: int, d: int) -> np.ndarray:
+    """Ps[i] = standard_exponential((d, d)) of PCG64(SeedSequence([seed, i])),
+    i < n: the draws of every block of the scan, joined."""
+    return _draw_exponentials(np.random.default_rng(0), _stream_states(seed, n), d)
 
 
 def _stationary_batch(Ps: np.ndarray, tol: float = 1e-13) -> np.ndarray:

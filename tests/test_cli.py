@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import shiftkms
-from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT
+from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, cli
 from shiftkms.cli import (
     MAX_DIGIT_DEPTH,
     MAX_DIMENSION,
     MAX_FORBIDDEN_ENTRIES,
     MAX_FORBIDDEN_SYMBOLS,
-    MAX_SAMPLE_ENTRIES,
     MAX_SAMPLES,
+    MAX_SCAN_WORK,
     MAX_WORD_LENGTH,
     InputError,
     main,
@@ -26,6 +26,8 @@ from shiftkms.cli import (
 )
 from shiftkms.equilibrium import InvariantViolation
 from shiftkms.spectral import ConvergenceError
+
+import oracles
 
 GOLDEN_DOC = '{"type": "sft", "matrix": [[1, 1], [1, 0]]}'
 
@@ -289,14 +291,14 @@ def test_parse_spec_rejects_oversized_field(field, doc):
         parse_spec(doc)
 
 
-# one oversized value per bounded flag; the variational scan allocates
-# (samples, d, d) float64 arrays, so at d = 64 samples stop at 2^23 / 64^2
+# one oversized value per bounded flag; the variational scan's work is
+# samples x d^3, so at d = 64 samples stop at 2^34 / 64^3
 OVERSIZED_FLAGS = [
     ("--max-n", "entropy", FullShift(2), {"max_n": 1001}),
     ("--depth", "entropy", FullShift(2), {"depth": 1001}),
     ("--samples", "entropy", FullShift(2), {"samples": 100_001}),
-    ("--samples", "variational", FullShift(64), {"samples": 2049}),
-    ("--samples", "all", FullShift(64), {"samples": 2049}),
+    ("--samples", "variational", FullShift(64), {"samples": 65537}),
+    ("--samples", "all", FullShift(64), {"samples": 65537}),
     ("--tol", "kms", FullShift(2), {"tol": -1.0}),
     ("--tol", "kms", FullShift(2), {"tol": 0.0}),
     ("--tol", "kms", FullShift(2), {"tol": math.nan}),
@@ -318,9 +320,37 @@ def test_bounds_themselves_are_accepted():
     assert spec.alphabet == MAX_DIMENSION and spec.digit_depth == MAX_DIGIT_DEPTH
     flags = dict(DEFAULT_FLAGS, max_n=MAX_WORD_LENGTH, depth=MAX_WORD_LENGTH, samples=MAX_SAMPLES)
     assert run("entropy", FullShift(2), flags)["results"]["entropy"]["n_max"] == MAX_WORD_LENGTH
-    # the samples x d^2 bound only applies where the scan runs
-    assert run("entropy", FullShift(64), dict(DEFAULT_FLAGS, samples=2049))["results"]
-    assert MAX_SAMPLE_ENTRIES // 64**2 == 2048
+    # the samples x d^3 bound only applies where the scan runs
+    assert run("entropy", FullShift(64), dict(DEFAULT_FLAGS, samples=65537))["results"]
+    assert MAX_SCAN_WORK // 64**3 == 65536
+    # and it admits the default 1000 samples at the largest dimension
+    assert MAX_SCAN_WORK // MAX_DIMENSION**3 >= 1000
+
+
+def test_main_all_runs_at_default_flags_on_d128(tmp_path):
+    matrix = oracles.random_irreducible_zero_one(np.random.default_rng(128), 128, 0.6)
+    doc = tmp_path / "spec.json"
+    doc.write_text(json.dumps({"type": "sft", "matrix": matrix.tolist()}))
+    assert main(["all", str(doc), "--no-timestamp", "--output", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--depth", "1"), ("--seed", "-3")])
+def test_main_all_rejects_flags_before_any_section_runs(flag, value, tmp_path, monkeypatch):
+    calls = []
+    for name, (types, section) in cli.SECTIONS.items():
+
+        def counted(*args, _name=name, _section=section):
+            calls.append(_name)
+            return _section(*args)
+
+        monkeypatch.setitem(cli.SECTIONS, name, (types, counted))
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+    assert main(["all", str(doc), flag, value]) == 1
+    assert calls == []
+    # a flag is only checked where its section runs
+    assert main(["entropy", str(doc), flag, value, "--output", str(tmp_path / "out.json")]) == 0
+    assert calls == ["entropy"]
 
 
 def test_forbidden_bounds_themselves_are_accepted():
