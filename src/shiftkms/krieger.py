@@ -12,7 +12,10 @@ the subset family as a packed bitset matrix (one distinct subset per row) and
 stops at the first depth whose family equals the next one: the recursion is
 deterministic, so every deeper family is the same and the counts are final for
 the presenting automaton.  The reports give that depth as `fixed_point_depth`
-(None when the family still changes at the requested depth).  `omega_l` and
+(None when the family still changes at the requested depth).  The core is
+memoized per automaton and arguments, so `sofic_check` and `entropy_bracket`
+at the same n and depth (the krieger and bracket sections of one `all`
+document) share one pass.  `omega_l` and
 `predecessor_set` enumerate words, layer by layer through one enumerator, and
 serve as the independent cross-check.  Every pass reads the automaton's
 successor table `succ`.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,8 +196,10 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
     )
 
 
+@lru_cache(maxsize=128)
 def _class_counts(aut: Automaton, n_max: int, depth: int):
-    """(counts at `depth`, counts at `depth - 1`, fixed_point_depth).
+    """(counts at `depth`, counts at `depth - 1`, fixed_point_depth), the
+    counts as tuples, since the memoized result is shared by its callers.
 
     A family is a bool matrix whose rows are its distinct readability subsets
     (columns are the states 0..N of aut.succ, the sink N last); the next one
@@ -232,12 +238,12 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     def counts(fam):
         rows = fam[fam[:, aut.start]][:, order]
         if not len(rows):
-            return [0] * (n_max + 1)
+            return (0,) * (n_max + 1)
         rows = rows[np.lexsort(rows.T[::-1])]
         differs = rows[1:] != rows[:-1]
         first = np.sort(np.where(differs.any(axis=1), differs.argmax(axis=1), len(order)))
         # distinct prefixes of length k = 1 + adjacent pairs first differing before k
-        return (1 + np.searchsorted(first, sizes)).tolist()
+        return tuple((1 + np.searchsorted(first, sizes)).tolist())
 
     at_depth = counts(family)
     before = at_depth if fixed_point_depth is not None else counts(prev)

@@ -40,11 +40,12 @@ so it checks the rescaled float recursion of
 
 The variational references (`exponential_draws_brute`,
 `stationary_lazy_brute`, `variational_entropies_brute`) are the scan's earlier
-algorithm: one `default_rng(SeedSequence([seed, idx]))` generator per sample,
-draws normalized one matrix at a time, stationary vectors by lazy power
-iteration, and entropies through masked `np.where` logarithms.  The package
-derives the PCG64 states of all samples in one vectorized pass and must draw
-the same bits.
+algorithm: all samples drawn in one `default_rng(seed).standard_exponential`
+call, normalized one matrix at a time, stationary vectors by lazy power
+iteration stopped on a geometric bound of the steps still to come, and
+entropies through masked `np.where` logarithms.  The package draws the same
+stream block by block and must get the same bits, whatever the block size;
+`stationary_mpmath` solves one chain at 50 digits to check both solvers.
 """
 
 from __future__ import annotations
@@ -241,33 +242,51 @@ def beta_automaton_kmp(spec) -> Automaton:
 
 def stationary_lazy_brute(Ps, tol=1e-13, max_iter=200_000):
     """Stationary rows of a batch of stochastic matrices by lazy power
-    iteration pi <- (pi + pi P) / 2, which also converges on periodic chains."""
+    iteration pi <- (pi + pi P) / 2, which also converges on periodic chains.
+
+    A chain stops once the steps still to come, bounded by the geometric tail
+    step r / (1 - r) with r = step / previous step, add up to at most tol in
+    l1: a small step alone is no bound, since a slowly mixing chain (r near 1)
+    has far more still to move.
+    """
     n, d, _ = Ps.shape
     pis = np.full((n, d), 1.0 / d)
+    steps = np.full(n, np.nan)  # no step yet: every comparison with it is False
+    live = np.arange(n)
     for _ in range(max_iter):
-        nxt = 0.5 * (pis + np.einsum("nd,nde->ne", pis, Ps))
-        err = np.abs(nxt - pis).sum(axis=1).max()
-        pis = nxt
-        if err <= tol:
+        if not len(live):
             return pis / pis.sum(axis=1, keepdims=True)
+        nxt = 0.5 * (pis[live] + np.einsum("nd,nde->ne", pis[live], Ps[live]))
+        prev, step = steps[live], np.abs(nxt - pis[live]).sum(axis=1)
+        pis[live], steps[live] = nxt, step
+        # step r / (1 - r) <= tol, multiplied out by prev - step > 0
+        done = (step == 0) | (step < prev) & (step * step <= tol * (prev - step))
+        live = live[~done]
     raise RuntimeError("stationary iteration did not converge")
 
 
+def stationary_mpmath(P, dps=50):
+    """Stationary row of one stochastic matrix by an mpmath LU solve of
+    (P^T - I) pi = 0, its last row replaced by sum(pi) = 1, at dps digits."""
+    d = len(P)
+    with mpmath.workdps(dps):
+        system = mpmath.matrix(np.asarray(P).T.tolist()) - mpmath.eye(d)
+        for j in range(d):
+            system[d - 1, j] = 1
+        pi = mpmath.lu_solve(system, mpmath.matrix([0] * (d - 1) + [1]))
+        return np.array([float(x) for x in pi])
+
+
 def exponential_draws_brute(seed, n_samples, d):
-    """(n_samples, d, d) standard exponential draws, sample idx from its own
-    generator default_rng(SeedSequence([seed, idx]))."""
-    return np.stack(
-        [
-            np.random.default_rng(np.random.SeedSequence([seed, idx])).standard_exponential((d, d))
-            for idx in range(n_samples)
-        ]
-    )
+    """(n_samples, d, d) standard exponential draws of default_rng(seed) in
+    one call, sample idx taking variates idx d^2 .. (idx + 1) d^2 - 1."""
+    return np.random.default_rng(seed).standard_exponential((n_samples, d, d))
 
 
 def variational_entropies_brute(matrix, n_samples, seed):
-    """(Ps, pis, entropies) of the variational scan's samples: sample idx is
-    drawn from SeedSequence([seed, idx]), masked to the support of the matrix
-    and row-normalized on its own."""
+    """(Ps, pis, entropies) of the variational scan's samples: all drawn at
+    once from default_rng(seed), then each masked to the support of the
+    matrix and row-normalized on its own."""
     mask = np.asarray(matrix) > 0
     Ps = np.zeros((n_samples, *mask.shape))
     for idx, draws in enumerate(exponential_draws_brute(seed, n_samples, mask.shape[0])):

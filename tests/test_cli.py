@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import shiftkms
-from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, cli
+from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, cli, krieger, subshift
 from shiftkms.cli import (
     MAX_DIGIT_DEPTH,
     MAX_DIMENSION,
@@ -126,6 +126,23 @@ def test_run_all_skips_inapplicable_with_warning():
     assert "entropy" in report["results"]
     assert "parry" not in report["results"]
     assert any("parry" in w for w in report["warnings"])
+
+
+def test_run_all_counts_the_krieger_classes_once(monkeypatch):
+    # the krieger and bracket sections ask for the same class counts at these flags
+    krieger._class_counts.cache_clear()
+    calls = []
+    reach_order = subshift.Automaton.reach_order
+
+    def counted(self, l):
+        calls.append(l)
+        return reach_order(self, l)
+
+    monkeypatch.setattr(subshift.Automaton, "reach_order", counted)
+    spec = parse_spec('{"type": "beta", "beta": "1.2345", "digit_depth": 230}')
+    report = run("all", spec, dict(DEFAULT_FLAGS, max_n=100, depth=110))
+    assert "krieger" in report["results"] and "bracket" in report["results"]
+    assert calls == [100]
 
 
 def test_timestamp_toggle():

@@ -235,14 +235,44 @@ def test_variational_scan_memory_does_not_grow_with_the_samples():
     assert peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [GOLDEN, oracles.random_irreducible_zero_one(np.random.default_rng(64), 64, 0.6)],
+    ids=["golden", "random64"],
+)
+def test_variational_scan_is_prefix_stable(matrix):
+    # 37 samples: a multiple of neither the block of 16 at d = 64 nor of 16384 at d = 2
+    longer = variational_scan(matrix, 150, seed=4).entropies
+    shorter = variational_scan(matrix, 37, seed=4).entropies
+    assert np.array_equal(longer[:37], shorter)
+
+
 @pytest.mark.parametrize("n_samples", [1, 1000])
 @pytest.mark.parametrize("d", [1, 2, 16, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**96, 10**39 + 7])
-def test_exponential_draws_match_one_generator_per_sample(seed, d, n_samples):
-    # seeds of one to five uint32 words: with four or more, the sample index
-    # falls past the four-word pool into SeedSequence's second mixing loop
-    draws = equilibrium._exponential_draws(seed, n_samples, d)
-    assert np.array_equal(draws, oracles.exponential_draws_brute(seed, n_samples, d))
+def test_scan_draws_are_one_stream_in_sample_order(seed, d, n_samples, monkeypatch):
+    # seeds of one to five uint32 words; at d = 64 the 1000 samples span 63 blocks
+    blocks = []
+    entropies = equilibrium._block_entropies
+
+    def spy(Ps, mask):
+        blocks.append(Ps.copy())
+        return entropies(Ps, mask)
+
+    monkeypatch.setattr(equilibrium, "_block_entropies", spy)
+    variational_scan(np.ones((d, d), dtype=int), n_samples, seed=seed)
+    assert np.array_equal(np.concatenate(blocks), oracles.exponential_draws_brute(seed, n_samples, d))
+
+
+def test_lazy_oracle_converges_on_a_slowly_mixing_chain():
+    # sample 287 of ones3 at seed 3 has second eigenvalue 0.933: a lazy step
+    # of 1e-13 still leaves about 30 times that to move
+    Ps, pis, _ = oracles.variational_entropies_brute(np.ones((3, 3), dtype=int), 300, seed=3)
+    chain = Ps[287]
+    assert sorted(np.abs(np.linalg.eigvals(chain)))[1] > 0.93
+    exact = oracles.stationary_mpmath(chain)
+    assert np.abs(pis[287] - exact).max() <= 1e-12
+    assert np.abs(equilibrium._stationary_batch(chain[None].copy())[0] - exact).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [7, 2**64 + 1])
