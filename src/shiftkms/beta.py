@@ -58,6 +58,12 @@ class BetaExpansion:
         return self.greedy[:n]
 
 
+def exact_base(beta) -> Fraction:
+    """The exact value of a base: a string as the decimal it spells, anything
+    else at the binary value of its float."""
+    return Fraction(beta) if isinstance(beta, str) else Fraction(float(beta))
+
+
 def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TOL) -> BetaExpansion:
     """Greedy digits of 1 in base beta, with termination report.
 
@@ -74,7 +80,7 @@ def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TO
     """
     if n_digits < 1:
         raise ValueError("n_digits must be >= 1")
-    b = Fraction(beta) if isinstance(beta, str) else Fraction(float(beta))
+    b = exact_base(beta)
     beta_float = float(b)
     if beta_float <= 1.0:
         raise ValueError(f"beta must be > 1, got {beta_float}")

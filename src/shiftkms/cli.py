@@ -10,10 +10,10 @@ Input documents are JSON, UTF-8, lowercase keys, 1-based symbols:
 
 Exit codes: 0 success, 1 bad input, 2 violated internal invariant or failed
 numerical solver.  Every sized input is bounded by the MAX_* constants below;
-a value past its bound is bad input, named in the message.  A matrix
-document's Perron data is solved once, on first use, and shared by every
-section of the report; under `all --reducible-mode` a reducible matrix skips
-the sections that need it.
+a value past its bound is bad input, named in the message.  Sections pass
+the document's matrix, whose Perron analysis spectral memoizes per content,
+so it is solved once and shared by every section; under `all
+--reducible-mode` a reducible matrix skips the sections that need it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import sys
 import numpy as np
 
 from . import __version__, equilibrium, krieger, subshift, tracespace
+from .beta import exact_base
 from .equilibrium import InvariantViolation
-from .spectral import ConvergenceError, ReducibleMatrixError, as_nonnegative, perron_vectors
+from .spectral import ConvergenceError, ReducibleMatrixError, as_nonnegative, component_perron_data, perron_vectors
 from .subshift import SFT, BetaShift, ForbiddenWords, FullShift
 
 
@@ -37,6 +38,11 @@ from .subshift import SFT, BetaShift, ForbiddenWords, FullShift
 # (d, d, d + 2) bool arrays, 17 MB at d = 256.
 MAX_DIMENSION = 256
 MAX_DIGIT_DEPTH = 4096
+# bits of the base's denominator q times digit_depth: the exact Renyi map
+# grows its numbers to q^digit_depth.  A float base (q <= 2^52, 53 bits) is
+# admitted at every digit_depth; at the bound the expansion takes 0.4 s on a
+# 2-vCPU VM, 40 decimals (q = 10^40) at digit_depth 4096 would take 0.9 s
+MAX_BETA_BITS = 2**18
 MAX_WORD_LENGTH = 1000  # --max-n and --depth
 MAX_SAMPLES = 100_000
 # samples times d^3, the work of the variational scan's stationary solves:
@@ -90,7 +96,10 @@ def parse_spec(document):
             digit_depth = _at_most("field 'digit_depth'", _integer(doc, "digit_depth", 64), MAX_DIGIT_DEPTH)
             beta = _need(doc, "beta")
             _at_most("field 'beta'", float(beta), MAX_DIMENSION)
-            return BetaShift(beta=beta, digit_depth=digit_depth)
+            spec = BetaShift(beta=beta, digit_depth=digit_depth)  # rejects beta <= 1 before exact_base parses it
+            bits = exact_base(beta).denominator.bit_length() * digit_depth
+            _at_most("the denominator bits of field 'beta' times digit_depth", bits, MAX_BETA_BITS)
+            return spec
         if kind == "nonnegative":
             return ("nonnegative", as_nonnegative(_matrix(doc)))
     except InputError:
@@ -159,9 +168,9 @@ def _echo(spec):
     return {"type": kind, "matrix": np.asarray(matrix).tolist()}
 
 
-def _analysis(spec):
-    """Shared Perron data of a transition-matrix document; its matrix if reducible."""
-    return spec.perron or spec.matrix
+def _reducible(spec):
+    # a transition matrix has no zero row, so it is irreducible iff it is one component
+    return len(component_perron_data(spec.matrix)) > 1
 
 
 def _section_entropy(spec, flags, warnings):
@@ -187,11 +196,7 @@ def _section_kms(spec, flags, warnings):
             "sequence": [v.tolist() for v in report.sequence],
         }
     report = tracespace.kms_temperature(
-        _analysis(spec),
-        depth=flags["depth"],
-        tol=flags["tol"],
-        reducible_mode=flags["reducible_mode"],
-        components=spec.components,
+        spec.matrix, depth=flags["depth"], tol=flags["tol"], reducible_mode=flags["reducible_mode"]
     )
     section = {
         "kind": "cuntz-krieger",
@@ -209,7 +214,7 @@ def _section_kms(spec, flags, warnings):
 
 
 def _section_parry(spec, flags, warnings):
-    m = equilibrium.parry_measure(_analysis(spec), tol=flags["tol"])
+    m = equilibrium.parry_measure(spec.matrix, tol=flags["tol"])
     return {
         "lambda": m.lam,
         "transitions": m.transitions.tolist(),
@@ -253,9 +258,7 @@ def _section_bracket(spec, flags, warnings):
 
 
 def _section_variational(spec, flags, warnings):
-    report = equilibrium.variational_scan(
-        _analysis(spec), n_samples=flags["samples"], seed=flags["seed"]
-    )
+    report = equilibrium.variational_scan(spec.matrix, n_samples=flags["samples"], seed=flags["seed"])
     return {
         "top_entropy": report.top_entropy,
         "parry_entropy": report.parry_entropy,
@@ -269,7 +272,7 @@ def _section_variational(spec, flags, warnings):
 
 
 def _section_resolvent(spec, flags, warnings):
-    perron = perron_vectors(_analysis(spec), tol=flags["tol"])
+    perron = perron_vectors(spec.matrix, tol=flags["tol"])
     offsets = (0.5, 0.1, 0.01, 1e-4)
     v_dir = perron.v / perron.v.sum()
     rows = []
@@ -325,7 +328,7 @@ def run(command: str, spec, flags) -> dict:
             if command != "all":
                 raise InputError(f"command '{name}' is not applicable to this input")
             skip = f"{name}: not applicable to this input, skipped"
-        elif command == "all" and flags["reducible_mode"] and name in NEEDS_PERRON and spec.perron is None:
+        elif command == "all" and flags["reducible_mode"] and name in NEEDS_PERRON and _reducible(spec):
             skip = f"{name}: needs an irreducible matrix, skipped in reducible mode"
         plan.append((name, section, skip))
     # the flags of the sections that will run are checked before the first runs

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import PERRON_TOL, PerronData, as_zero_one, matrix_of, perron_vectors
+from .spectral import PERRON_TOL, PerronData, as_zero_one, perron_vectors
 from .subshift import validate_word
 
 
@@ -51,10 +51,10 @@ def parry_measure(A, tol: float = 1e-12) -> MarkovMeasure:
     """The maximal-entropy Markov measure of an irreducible 0/1 matrix.
 
     Raises InvariantViolation if the constructed chain misses row-stochasticity
-    or stationarity beyond 1e-12.  A may be a matrix or its Perron data.
+    or stationarity beyond 1e-12.
     """
-    M = as_zero_one(matrix_of(A))
-    p = perron_vectors(A, tol=min(tol, PERRON_TOL))
+    M = as_zero_one(A)
+    p = perron_vectors(M, tol=min(tol, PERRON_TOL))
     P = M * p.u[None, :] / (p.lam * p.u[:, None])
     # float hygiene: divide out the row sums (a relative correction at the
     # Perron-residual scale) so row-stochasticity is exact
@@ -166,20 +166,19 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
 
     Every sampled entropy must stay below log r(A) + slack (a violation raises
     InvariantViolation); the Parry measure is appended to the ensemble so the
-    reported maximum attains the top value.  A may be a matrix or its Perron
-    data; the one Perron solve is handed on to parry_measure.  Sample i is
-    draws i d^2 .. (i + 1) d^2 - 1 of default_rng(seed).standard_exponential,
-    so the first k entropies equal those of a k-sample scan.  Samples are
-    scanned in blocks of max(1, _BLOCK_ENTRIES // d^2); consecutive draws
-    continue the one stream, so a sample's entropy does not depend on its block.
+    reported maximum attains the top value.  Sample i is draws i d^2 ..
+    (i + 1) d^2 - 1 of default_rng(seed).standard_exponential, so the first k
+    entropies equal those of a k-sample scan.  Samples are scanned in blocks
+    of max(1, _BLOCK_ENTRIES // d^2); consecutive draws continue the one
+    stream, so a sample's entropy does not depend on its block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    M = as_zero_one(matrix_of(A))
+    M = as_zero_one(A)
     d = M.shape[0]
-    parry = parry_measure(perron_vectors(A, tol=PERRON_TOL))
+    parry = parry_measure(M, tol=PERRON_TOL)
     top = math.log(parry.lam)
     mask = M > 0
     rng = np.random.default_rng(seed)

@@ -7,16 +7,19 @@ differences along its edges.  The Perron triple (lam, u, v) comes from Noda
 iteration, inverse iteration shifted by the current Collatz-Wielandt upper
 bound, which needs no special case for periodic matrices; the bracket
 min (A u)_i / u_i <= lam <= max (A u)_i / u_i of the final u, widened for
-float rounding, is returned with it as a certificate.  Growth sequences
-1^T A^k x, the column-sum bracket among them, come from one rescaled power
-recursion; exact path and column-sum counts use Python integers.  Logarithms
-are natural throughout the package.
+float rounding, is returned with it as a certificate.  The SCC pass and the
+solve of every component are memoized per matrix content and shared by all
+callers; their arrays are read-only, and tol only gates acceptance.  Growth
+sequences 1^T A^k x, the column-sum bracket among them, come from one
+rescaled power recursion; exact path and column-sum counts use Python
+integers.  Logarithms are natural throughout the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,7 +203,8 @@ class PerronData:
     bounds the l1 eigen-residuals of u and of v rescaled to sum 1.  [lo, hi]
     is the Collatz-Wielandt bracket of u, widened outward for float rounding:
     it holds the Perron value, and lo <= lam <= hi.  iterations counts the
-    linear solves of both vectors.
+    linear solves of both vectors.  Shared per matrix content by every
+    caller, so matrix, u and v are read-only.
     """
 
     matrix: np.ndarray
@@ -227,21 +231,16 @@ class ComponentPerron:
     data: PerronData | None
 
 
-def matrix_of(A):
-    """The matrix behind A: the analysed matrix of Perron data, A itself otherwise."""
-    return A.matrix if isinstance(A, PerronData) else A
+def _accept(p: PerronData, tol: float) -> None:
+    accept = max(tol, residual_noise_floor(p.matrix.shape[0], p.lam))
+    if p.residual > accept:
+        msg = f"Perron residual {p.residual:.3e} exceeds tolerance {accept:.3e}"
+        raise ConvergenceError(msg, last_vector=p.u, residual=p.residual)
 
 
-def _accept(d: int, lam: float, residual: float, tol: float, vector=None) -> None:
-    accept = max(tol, residual_noise_floor(d, lam))
-    if residual > accept:
-        msg = f"Perron residual {residual:.3e} exceeds tolerance {accept:.3e}"
-        raise ConvergenceError(msg, last_vector=vector, residual=residual)
-
-
-def _perron(M: np.ndarray, tol: float) -> PerronData:
-    """Perron data of a validated irreducible matrix: Noda iteration for u,
-    then for v on M.T, its first shift just above the certified bound on lam."""
+def _perron(M: np.ndarray) -> PerronData:
+    """Perron data of an irreducible matrix: Noda iteration for u, then for v
+    on M.T, its first shift just above the certified bound on lam."""
     d = M.shape[0]
     u, lo, hi, solves_u = _noda(M)
     widen = (d + 1) * np.finfo(float).eps
@@ -249,12 +248,14 @@ def _perron(M: np.ndarray, tol: float) -> PerronData:
     # the two-sided Rayleigh quotient, kept inside the float bracket of u
     lam = min(max(float(v @ M @ u) / float(v @ u), lo), hi)
     residual = max(float(np.abs(M @ u - lam * u).sum()), float(np.abs(M.T @ v - lam * v).sum()))
-    _accept(d, lam, residual, tol, u)
+    v = v / float(u @ v)
+    for x in (M, u, v):  # shared by every caller of the memo
+        x.flags.writeable = False
     return PerronData(
         matrix=M,
         lam=lam,
         u=u,
-        v=v / float(u @ v),
+        v=v,
         period=_cycle_gcd(M),
         iterations=solves_u + solves_v,
         residual=residual,
@@ -263,16 +264,57 @@ def _perron(M: np.ndarray, tol: float) -> PerronData:
     )
 
 
+@lru_cache(maxsize=16)
+def _analysis(d: int, data: bytes) -> tuple[ComponentPerron | ConvergenceError, ...]:
+    """Component Perron data of the d x d float64 matrix with these bytes:
+    one SCC pass and one Perron solve per component with a cycle.  A failed
+    solve is held in its component's place, so reducibility is still seen first."""
+    M = np.frombuffer(data).reshape(d, d)  # a read-only view of the key
+    out = []
+    for comp in strongly_connected_components(M):
+        sub = M if len(comp) == d else M[np.ix_(comp, comp)]
+        try:
+            p = _perron(sub) if sub.any() else None  # a lone node without a self-loop
+            out.append(ComponentPerron(indices=comp, radius=p.lam if p else 0.0, data=p))
+        except ConvergenceError as exc:
+            out.append(exc)
+    return tuple(out)
+
+
+def _analysed(A) -> tuple[ComponentPerron | ConvergenceError, ...]:
+    M = as_nonnegative(A)
+    return _analysis(M.shape[0], M.tobytes())
+
+
+def _accepted(c: ComponentPerron | ConvergenceError, tol: float) -> ComponentPerron:
+    if isinstance(c, ConvergenceError):  # a fresh error: a held one would grow its traceback
+        raise ConvergenceError(str(c), last_vector=c.last_vector, residual=c.residual)
+    if c.data is not None:
+        _accept(c.data, tol)
+    return c
+
+
+def component_perron_data(A, tol: float = DEFAULT_TOL) -> list[ComponentPerron]:
+    """Per-component Perron data for a possibly reducible matrix.
+
+    Each strongly connected component is analysed on its own; a single node
+    without a self-loop is reported with radius 0 and no eigendata.  Equal
+    matrices share one memoized analysis with read-only arrays; tol only
+    gates acceptance (ConvergenceError past it, floored at residual_noise_floor).
+    """
+    return [_accepted(c, tol) for c in _analysed(A)]
+
+
 def perron_vectors(A, tol: float = DEFAULT_TOL) -> PerronData:
     """Perron value with normalized right/left eigenvectors of an irreducible matrix.
 
-    One SCC pass, one period BFS and one Noda iteration per vector.  Perron
-    data passed as A is returned unchanged once it meets the acceptance for tol.
+    One SCC pass, one period BFS and one Noda iteration per vector, once per
+    matrix content (see component_perron_data).
 
     Parameters
     ----------
-    A : array_like or PerronData
-        Square nonnegative irreducible matrix, or its Perron data.
+    A : array_like
+        Square nonnegative irreducible matrix.
     tol : float
         Acceptance bound for the l1 eigen-residuals of both unit-sum vectors,
         floored at residual_noise_floor.
@@ -285,46 +327,19 @@ def perron_vectors(A, tol: float = DEFAULT_TOL) -> PerronData:
         When either vector misses tol, or the Collatz-Wielandt bracket is not
         positive and finite (an overflowing Perron value).
     """
-    if isinstance(A, PerronData):
-        _accept(A.matrix.shape[0], A.lam, A.residual, tol, A.u)
-        return A
-    M = as_nonnegative(A)
-    if not irreducible(M):
+    only, *rest = _analysed(A)
+    data = None if rest else _accepted(only, tol).data
+    if data is None:
         raise ReducibleMatrixError(
             "Perron data needs an irreducible matrix; "
             "component_perron_data analyses a reducible one per component"
         )
-    return _perron(M, tol)
-
-
-def component_perron_data(A, tol: float = DEFAULT_TOL) -> list[ComponentPerron]:
-    """Per-component Perron data for a possibly reducible matrix.
-
-    Each strongly connected component is analysed on its own; a single node
-    without a self-loop is reported with radius 0 and no eigendata.
-    """
-    M = as_nonnegative(A)
-    return _component_perron(M, strongly_connected_components(M), tol)
-
-
-def _component_perron(M: np.ndarray, components, tol: float = DEFAULT_TOL) -> list[ComponentPerron]:
-    """component_perron_data of a validated M over components a caller already holds."""
-    out = []
-    for comp in components:
-        sub = M if len(comp) == len(M) else M[np.ix_(comp, comp)]  # no copy of an irreducible M
-        data = _perron(sub, tol) if sub.any() else None  # a lone node without a self-loop
-        out.append(ComponentPerron(indices=comp, radius=data.lam if data else 0.0, data=data))
-    return out
+    return data
 
 
 def spectral_radius(A, tol: float = DEFAULT_TOL) -> float:
-    """Spectral radius of a nonnegative matrix, or the Perron value of Perron data.
-
-    The radius is the maximum over the component Perron values, so on an
-    irreducible matrix it is perron_vectors(A).lam.
-    """
-    if isinstance(A, PerronData):
-        return A.lam
+    """Spectral radius of a nonnegative matrix: the maximum over the component
+    Perron values, so on an irreducible matrix it is perron_vectors(A).lam."""
     M = as_nonnegative(A)
     if not np.any(M > 0):
         raise ValueError("spectral_radius requires a matrix that is not identically zero")

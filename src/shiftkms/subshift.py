@@ -42,24 +42,8 @@ __all__ = [
 ]
 
 
-class _TransitionMatrixShift:
-    """A 0/1 transition-matrix presentation; its component Perron data is
-    solved once, on first use."""
-
-    @cached_property
-    def components(self) -> list[spectral.ComponentPerron]:
-        """Perron data of each strongly connected component of the transition matrix."""
-        return spectral.component_perron_data(self.matrix, tol=spectral.PERRON_TOL)
-
-    @property
-    def perron(self) -> spectral.PerronData | None:
-        """Perron data of the transition matrix, or None when it is reducible."""
-        only, *rest = self.components
-        return None if rest else only.data
-
-
 @dataclass(frozen=True)
-class FullShift(_TransitionMatrixShift):
+class FullShift:
     """Full shift on d symbols."""
 
     alphabet: int
@@ -74,7 +58,7 @@ class FullShift(_TransitionMatrixShift):
 
 
 @dataclass(frozen=True, eq=False)
-class SFT(_TransitionMatrixShift):
+class SFT:
     """Shift of finite type with transition matrix A: word w is admissible iff
     A[w_i, w_{i+1}] = 1 for all consecutive pairs."""
 
@@ -134,12 +118,7 @@ class BetaShift:
         return int(math.ceil(float(self.beta)))
 
     def expansion(self):
-        return _cached_expansion(self.beta, self.digit_depth, self.snap_tol)
-
-
-@lru_cache(maxsize=None)
-def _cached_expansion(beta, digit_depth, snap_tol):
-    return beta_expansion_of_one(beta, digit_depth, snap_tol=snap_tol)
+        return beta_expansion_of_one(self.beta, self.digit_depth, snap_tol=self.snap_tol)
 
 
 class Automaton:
@@ -153,7 +132,7 @@ class Automaton:
     Every state has at least one outgoing transition (the build trims dead
     ends), except an optional horizon state in depth-capped presentations;
     max_word_length says how long a run is trustworthy.  matrix_shift is the
-    full shift or SFT presented, if any, whose component data entropy reads.
+    full shift or SFT presented, if any, whose transition matrix entropy reads.
     """
 
     def __init__(self, alphabet, delta, start, max_word_length=None, matrix_shift=None):
@@ -217,14 +196,15 @@ class Automaton:
                 rows[q].append((qn, k))
         return rows
 
-    @cached_property
-    def components(self) -> list[spectral.ComponentPerron]:
-        """Component Perron data of the transition-count matrix over the states 0..N-1."""
+    @property
+    def count_matrix(self) -> np.ndarray:
+        """The transition-count matrix over the states 0..N-1: entry [q, q']
+        counts the symbols that lead from q to q'."""
         B = np.zeros((self.sink, self.sink))
         for q, row in enumerate(self._count_rows):
             for qn, k in row:
                 B[q, qn] = k
-        return spectral.component_perron_data(B, tol=spectral.PERRON_TOL)
+        return B
 
     def reach_order(self, l):
         """(order, sizes): the states reachable from the start by words of
@@ -460,10 +440,10 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
     if aut.max_word_length is not None:
         exact, method = math.log(float(spec.beta)), "log-beta"
     elif aut.matrix_shift is not None:
-        exact = math.log(max(c.radius for c in aut.matrix_shift.components))
+        exact = math.log(spectral.spectral_radius(aut.matrix_shift.matrix, tol=spectral.PERRON_TOL))
         method = "transfer-matrix"
     elif aut.sink <= MAX_EXACT_STATES:
-        exact = math.log(max(c.radius for c in aut.components))
+        exact = math.log(spectral.spectral_radius(aut.count_matrix, tol=spectral.PERRON_TOL))
         method = "automaton-transfer-matrix"
     return EntropyEstimate(
         theta=tuple(theta),
@@ -475,7 +455,6 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
 
 
 def sft_entropy_exact(A) -> float:
-    """log of the spectral radius of the transition matrix; A may be the
-    matrix or its Perron data."""
-    SFT(spectral.matrix_of(A))  # validates the matrix
+    """log of the spectral radius of the transition matrix."""
+    SFT(A)  # validates the matrix
     return math.log(spectral.spectral_radius(A, tol=spectral.PERRON_TOL))

@@ -27,10 +27,8 @@ from .spectral import (
     as_zero_one,
     has_zero_column,
     has_zero_row,
-    matrix_of,
     normalized_powers,
     perron_vectors,
-    reachability,
 )
 
 COHERENCE_TOL = 1e-9
@@ -138,7 +136,7 @@ def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
 def kms_eigen_sequence(A, R: int, tol: float = PERRON_TOL) -> CoherentSequence:
     """Eigen-sequence t_r = lam^(-r) u with u the Perron right eigenvector
     normalized to sum 1; the coherence residuals inherit the Perron residual
-    and stay below 1e-12.  A may be a matrix or its Perron data."""
+    and stay below 1e-12."""
     p = perron_vectors(A, tol=tol)
     levels = [p.u * p.lam ** (-r) for r in range(R + 1)]
     return coherent_sequence(p.matrix, levels, tol=1e-12, require=True)
@@ -232,46 +230,40 @@ class KmsReport:
     heuristic: bool
 
 
-def kms_temperature(
-    A, depth: int = 10, tol: float = 1e-12, reducible_mode: bool = False, components=None
-) -> KmsReport:
+def kms_temperature(A, depth: int = 10, tol: float = 1e-12, reducible_mode: bool = False) -> KmsReport:
     """KMS inverse temperature(s) of the gauge action for a 0/1 matrix.
 
     Irreducible A has a single temperature log r(A) with the Perron
     eigen-sequence; the uniqueness flag is set when A is aperiodic.  Reducible
     A is rejected unless reducible_mode is set, in which case the bracket of
-    per-component candidates is reported.  A may be a matrix or its Perron
-    data; components, the component Perron data of a matrix A, spares a pass.
+    per-component candidates is reported.  Both branches read the one
+    memoized component analysis of A (spectral.component_perron_data), the
+    one topological_entropy reads too, so beta equals its exact entropy.
     """
-    M = as_zero_one(matrix_of(A))
+    M = as_zero_one(A)
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
-    if isinstance(A, spectral.PerronData):
-        p = perron_vectors(A, tol=min(tol, PERRON_TOL))
-    else:
-        if components is None:
-            # one component pass for both branches: with no zero row, one component is irreducible
-            components = spectral.component_perron_data(A, tol=min(tol, PERRON_TOL))
-        if len(components) > 1:
-            if not reducible_mode:
-                raise ReducibleMatrixError(
-                    "matrix is reducible; pass reducible_mode=True for the per-component bracket"
-                )
-            radii = [c.radius for c in components if c.radius > 0]
-            return KmsReport(
-                lam=None,
-                beta=None,
-                eigen_sequence=None,
-                uniqueness_flag=False,
-                bracket=(math.log(min(radii)), math.log(max(radii))),
-                heuristic=True,
+    # with no zero row, a single component is irreducible
+    components = spectral.component_perron_data(M, tol=min(tol, PERRON_TOL))
+    if len(components) > 1:
+        if not reducible_mode:
+            raise ReducibleMatrixError(
+                "matrix is reducible; pass reducible_mode=True for the per-component bracket"
             )
-        p = components[0].data
-    # the component data topological_entropy also reads, so beta equals its exact entropy
+        radii = [c.radius for c in components if c.radius > 0]
+        return KmsReport(
+            lam=None,
+            beta=None,
+            eigen_sequence=None,
+            uniqueness_flag=False,
+            bracket=(math.log(min(radii)), math.log(max(radii))),
+            heuristic=True,
+        )
+    p = components[0].data
     return KmsReport(
         lam=p.lam,
         beta=math.log(p.lam),
-        eigen_sequence=kms_eigen_sequence(p, depth, tol=min(tol, PERRON_TOL)),
+        eigen_sequence=kms_eigen_sequence(M, depth, tol=min(tol, PERRON_TOL)),
         uniqueness_flag=p.period == 1,
         bracket=None,
         heuristic=False,
@@ -289,8 +281,7 @@ class BimoduleKms:
 def bimodule_kms(Lambda, depth: int = 10, tol: float = 1e-12) -> BimoduleKms:
     """KMS temperature log r(Lambda) for a coherent lambda-matrix of a
     Cuntz-Krieger bimodule; v0 is the Perron right eigenvector with sum 1 and
-    the sequence iterates v^r = lam^(-r) v0.  Lambda may be a matrix or its
-    Perron data."""
+    the sequence iterates v^r = lam^(-r) v0."""
     p = perron_vectors(Lambda, tol=tol)
     seq = tuple(p.u * p.lam ** (-r) for r in range(depth + 1))
     return BimoduleKms(lam=p.lam, beta=math.log(p.lam), v0=p.u, sequence=seq)
@@ -301,8 +292,8 @@ class TemperatureSign:
     """Sign classification of admissible KMS temperatures.
 
     lower/upper are the limits of (min/max column sum of A^n)^(1/n), obtained
-    from per-component spectral radii taken over the reachability closure; the
-    bracket sequences at small n are attached as finite evidence.
+    from per-component spectral radii taken over the nodes that reach each
+    column; the bracket sequences at small n are attached as finite evidence.
     """
 
     classification: str
@@ -318,18 +309,22 @@ def temperature_sign(A, n_evidence: int = 12, tol: float = 1e-9) -> TemperatureS
     or mixed.
 
     The limit of the bracket for column k is the largest component radius
-    among the nodes that reach k in the reachability closure; classification
-    compares the extreme limits against 1.
+    among the nodes that reach k (k included), carried along the edges until
+    it stops growing; the radii come from the memoized component analysis.
+    Classification compares the extreme limits against 1.
     """
     M = as_nonnegative(A)
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
-    radius = np.zeros(M.shape[0])
-    closure = reachability(M)
-    for c in spectral._component_perron(M, spectral._closure_components(closure)):
-        radius[list(c.indices)] = c.radius
-    reaches = closure | np.eye(M.shape[0], dtype=bool)
-    growth = np.where(reaches, radius[:, None], 0.0).max(axis=0)
+    growth = np.zeros(M.shape[0])
+    for c in spectral.component_perron_data(M):
+        growth[list(c.indices)] = c.radius
+    edges = M > 0
+    while True:
+        nxt = np.maximum(growth, np.where(edges, growth[:, None], 0.0).max(axis=0))
+        if np.array_equal(nxt, growth):
+            break
+        growth = nxt
     lower, upper = float(growth.min()), float(growth.max())
     if lower > 1.0 + tol:
         cls = "positive"

@@ -50,6 +50,7 @@ stream block by block and must get the same bits, whatever the block size;
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -105,9 +106,14 @@ def admissible_direct(word, spec) -> bool:
     if isinstance(spec, ForbiddenWords):
         return forbidden_admissible_direct(word, spec.words)
     if isinstance(spec, BetaShift):
-        dstar = spec.expansion().quasi_greedy_digits(spec.digit_depth)
-        return beta_admissible_direct(word, dstar)
+        return beta_admissible_direct(word, _quasi_greedy_digits(spec))
     raise TypeError(spec)
+
+
+@functools.lru_cache(maxsize=None)
+def _quasi_greedy_digits(spec):
+    # brute-force enumeration asks once per word; BetaShift.expansion() is not memoized
+    return spec.expansion().quasi_greedy_digits(spec.digit_depth)
 
 
 def forbidden_occurs_brute(word, forbidden, d, horizon=None) -> bool:

@@ -12,6 +12,7 @@ import pytest
 import shiftkms
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, cli, krieger, subshift
 from shiftkms.cli import (
+    MAX_BETA_BITS,
     MAX_DIGIT_DEPTH,
     MAX_DIMENSION,
     MAX_FORBIDDEN_ENTRIES,
@@ -63,8 +64,10 @@ def test_parse_spec_diagnostics_name_the_field():
         parse_spec('{"type": "sft"}')
     with pytest.raises(InputError, match="zero row"):
         parse_spec('{"type": "sft", "matrix": [[0, 0], [1, 1]]}')
-    with pytest.raises(InputError, match="beta"):
-        parse_spec('{"type": "beta", "beta": 0.5}')
+    # the last two are rejected before Fraction(beta) builds 10^999999999
+    for beta in ("0.5", '"1e-999999999"', '"0e999999999"'):
+        with pytest.raises(InputError, match="beta must be a finite number > 1"):
+            parse_spec('{"type": "beta", "beta": %s}' % beta)
     with pytest.raises(InputError, match="symbols outside"):
         parse_spec('{"type": "forbidden", "alphabet": 2, "words": [[3]]}')
     with pytest.raises(InputError, match="JSON"):
@@ -269,6 +272,14 @@ def test_main_non_finite_lambda_exits_two(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_main_reducible_lambda_with_an_overflowing_block_exits_one(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308, 0], [1e308, 1e308, 0], [1, 1, 1]]}')
+    for command in ("kms", "all"):
+        assert main([command, str(doc), "--no-timestamp"]) == 1
+        assert "needs an irreducible matrix" in capsys.readouterr().err
+
+
 def test_main_overflowing_lambda_prints_only_the_error(tmp_path, capsys):
     doc = tmp_path / "spec.json"
     doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308], [1e308, 1e308]]}')
@@ -296,6 +307,8 @@ OVERSIZED_DOCS = [
     ("beta", {"type": "beta", "beta": 256.5}),
     ("beta", {"type": "beta", "beta": "1e400"}),
     ("beta", {"type": "beta", "beta": "nan"}),
+    # 400 decimals: the exact Renyi map would run on numbers of 5.4 million bits
+    ("beta", {"type": "beta", "beta": "1." + "1234567890" * 40, "digit_depth": 4096}),
     ("digit_depth", {"type": "beta", "beta": 1.7, "digit_depth": 4097}),
     ("words", {"type": "forbidden", "alphabet": 2, "words": [[1, 2]] * 2048 + [[1]]}),
     ("words", {"type": "forbidden", "alphabet": 256, "words": [[1, 2, 3, 4]] * 65}),
@@ -335,6 +348,14 @@ def test_bounds_themselves_are_accepted():
     assert parse_spec({"type": "sft", "matrix": square}).matrix.shape[0] == MAX_DIMENSION
     spec = parse_spec({"type": "beta", "beta": MAX_DIMENSION, "digit_depth": MAX_DIGIT_DEPTH})
     assert spec.alphabet == MAX_DIMENSION and spec.digit_depth == MAX_DIGIT_DEPTH
+    # every float base at every digit_depth: its denominator is at most 2^52
+    assert 53 * MAX_DIGIT_DEPTH <= MAX_BETA_BITS
+    assert parse_spec({"type": "beta", "beta": 1.0 + 2.0**-52, "digit_depth": MAX_DIGIT_DEPTH})
+    # 10^20 has 67 bits, so 20 decimals are admitted at MAX_BETA_BITS // 67 digits and no more
+    twenty = "1.50000000000000000001"
+    assert parse_spec({"type": "beta", "beta": twenty, "digit_depth": MAX_BETA_BITS // 67})
+    with pytest.raises(InputError, match="field 'beta'"):
+        parse_spec({"type": "beta", "beta": twenty, "digit_depth": MAX_BETA_BITS // 67 + 1})
     flags = dict(DEFAULT_FLAGS, max_n=MAX_WORD_LENGTH, depth=MAX_WORD_LENGTH, samples=MAX_SAMPLES)
     assert run("entropy", FullShift(2), flags)["results"]["entropy"]["n_max"] == MAX_WORD_LENGTH
     # the samples x d^3 bound only applies where the scan runs

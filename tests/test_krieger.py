@@ -338,3 +338,18 @@ def test_truncated_beta_chain_never_claims_soficity(base):
     assert not check.sofic_detected
     bracket = entropy_bracket(spec, 50, depth=60)
     assert not bracket.sofic_detected and bracket.width > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: above 256 states the bracket closes on the word-count "
+    "extrapolation, which sits 5.0e-7 above h",
+)
+def test_closed_bracket_contains_h_above_256_states():
+    words = np.random.default_rng(30).integers(1, 3, (40, 12)).tolist()
+    spec = ForbiddenWords(2, tuple(map(tuple, words)))
+    aut = automaton_for(spec)
+    assert aut.sink == 264
+    h = math.log(float(np.max(np.abs(np.linalg.eigvals(aut.count_matrix)))))  # LAPACK
+    report = entropy_bracket(spec, 30)
+    assert report.lower <= h <= report.upper

@@ -221,8 +221,6 @@ def test_kms_temperature_reducible_paths():
     assert rep.heuristic
     assert abs(rep.bracket[0] - math.log(2)) < 1e-12
     assert abs(rep.bracket[1] - math.log(3)) < 1e-12
-    held = spectral.component_perron_data(M)
-    assert kms_temperature(M, reducible_mode=True, components=held).bracket == rep.bracket
     with pytest.raises(ValueError):
         kms_temperature([[1, 0], [1, 1]])  # zero column
 
