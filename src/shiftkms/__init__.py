@@ -39,11 +39,11 @@ from .spectral import (
     PerronData,
     ReducibleMatrixError,
     aperiodic,
-    column_sum_powers,
     component_perron_data,
     irreducible,
     period,
     perron_vectors,
+    sparse_radius_bracket,
     spectral_radius,
     spectral_radius_bracket_sequences,
     strongly_connected_components,

@@ -91,11 +91,10 @@ class SoficReport:
 class BracketReport:
     """Entropy bracket [lower, upper] for the noncommutative shift entropy.
 
-    lower is the topological entropy h, `EntropyEstimate.exact`, or its
-    extrapolation from word counts when exact is None; the correction sequence is
-    2 log(dim Q_n)/n.  A sofic shift has bounded cover dimensions, so the
-    correction limit vanishes and the bracket closes: on a full shift, an SFT,
-    a forbidden-word shift and a terminated beta expansion (see sofic_check).
+    lower is the topological entropy h, `EntropyEstimate.exact`, and the
+    correction sequence 2 log(dim Q_n)/n.  A sofic shift has bounded cover
+    dimensions, so the correction limit vanishes and the bracket closes: on a
+    full shift, an SFT, a forbidden-word shift or a terminated beta expansion.
     """
 
     lower: float
@@ -308,8 +307,7 @@ def entropy_bracket(spec, n_max: int, depth: int | None = None) -> BracketReport
     if depth < n_max:
         raise ValueError("depth must be >= n_max")
     aut.check_length(n_max + depth)
-    est = topological_entropy(spec, n_max)
-    lower = est.extrapolated if est.exact is None else est.exact
+    lower = topological_entropy(spec, n_max).exact
     dims, before, fixed = _class_counts(aut, n_max, depth)
     dims = dims[1:]
     stab = [b == c for b, c in zip(before[1:], dims)]

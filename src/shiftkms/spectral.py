@@ -9,10 +9,10 @@ bound, which needs no special case for periodic matrices; the bracket
 min (A u)_i / u_i <= lam <= max (A u)_i / u_i of the final u, widened for
 float rounding, is returned with it as a certificate.  The SCC pass and the
 solve of every component are memoized per matrix content and shared by all
-callers; their arrays are read-only, and tol only gates acceptance.  Growth
-sequences 1^T A^k x, the column-sum bracket among them, come from one
-rescaled power recursion; exact path and column-sum counts use Python
-integers.  Logarithms are natural throughout the package.
+callers; their arrays are read-only, and tol only gates acceptance.  A count
+matrix given by its edges gets such a bracket from power iteration on each
+Tarjan component, with no dense matrix.  Growth sequences 1^T A^k x come from
+one rescaled power recursion.  Logarithms are natural throughout the package.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 PERRON_TOL = 1e-13  # the strictest default acceptance of any thermodynamic result
 _MAX_SOLVES = 100  # Noda iteration converges superlinearly: 5-16 solves on desk-scale input
+_MAX_STEPS = 2**17  # per component; the slowest CLI input found (gap renewal, n = 88) takes 45 101
+_STALE_STEPS = 32  # level steps that end the iteration once the bracket is at rounding level
 
 
 def residual_noise_floor(d: int, lam: float = 1.0) -> float:
@@ -370,8 +372,7 @@ def integer_vector_powers(start, rows, n: int) -> list[list[int]]:
     exact at any n.
 
     B is given by sparse rows of Python ints: rows[i] lists the pairs
-    (j, B[i, j]) with a nonzero weight.  Column sums of matrix powers and the
-    word counts of a presenting automaton both run this one recursion.
+    (j, B[i, j]) with a nonzero weight: an automaton's word counts run it.
     """
     out = []
     v = list(start)
@@ -386,32 +387,63 @@ def integer_vector_powers(start, rows, n: int) -> list[list[int]]:
     return out
 
 
-def column_sum_sequence(A, n_max: int) -> list[list[int]]:
-    """Column sums of A^n for n = 1..n_max of a nonnegative integer matrix, in
-    arbitrary-precision integers, so the result is exact at any n."""
-    M = as_nonnegative(A)
-    if np.any(M != np.rint(M)):
-        raise ValueError("matrix entries must be integers")
-    # rows share one (j, weight) tuple per distinct entry: a 0/1 matrix holds d
-    # of them, not one per nonzero entry
-    pairs = {}
-    rows = []
-    for row in M:
-        js = np.flatnonzero(row)
-        rows.append([pairs.setdefault(p, p) for p in zip(js.tolist(), map(int, row[js].tolist()))])
-    return integer_vector_powers([1] * len(rows), rows, n_max)
+def _scc_labels(n: int, src: np.ndarray, dst: np.ndarray) -> list[int]:
+    """label[v]: the root of v's component in the digraph on 0..n-1 with edges src -> dst, by an iterative
+    Tarjan pass from a virtual node n; on dense 0/1 matrices `reachability` is 10-20x faster."""
+    order = np.argsort(src, kind="stable")
+    adj = [a.tolist() for a in np.split(dst[order], np.cumsum(np.bincount(src, minlength=n))[:-1])]
+    index, low, label, stack, work = {n: -1}, {n: -1}, [-1] * (n + 1), [], [(n, iter(range(n)))]
+    while work:
+        v, targets = work[-1]
+        w = next(targets, None)
+        if w is None:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                while low[v] == index[v] and label[v] < 0:
+                    label[stack.pop()] = v
+        elif w not in index:
+            index[w] = low[w] = len(index)
+            stack.append(w)
+            work.append((w, iter(adj[w])))
+        elif label[w] < 0:  # w is on the stack
+            low[v] = min(low[v], index[w])
+    return label[:n]
 
 
-def column_sum_powers(A, r: int) -> list[int]:
-    """Column sums of A^r for a 0/1 matrix, as exact Python integers.
-
-    Component k is the number of paths of length r in the support digraph that
-    end at node k.
-    """
-    M = as_zero_one(A)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return column_sum_sequence(M, r)[-1]
+def sparse_radius_bracket(n: int, src, dst) -> tuple[float, float]:
+    """Certified [lo, hi] around the spectral radius of the n x n count matrix with one unit per
+    edge src[e] -> dst[e], from no dense matrix: per strongly connected component C with a cycle,
+    the narrowest Collatz-Wielandt bracket of (B_C x)_i / x_i over power iteration on B_C + I,
+    widened for rounding.  ValueError on an edge outside 0..n-1, ConvergenceError after _MAX_STEPS."""
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    if src.ndim != 1 or src.shape != dst.shape or ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+        raise ValueError(f"edges must be two equal-length lists of nodes in 0..{n - 1}")
+    labels = np.array(_scc_labels(n, src, dst), dtype=np.intp)
+    lo = hi = 0.0  # no cycle: the count matrix is nilpotent
+    for c in set(labels[src][labels[src] == labels[dst]].tolist()):
+        nodes, edges = np.flatnonzero(labels == c), (labels[src] == c) & (labels[dst] == c)
+        s, t = np.searchsorted(nodes, src[edges]), np.searchsorted(nodes, dst[edges])
+        x, best, stale = np.ones(len(nodes)), (0.0, math.inf), 0
+        widen = float(np.bincount(s).max() + 1) * np.finfo(float).eps  # the longest sum in y
+        floor = max(PERRON_TOL, 4 * widen)  # relative width of a bracket at rounding level
+        with np.errstate(all="ignore"):  # an underflowing x shows in the bracket
+            for _ in range(_MAX_STEPS):
+                y = np.bincount(s, weights=x[t], minlength=len(x))
+                c_lo, c_hi = float((y / x).min()), float((y / x).max())
+                if not 0.0 < c_lo <= c_hi < math.inf:
+                    msg = f"Collatz-Wielandt bracket [{c_lo}, {c_hi}] is not positive and finite"
+                    raise ConvergenceError(msg, last_vector=x, residual=math.inf)
+                stale = stale + 1 if c_hi - c_lo >= best[1] - best[0] else 0
+                best = best if stale else (c_lo, c_hi)
+                if c_lo == c_hi or stale >= _STALE_STEPS and best[1] - best[0] <= floor * best[1]:
+                    break
+                x = (y + x) / (y + x).max()
+            else:
+                msg = f"power iteration did not converge in {_MAX_STEPS} steps, bracket {list(best)}"
+                raise ConvergenceError(msg, last_vector=x, residual=best[1] - best[0])
+        lo, hi = max(lo, best[0] * (1.0 - widen)), max(hi, best[1] * (1.0 + widen))
+    return lo, hi
 
 
 def spectral_radius_bracket_sequences(A, n_max: int) -> tuple[list[float], list[float]]:

@@ -23,8 +23,6 @@ import numpy as np
 from . import spectral
 from .beta import beta_expansion_of_one
 
-MAX_EXACT_STATES = 256  # the closure and Noda solves are dense: cli.MAX_DIMENSION's bound
-
 __all__ = [
     "FullShift",
     "SFT",
@@ -190,21 +188,15 @@ class Automaton:
     def _count_rows(self):
         """Row q of the transition-count matrix: (target, number of symbols) pairs."""
         rows = [[] for _ in self.states]
-        moves = zip(list(self.states) * self.alphabet, self.succ[:, : self.sink].ravel().tolist())
-        for (q, qn), k in Counter(moves).items():
-            if qn != self.sink:
-                rows[q].append((qn, k))
+        for (q, qn), k in Counter((q, qn) for (q, _), qn in self.delta.items()).items():
+            rows[q].append((qn, k))
         return rows
 
-    @property
-    def count_matrix(self) -> np.ndarray:
-        """The transition-count matrix over the states 0..N-1: entry [q, q']
-        counts the symbols that lead from q to q'."""
-        B = np.zeros((self.sink, self.sink))
-        for q, row in enumerate(self._count_rows):
-            for qn, k in row:
-                B[q, qn] = k
-        return B
+    @cached_property
+    def radius_bracket(self) -> tuple[float, float]:
+        """Certified [lo, hi] around the Perron root of the count matrix of delta's moves."""
+        src = [q for q, _ in self.delta]
+        return spectral.sparse_radius_bracket(self.sink, src, list(self.delta.values()))
 
     def reach_order(self, l):
         """(order, sizes): the states reachable from the start by words of
@@ -402,14 +394,13 @@ class EntropyEstimate:
     theta[i] is the exact count of admissible words of length i+1 and
     log_rates[i] = log(theta[i]) / (i+1).  extrapolated combines the Fekete
     infimum with a trailing log-ratio.  exact is the entropy h and method its
-    route: "transfer-matrix", "automaton-transfer-matrix", "log-beta", or
-    "word-counts" when exact is None (more than MAX_EXACT_STATES states).
+    route (see topological_entropy).
     """
 
     theta: tuple[int, ...]
     log_rates: tuple[float, ...]
     extrapolated: float
-    exact: float | None
+    exact: float
     method: str
 
 
@@ -424,7 +415,10 @@ def _extrapolate(theta, log_rates) -> float:
 def topological_entropy(spec, n_max: int) -> EntropyEstimate:
     """Word counts up to length n_max (n_max >= 2), their extrapolation and the entropy h.
 
-    Raises ValueError for an empty subshift (theta_1 = 0).
+    h is log of the largest component Perron root of a right-resolving presentation
+    (Lind & Marcus 1995, Thm 4.3.3): of spec.matrix ("transfer-matrix") or the midpoint
+    of the automaton's certified radius_bracket ("automaton-transfer-matrix"); log beta
+    on a non-terminating beta's chain ("log-beta", Parry 1960).  ValueError if empty.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -433,18 +427,14 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
         raise ValueError("subshift is empty (theta_1 = 0)")
     log_rates = tuple(math.log(t) / n for n, t in enumerate(theta, start=1))
     extrapolated = _extrapolate(theta, log_rates)
-    # h: the log of the largest component Perron root of a right-resolving presentation
-    # (Lind & Marcus 1995, Thm 4.3.3), log beta on a non-terminating beta's chain (Parry 1960)
     aut = automaton_for(spec)
-    exact, method = None, "word-counts"
     if aut.max_word_length is not None:
         exact, method = math.log(float(spec.beta)), "log-beta"
     elif aut.matrix_shift is not None:
         exact = math.log(spectral.spectral_radius(aut.matrix_shift.matrix, tol=spectral.PERRON_TOL))
         method = "transfer-matrix"
-    elif aut.sink <= MAX_EXACT_STATES:
-        exact = math.log(spectral.spectral_radius(aut.count_matrix, tol=spectral.PERRON_TOL))
-        method = "automaton-transfer-matrix"
+    else:
+        exact, method = math.log(0.5 * sum(aut.radius_bracket)), "automaton-transfer-matrix"
     return EntropyEstimate(
         theta=tuple(theta),
         log_rates=log_rates,

@@ -22,7 +22,8 @@ automaton whenever the expansion does not terminate.
 
 The graph references are `reachability_irreducible` (boolean powers),
 `period_brute` (closed walks at node 0) and `scc_tarjan`, an iterative Tarjan
-that checks the reachability-closure components of `shiftkms.spectral`.
+that checks both component passes of `shiftkms.spectral`: the reachability
+closure and the edge-list Tarjan labels.
 `cycle_chord`, `block_cyclic` and `sparse_d256` build the matrices the
 certified Perron tests run on.
 
@@ -33,10 +34,17 @@ inside it.  Only a terminated expansion gets a periodicity, its block length.
 The package runs the map exactly on the rational base and must report the
 same `BetaExpansion`.
 
-`bracket_sequences_exact` is the column-sum bracket in exact integers: it
-reads the column sums of A^n from `shiftkms.spectral.column_sum_sequence`,
-so it checks the rescaled float recursion of
-`spectral_radius_bracket_sequences` against exact counts.
+`bracket_sequences_exact` is the column-sum bracket in exact integers: the
+column sums 1^T A^n come from a row-vector recursion over Python integers (the
+d^3 products of `matrix_power_exact` are too slow at d = 256), so it checks
+the rescaled float recursion of `spectral_radius_bracket_sequences` against
+exact counts without calling the package.
+
+`perron_root_lapack` is the reference for an automaton's entropy: LAPACK's
+eigenvalues of the dense transition-count matrix built from the successor
+table `succ`.  LAPACK carries no certificate; on the 264-state forbidden
+document its value lies about 1.5e-15 relative above the exact rational
+Collatz-Wielandt bracket, so tests compare with it within 1e-14 relative.
 
 The variational references (`exponential_draws_brute`,
 `stationary_lazy_brute`, `variational_entropies_brute`) are the scan's earlier
@@ -58,7 +66,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral
+from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT
 from shiftkms.beta import BetaExpansion, UncertainDigitError
 from shiftkms.subshift import Automaton, automaton_for
 
@@ -397,12 +405,23 @@ def matrix_power_exact(matrix, r):
     return out
 
 
+def column_sums_exact(matrix, n_max):
+    """1^T A^n for n = 1..n_max over Python integers, one row-vector step at a time."""
+    M = [[int(x) for x in row] for row in np.asarray(matrix)]
+    d = len(M)
+    v, out = [1] * d, []
+    for _ in range(n_max):
+        v = [sum(v[i] * M[i][j] for i in range(d) if M[i][j]) for j in range(d)]
+        out.append(v)
+    return out
+
+
 def bracket_sequences_exact(matrix, n_max):
     """(min column sum of A^n)^(1/n) and (max column sum of A^n)^(1/n) for
     n = 1..n_max of a nonnegative integer matrix, from exact column sums;
     a vanishing sum gives 0.0."""
     lower, upper = [], []
-    for n, s in enumerate(spectral.column_sum_sequence(matrix, n_max), start=1):
+    for n, s in enumerate(column_sums_exact(matrix, n_max), start=1):
         smin, smax = min(s), max(s)
         lower.append(math.exp(math.log(smin) / n) if smin > 0 else 0.0)
         upper.append(math.exp(math.log(smax) / n) if smax > 0 else 0.0)
@@ -518,3 +537,14 @@ def sparse_d256():
         M = (rng.random((256, 256)) < 12 / 256).astype(np.int64)
         if M.sum(axis=0).min() > 0 and M.sum(axis=1).min() > 0 and len(scc_tarjan(M)) == 1:
             return M
+
+
+def perron_root_lapack(aut) -> float:
+    """Spectral radius of an automaton's transition-count matrix, entry [q, q']
+    the number of symbols leading from q to q' in `succ`, by LAPACK's dense
+    eigenvalues."""
+    n = aut.sink
+    B = np.zeros((n, n))
+    for row in aut.succ[:, :n]:
+        np.add.at(B, (np.arange(n)[row < n], row[row < n]), 1.0)
+    return float(np.max(np.abs(np.linalg.eigvals(B))))

@@ -265,6 +265,25 @@ def test_main_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("error:") and "synthetic stall" in captured.err
 
 
+def test_main_stalled_automaton_power_iteration_exits_two(tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "forbidden", "alphabet": 2, "words": [[2, 2]]}')
+    monkeypatch.setattr("shiftkms.spectral._MAX_STEPS", 3)
+    assert main(["entropy", str(doc), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "did not converge in 3 steps" in captured.err
+
+
+def test_all_reports_the_exact_entropy_of_a_264_state_automaton():
+    words = np.random.default_rng(30).integers(1, 3, (40, 12)).tolist()
+    spec = ForbiddenWords(2, tuple(map(tuple, words)))
+    assert subshift.automaton_for(spec).sink == 264
+    report = json.loads(json.dumps(run("all", spec, DEFAULT_FLAGS)))["results"]
+    assert report["entropy"]["method"] == "automaton-transfer-matrix"
+    assert report["entropy"]["exact"] is not None
+    assert report["entropy"]["exact"] == report["bracket"]["lower"] == report["bracket"]["upper"]
+
+
 def test_main_non_finite_lambda_exits_two(tmp_path, capsys):
     doc = tmp_path / "spec.json"
     doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308], [1e308, 1e308]]}')

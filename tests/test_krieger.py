@@ -340,16 +340,17 @@ def test_truncated_beta_chain_never_claims_soficity(base):
     assert not bracket.sofic_detected and bracket.width > 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: above 256 states the bracket closes on the word-count "
-    "extrapolation, which sits 5.0e-7 above h",
-)
 def test_closed_bracket_contains_h_above_256_states():
+    # the sofic bracket closes on h itself, so it is compared with LAPACK's h
+    # within rounding: lower <= h <= upper would need lower == upper == h bitwise
     words = np.random.default_rng(30).integers(1, 3, (40, 12)).tolist()
     spec = ForbiddenWords(2, tuple(map(tuple, words)))
     aut = automaton_for(spec)
     assert aut.sink == 264
-    h = math.log(float(np.max(np.abs(np.linalg.eigvals(aut.count_matrix)))))  # LAPACK
+    lam = oracles.perron_root_lapack(aut)
+    lo, hi = aut.radius_bracket
+    assert lo * (1 - 1e-14) <= lam <= hi * (1 + 1e-14)
+    h = math.log(lam)
     report = entropy_bracket(spec, 30)
-    assert report.lower <= h <= report.upper
+    assert report.lower == report.upper == topological_entropy(spec, 30).exact
+    assert abs(report.lower - h) <= 1e-13 * h

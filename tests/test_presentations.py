@@ -120,41 +120,43 @@ FLAGS = {
 
 @pytest.fixture
 def closures(monkeypatch):
-    # a presentation's automaton keeps its component data; start from no automaton
+    # counts dense reachability closures and sparse automaton solves; a
+    # presentation's automaton keeps its bracket, so start from no automaton
     subshift._cached_automaton_for.cache_clear()
     seen = Counter()
-    reachability = spectral.reachability
+    for name in ("reachability", "sparse_radius_bracket"):
+        original = getattr(spectral, name)
 
-    def counted(A):
-        seen["reachability"] += 1
-        return reachability(A)
+        def counted(*args, _original=original, _name=name):
+            seen[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(spectral, "reachability", counted)
+        monkeypatch.setattr(spectral, name, counted)
     return seen
 
 
 def test_automaton_entropy_makes_one_component_pass(closures):
-    # the forbidden automaton's component data is kept, so the bracket's
-    # second entropy call solves nothing
+    # the forbidden automaton keeps its bracket, so the bracket section's
+    # second entropy call solves nothing, and no dense closure is built
     report = run("all", ForbiddenWords(3, ((1, 2), (3, 3, 1))), FLAGS)["results"]
     assert report["entropy"]["method"] == "automaton-transfer-matrix"
     assert report["bracket"]["lower"] == report["entropy"]["exact"]
-    assert closures["reachability"] == 1
+    assert closures == {"sparse_radius_bracket": 1}
 
 
 def test_capped_beta_entropy_solves_nothing(closures):
     report = run("all", BetaShift("1.7", digit_depth=64), FLAGS)["results"]
     assert report["entropy"]["exact"] == math.log(1.7)
     assert report["entropy"]["method"] == "log-beta"
-    assert closures["reachability"] == 0
+    assert closures == {}
 
 
-def test_large_automaton_keeps_the_extrapolation(closures):
-    # 40 words of length 12 over {1, 2} leave 264 automaton states, past the
-    # dense bound (subshift.MAX_EXACT_STATES = 256)
+def test_large_automaton_gets_the_sparse_exact_entropy(closures):
+    # 40 words of length 12 over {1, 2} leave 264 automaton states, more than
+    # a matrix document may have (cli.MAX_DIMENSION = 256)
     words = np.random.default_rng(30).integers(1, 3, (40, 12))
     spec = ForbiddenWords(2, tuple(map(tuple, words.tolist())))
     assert len(subshift.automaton_for(spec).states) == 264
     est = topological_entropy(spec, 12)
-    assert est.exact is None and est.method == "word-counts"
-    assert closures["reachability"] == 0
+    assert isinstance(est.exact, float) and est.method == "automaton-transfer-matrix"
+    assert closures == {"sparse_radius_bracket": 1}

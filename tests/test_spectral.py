@@ -7,11 +7,11 @@ from shiftkms import (
     ConvergenceError,
     ReducibleMatrixError,
     aperiodic,
-    column_sum_powers,
     component_perron_data,
     irreducible,
     period,
     perron_vectors,
+    sparse_radius_bracket,
     spectral,
     spectral_radius,
     spectral_radius_bracket_sequences,
@@ -222,47 +222,6 @@ def test_perron_rejects_non_finite_lambda():
         perron_vectors(np.full((2, 2), 1e308))
 
 
-def test_column_sum_powers_examples():
-    # ones 2x2: A^3 = 4 * ones, so each column sums to 8 = 2^3
-    assert column_sum_powers(np.ones((2, 2), dtype=int), 3) == [8, 8]
-    assert column_sum_powers(np.eye(3, dtype=int), 5) == [1, 1, 1]
-    assert column_sum_powers(GOLDEN, 2) == [3, 2]
-
-
-def test_column_sum_powers_matches_exact_matrix_power():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        d = int(rng.integers(1, 6))
-        M = (rng.random((d, d)) < 0.6).astype(int)
-        r = int(rng.integers(1, 9))
-        Mr = oracles.matrix_power_exact(M, r)
-        expected = [sum(Mr[i][k] for i in range(d)) for k in range(d)]
-        assert column_sum_powers(M, r) == expected
-
-
-def test_column_sum_powers_large_r_no_overflow():
-    out = column_sum_powers(np.ones((3, 3), dtype=int), 100)
-    assert out == [3**100] * 3
-
-
-@pytest.mark.parametrize(
-    "matrix",
-    [[[0, 2], [3, 0]], np.random.default_rng(31).integers(0, 1000, (6, 6))],
-    ids=["weighted2", "random6"],
-)
-def test_column_sum_sequence_matches_object_matrix_power(matrix):
-    # weights up to 999 overflow int64 within these powers; object dtype stays exact
-    M = np.asarray(matrix).astype(object)
-    ones = np.ones(len(M), dtype=object)
-    expected = [list(ones @ np.linalg.matrix_power(M, n)) for n in range(1, 31)]
-    assert spectral.column_sum_sequence(matrix, 30) == expected
-
-
-def test_column_sum_powers_rejects_r_zero():
-    with pytest.raises(ValueError):
-        column_sum_powers(GOLDEN, 0)
-
-
 def test_bracket_sequences_examples():
     lo, up = spectral_radius_bracket_sequences(np.eye(3, dtype=int), 5)
     assert lo == [1.0] * 5 and up == [1.0] * 5
@@ -317,3 +276,77 @@ def test_normalized_powers_against_exact_powers():
     # the lists stop at the first vanishing sum
     logs, vectors = spectral.normalized_powers(np.triu(np.ones((3, 3)), 1), np.ones(3) / 3, 5)
     assert len(logs) == len(vectors) == 2
+
+
+def _unit_edges(M):
+    """(src, dst) with one edge i -> j per unit of the integer entry M[i, j]."""
+    src, dst = np.nonzero(M)
+    return np.repeat(src, M[src, dst]), np.repeat(dst, M[src, dst])
+
+
+def _partition(labels):
+    groups = {}
+    for v, c in enumerate(labels):
+        groups.setdefault(c, []).append(v)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def test_sparse_scc_labels_match_tarjan_oracle():
+    rng = np.random.default_rng(37)
+    for _ in range(80):
+        d = int(rng.integers(1, 40))
+        M = (rng.random((d, d)) < rng.choice([0.02, 0.05, 0.1, 0.3])).astype(int)
+        labels = spectral._scc_labels(d, *_unit_edges(M))
+        assert _partition(labels) == oracles.scc_tarjan(M)
+        assert all(labels[v] in comp for comp in oracles.scc_tarjan(M) for v in comp)
+
+
+def test_sparse_radius_bracket_holds_the_lapack_radius():
+    # reducible, periodic and weighted count matrices; LAPACK's value carries
+    # no certificate, so it is compared within 1e-14 relative
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        d = int(rng.integers(1, 60))
+        M = rng.integers(1, 4, (d, d)) * (rng.random((d, d)) < rng.choice([0.03, 0.08, 0.3]))
+        lo, hi = sparse_radius_bracket(d, *_unit_edges(M))
+        if not lo:  # no cycle: the radius is 0 and LAPACK's nilpotent eigenvalues are noise
+            assert hi == 0.0 and not np.linalg.matrix_power(M, d).any()
+            continue
+        lam = float(np.max(np.abs(np.linalg.eigvals(M))))
+        assert lo * (1 - 1e-14) <= lam <= hi * (1 + 1e-14), (lo, lam, hi)
+        assert 0.0 < hi - lo <= 1e-12 * hi
+    assert sparse_radius_bracket(5, *_unit_edges(np.triu(np.ones((5, 5), dtype=int), 1))) == (0.0, 0.0)
+
+
+def test_sparse_radius_bracket_handles_chains_past_the_recursion_limit():
+    n = 4097
+    chain = np.arange(n - 1)
+    # a path into a self-loop, and one cycle through every node
+    lo, hi = sparse_radius_bracket(n, np.append(chain, n - 1), np.append(chain + 1, n - 1))
+    assert lo < 1.0 < hi and hi - lo < 1e-15
+    lo, hi = sparse_radius_bracket(n, np.arange(n), (np.arange(n) + 1) % n)
+    assert lo < 1.0 < hi and hi - lo < 1e-15
+
+
+def test_sparse_radius_bracket_solves_each_component_apart():
+    # two chained radius-1 components form a Jordan block, on which power
+    # iteration over the whole graph converges only like 1/k
+    lo, hi = sparse_radius_bracket(2, [0, 0, 1], [0, 1, 1])
+    assert lo < 1.0 < hi and hi - lo < 1e-15
+    # the golden-mean component upstream of a radius-2 one
+    lo, hi = sparse_radius_bracket(4, [0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 0, 2, 2, 3, 2, 3])
+    assert lo <= 2.0 <= hi and hi - lo < 1e-14
+
+
+@pytest.mark.parametrize("src, dst", [([0, 1], [1, 2]), ([0, 2], [1, 0]), ([-1], [0]), ([0, 1], [1]), ([[0]], [[1]])])
+def test_sparse_radius_bracket_rejects_edges_outside_the_nodes(src, dst):
+    # node 2 would be the virtual root of the Tarjan pass, -1 wraps around
+    with pytest.raises(ValueError, match=r"nodes in 0\.\.1"):
+        sparse_radius_bracket(2, src, dst)
+
+
+def test_sparse_radius_bracket_step_cap_raises_with_the_bracket(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 steps") as err:
+        sparse_radius_bracket(2, [0, 0, 1], [0, 1, 0])
+    assert 0.0 < err.value.residual < 1.0 and np.all(err.value.last_vector > 0)

@@ -9,12 +9,14 @@ from shiftkms import (
     ForbiddenWords,
     FullShift,
     SFT,
+    ConvergenceError,
     UncertainDigitError,
     admissible,
     beta_expansion_of_one,
     count_words,
     count_words_sequence,
     sft_entropy_exact,
+    spectral,
     spectral_radius,
     topological_entropy,
 )
@@ -391,3 +393,73 @@ def test_terminated_beta_is_its_finite_follower_graph(base, block):
     want = [w for w in words if oracles.beta_admissible_direct(w, block * n)]
     assert [w for w in words if admissible(w, spec)] == want
     assert count_words(spec, n) == len(want)
+
+
+def _certified(aut, lam):
+    """The automaton's bracket holds LAPACK's radius within LAPACK's own
+    rounding (1e-14 relative) and is at most 1e-12 relative wide."""
+    lo, hi = aut.radius_bracket
+    return lo * (1 - 1e-14) <= lam <= hi * (1 + 1e-14) and 0.0 < hi - lo <= 1e-12 * hi
+
+
+def test_forbidding_21_has_entropy_zero():
+    # 1*2*: two radius-1 components chained into a Jordan block, which stalls
+    # power iteration over the whole graph
+    est = topological_entropy(ForbiddenWords(2, ((2, 1),)), 20)
+    assert est.exact == 0.0 and est.method == "automaton-transfer-matrix"
+
+
+def _gap_renewal(n):
+    # two 2s are separated by n or n + 1 ones: slowly mixing, h -> 0 as n grows
+    return ForbiddenWords(2, ((2, 2), (1,) * (n + 2), *((2,) + (1,) * k + (2,) for k in range(1, n))))
+
+
+@pytest.mark.parametrize("n", (10, 40))
+def test_gap_renewal_entropy_matches_lapack(n):
+    spec = _gap_renewal(n)
+    aut = automaton_for(spec)
+    lam = oracles.perron_root_lapack(aut)
+    assert _certified(aut, lam)
+    assert abs(topological_entropy(spec, 12).exact - math.log(lam)) <= 1e-11 * math.log(lam)
+
+
+def test_a_level_bracket_far_from_rounding_does_not_stop_the_iteration():
+    # one 80-state component: from x = 1 the ratios at the root stay exactly 2
+    # and those on the forced chain after 2^40 exactly 1 for about 40 steps, so
+    # stopping after 32 level steps read [1, 2] and h = log 1.5
+    spec = ForbiddenWords(2, tuple((2,) * 40 + (1,) * k + (2,) for k in range(40)))
+    aut = automaton_for(spec)
+    lam = oracles.perron_root_lapack(aut)
+    assert aut.sink == 80 and _certified(aut, lam)
+    assert abs(topological_entropy(spec, 4).exact - math.log(lam)) <= 1e-13 * math.log(lam)
+
+
+def _stress_documents():
+    rng = np.random.default_rng(47)
+    for _ in range(42):
+        alphabet = int(rng.integers(2, 4))
+        shape = (int(rng.integers(1, 41)), int(rng.integers(2, 13)))
+        yield ForbiddenWords(alphabet, tuple(map(tuple, rng.integers(1, alphabet + 1, shape).tolist())))
+    # the CLI's symbol bound (4096) admits automata past 2000 states
+    for seed, shape in (([43, 16, 250], (250, 16)), ([43, 18, 200], (200, 18))):
+        words = np.random.default_rng(seed).integers(1, 3, shape).tolist()
+        yield ForbiddenWords(2, tuple(map(tuple, words)))
+
+
+def test_seeded_forbidden_documents_hold_the_lapack_radius():
+    sizes = []
+    for spec in _stress_documents():
+        aut = automaton_for(spec)
+        if aut.is_empty:
+            continue
+        sizes.append(aut.sink)
+        lam = oracles.perron_root_lapack(aut)
+        assert _certified(aut, lam), spec
+        assert topological_entropy(spec, 4).exact == math.log(0.5 * sum(aut.radius_bracket))
+    assert len(sizes) >= 40 and sorted(sizes)[-2:] == [2031, 2116]
+
+
+def test_step_cap_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
+        topological_entropy(ForbiddenWords(2, ((2, 2),)), 10)
