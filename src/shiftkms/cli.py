@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 bad input, 2 violated internal invariant or failed
 numerical solver.  Every sized input is bounded by the MAX_* constants below;
 a value past its bound is bad input, named in the message.  Sections pass
 the document's matrix, whose Perron analysis spectral memoizes per content,
-so it is solved once and shared by every section; under `all
---reducible-mode` a reducible matrix skips the sections that need it.
+so it is solved once and shared by every section.  Under --reducible-mode a
+reducible matrix gets the bracket of its extremal KMS inverse temperatures
+from temperature_sign in `kms`, and `all` skips the sections that need Perron
+data.
 """
 
 from __future__ import annotations
@@ -195,22 +197,19 @@ def _section_kms(spec, flags, warnings):
             "v0": report.v0.tolist(),
             "sequence": [v.tolist() for v in report.sequence],
         }
-    report = tracespace.kms_temperature(
-        spec.matrix, depth=flags["depth"], tol=flags["tol"], reducible_mode=flags["reducible_mode"]
-    )
-    section = {
+    if flags["reducible_mode"] and _reducible(spec):
+        sign = tracespace.temperature_sign(spec.matrix)
+        bracket = [math.log(sign.lower), math.log(sign.upper)]  # the extremal KMS inverse temperatures
+        return {"kind": "cuntz-krieger", "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
+    report = tracespace.kms_temperature(spec.matrix, depth=flags["depth"], tol=flags["tol"])
+    return {
         "kind": "cuntz-krieger",
         "lambda": report.lam,
         "beta": report.beta,
         "uniqueness": report.uniqueness_flag,
+        "eigen_levels": [t.tolist() for t in report.eigen_sequence.levels],
+        "eigen_residuals": list(report.eigen_sequence.residuals),
     }
-    if report.heuristic:
-        warnings.append("reducible mode: bracket lists heuristic candidates, not the exact set")
-        section["bracket"] = list(report.bracket)
-    else:
-        section["eigen_levels"] = [t.tolist() for t in report.eigen_sequence.levels]
-        section["eigen_residuals"] = list(report.eigen_sequence.residuals)
-    return section
 
 
 def _section_parry(spec, flags, warnings):

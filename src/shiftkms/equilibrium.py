@@ -158,18 +158,19 @@ class VariationalReport:
 # scan, 512 KB, so the two or three arrays a block holds at once fit a 2 MB
 # L2 cache: at d = 64 blocks of 2^16 entries ran faster than blocks of 2^18
 _BLOCK_ENTRIES = 2**16
+VARIATIONAL_SLACK = 1e-9  # rounding allowance of a sampled entropy over log r(A)
 
 
-def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> VariationalReport:
+def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
     """Sample row-stochastic matrices supported exactly on A and compare their
     stationary entropies with log r(A).
 
-    Every sampled entropy must stay below log r(A) + slack (a violation raises
-    InvariantViolation); the Parry measure is appended to the ensemble so the
-    reported maximum attains the top value.  Sample i is draws i d^2 ..
-    (i + 1) d^2 - 1 of default_rng(seed).standard_exponential, so the first k
-    entropies equal those of a k-sample scan.  Samples are scanned in blocks
-    of max(1, _BLOCK_ENTRIES // d^2); consecutive draws continue the one
+    Every sampled entropy must stay below log r(A) + VARIATIONAL_SLACK (a
+    violation raises InvariantViolation); the Parry measure is appended to the
+    ensemble so the reported maximum attains the top value.  Sample i is draws
+    i d^2 .. (i + 1) d^2 - 1 of default_rng(seed).standard_exponential, so the
+    first k entropies equal those of a k-sample scan.  Samples are scanned in
+    blocks of max(1, _BLOCK_ENTRIES // d^2); consecutive draws continue the one
     stream, so a sample's entropy does not depend on its block.
     """
     if n_samples < 1:
@@ -187,10 +188,10 @@ def variational_scan(A, n_samples: int, seed: int = 0, slack: float = 1e-9) -> V
     for start in range(0, n_samples, size):
         k = min(size, n_samples - start)
         entropies[start : start + k] = _block_entropies(rng.standard_exponential((k, d, d)), mask)
-    violations = int(np.sum(entropies > top + slack))
+    violations = int(np.sum(entropies > top + VARIATIONAL_SLACK))
     if violations:
         raise InvariantViolation(
-            f"{violations} sampled measures exceeded log r(A) + {slack}"
+            f"{violations} sampled measures exceeded log r(A) + {VARIATIONAL_SLACK}"
         )
     max_sampled = float(entropies.max())
     parry_entropy = parry.entropy

@@ -129,11 +129,10 @@ class Automaton:
     presented language iff its run from the start never reaches the sink.
     Every state has at least one outgoing transition (the build trims dead
     ends), except an optional horizon state in depth-capped presentations;
-    max_word_length says how long a run is trustworthy.  matrix_shift is the
-    full shift or SFT presented, if any, whose transition matrix entropy reads.
+    max_word_length says how long a run is trustworthy.
     """
 
-    def __init__(self, alphabet, delta, start, max_word_length=None, matrix_shift=None):
+    def __init__(self, alphabet, delta, start, max_word_length=None):
         labels = {start, *(q for q, _ in delta), *delta.values()}
         index = {q: i for i, q in enumerate(sorted(labels))}
         self.alphabet = alphabet
@@ -146,7 +145,6 @@ class Automaton:
         qs, cs = np.array(list(self.delta), dtype=np.intp).reshape(-1, 2).T
         self.succ[cs - 1, qs] = list(self.delta.values())
         self._count_vectors = []
-        self.matrix_shift = matrix_shift
 
     @property
     def is_empty(self) -> bool:
@@ -217,14 +215,14 @@ class Automaton:
 
 def _full_automaton(spec):
     delta = {(0, c): 0 for c in range(1, spec.alphabet + 1)}
-    return Automaton(spec.alphabet, delta, start=0, matrix_shift=spec)
+    return Automaton(spec.alphabet, delta, start=0)
 
 
 def _sft_automaton(spec):
     d = len(spec.matrix)
     delta = {(0, c): c for c in range(1, d + 1)}  # state c follows symbol c
     delta.update({(i + 1, c + 1): c + 1 for i, c in np.argwhere(spec.matrix).tolist()})
-    return Automaton(d, delta, start=0, matrix_shift=spec)
+    return Automaton(d, delta, start=0)
 
 
 def _forbidden_automaton(d, words):
@@ -430,8 +428,8 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
     aut = automaton_for(spec)
     if aut.max_word_length is not None:
         exact, method = math.log(float(spec.beta)), "log-beta"
-    elif aut.matrix_shift is not None:
-        exact = math.log(spectral.spectral_radius(aut.matrix_shift.matrix, tol=spectral.PERRON_TOL))
+    elif isinstance(spec, (FullShift, SFT)):
+        exact = math.log(spectral.spectral_radius(spec.matrix, tol=spectral.PERRON_TOL))
         method = "transfer-matrix"
     else:
         exact, method = math.log(0.5 * sum(aut.radius_bracket)), "automaton-transfer-matrix"

@@ -5,7 +5,8 @@ vectors (t_0, t_1, ...) with A t_{r+1} = t_r and sum(t_0) = 1.  The shift-type
 operators act as s'((t_r)) = (A t_0, t_0, t_1, ...) and t'((t_r)) = (t_1, ...);
 their normalized versions are power iterations whose fixed points are the
 Perron eigen-sequences, and the growth rate of eps_n = 1^T A^n t recovers the
-KMS inverse temperature log r(A).
+KMS inverse temperature log r(A).  A reducible matrix has one temperature per
+distinguished component; temperature_sign gives the extremal two.
 
 The dual growth sequence (the one along t' instead of s') has no general
 closed form in this finite model and is not exposed; on eigen-sequences it is
@@ -32,6 +33,8 @@ from .spectral import (
 )
 
 COHERENCE_TOL = 1e-9
+SIGN_TOL = 1e-9  # how far from 1 a growth limit must be to count as positive or negative
+SIGN_EVIDENCE = 12  # bracket steps temperature_sign attaches
 _LOG_RANGE = -math.log(np.finfo(float).tiny)  # exp(+-_LOG_RANGE) are normal floats
 
 
@@ -215,58 +218,41 @@ def temperature_from_trace(A, t, n_max: int = 300) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KmsReport:
-    """KMS temperature data for a Cuntz-Krieger matrix.
+    """The KMS state of the gauge action for an irreducible 0/1 matrix: its
+    inverse temperature beta = log lam, the Perron eigen-sequence, and whether
+    the state is unique (A aperiodic)."""
 
-    Irreducible input fills lam/beta and the eigen-sequence; reducible input in
-    the explicit per-component mode fills only the heuristic bracket of
-    candidate temperatures (log of the min/max component Perron radii).
-    """
-
-    lam: float | None
-    beta: float | None
-    eigen_sequence: CoherentSequence | None
+    lam: float
+    beta: float
+    eigen_sequence: CoherentSequence
     uniqueness_flag: bool
-    bracket: tuple[float, float] | None
-    heuristic: bool
 
 
-def kms_temperature(A, depth: int = 10, tol: float = 1e-12, reducible_mode: bool = False) -> KmsReport:
-    """KMS inverse temperature(s) of the gauge action for a 0/1 matrix.
+def kms_temperature(A, depth: int = 10, tol: float = 1e-12) -> KmsReport:
+    """KMS inverse temperature of the gauge action for an irreducible 0/1 matrix.
 
     Irreducible A has a single temperature log r(A) with the Perron
-    eigen-sequence; the uniqueness flag is set when A is aperiodic.  Reducible
-    A is rejected unless reducible_mode is set, in which case the bracket of
-    per-component candidates is reported.  Both branches read the one
-    memoized component analysis of A (spectral.component_perron_data), the
-    one topological_entropy reads too, so beta equals its exact entropy.
+    eigen-sequence; the uniqueness flag is set when A is aperiodic.  It reads
+    the one memoized Perron analysis of A, the one topological_entropy reads
+    too, so beta equals its exact entropy.  Reducible A raises
+    ReducibleMatrixError: its extremal temperatures are temperature_sign's.
     """
     M = as_zero_one(A)
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
-    # with no zero row, a single component is irreducible
-    components = spectral.component_perron_data(M, tol=min(tol, PERRON_TOL))
-    if len(components) > 1:
-        if not reducible_mode:
-            raise ReducibleMatrixError(
-                "matrix is reducible; pass reducible_mode=True for the per-component bracket"
-            )
-        radii = [c.radius for c in components if c.radius > 0]
-        return KmsReport(
-            lam=None,
-            beta=None,
-            eigen_sequence=None,
-            uniqueness_flag=False,
-            bracket=(math.log(min(radii)), math.log(max(radii))),
-            heuristic=True,
-        )
-    p = components[0].data
+    tol = min(tol, PERRON_TOL)
+    try:
+        p = perron_vectors(M, tol=tol)
+    except ReducibleMatrixError:
+        raise ReducibleMatrixError(
+            "matrix is reducible: it has no single KMS temperature; temperature_sign gives the "
+            "extremal ones, and so does the CLI's kms --reducible-mode"
+        ) from None
     return KmsReport(
         lam=p.lam,
         beta=math.log(p.lam),
-        eigen_sequence=kms_eigen_sequence(M, depth, tol=min(tol, PERRON_TOL)),
+        eigen_sequence=kms_eigen_sequence(M, depth, tol=tol),
         uniqueness_flag=p.period == 1,
-        bracket=None,
-        heuristic=False,
     )
 
 
@@ -293,7 +279,12 @@ class TemperatureSign:
 
     lower/upper are the limits of (min/max column sum of A^n)^(1/n), obtained
     from per-component spectral radii taken over the nodes that reach each
-    column; the bracket sequences at small n are attached as finite evidence.
+    column.  The distinct values of column_growth are the radii of the
+    distinguished components (radius above that of every component with a
+    path into it), exactly the lam with a nonnegative A u = lam u (Schneider
+    1986), so log lower and log upper are the extremal KMS inverse
+    temperatures.  The bracket sequences at small n are attached as finite
+    evidence.
     """
 
     classification: str
@@ -304,14 +295,15 @@ class TemperatureSign:
     evidence_upper: tuple[float, ...]
 
 
-def temperature_sign(A, n_evidence: int = 12, tol: float = 1e-9) -> TemperatureSign:
+def temperature_sign(A) -> TemperatureSign:
     """Classify the temperatures a matrix admits: positive, negative, tracial
     or mixed.
 
     The limit of the bracket for column k is the largest component radius
     among the nodes that reach k (k included), carried along the edges until
     it stops growing; the radii come from the memoized component analysis.
-    Classification compares the extreme limits against 1.
+    Classification compares the extreme limits against 1 within SIGN_TOL;
+    SIGN_EVIDENCE bracket steps are attached.
     """
     M = as_nonnegative(A)
     if has_zero_row(M) or has_zero_column(M):
@@ -326,15 +318,15 @@ def temperature_sign(A, n_evidence: int = 12, tol: float = 1e-9) -> TemperatureS
             break
         growth = nxt
     lower, upper = float(growth.min()), float(growth.max())
-    if lower > 1.0 + tol:
+    if lower > 1.0 + SIGN_TOL:
         cls = "positive"
-    elif upper < 1.0 - tol:
+    elif upper < 1.0 - SIGN_TOL:
         cls = "negative"
-    elif abs(lower - 1.0) <= tol and abs(upper - 1.0) <= tol:
+    elif abs(lower - 1.0) <= SIGN_TOL and abs(upper - 1.0) <= SIGN_TOL:
         cls = "tracial"
     else:
         cls = "mixed"
-    ev_lo, ev_hi = spectral.spectral_radius_bracket_sequences(M, n_evidence)
+    ev_lo, ev_hi = spectral.spectral_radius_bracket_sequences(M, SIGN_EVIDENCE)
     return TemperatureSign(
         classification=cls,
         lower=lower,

@@ -27,6 +27,13 @@ closure and the edge-list Tarjan labels.
 `cycle_chord`, `block_cyclic` and `sparse_d256` build the matrices the
 certified Perron tests run on.
 
+`distinguished_temperatures_brute` is the reference for the extremal KMS
+inverse temperatures of a reducible matrix (Schneider 1986): classes from
+boolean reachability powers, radii from LAPACK's eigenvalues of each diagonal
+block, and a class is distinguished when its radius is above that of every
+class with a path into it; `random_reducible_zero_one` draws the reducible
+matrices it is checked on.
+
 `beta_expansion_mpmath` is the earlier expansion of 1: the Renyi map in
 mpmath at a working precision of 64 + guard_bits + n log2(b) bits, with a
 propagated error bound that raises `UncertainDigitError` when a product lands
@@ -537,6 +544,37 @@ def sparse_d256():
         M = (rng.random((256, 256)) < 12 / 256).astype(np.int64)
         if M.sum(axis=0).min() > 0 and M.sum(axis=1).min() > 0 and len(scc_tarjan(M)) == 1:
             return M
+
+
+def random_reducible_zero_one(rng):
+    """Seeded reducible 0/1 matrix: 2-5 irreducible diagonal blocks of size 1-7,
+    each entry above the blocks set with probability 0.4, under a random
+    permutation of the nodes."""
+    blocks = [random_irreducible_zero_one(rng, int(rng.integers(1, 8))) for _ in range(rng.integers(2, 6))]
+    sizes = [len(b) for b in blocks]
+    ends = np.cumsum(sizes)
+    M = np.triu((rng.random((ends[-1], ends[-1])) < 0.4).astype(int))
+    for b, end, size in zip(blocks, ends, sizes):
+        M[end - size:end, end - size:end] = b
+    perm = rng.permutation(ends[-1])
+    return M[np.ix_(perm, perm)]
+
+
+def distinguished_temperatures_brute(matrix) -> tuple[float, float]:
+    """(log min, log max) of the radii of the distinguished classes: the classes
+    whose radius exceeds, by more than 1e-9 relative, that of every class with
+    a path into them."""
+    A = np.asarray(matrix, dtype=float)
+    M = (A > 0).astype(int)
+    d = M.shape[0]
+    reach = np.eye(d, dtype=int)  # paths of length 0..d
+    for _ in range(d):
+        reach = ((reach + reach @ M) > 0).astype(int)
+    classes = {tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(d)}
+    radius = {c: float(np.max(np.abs(np.linalg.eigvals(A[np.ix_(c, c)])))) for c in classes}
+    upstream = {c: [radius[b] for b in classes if b != c and reach[b[0], c[0]]] for c in classes}
+    radii = [r for c, r in radius.items() if r > 0 and all(u < r * (1 - 1e-9) for u in upstream[c])]
+    return math.log(min(radii)), math.log(max(radii))
 
 
 def perron_root_lapack(aut) -> float:

@@ -452,6 +452,40 @@ def test_all_in_reducible_mode_skips_the_perron_sections(tmp_path, capsys):
         assert "reducible" in capsys.readouterr().err
 
 
+def test_kms_reducible_mode_reports_the_extremal_temperatures(tmp_path, capsys):
+    # the only lambda with a nonnegative A u = lambda u is 2: the class {3}
+    # (radius 1) has the class {1, 2} (radius 2) upstream of it
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "sft", "matrix": [[1, 1, 1], [1, 1, 0], [0, 0, 1]]}')
+    assert main(["kms", str(doc), "--reducible-mode", "--no-timestamp"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["warnings"] == [] and captured.err == ""
+    assert report["results"]["kms"] == {
+        "kind": "cuntz-krieger",
+        "lambda": None,
+        "beta": None,
+        "uniqueness": False,
+        "bracket": [math.log(2), math.log(2)],
+    }
+    # without the flag a reducible matrix is bad input, and the message names the flag
+    assert main(["kms", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--reducible-mode" in captured.err
+
+
+def test_kms_reducible_mode_bracket_matches_the_distinguished_classes():
+    rng = np.random.default_rng(0)
+    flags = dict(DEFAULT_FLAGS, reducible_mode=True)
+    for _ in range(200):
+        matrix = oracles.random_reducible_zero_one(rng)
+        report = run("kms", SFT(matrix), flags)
+        assert report["warnings"] == []
+        lower, upper = report["results"]["kms"]["bracket"]
+        expected = oracles.distinguished_temperatures_brute(matrix)
+        assert abs(lower - expected[0]) <= 1e-12 and abs(upper - expected[1]) <= 1e-12
+
+
 def test_main_rejects_bad_tol_before_any_section(tmp_path, capsys):
     doc = tmp_path / "spec.json"
     doc.write_text(GOLDEN_DOC)

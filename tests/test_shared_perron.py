@@ -158,18 +158,21 @@ def test_kms_temperature_builds_one_reachability_closure(monkeypatch):
         return reachability(A)
 
     monkeypatch.setattr(spectral, "reachability", counted)
-    report = kms_temperature([[1, 1], [0, 1]], reducible_mode=True)
-    assert report.heuristic and report.bracket == (0.0, 0.0)
-    assert closures["reachability"] == 1
-    closures.clear()
-    # equal content: the analysis is shared, so no closure at all
-    with pytest.raises(spectral.ReducibleMatrixError, match="reducible_mode=True"):
+    with pytest.raises(spectral.ReducibleMatrixError, match="--reducible-mode"):
         kms_temperature([[1, 1], [0, 1]])
-    assert closures["reachability"] == 0
-    assert not kms_temperature(_random_sft_matrix()).heuristic
     assert closures["reachability"] == 1
     closures.clear()
-    assert not kms_temperature(_random_sft_matrix().astype(float)).heuristic
+    # equal content: the analysis is shared, so no closure at all, and the
+    # reducible route reads the same analysis
+    sign = temperature_sign([[1, 1], [0, 1]])
+    assert (sign.lower, sign.upper) == (1.0, 1.0)
+    report = run("kms", SFT([[1, 1], [0, 1]]), dict(FLAGS, reducible_mode=True))
+    assert report["results"]["kms"]["bracket"] == [0.0, 0.0]
+    assert closures["reachability"] == 0
+    assert kms_temperature(_random_sft_matrix()).eigen_sequence.coherent
+    assert closures["reachability"] == 1
+    closures.clear()
+    assert kms_temperature(_random_sft_matrix().astype(float)).eigen_sequence.coherent
     assert closures["reachability"] == 0
 
 

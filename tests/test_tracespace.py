@@ -212,15 +212,19 @@ def test_kms_temperature_examples():
 
 
 def test_kms_temperature_reducible_paths():
+    # two disjoint blocks, both distinguished: the extremal temperatures are log 2 and log 3
     M = np.zeros((5, 5), dtype=int)
     M[:2, :2] = 1
     M[2:, 2:] = 1
-    with pytest.raises(ReducibleMatrixError):
+    with pytest.raises(ReducibleMatrixError, match="temperature_sign"):
         kms_temperature(M)
-    rep = kms_temperature(M, reducible_mode=True)
-    assert rep.heuristic
-    assert abs(rep.bracket[0] - math.log(2)) < 1e-12
-    assert abs(rep.bracket[1] - math.log(3)) < 1e-12
+    sign = temperature_sign(M)
+    assert (sign.lower, sign.upper) == (2.0, 3.0)
+    # a path from the radius-3 block into the radius-2 block leaves log 3 the only temperature
+    M[2, 0] = 1
+    sign = temperature_sign(M)
+    assert sign.column_growth == (3.0,) * 5
+    assert oracles.distinguished_temperatures_brute(M) == pytest.approx((math.log(3),) * 2, abs=1e-12)
     with pytest.raises(ValueError):
         kms_temperature([[1, 0], [1, 1]])  # zero column
 
