@@ -12,10 +12,10 @@ Exit codes: 0 success, 1 bad input, 2 violated internal invariant or failed
 numerical solver.  Every sized input is bounded by the MAX_* constants below;
 a value past its bound is bad input, named in the message.  Sections pass
 the document's matrix, whose Perron analysis spectral memoizes per content,
-so it is solved once and shared by every section.  Under --reducible-mode a
-reducible matrix gets the bracket of its extremal KMS inverse temperatures
-from temperature_sign in `kms`, and `all` skips the sections that need Perron
-data.
+so it is solved once and shared by every section.  A reducible transition
+matrix gets the bracket of its extremal KMS inverse temperatures from
+temperature_sign in `kms`; `all` skips the sections that need Perron data,
+and asked for alone they are bad input.
 """
 
 from __future__ import annotations
@@ -170,11 +170,6 @@ def _echo(spec):
     return {"type": kind, "matrix": np.asarray(matrix).tolist()}
 
 
-def _reducible(spec):
-    # a transition matrix has no zero row, so it is irreducible iff it is one component
-    return len(component_perron_data(spec.matrix)) > 1
-
-
 def _section_entropy(spec, flags, warnings):
     est = subshift.topological_entropy(spec, flags["max_n"])
     return {
@@ -189,7 +184,7 @@ def _section_entropy(spec, flags, warnings):
 
 def _section_kms(spec, flags, warnings):
     if isinstance(spec, tuple):
-        report = tracespace.bimodule_kms(spec[1], depth=flags["depth"], tol=flags["tol"])
+        report = tracespace.bimodule_kms(spec[1], depth=flags["depth"])
         return {
             "kind": "bimodule",
             "lambda": report.lam,
@@ -197,11 +192,7 @@ def _section_kms(spec, flags, warnings):
             "v0": report.v0.tolist(),
             "sequence": [v.tolist() for v in report.sequence],
         }
-    if flags["reducible_mode"] and _reducible(spec):
-        sign = tracespace.temperature_sign(spec.matrix)
-        bracket = [math.log(sign.lower), math.log(sign.upper)]  # the extremal KMS inverse temperatures
-        return {"kind": "cuntz-krieger", "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
-    report = tracespace.kms_temperature(spec.matrix, depth=flags["depth"], tol=flags["tol"])
+    report = tracespace.kms_temperature(spec.matrix, depth=flags["depth"])
     return {
         "kind": "cuntz-krieger",
         "lambda": report.lam,
@@ -212,8 +203,14 @@ def _section_kms(spec, flags, warnings):
     }
 
 
+def _section_reducible_kms(spec, flags, warnings):
+    sign = tracespace.temperature_sign(spec.matrix)
+    bracket = [math.log(sign.lower), math.log(sign.upper)]  # the extremal KMS inverse temperatures
+    return {"kind": "cuntz-krieger", "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
+
+
 def _section_parry(spec, flags, warnings):
-    m = equilibrium.parry_measure(spec.matrix, tol=flags["tol"])
+    m = equilibrium.parry_measure(spec.matrix)
     return {
         "lambda": m.lam,
         "transitions": m.transitions.tolist(),
@@ -271,7 +268,7 @@ def _section_variational(spec, flags, warnings):
 
 
 def _section_resolvent(spec, flags, warnings):
-    perron = perron_vectors(spec.matrix, tol=flags["tol"])
+    perron = perron_vectors(spec.matrix)
     offsets = (0.5, 0.1, 0.01, 1e-4)
     v_dir = perron.v / perron.v.sum()
     rows = []
@@ -316,8 +313,13 @@ def run(command: str, spec, flags) -> dict:
     _at_most("--max-n", flags["max_n"], MAX_WORD_LENGTH)
     _at_most("--depth", flags["depth"], MAX_WORD_LENGTH)
     _at_most("--samples", flags["samples"], MAX_SAMPLES)
-    if not (math.isfinite(flags["tol"]) and flags["tol"] > 0):
-        raise InputError(f"--tol must be finite and > 0, got {flags['tol']!r}")
+    # computed once, where a section reads it; a transition matrix has no zero
+    # row, so it is irreducible iff it is one component
+    reducible = (
+        isinstance(spec, TRANSITION_MATRIX)
+        and command in ("all", "kms", *NEEDS_PERRON)
+        and len(component_perron_data(spec.matrix)) > 1
+    )
     plan = []  # (name, section builder, the warning that skips it or None), in report order
     for name, (types, section) in SECTIONS.items():
         if command not in (name, "all"):
@@ -327,8 +329,12 @@ def run(command: str, spec, flags) -> dict:
             if command != "all":
                 raise InputError(f"command '{name}' is not applicable to this input")
             skip = f"{name}: not applicable to this input, skipped"
-        elif command == "all" and flags["reducible_mode"] and name in NEEDS_PERRON and _reducible(spec):
+        elif reducible and name in NEEDS_PERRON:
+            if command != "all":
+                raise InputError(f"command '{name}' needs an irreducible matrix; this one is reducible")
             skip = f"{name}: needs an irreducible matrix, skipped in reducible mode"
+        elif reducible and name == "kms":
+            section = _section_reducible_kms
         plan.append((name, section, skip))
     # the flags of the sections that will run are checked before the first runs
     running = {name for name, _, skip in plan if skip is None}
@@ -353,11 +359,9 @@ def run(command: str, spec, flags) -> dict:
         "input_echo": _echo(spec),
         "provenance": {
             "seed": flags["seed"],
-            "tol": flags["tol"],
             "max_n": flags["max_n"],
             "depth": flags["depth"],
             "samples": flags["samples"],
-            "reducible_mode": flags["reducible_mode"],
         },
         "warnings": warnings,
         "results": results,
@@ -387,10 +391,8 @@ def _build_parser():
     parser.add_argument("input", help="path of a JSON spec document, or - for stdin")
     parser.add_argument("--max-n", type=int, default=30, dest="max_n")
     parser.add_argument("--depth", type=int, default=12)
-    parser.add_argument("--tol", type=float, default=1e-12)
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--reducible-mode", action="store_true", dest="reducible_mode")
     parser.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     return parser
@@ -401,10 +403,8 @@ def main(argv=None) -> int:
     flags = {
         "max_n": args.max_n,
         "depth": args.depth,
-        "tol": args.tol,
         "samples": args.samples,
         "seed": args.seed,
-        "reducible_mode": args.reducible_mode,
         "no_timestamp": args.no_timestamp,
     }
     try:

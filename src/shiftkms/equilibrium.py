@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import PERRON_TOL, PerronData, as_zero_one, perron_vectors
+from .spectral import PerronData, as_zero_one, perron_vectors
 from .subshift import validate_word
 
 
@@ -47,14 +47,14 @@ class MarkovMeasure:
         return markov_entropy(self)
 
 
-def parry_measure(A, tol: float = 1e-12) -> MarkovMeasure:
+def parry_measure(A) -> MarkovMeasure:
     """The maximal-entropy Markov measure of an irreducible 0/1 matrix.
 
     Raises InvariantViolation if the constructed chain misses row-stochasticity
-    or stationarity beyond 1e-12.
+    or stationarity beyond MARKOV_TOL.
     """
     M = as_zero_one(A)
-    p = perron_vectors(M, tol=min(tol, PERRON_TOL))
+    p = perron_vectors(M)
     P = M * p.u[None, :] / (p.lam * p.u[:, None])
     # float hygiene: divide out the row sums (a relative correction at the
     # Perron-residual scale) so row-stochasticity is exact
@@ -64,12 +64,12 @@ def parry_measure(A, tol: float = 1e-12) -> MarkovMeasure:
     return MarkovMeasure(matrix=M, lam=p.lam, u=p.u, v=p.v, transitions=P, stationary=pi)
 
 
-def _check_markov(M, P, pi, tol: float = 1e-12) -> None:
+def _check_markov(M, P, pi) -> None:
     row_err = float(np.abs(P.sum(axis=1) - 1.0).max())
     stat_err = float(np.abs(pi @ P - pi).sum())
     norm_err = abs(float(pi.sum()) - 1.0)
     support_ok = bool(np.all((P > 0) == (M > 0)))
-    if row_err > tol or stat_err > tol or norm_err > tol or not support_ok:
+    if row_err > MARKOV_TOL or stat_err > MARKOV_TOL or norm_err > MARKOV_TOL or not support_ok:
         raise InvariantViolation(
             f"Markov measure invariants failed: rows {row_err:.2e}, "
             f"stationarity {stat_err:.2e}, normalization {norm_err:.2e}, "
@@ -159,6 +159,8 @@ class VariationalReport:
 # L2 cache: at d = 64 blocks of 2^16 entries ran faster than blocks of 2^18
 _BLOCK_ENTRIES = 2**16
 VARIATIONAL_SLACK = 1e-9  # rounding allowance of a sampled entropy over log r(A)
+MARKOV_TOL = 1e-12  # row-stochasticity, stationarity and normalization error of a Parry measure
+STATIONARY_TOL = 1e-13  # stationarity residual of a sampled chain's solved pi
 
 
 def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
@@ -179,7 +181,7 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
         raise ValueError("seed must be nonnegative")
     M = as_zero_one(A)
     d = M.shape[0]
-    parry = parry_measure(M, tol=PERRON_TOL)
+    parry = parry_measure(M)
     top = math.log(parry.lam)
     mask = M > 0
     rng = np.random.default_rng(seed)
@@ -222,14 +224,14 @@ def _block_entropies(Ps: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return -np.einsum("nd,nd->n", pis, plogp.sum(axis=2))
 
 
-def _stationary_batch(Ps: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def _stationary_batch(Ps: np.ndarray) -> np.ndarray:
     """Stationary rows of a batch of stochastic matrices by one stacked solve.
 
     Each system is (P^T - I) pi = 0 with its last row replaced by sum(pi) = 1.
     For an irreducible chain, periodic or not, it is nonsingular: the rows of
     P^T - I sum to zero and span the orthogonal complement of pi, so any d - 1
     of them do, and 1 . pi != 0.  A singular system (a reducible chain) or a
-    stationarity residual max |pi P - pi|_1 above tol raises InvariantViolation.
+    residual max |pi P - pi|_1 above STATIONARY_TOL raises InvariantViolation.
     """
     n, d, _ = Ps.shape
     systems = Ps.transpose(0, 2, 1) - np.eye(d)
@@ -243,6 +245,6 @@ def _stationary_batch(Ps: np.ndarray, tol: float = 1e-13) -> np.ndarray:
             f"stationary solve failed, a sampled chain is reducible: {exc}"
         ) from None
     residual = float(np.abs((pis[:, None, :] @ Ps)[:, 0, :] - pis).sum(axis=1).max())
-    if not residual <= tol:
-        raise InvariantViolation(f"stationary residual {residual:.2e} exceeds {tol:.0e}")
+    if not residual <= STATIONARY_TOL:
+        raise InvariantViolation(f"stationary residual {residual:.2e} exceeds {STATIONARY_TOL:.0e}")
     return pis

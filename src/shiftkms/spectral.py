@@ -9,7 +9,8 @@ bound, which needs no special case for periodic matrices; the bracket
 min (A u)_i / u_i <= lam <= max (A u)_i / u_i of the final u, widened for
 float rounding, is returned with it as a certificate.  The SCC pass and the
 solve of every component are memoized per matrix content and shared by all
-callers; their arrays are read-only, and tol only gates acceptance.  A count
+callers; their arrays are read-only, and a solve whose residual exceeds
+max(PERRON_TOL, residual_noise_floor) is held as a failed one.  A count
 matrix given by its edges gets such a bracket from power iteration on each
 Tarjan component, with no dense matrix.  Growth sequences 1^T A^k x come from
 one rescaled power recursion.  Logarithms are natural throughout the package.
@@ -23,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
-PERRON_TOL = 1e-13  # the strictest default acceptance of any thermodynamic result
+PERRON_TOL = 1e-13  # l1 eigen-residual bound of an accepted Perron solve, floored at residual_noise_floor
 _MAX_SOLVES = 100  # Noda iteration converges superlinearly: 5-16 solves on desk-scale input
 _MAX_STEPS = 2**17  # per component; the slowest CLI input found (gap renewal, n = 88) takes 45 101
 _STALE_STEPS = 32  # level steps that end the iteration once the bracket is at rounding level
@@ -32,19 +32,19 @@ _STALE_STEPS = 32  # level steps that end the iteration once the bracket is at r
 
 def residual_noise_floor(d: int, lam: float = 1.0) -> float:
     """l1 eigen-residual a float64 solve can actually reach for a unit-sum
-    eigenvector of a d x d matrix with Perron value lam; requested tolerances
-    are floored here so honest desk-scale inputs are not rejected for
-    exceeding machine noise.
+    eigenvector of a d x d matrix with Perron value lam; PERRON_TOL is floored
+    here so honest desk-scale inputs are not rejected for exceeding machine
+    noise.
     """
     return 16.0 * np.finfo(float).eps * d * max(lam, 1.0)
 
 
 class ConvergenceError(RuntimeError):
-    """The Perron solve did not reach the requested residual, or its
+    """The Perron solve missed the acceptance bound on its residual, or its
     Collatz-Wielandt bracket is not positive and finite.
 
     Carries the last iterate and its residual so the caller can inspect the
-    near-answer or retry with a looser tolerance.
+    near-answer.
     """
 
     def __init__(self, message, last_vector=None, residual=None):
@@ -233,13 +233,6 @@ class ComponentPerron:
     data: PerronData | None
 
 
-def _accept(p: PerronData, tol: float) -> None:
-    accept = max(tol, residual_noise_floor(p.matrix.shape[0], p.lam))
-    if p.residual > accept:
-        msg = f"Perron residual {p.residual:.3e} exceeds tolerance {accept:.3e}"
-        raise ConvergenceError(msg, last_vector=p.u, residual=p.residual)
-
-
 def _perron(M: np.ndarray) -> PerronData:
     """Perron data of an irreducible matrix: Noda iteration for u, then for v
     on M.T, its first shift just above the certified bound on lam."""
@@ -250,6 +243,10 @@ def _perron(M: np.ndarray) -> PerronData:
     # the two-sided Rayleigh quotient, kept inside the float bracket of u
     lam = min(max(float(v @ M @ u) / float(v @ u), lo), hi)
     residual = max(float(np.abs(M @ u - lam * u).sum()), float(np.abs(M.T @ v - lam * v).sum()))
+    accept = max(PERRON_TOL, residual_noise_floor(d, lam))
+    if residual > accept:
+        msg = f"Perron residual {residual:.3e} exceeds tolerance {accept:.3e}"
+        raise ConvergenceError(msg, last_vector=u, residual=residual)
     v = v / float(u @ v)
     for x in (M, u, v):  # shared by every caller of the memo
         x.flags.writeable = False
@@ -288,26 +285,24 @@ def _analysed(A) -> tuple[ComponentPerron | ConvergenceError, ...]:
     return _analysis(M.shape[0], M.tobytes())
 
 
-def _accepted(c: ComponentPerron | ConvergenceError, tol: float) -> ComponentPerron:
+def _accepted(c: ComponentPerron | ConvergenceError) -> ComponentPerron:
     if isinstance(c, ConvergenceError):  # a fresh error: a held one would grow its traceback
         raise ConvergenceError(str(c), last_vector=c.last_vector, residual=c.residual)
-    if c.data is not None:
-        _accept(c.data, tol)
     return c
 
 
-def component_perron_data(A, tol: float = DEFAULT_TOL) -> list[ComponentPerron]:
+def component_perron_data(A) -> list[ComponentPerron]:
     """Per-component Perron data for a possibly reducible matrix.
 
     Each strongly connected component is analysed on its own; a single node
     without a self-loop is reported with radius 0 and no eigendata.  Equal
-    matrices share one memoized analysis with read-only arrays; tol only
-    gates acceptance (ConvergenceError past it, floored at residual_noise_floor).
+    matrices share one memoized analysis with read-only arrays; a component
+    whose solve failed or missed acceptance raises ConvergenceError.
     """
-    return [_accepted(c, tol) for c in _analysed(A)]
+    return [_accepted(c) for c in _analysed(A)]
 
 
-def perron_vectors(A, tol: float = DEFAULT_TOL) -> PerronData:
+def perron_vectors(A) -> PerronData:
     """Perron value with normalized right/left eigenvectors of an irreducible matrix.
 
     One SCC pass, one period BFS and one Noda iteration per vector, once per
@@ -317,20 +312,17 @@ def perron_vectors(A, tol: float = DEFAULT_TOL) -> PerronData:
     ----------
     A : array_like
         Square nonnegative irreducible matrix.
-    tol : float
-        Acceptance bound for the l1 eigen-residuals of both unit-sum vectors,
-        floored at residual_noise_floor.
 
     Raises
     ------
     ReducibleMatrixError
         For reducible input; use component_perron_data for the per-component mode.
     ConvergenceError
-        When either vector misses tol, or the Collatz-Wielandt bracket is not
-        positive and finite (an overflowing Perron value).
+        When a residual exceeds max(PERRON_TOL, residual_noise_floor), or the
+        Collatz-Wielandt bracket is not positive and finite (an overflowing Perron value).
     """
     only, *rest = _analysed(A)
-    data = None if rest else _accepted(only, tol).data
+    data = None if rest else _accepted(only).data
     if data is None:
         raise ReducibleMatrixError(
             "Perron data needs an irreducible matrix; "
@@ -339,13 +331,13 @@ def perron_vectors(A, tol: float = DEFAULT_TOL) -> PerronData:
     return data
 
 
-def spectral_radius(A, tol: float = DEFAULT_TOL) -> float:
+def spectral_radius(A) -> float:
     """Spectral radius of a nonnegative matrix: the maximum over the component
     Perron values, so on an irreducible matrix it is perron_vectors(A).lam."""
     M = as_nonnegative(A)
     if not np.any(M > 0):
         raise ValueError("spectral_radius requires a matrix that is not identically zero")
-    return max(c.radius for c in component_perron_data(M, tol=tol))
+    return max(c.radius for c in component_perron_data(M))
 
 
 def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:

@@ -429,7 +429,7 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
     if aut.max_word_length is not None:
         exact, method = math.log(float(spec.beta)), "log-beta"
     elif isinstance(spec, (FullShift, SFT)):
-        exact = math.log(spectral.spectral_radius(spec.matrix, tol=spectral.PERRON_TOL))
+        exact = math.log(spectral.spectral_radius(spec.matrix))
         method = "transfer-matrix"
     else:
         exact, method = math.log(0.5 * sum(aut.radius_bracket)), "automaton-transfer-matrix"
@@ -445,4 +445,4 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
 def sft_entropy_exact(A) -> float:
     """log of the spectral radius of the transition matrix."""
     SFT(A)  # validates the matrix
-    return math.log(spectral.spectral_radius(A, tol=spectral.PERRON_TOL))
+    return math.log(spectral.spectral_radius(A))

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import spectral
 from .spectral import (
-    PERRON_TOL,
     ReducibleMatrixError,
     as_nonnegative,
     as_zero_one,
@@ -32,21 +31,22 @@ from .spectral import (
     perron_vectors,
 )
 
+TRACE_TOL = 1e-12  # how far from 1 the sum of a trace vector may be
 COHERENCE_TOL = 1e-9
 SIGN_TOL = 1e-9  # how far from 1 a growth limit must be to count as positive or negative
 SIGN_EVIDENCE = 12  # bracket steps temperature_sign attaches
 _LOG_RANGE = -math.log(np.finfo(float).tiny)  # exp(+-_LOG_RANGE) are normal floats
 
 
-def as_trace_vector(t, tol: float = 1e-12) -> np.ndarray:
-    """Validate t as a nonnegative vector summing to 1 within tol."""
+def as_trace_vector(t) -> np.ndarray:
+    """Validate t as a nonnegative vector summing to 1 within TRACE_TOL."""
     v = np.asarray(t, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("trace vector must be a nonempty 1-d array")
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise ValueError("trace vector entries must be finite and nonnegative")
-    if abs(float(v.sum()) - 1.0) > tol:
-        raise ValueError(f"trace vector must sum to 1 within {tol}, got {v.sum()}")
+    if abs(float(v.sum()) - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace vector must sum to 1 within {TRACE_TOL}, got {v.sum()}")
     return v
 
 
@@ -66,7 +66,7 @@ class CoherentSequence:
 
     @property
     def normalized(self) -> bool:
-        return abs(float(self.levels[0].sum()) - 1.0) <= 1e-12
+        return abs(float(self.levels[0].sum()) - 1.0) <= TRACE_TOL
 
     @property
     def depth(self) -> int:
@@ -136,16 +136,16 @@ def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
     return coherent_sequence(seq.matrix, levels, tol=seq.tol, require=False)
 
 
-def kms_eigen_sequence(A, R: int, tol: float = PERRON_TOL) -> CoherentSequence:
+def kms_eigen_sequence(A, R: int) -> CoherentSequence:
     """Eigen-sequence t_r = lam^(-r) u with u the Perron right eigenvector
     normalized to sum 1; the coherence residuals inherit the Perron residual
     and stay below 1e-12."""
-    p = perron_vectors(A, tol=tol)
+    p = perron_vectors(A)
     levels = [p.u * p.lam ** (-r) for r in range(R + 1)]
     return coherent_sequence(p.matrix, levels, tol=1e-12, require=True)
 
 
-def coherent_truncation(A, t0, R: int, tol: float = COHERENCE_TOL) -> CoherentSequence:
+def coherent_truncation(A, t0, R: int) -> CoherentSequence:
     """Coherent truncation grown forward from a starting trace: each next level
     solves A x = t_r by least squares projected to x >= 0, residuals recorded.
 
@@ -158,10 +158,10 @@ def coherent_truncation(A, t0, R: int, tol: float = COHERENCE_TOL) -> CoherentSe
     for _ in range(R):
         x, *_ = np.linalg.lstsq(M, levels[-1], rcond=None)
         levels.append(np.clip(x, 0.0, None))
-    return coherent_sequence(M, levels, tol=tol, require=False)
+    return coherent_sequence(M, levels, require=False)
 
 
-def coherent_from_boundary(A, boundary, R: int, tol: float = COHERENCE_TOL) -> CoherentSequence:
+def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
     """Exactly coherent truncation built downward from a deep boundary level:
     t_R proportional to the boundary vector, t_r = A t_{r+1}, everything scaled
     so sum(t_0) = 1; a ValueError when no t_R in float64 range gets there."""
@@ -181,7 +181,7 @@ def coherent_from_boundary(A, boundary, R: int, tol: float = COHERENCE_TOL) -> C
             levels.append(M @ levels[-1])
         top = top / float(levels[-1].sum())
     levels.reverse()
-    return coherent_sequence(M, levels, tol=tol, require=True)
+    return coherent_sequence(M, levels, require=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +228,7 @@ class KmsReport:
     uniqueness_flag: bool
 
 
-def kms_temperature(A, depth: int = 10, tol: float = 1e-12) -> KmsReport:
+def kms_temperature(A, depth: int = 10) -> KmsReport:
     """KMS inverse temperature of the gauge action for an irreducible 0/1 matrix.
 
     Irreducible A has a single temperature log r(A) with the Perron
@@ -240,18 +240,17 @@ def kms_temperature(A, depth: int = 10, tol: float = 1e-12) -> KmsReport:
     M = as_zero_one(A)
     if has_zero_row(M) or has_zero_column(M):
         raise ValueError("matrix must have no zero row and no zero column")
-    tol = min(tol, PERRON_TOL)
     try:
-        p = perron_vectors(M, tol=tol)
+        p = perron_vectors(M)
     except ReducibleMatrixError:
         raise ReducibleMatrixError(
             "matrix is reducible: it has no single KMS temperature; temperature_sign gives the "
-            "extremal ones, and so does the CLI's kms --reducible-mode"
+            "extremal ones, which the CLI's kms reports"
         ) from None
     return KmsReport(
         lam=p.lam,
         beta=math.log(p.lam),
-        eigen_sequence=kms_eigen_sequence(M, depth, tol=tol),
+        eigen_sequence=kms_eigen_sequence(M, depth),
         uniqueness_flag=p.period == 1,
     )
 
@@ -264,11 +263,14 @@ class BimoduleKms:
     sequence: tuple[np.ndarray, ...]
 
 
-def bimodule_kms(Lambda, depth: int = 10, tol: float = 1e-12) -> BimoduleKms:
+def bimodule_kms(Lambda, depth: int = 10) -> BimoduleKms:
     """KMS temperature log r(Lambda) for a coherent lambda-matrix of a
     Cuntz-Krieger bimodule; v0 is the Perron right eigenvector with sum 1 and
-    the sequence iterates v^r = lam^(-r) v0."""
-    p = perron_vectors(Lambda, tol=tol)
+    the sequence iterates v^r = lam^(-r) v0.  A ValueError when lam^depth
+    leaves the float64 range."""
+    p = perron_vectors(Lambda)
+    if depth * abs(math.log(p.lam)) > _LOG_RANGE:
+        raise ValueError(f"lam^(-depth) leaves the float64 range at depth = {depth} (lambda = {p.lam:.6g})")
     seq = tuple(p.u * p.lam ** (-r) for r in range(depth + 1))
     return BimoduleKms(lam=p.lam, beta=math.log(p.lam), v0=p.u, sequence=seq)
 

@@ -136,7 +136,7 @@ def test_criterion_05_resolvent_construction():
     t0 = time.time()
     failures = []
     for A in (GOLDEN.matrix, np.ones((4, 4), dtype=int)):
-        p = perron_vectors(A, tol=1e-13)
+        p = perron_vectors(A)
         v_dir = p.v / p.v.sum()
         for off in (0.5, 0.1, 0.01):
             rv = resolvent_vector(A, p, p.lam + off)

@@ -35,10 +35,8 @@ GOLDEN_DOC = '{"type": "sft", "matrix": [[1, 1], [1, 0]]}'
 DEFAULT_FLAGS = {
     "max_n": 30,
     "depth": 12,
-    "tol": 1e-12,
     "samples": 50,
     "seed": 0,
-    "reducible_mode": False,
     "no_timestamp": True,
 }
 
@@ -182,7 +180,7 @@ def test_main_bad_input_exits_one(tmp_path, capsys):
     assert main(["kms", str(doc)]) == 1
     assert main(["entropy", str(tmp_path / "missing.json")]) == 1
     doc.write_text(GOLDEN_DOC)
-    assert main(["parry", str(doc), "--reducible-mode"]) == 0
+    assert main(["parry", str(doc)]) == 0
 
 
 def test_main_usage_error_exits_one():
@@ -299,6 +297,17 @@ def test_main_reducible_lambda_with_an_overflowing_block_exits_one(tmp_path, cap
         assert "needs an irreducible matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "matrix, argv", [([[0, 0.3], [0.5, 0]], ["--depth", "1000"]), ([[1e-300]], [])], ids=["depth1000", "tiny"]
+)
+def test_main_bimodule_sequence_past_the_float_range_exits_one(matrix, argv, tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text(json.dumps({"type": "nonnegative", "matrix": matrix}))
+    assert main(["all", str(doc), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "depth" in captured.err
+
+
 def test_main_overflowing_lambda_prints_only_the_error(tmp_path, capsys):
     doc = tmp_path / "spec.json"
     doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308], [1e308, 1e308]]}')
@@ -348,10 +357,6 @@ OVERSIZED_FLAGS = [
     ("--samples", "entropy", FullShift(2), {"samples": 100_001}),
     ("--samples", "variational", FullShift(64), {"samples": 65537}),
     ("--samples", "all", FullShift(64), {"samples": 65537}),
-    ("--tol", "kms", FullShift(2), {"tol": -1.0}),
-    ("--tol", "kms", FullShift(2), {"tol": 0.0}),
-    ("--tol", "kms", FullShift(2), {"tol": math.nan}),
-    ("--tol", "kms", FullShift(2), {"tol": math.inf}),
 ]
 
 
@@ -437,19 +442,28 @@ REDUCIBLE_DOC = '{"type": "sft", "matrix": [[1, 1], [0, 1]]}'
 
 
 def test_all_in_reducible_mode_skips_the_perron_sections(tmp_path, capsys):
-    report = run("all", parse_spec(REDUCIBLE_DOC), dict(DEFAULT_FLAGS, reducible_mode=True))
+    report = run("all", parse_spec(REDUCIBLE_DOC), DEFAULT_FLAGS)
     assert list(report["results"]) == ["entropy", "kms", "krieger", "bracket"]
     assert report["results"]["kms"]["bracket"]
     for name in ("parry", "variational", "resolvent"):
         assert sum(w.startswith(f"{name}:") for w in report["warnings"]) == 1
     doc = tmp_path / "spec.json"
     doc.write_text(REDUCIBLE_DOC)
-    assert main(["all", str(doc), "--reducible-mode", "--no-timestamp"]) == 0
+    assert main(["all", str(doc), "--no-timestamp"]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == json.loads(json.dumps(report["results"]))
-    # without the flag, and for a single Perron command, it is still bad input
-    for argv in (["all", str(doc)], ["parry", str(doc), "--reducible-mode"]):
-        assert main(argv) == 1
-        assert "reducible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", cli.NEEDS_PERRON)
+def test_perron_command_alone_on_a_reducible_matrix_is_bad_input(command, tmp_path, capsys, monkeypatch):
+    # the check that makes `all` skip the section names the command, before its flags are read
+    monkeypatch.setitem(cli.SECTIONS, command, (cli.TRANSITION_MATRIX, None))
+    with pytest.raises(InputError, match=f"command '{command}' needs an irreducible matrix"):
+        run(command, parse_spec(REDUCIBLE_DOC), dict(DEFAULT_FLAGS, seed=-1))
+    doc = tmp_path / "spec.json"
+    doc.write_text(REDUCIBLE_DOC)
+    assert main([command, str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"command '{command}'" in captured.err
 
 
 def test_kms_reducible_mode_reports_the_extremal_temperatures(tmp_path, capsys):
@@ -457,7 +471,7 @@ def test_kms_reducible_mode_reports_the_extremal_temperatures(tmp_path, capsys):
     # (radius 1) has the class {1, 2} (radius 2) upstream of it
     doc = tmp_path / "spec.json"
     doc.write_text('{"type": "sft", "matrix": [[1, 1, 1], [1, 1, 0], [0, 0, 1]]}')
-    assert main(["kms", str(doc), "--reducible-mode", "--no-timestamp"]) == 0
+    assert main(["kms", str(doc), "--no-timestamp"]) == 0
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["warnings"] == [] and captured.err == ""
@@ -468,18 +482,13 @@ def test_kms_reducible_mode_reports_the_extremal_temperatures(tmp_path, capsys):
         "uniqueness": False,
         "bracket": [math.log(2), math.log(2)],
     }
-    # without the flag a reducible matrix is bad input, and the message names the flag
-    assert main(["kms", str(doc)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--reducible-mode" in captured.err
 
 
 def test_kms_reducible_mode_bracket_matches_the_distinguished_classes():
     rng = np.random.default_rng(0)
-    flags = dict(DEFAULT_FLAGS, reducible_mode=True)
     for _ in range(200):
         matrix = oracles.random_reducible_zero_one(rng)
-        report = run("kms", SFT(matrix), flags)
+        report = run("kms", SFT(matrix), DEFAULT_FLAGS)
         assert report["warnings"] == []
         lower, upper = report["results"]["kms"]["bracket"]
         expected = oracles.distinguished_temperatures_brute(matrix)
@@ -487,12 +496,15 @@ def test_kms_reducible_mode_bracket_matches_the_distinguished_classes():
 
 
 def test_main_rejects_bad_tol_before_any_section(tmp_path, capsys):
+    # --tol and --reducible-mode are gone: passing one is a usage error, not a silent no-op
     doc = tmp_path / "spec.json"
     doc.write_text(GOLDEN_DOC)
-    for tol in ("-1", "nan"):
-        assert main(["all", str(doc), "--tol", tol]) == 1
+    for argv in (["--tol", "1e-12"], ["--reducible-mode"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["all", str(doc), *argv])
+        assert exc.value.code == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "--tol" in captured.err
+        assert captured.out == "" and argv[0] in captured.err
 
 
 # Exact fields of `all` on the README documents and a forbidden-word document

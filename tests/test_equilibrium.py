@@ -114,7 +114,7 @@ def test_resolvent_ones_hand_solve():
 
 
 def test_resolvent_pairing_and_limit():
-    p = perron_vectors(GOLDEN, tol=1e-13)
+    p = perron_vectors(GOLDEN)
     v_dir = p.v / p.v.sum()
     dists = []
     for off in (0.5, 0.1, 0.01, 1e-4):

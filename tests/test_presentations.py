@@ -110,10 +110,8 @@ def test_seeded_matrix_shifts_are_sofic_at_any_window():
 FLAGS = {
     "max_n": 12,
     "depth": 12,
-    "tol": 1e-12,
     "samples": 20,
     "seed": 0,
-    "reducible_mode": False,
     "no_timestamp": True,
 }
 

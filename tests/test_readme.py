@@ -2,7 +2,8 @@
 
 Every document of its ```json block goes through `shiftkms all` at the default
 flags, and its ```python quick start is executed, so the documentation cannot
-drift away from the code unnoticed.
+drift away from the code unnoticed.  Its `Flags:` paragraph names exactly the
+options of the command-line parser.
 """
 
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftkms.cli import main
+from shiftkms.cli import _build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -39,3 +40,9 @@ def test_readme_document_runs_all(doc, tmp_path, capsys):
 def test_readme_quick_start_runs():
     (block,) = _blocks("python")
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_flags_line_lists_exactly_the_parser_options():
+    (paragraph,) = re.findall(r"^Flags: (.*?)\n\n", README, flags=re.M | re.S)
+    options = [s for a in _build_parser()._actions for s in a.option_strings if s not in ("-h", "--help")]
+    assert re.findall(r"`(--[\w-]+)`", paragraph) == options

@@ -38,10 +38,8 @@ from conftest import clear_package_memos
 FLAGS = {
     "max_n": 12,
     "depth": 12,
-    "tol": 1e-12,
     "samples": 20,
     "seed": 0,
-    "reducible_mode": False,
     "no_timestamp": True,
 }
 
@@ -97,12 +95,12 @@ def _bits(x):
 
 
 CONSUMERS = {
-    "kms_temperature": (lambda A: kms_temperature(A, depth=6), spectral.PERRON_TOL),
-    "parry_measure": (parry_measure, spectral.PERRON_TOL),
-    "bimodule_kms": (lambda A: bimodule_kms(A, depth=6), spectral.DEFAULT_TOL),
-    "kms_eigen_sequence": (lambda A: kms_eigen_sequence(A, 6), spectral.PERRON_TOL),
-    "variational_scan": (lambda A: variational_scan(A, 10), spectral.PERRON_TOL),
-    "sft_entropy_exact": (sft_entropy_exact, spectral.PERRON_TOL),
+    "kms_temperature": lambda A: kms_temperature(A, depth=6),
+    "parry_measure": parry_measure,
+    "bimodule_kms": lambda A: bimodule_kms(A, depth=6),
+    "kms_eigen_sequence": lambda A: kms_eigen_sequence(A, 6),
+    "variational_scan": lambda A: variational_scan(A, 10),
+    "sft_entropy_exact": sft_entropy_exact,
 }
 
 
@@ -113,14 +111,14 @@ CONSUMERS = {
     ids=["golden", "cycle3", "random16"],
 )
 def test_consumer_solves_once_and_reuses_perron_data(name, matrix, counts):
-    consume, tol = CONSUMERS[name]
+    consume = CONSUMERS[name]
     from_matrix = consume(matrix)
     scc_passes, iterations = counts()
     assert scc_passes == 1 and iterations <= 2
     for dtype in (int, float):
         assert _bits(consume(np.array(matrix, dtype=dtype))) == _bits(from_matrix)
         assert counts() == (0, 0)
-    assert perron_vectors(np.array(matrix, dtype=float), tol=tol) is perron_vectors(matrix, tol=tol)
+    assert perron_vectors(np.array(matrix, dtype=float)) is perron_vectors(matrix)
     assert counts() == (0, 0)
 
 
@@ -158,7 +156,7 @@ def test_kms_temperature_builds_one_reachability_closure(monkeypatch):
         return reachability(A)
 
     monkeypatch.setattr(spectral, "reachability", counted)
-    with pytest.raises(spectral.ReducibleMatrixError, match="--reducible-mode"):
+    with pytest.raises(spectral.ReducibleMatrixError, match="temperature_sign"):
         kms_temperature([[1, 1], [0, 1]])
     assert closures["reachability"] == 1
     closures.clear()
@@ -166,7 +164,7 @@ def test_kms_temperature_builds_one_reachability_closure(monkeypatch):
     # reducible route reads the same analysis
     sign = temperature_sign([[1, 1], [0, 1]])
     assert (sign.lower, sign.upper) == (1.0, 1.0)
-    report = run("kms", SFT([[1, 1], [0, 1]]), dict(FLAGS, reducible_mode=True))
+    report = run("kms", SFT([[1, 1], [0, 1]]), FLAGS)
     assert report["results"]["kms"]["bracket"] == [0.0, 0.0]
     assert closures["reachability"] == 0
     assert kms_temperature(_random_sft_matrix()).eigen_sequence.coherent
@@ -185,18 +183,17 @@ def test_transition_matrix_document_makes_one_component_pass(monkeypatch):
         return reachability(A)
 
     monkeypatch.setattr(spectral, "reachability", counted)
-    flags = dict(FLAGS, reducible_mode=True)
-    report = run("all", SFT([[1, 1], [0, 1]]), flags)
+    report = run("all", SFT([[1, 1], [0, 1]]), FLAGS)
     assert report["results"]["entropy"]["exact"] == 0.0
     # the document's component pass, which the kms section reads too
     assert closures["reachability"] == 1
     closures.clear()
     # a new document with equal content shares that pass
-    assert run("kms", SFT([[1, 1], [0, 1]]), flags)["results"]["kms"]["bracket"] == [0.0, 0.0]
+    assert run("kms", SFT([[1, 1], [0, 1]]), FLAGS)["results"]["kms"]["bracket"] == [0.0, 0.0]
     assert closures["reachability"] == 0
-    assert run("entropy", SFT([[1, 1], [0, 1]]), flags)["results"]["entropy"]["exact"] == 0.0
+    assert run("entropy", SFT([[1, 1], [0, 1]]), FLAGS)["results"]["entropy"]["exact"] == 0.0
     assert closures["reachability"] == 0
-    assert run("entropy", SFT([[1, 1], [1, 1]]), flags)["results"]["entropy"]["exact"] == math.log(2)
+    assert run("entropy", SFT([[1, 1], [1, 1]]), FLAGS)["results"]["entropy"]["exact"] == math.log(2)
     assert closures["reachability"] == 1
 
 
@@ -229,6 +226,19 @@ def test_thermodynamic_chain_on_one_matrix_solves_once(monkeypatch):
     assert (seen["reachability"], seen["_noda"]) == (1, 2)
     assert kms.lam == parry.lam == sign.lower == sign.upper
     assert np.array_equal(seq.levels[0], parry.u)
+
+
+def test_one_acceptance_rule_holds_a_rejected_solve_for_every_consumer(monkeypatch, counts):
+    # with no residual allowed, the one solve of the matrix misses acceptance;
+    # the rejection is held in the memo, so no consumer solves it again
+    monkeypatch.setattr(spectral, "PERRON_TOL", 0.0)
+    monkeypatch.setattr(spectral, "residual_noise_floor", lambda d, lam=1.0: 0.0)
+    M = _random_sft_matrix()
+    for consume in (perron_vectors, component_perron_data, kms_temperature, parry_measure, bimodule_kms, temperature_sign):
+        with pytest.raises(spectral.ConvergenceError, match="exceeds tolerance") as exc:
+            consume(M)
+        assert exc.value.residual > 0.0
+    assert counts() == (1, 2)
 
 
 def test_shared_perron_arrays_are_read_only():

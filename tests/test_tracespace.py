@@ -249,6 +249,16 @@ def test_bimodule_sequence_scaling():
         assert np.abs(v - rep.v0 * rep.lam ** (-r)).max() < 1e-12
 
 
+def test_bimodule_depth_past_the_float_range_is_a_value_error():
+    # lam = sqrt(0.15): lam^-1000 overflows a float, lam^-700 does not
+    weights = [[0.0, 0.3], [0.5, 0.0]]
+    with pytest.raises(ValueError, match=r"depth = 1000 \(lambda = 0.387298\)"):
+        bimodule_kms(weights, depth=1000)
+    assert np.isfinite(bimodule_kms(weights, depth=700).sequence[-1]).all()
+    with pytest.raises(ValueError, match="depth = 12"):
+        bimodule_kms([[1e-300]], depth=12)
+
+
 def test_temperature_sign_classifications():
     assert temperature_sign([[0, 1], [1, 0]]).classification == "tracial"
     assert temperature_sign(GOLDEN).classification == "positive"
