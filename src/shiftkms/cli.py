@@ -48,8 +48,8 @@ MAX_BETA_BITS = 2**18
 MAX_WORD_LENGTH = 1000  # --max-n and --depth
 MAX_SAMPLES = 100_000
 # samples times d^3, the work of the variational scan's stationary solves:
-# 1000 samples at d = 256 take 3-4 s on a 2-vCPU VM.  The scan runs in
-# blocks of fixed size, so its memory does not grow with the samples
+# 1000 samples at d = 256 take 2.1-2.4 s on a 2-vCPU VM.  The scan reuses
+# two buffers of fixed size, so its memory does not grow with the samples
 MAX_SCAN_WORK = 2**34
 # symbols over all forbidden words (S), and alphabet times S: the Aho-Corasick
 # automaton has up to S + 1 states and the Krieger passes gather d-wide arrays

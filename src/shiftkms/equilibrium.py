@@ -11,9 +11,10 @@ The variational check draws all its samples from one stream,
 default_rng(seed).standard_exponential, sample i taking variates i d^2 ..
 (i + 1) d^2 - 1, so the draws do not depend on how the samples are grouped
 and a k-sample scan is the prefix of any longer one.  The scan runs in blocks
-of about _BLOCK_ENTRIES float64 entries: each block draws its samples, solves
-for their stationary vectors in one stacked linear solve and takes logarithms
-only on the support, so memory does not grow with the number of samples.
+of _BLOCK_ENTRIES float64 entries in one draw and one work buffer per scan:
+each block draws its samples, solves for their stationary vectors in one
+stacked linear solve and takes logarithms in place, so memory does not grow
+with the number of samples.
 """
 
 from __future__ import annotations
@@ -154,10 +155,11 @@ class VariationalReport:
     entropies: np.ndarray
 
 
-# float64 entries of one block of (samples, d, d) arrays in the variational
-# scan, 512 KB, so the two or three arrays a block holds at once fit a 2 MB
-# L2 cache: at d = 64 blocks of 2^16 entries ran faster than blocks of 2^18
-_BLOCK_ENTRIES = 2**16
+# float64 entries of the variational scan's draw and work buffers, 256 KB
+# each.  Timed with the buffers reused on a 2-vCPU VM (4 MB L2), 2^15 ran
+# 7-11 % faster than 2^16 at d = 8 and as fast from d = 16 to 256; neither
+# 2^14 nor 2^17 was faster beyond the host's noise
+_BLOCK_ENTRIES = 2**15
 VARIATIONAL_SLACK = 1e-9  # rounding allowance of a sampled entropy over log r(A)
 MARKOV_TOL = 1e-12  # row-stochasticity, stationarity and normalization error of a Parry measure
 STATIONARY_TOL = 1e-13  # stationarity residual of a sampled chain's solved pi
@@ -183,20 +185,22 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
     d = M.shape[0]
     parry = parry_measure(M)
     top = math.log(parry.lam)
+    parry_entropy = parry.entropy  # before the scan's buffers exist: it allocates d x d arrays too
     mask = M > 0
     rng = np.random.default_rng(seed)
     entropies = np.empty(n_samples)
-    size = max(1, _BLOCK_ENTRIES // (d * d))
+    size = min(n_samples, max(1, _BLOCK_ENTRIES // (d * d)))
+    draws, work = np.empty((size, d, d)), np.empty((size, d, d))
     for start in range(0, n_samples, size):
         k = min(size, n_samples - start)
-        entropies[start : start + k] = _block_entropies(rng.standard_exponential((k, d, d)), mask)
+        rng.standard_exponential(out=draws[:k])
+        entropies[start : start + k] = _block_entropies(draws[:k], work[:k], mask)
     violations = int(np.sum(entropies > top + VARIATIONAL_SLACK))
     if violations:
         raise InvariantViolation(
             f"{violations} sampled measures exceeded log r(A) + {VARIATIONAL_SLACK}"
         )
     max_sampled = float(entropies.max())
-    parry_entropy = parry.entropy
     max_entropy = max(max_sampled, parry_entropy)
     return VariationalReport(
         top_entropy=top,
@@ -211,35 +215,37 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
     )
 
 
-def _block_entropies(Ps: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _block_entropies(Ps: np.ndarray, work: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Stationary entropies of the chains made from the (k, d, d) draws Ps,
-    which are overwritten, masked to the support and row-normalized; the
-    block's arrays are freed on return."""
+    which are masked to the support and row-normalized in place; the system
+    solve and then the log terms overwrite the (k, d, d) buffer work."""
     Ps *= mask
     Ps /= Ps.sum(axis=2, keepdims=True)
-    pis = _stationary_batch(Ps)
-    plogp = Ps + ~mask  # 1 off the support, where the log is 0
-    np.log(plogp, out=plogp)
-    plogp *= Ps
-    return -np.einsum("nd,nd->n", pis, plogp.sum(axis=2))
+    pis = _stationary_batch(Ps, work)
+    np.add(Ps, ~mask, out=work)  # 1 off the support, where the log is 0
+    np.log(work, out=work)
+    work *= Ps
+    return -np.einsum("nd,nd->n", pis, work.sum(axis=2))
 
 
-def _stationary_batch(Ps: np.ndarray) -> np.ndarray:
+def _stationary_batch(Ps: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Stationary rows of a batch of stochastic matrices by one stacked solve.
 
-    Each system is (P^T - I) pi = 0 with its last row replaced by sum(pi) = 1.
-    For an irreducible chain, periodic or not, it is nonsingular: the rows of
-    P^T - I sum to zero and span the orthogonal complement of pi, so any d - 1
-    of them do, and 1 . pi != 0.  A singular system (a reducible chain) or a
-    residual max |pi P - pi|_1 above STATIONARY_TOL raises InvariantViolation.
+    Each system is (P^T - I) pi = 0 with its last row replaced by sum(pi) = 1,
+    built transposed in the buffer work.  For an irreducible chain, periodic
+    or not, it is nonsingular: the rows of P^T - I sum to zero and span the
+    orthogonal complement of pi, so any d - 1 of them do, and 1 . pi != 0.  A
+    singular system (a reducible chain) or a residual max |pi P - pi|_1 above
+    STATIONARY_TOL raises InvariantViolation.
     """
     n, d, _ = Ps.shape
-    systems = Ps.transpose(0, 2, 1) - np.eye(d)
-    systems[:, -1, :] = 1.0
+    np.copyto(work, Ps)
+    work[:, range(d), range(d)] -= 1.0
+    work[:, :, -1] = 1.0
     rhs = np.zeros((n, d, 1))
     rhs[:, -1] = 1.0
     try:
-        pis = np.linalg.solve(systems, rhs)[:, :, 0]
+        pis = np.linalg.solve(work.transpose(0, 2, 1), rhs)[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise InvariantViolation(
             f"stationary solve failed, a sampled chain is reducible: {exc}"

@@ -141,8 +141,16 @@ def kms_eigen_sequence(A, R: int) -> CoherentSequence:
     normalized to sum 1; the coherence residuals inherit the Perron residual
     and stay below 1e-12."""
     p = perron_vectors(A)
-    levels = [p.u * p.lam ** (-r) for r in range(R + 1)]
-    return coherent_sequence(p.matrix, levels, tol=1e-12, require=True)
+    return coherent_sequence(p.matrix, _eigen_levels(p, R), tol=1e-12, require=True)
+
+
+def _eigen_levels(p, R: int) -> list[np.ndarray]:
+    """t_r = lam^(-r) u for r = 0..R; a ValueError naming R unless every entry
+    is a normal float (u sums to 1, so no entry exceeds max(1, lam^(-R)))."""
+    rate = R * math.log(p.lam)
+    if max(rate, 0.0) - math.log(float(p.u.min())) > _LOG_RANGE or -rate > _LOG_RANGE:
+        raise ValueError(f"lam^(-depth) u leaves the normal float64 range at depth = {R} (lambda = {p.lam:.6g})")
+    return [p.u * p.lam ** (-r) for r in range(R + 1)]
 
 
 def coherent_truncation(A, t0, R: int) -> CoherentSequence:
@@ -266,12 +274,10 @@ class BimoduleKms:
 def bimodule_kms(Lambda, depth: int = 10) -> BimoduleKms:
     """KMS temperature log r(Lambda) for a coherent lambda-matrix of a
     Cuntz-Krieger bimodule; v0 is the Perron right eigenvector with sum 1 and
-    the sequence iterates v^r = lam^(-r) v0.  A ValueError when lam^depth
-    leaves the float64 range."""
+    the sequence iterates v^r = lam^(-r) v0.  A ValueError when an entry of
+    the sequence leaves the normal float64 range."""
     p = perron_vectors(Lambda)
-    if depth * abs(math.log(p.lam)) > _LOG_RANGE:
-        raise ValueError(f"lam^(-depth) leaves the float64 range at depth = {depth} (lambda = {p.lam:.6g})")
-    seq = tuple(p.u * p.lam ** (-r) for r in range(depth + 1))
+    seq = tuple(_eigen_levels(p, depth))
     return BimoduleKms(lam=p.lam, beta=math.log(p.lam), v0=p.u, sequence=seq)
 
 

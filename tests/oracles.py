@@ -61,6 +61,13 @@ iteration stopped on a geometric bound of the steps still to come, and
 entropies through masked `np.where` logarithms.  The package draws the same
 stream block by block and must get the same bits, whatever the block size;
 `stationary_mpmath` solves one chain at 50 digits to check both solvers.
+
+`variational_entropies_allocating` is the scan's blocked loop as it was before
+the scan reused its buffers: every block draws a fresh (k, d, d) array,
+`block_entropies_allocating` masks and normalizes it with a bool mask and
+takes the logs in a fresh array, and `stationary_batch_allocating` solves the
+freshly built systems P^T - I.  It does the same arithmetic in the same order,
+so the package's entropies must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -318,6 +325,43 @@ def variational_entropies_brute(matrix, n_samples, seed):
         plogp = np.where(Ps > 0, Ps * np.log(np.where(Ps > 0, Ps, 1.0)), 0.0)
     entropies = -(pis[:, :, None] * plogp).sum(axis=(1, 2))
     return Ps, pis, entropies
+
+
+def stationary_batch_allocating(Ps):
+    """Stationary rows of a batch of stochastic matrices: one stacked solve of
+    P^T - I with its last row replaced by ones, against e_d."""
+    n, d, _ = Ps.shape
+    systems = Ps.transpose(0, 2, 1) - np.eye(d)
+    systems[:, -1, :] = 1.0
+    rhs = np.zeros((n, d, 1))
+    rhs[:, -1] = 1.0
+    return np.linalg.solve(systems, rhs)[:, :, 0]
+
+
+def block_entropies_allocating(Ps, mask):
+    """Stationary entropies of the chains made from the (k, d, d) draws Ps,
+    which are masked by the bool support mask and row-normalized in place."""
+    Ps *= mask
+    Ps /= Ps.sum(axis=2, keepdims=True)
+    pis = stationary_batch_allocating(Ps)
+    plogp = Ps + ~mask  # 1 off the support, where the log is 0
+    np.log(plogp, out=plogp)
+    plogp *= Ps
+    return -np.einsum("nd,nd->n", pis, plogp.sum(axis=2))
+
+
+def variational_entropies_allocating(matrix, n_samples, seed):
+    """Entropies of the variational scan's samples, in blocks of 2^16 entries
+    from one default_rng(seed) stream, each block in freshly allocated arrays."""
+    mask = np.asarray(matrix) > 0
+    d = mask.shape[0]
+    rng = np.random.default_rng(seed)
+    size = max(1, 2**16 // (d * d))
+    blocks = []
+    for start in range(0, n_samples, size):
+        draws = rng.standard_exponential((min(size, n_samples - start), d, d))
+        blocks.append(block_entropies_allocating(draws, mask))
+    return np.concatenate(blocks)
 
 
 def reachability_irreducible(matrix) -> bool:

@@ -308,6 +308,17 @@ def test_main_bimodule_sequence_past_the_float_range_exits_one(matrix, argv, tmp
     assert captured.out == "" and captured.err.startswith("error:") and "depth" in captured.err
 
 
+def test_main_kms_levels_past_the_float_range_exit_one(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "full", "alphabet": 256}')
+    assert main(["kms", str(doc), "--depth", "1000", "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "depth = 1000" in captured.err
+    assert main(["kms", str(doc), "--depth", "100", "--no-timestamp"]) == 0
+    levels = json.loads(capsys.readouterr().out)["results"]["kms"]["eigen_levels"]
+    assert len(levels) == 101 and min(min(t) for t in levels) > 0
+
+
 def test_main_overflowing_lambda_prints_only_the_error(tmp_path, capsys):
     doc = tmp_path / "spec.json"
     doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308], [1e308, 1e308]]}')

@@ -190,9 +190,9 @@ def test_variational_scan_matches_lazy_reference(matrix, n_samples, monkeypatch)
     seen = {"Ps": [], "pis": []}
     solve = equilibrium._stationary_batch
 
-    def spy(Ps):
+    def spy(Ps, work):
         seen["Ps"].append(Ps.copy())
-        seen["pis"].append(solve(Ps))
+        seen["pis"].append(solve(Ps, work))
         return seen["pis"][-1]
 
     monkeypatch.setattr(equilibrium, "_stationary_batch", spy)
@@ -210,7 +210,7 @@ def test_variational_scan_matches_lazy_reference(matrix, n_samples, monkeypatch)
     ids=["golden", "block-cyclic3", "random64"],
 )
 def test_variational_scan_does_not_depend_on_the_block_size(matrix, monkeypatch):
-    # 150 samples: a multiple of neither 7 nor the default block of 16 at d = 64
+    # 150 samples: a multiple of neither 7 nor the default block of 8 at d = 64
     n_samples = 150
     reports = []
     d = len(matrix)
@@ -223,16 +223,43 @@ def test_variational_scan_does_not_depend_on_the_block_size(matrix, monkeypatch)
             assert np.array_equal(getattr(report, field.name), getattr(reports[0], field.name)), field.name
 
 
-def test_variational_scan_memory_does_not_grow_with_the_samples():
-    # at 1000 samples on d = 64 the unblocked scan peaked at 64.6 MB
-    matrix = oracles.random_irreducible_zero_one(np.random.default_rng(64), 64, 0.6)
+@pytest.mark.parametrize("d, n_samples", [(16, 1000), (64, 1000), (256, 50)])
+def test_variational_scan_memory_does_not_grow_with_the_samples(d, n_samples):
+    # at 1000 samples on d = 64 the unblocked scan peaked at 64.6 MB; at
+    # d = 256 a block is one sample
+    matrix = oracles.random_irreducible_zero_one(np.random.default_rng(d), d, 0.6)
     tracemalloc.start()
     try:
-        variational_scan(matrix, 1000, seed=0)
+        variational_scan(matrix, n_samples, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("n_samples", [150, 1000])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.ones((2, 2), dtype=int),
+        oracles.random_irreducible_zero_one(np.random.default_rng(8), 8, 0.6),
+        oracles.random_irreducible_zero_one(np.random.default_rng(16), 16, 0.6),
+        oracles.random_irreducible_zero_one(np.random.default_rng(64), 64, 0.6),
+        _block_cyclic_period_3(),
+    ],
+    ids=["full2", "random8", "random16", "random64", "block-cyclic3"],
+)
+def test_variational_scan_entropies_are_bitwise_the_allocating_scan(matrix, n_samples, seed):
+    # the same sums in the same order: a reordered sum moves the last bits
+    reference = oracles.variational_entropies_allocating(matrix, n_samples, seed)
+    assert np.array_equal(variational_scan(matrix, n_samples, seed=seed).entropies, reference)
+
+
+def test_variational_scan_runs_the_stationary_residual_check(monkeypatch):
+    monkeypatch.setattr(equilibrium, "STATIONARY_TOL", -1.0)
+    with pytest.raises(InvariantViolation, match="stationary residual"):
+        variational_scan(oracles.random_irreducible_zero_one(np.random.default_rng(16), 16, 0.6), 300, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -241,7 +268,7 @@ def test_variational_scan_memory_does_not_grow_with_the_samples():
     ids=["golden", "random64"],
 )
 def test_variational_scan_is_prefix_stable(matrix):
-    # 37 samples: a multiple of neither the block of 16 at d = 64 nor of 16384 at d = 2
+    # 37 samples: a multiple of neither the block of 8 at d = 64 nor of 8192 at d = 2
     longer = variational_scan(matrix, 150, seed=4).entropies
     shorter = variational_scan(matrix, 37, seed=4).entropies
     assert np.array_equal(longer[:37], shorter)
@@ -251,13 +278,13 @@ def test_variational_scan_is_prefix_stable(matrix):
 @pytest.mark.parametrize("d", [1, 2, 16, 64])
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**96, 10**39 + 7])
 def test_scan_draws_are_one_stream_in_sample_order(seed, d, n_samples, monkeypatch):
-    # seeds of one to five uint32 words; at d = 64 the 1000 samples span 63 blocks
+    # seeds of one to five uint32 words; at d = 64 the 1000 samples span 125 blocks
     blocks = []
     entropies = equilibrium._block_entropies
 
-    def spy(Ps, mask):
+    def spy(Ps, *buffers):
         blocks.append(Ps.copy())
-        return entropies(Ps, mask)
+        return entropies(Ps, *buffers)
 
     monkeypatch.setattr(equilibrium, "_block_entropies", spy)
     variational_scan(np.ones((d, d), dtype=int), n_samples, seed=seed)
@@ -272,7 +299,7 @@ def test_lazy_oracle_converges_on_a_slowly_mixing_chain():
     assert sorted(np.abs(np.linalg.eigvals(chain)))[1] > 0.93
     exact = oracles.stationary_mpmath(chain)
     assert np.abs(pis[287] - exact).max() <= 1e-12
-    assert np.abs(equilibrium._stationary_batch(chain[None].copy())[0] - exact).max() <= 1e-12
+    assert np.abs(equilibrium._stationary_batch(chain[None].copy(), np.empty((1, 3, 3)))[0] - exact).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [7, 2**64 + 1])
@@ -298,4 +325,4 @@ def test_variational_scan_builds_one_generator(seed, monkeypatch):
 def test_stationary_batch_rejects_chains_without_one_stationary_vector(bad):
     golden_chain = np.array([[0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(InvariantViolation):
-        equilibrium._stationary_batch(np.stack([golden_chain, bad]))
+        equilibrium._stationary_batch(np.stack([golden_chain, bad]), np.empty((2, 2, 2)))

@@ -259,6 +259,22 @@ def test_bimodule_depth_past_the_float_range_is_a_value_error():
         bimodule_kms([[1e-300]], depth=12)
 
 
+def test_kms_eigen_sequence_refuses_levels_that_leave_the_normal_floats():
+    # t_R = u lam^(-R) is normal iff R log lam - log min(u) <= _LOG_RANGE
+    p = perron_vectors(GOLDEN)
+    deepest = math.floor((tracespace._LOG_RANGE + math.log(p.u.min())) / math.log(p.lam))
+    levels = kms_eigen_sequence(GOLDEN, deepest).levels
+    assert min(float(t.min()) for t in levels) >= np.finfo(float).tiny
+    with pytest.raises(ValueError, match=f"depth = {deepest + 1}"):
+        kms_eigen_sequence(GOLDEN, deepest + 1)
+    # the full shift on 256 symbols: t_r = 256^(-r) / 256 underflowed to zero
+    # vectors from r = 134 on, with residual 0.0
+    full = np.ones((256, 256), dtype=int)
+    with pytest.raises(ValueError, match="depth = 1000"):
+        kms_temperature(full, depth=1000)
+    assert all((t > 0).all() for t in kms_temperature(full, depth=100).eigen_sequence.levels)
+
+
 def test_temperature_sign_classifications():
     assert temperature_sign([[0, 1], [1, 0]]).classification == "tracial"
     assert temperature_sign(GOLDEN).classification == "positive"
@@ -345,8 +361,11 @@ def test_coherent_from_boundary_rejects_a_level_beyond_float64():
 
 
 def test_normalization_profile_deep_sequence():
-    # column sums of A^1030 exceed the float64 range; the profile must not
-    profile = normalization_profile(kms_eigen_sequence(np.ones((2, 2), dtype=int), 1030))
+    # column sums of A^1030 exceed the float64 range; the profile must not.
+    # Its eigen-sequence 2^(-r) / 2 is subnormal from r = 1022 on, which
+    # kms_eigen_sequence refuses, so the levels are given directly (exact)
+    levels = [np.full(2, 0.5 * 2.0**-r) for r in range(1031)]
+    profile = normalization_profile(coherent_sequence(np.ones((2, 2)), levels))
     assert max(abs(x - 1.0) for x in profile) < 1e-9
 
 
