@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .subshift import Automaton, admissible, automaton_for, topological_entropy, validate_word
+from .subshift import Automaton, admissible, automaton_for, exact_entropy, validate_word
 
 _CORRECTION_WINDOW = 5  # an open bracket's upper end: the least of the last 5 corrections
 
@@ -307,7 +307,7 @@ def entropy_bracket(spec, n_max: int, depth: int | None = None) -> BracketReport
     if depth < n_max:
         raise ValueError("depth must be >= n_max")
     aut.check_length(n_max + depth)
-    lower = topological_entropy(spec, n_max).exact
+    lower = exact_entropy(spec)[0]
     dims, before, fixed = _class_counts(aut, n_max, depth)
     dims = dims[1:]
     stab = [b == c for b, c in zip(before[1:], dims)]

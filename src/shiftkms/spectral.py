@@ -13,7 +13,7 @@ callers; their arrays are read-only, and a solve whose residual exceeds
 max(PERRON_TOL, residual_noise_floor) is held as a failed one.  A count
 matrix given by its edges gets such a bracket from power iteration on each
 Tarjan component, with no dense matrix.  Growth sequences 1^T A^k x come from
-one rescaled power recursion.  Logarithms are natural throughout the package.
+one power recursion rescaled per chunk of steps.  Logarithms are natural throughout.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ PERRON_TOL = 1e-13  # l1 eigen-residual bound of an accepted Perron solve, floor
 _MAX_SOLVES = 100  # Noda iteration converges superlinearly: 5-16 solves on desk-scale input
 _MAX_STEPS = 2**17  # per component; the slowest CLI input found (gap renewal, n = 88) takes 45 101
 _STALE_STEPS = 32  # level steps that end the iteration once the bracket is at rounding level
+_LOG_CHUNK = 300.0  # normalized_powers rescales before a sum can leave exp(+-300), far inside float64
 
 
 def residual_noise_floor(d: int, lam: float = 1.0) -> float:
@@ -172,7 +173,7 @@ def _noda(B: np.ndarray, shift: float | None = None):
     """
     d = B.shape[0]
     x = np.full(d, 1.0 / d)
-    best = None
+    best, negated = None, 0.0 - B  # sigma added on its diagonal is bitwise sigma * I - B
     with np.errstate(all="ignore"):  # overflow or a lost sign shows in the bracket
         for solves in range(_MAX_SOLVES):
             ratio = (B @ x) / x
@@ -185,8 +186,10 @@ def _noda(B: np.ndarray, shift: float | None = None):
             best = (x, lo, hi)
             if lo == hi:
                 return (*best, solves)
+            system = negated.copy()
+            system.flat[:: d + 1] += hi if shift is None else shift
             try:
-                z = np.linalg.solve((hi if shift is None else shift) * np.eye(d) - B, x)
+                z = np.linalg.solve(system, x)
             except np.linalg.LinAlgError:  # the shift met the Perron value exactly
                 return (*best, solves + 1)
             shift = None
@@ -341,22 +344,32 @@ def spectral_radius(A) -> float:
 
 
 def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:
-    """log(1^T A^k x) and the unit-sum vectors A^k x / 1^T A^k x for k = 1..n,
-    the one growth recursion of the package: nothing overflows at any n.  The
-    lists stop at the first vanishing sum, so they may be shorter than n."""
+    """log(1^T A^k x) and the unit-sum vectors A^k x / 1^T A^k x for k = 1..n, the one growth recursion
+    of the package; the lists stop at the first vanishing sum.  Chunks of K steps from x / 1^T x are
+    summed, logged and rescaled at once: as c_min 1^T y <= 1^T A y <= c_max 1^T y over the column sums
+    c, K = _LOG_CHUNK / max |log c| keeps every sum within exp(+-_LOG_CHUNK); a zero column gives K = 1."""
     M = as_nonnegative(A)
-    logs, vectors = [], []
-    acc = 0.0
-    for _ in range(n):
-        x = M @ x
-        s = float(x.sum())
-        if s <= 0.0:
+    s = float(np.sum(x))
+    if n < 1 or s <= 0.0:
+        return [], []
+    with np.errstate(divide="ignore", over="ignore"):  # a zero or overflowing column sum gives K = 1
+        spread = float(np.abs(np.log(M.sum(axis=0))).max())
+    K = max(1, min(n, int(_LOG_CHUNK / spread))) if spread else n
+    X = np.empty((n + 1, M.shape[0]))
+    X[0] = np.divide(x, s)
+    rows, logs, base = list(X), np.empty(n), math.log(s)
+    for i in range(0, n, K):
+        for k in range(i, min(i + K, n)):
+            np.dot(M, rows[k], out=rows[k + 1])
+        sums = X[i + 1:k + 2].sum(axis=1)
+        live = sums[sums > 0.0]  # a vanished sum stays 0
+        logs[i:i + live.size] = base + np.log(live)
+        X[i + 1:i + live.size + 1] /= live[:, None]
+        if live.size < sums.size:
+            n = i + live.size
             break
-        acc += math.log(s)
-        x = x / s
-        logs.append(acc)
-        vectors.append(x)
-    return logs, vectors
+        base = float(logs[k])
+    return logs[:n].tolist(), rows[1:n + 1]
 
 
 def integer_vector_powers(start, rows, n: int) -> list[list[int]]:

@@ -200,17 +200,19 @@ class Automaton:
         """(order, sizes): the states reachable from the start by words of
         length <= l in breadth-first discovery order, and sizes[k] = |R_k| for
         k = 0..l, so R_k (reachable in <= k steps) is the prefix order[:sizes[k]]."""
-        seen = np.zeros(self.sink + 1, dtype=bool)
-        seen[[self.start, self.sink]] = True
-        order, frontier, sizes = [self.start], np.array([self.start]), [1]
-        for _ in range(l):
-            hit = np.zeros_like(seen)
-            hit[self.succ[:, frontier]] = True
-            frontier = np.flatnonzero(hit & ~seen)
-            seen[frontier] = True
-            order.extend(frontier.tolist())
+        seen = {self.start, self.sink}
+        order, frontier, sizes = [self.start], [self.start], [1]
+        while frontier and len(sizes) <= l:
+            frontier = sorted({r for q in frontier for r in self._successors[q]} - seen)
+            seen.update(frontier)
+            order.extend(frontier)
             sizes.append(len(order))
-        return order, sizes
+        return order, sizes + sizes[-1:] * (l + 1 - len(sizes))
+
+    @cached_property
+    def _successors(self) -> list[set[int]]:
+        """Entry q: the states one move from q, the sink included when a move is undefined."""
+        return [set(row) for row in self.succ.T[:-1].tolist()]
 
 
 def _full_automaton(spec):
@@ -410,33 +412,33 @@ def _extrapolate(theta, log_rates) -> float:
     return min(fekete, ratio)
 
 
-def topological_entropy(spec, n_max: int) -> EntropyEstimate:
-    """Word counts up to length n_max (n_max >= 2), their extrapolation and the entropy h.
+def exact_entropy(spec) -> tuple[float, str]:
+    """(h, method): log of the largest component Perron root of a right-resolving presentation
+    (Lind & Marcus 1995, Thm 4.3.3), of spec.matrix ("transfer-matrix") or the midpoint of the
+    automaton's certified radius_bracket ("automaton-transfer-matrix"); log beta on a
+    non-terminating beta's chain ("log-beta", Parry 1960).  ValueError if empty."""
+    aut = automaton_for(spec)
+    if aut.is_empty:
+        raise ValueError("subshift is empty (theta_1 = 0)")
+    if aut.max_word_length is not None:
+        return math.log(float(spec.beta)), "log-beta"
+    if isinstance(spec, (FullShift, SFT)):
+        return math.log(spectral.spectral_radius(spec.matrix)), "transfer-matrix"
+    return math.log(0.5 * sum(aut.radius_bracket)), "automaton-transfer-matrix"
 
-    h is log of the largest component Perron root of a right-resolving presentation
-    (Lind & Marcus 1995, Thm 4.3.3): of spec.matrix ("transfer-matrix") or the midpoint
-    of the automaton's certified radius_bracket ("automaton-transfer-matrix"); log beta
-    on a non-terminating beta's chain ("log-beta", Parry 1960).  ValueError if empty.
-    """
+
+def topological_entropy(spec, n_max: int) -> EntropyEstimate:
+    """Word counts up to length n_max (n_max >= 2), their extrapolation and the
+    entropy h with its method (see exact_entropy).  ValueError if empty."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    exact, method = exact_entropy(spec)
     theta = count_words_sequence(spec, n_max)
-    if theta[0] == 0:
-        raise ValueError("subshift is empty (theta_1 = 0)")
     log_rates = tuple(math.log(t) / n for n, t in enumerate(theta, start=1))
-    extrapolated = _extrapolate(theta, log_rates)
-    aut = automaton_for(spec)
-    if aut.max_word_length is not None:
-        exact, method = math.log(float(spec.beta)), "log-beta"
-    elif isinstance(spec, (FullShift, SFT)):
-        exact = math.log(spectral.spectral_radius(spec.matrix))
-        method = "transfer-matrix"
-    else:
-        exact, method = math.log(0.5 * sum(aut.radius_bracket)), "automaton-transfer-matrix"
     return EntropyEstimate(
         theta=tuple(theta),
         log_rates=log_rates,
-        extrapolated=extrapolated,
+        extrapolated=_extrapolate(theta, log_rates),
         exact=exact,
         method=method,
     )

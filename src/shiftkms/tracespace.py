@@ -201,16 +201,26 @@ class EpsilonSequence:
 
     @property
     def eps(self) -> tuple[float, ...]:
+        """eps_n itself; a ValueError naming the first n where it is no normal float."""
+        for n, v in enumerate(self.log_values, start=1):
+            if abs(v) > _LOG_RANGE:
+                raise ValueError(f"eps_n leaves the normal float64 range at n = {n} (log eps_n = {v:.6g})")
         return tuple(math.exp(v) for v in self.log_values)
+
+
+def _log_eps(A, v: np.ndarray, n_max: int) -> list[float]:
+    """log eps_n for n = 1..n_max of a validated trace vector v."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    log_values = normalized_powers(A, v, n_max)[0]
+    if len(log_values) < n_max:
+        raise ValueError("eps_n vanished; the matrix has a dead column for this trace")
+    return log_values
 
 
 def epsilon_sequence(A, t, n_max: int) -> EpsilonSequence:
     """log eps_n and (1/n) log eps_n for n = 1..n_max via a normalized recursion."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    log_values, _ = normalized_powers(A, as_trace_vector(t), n_max)
-    if len(log_values) < n_max:
-        raise ValueError("eps_n vanished; the matrix has a dead column for this trace")
+    log_values = _log_eps(A, as_trace_vector(t), n_max)
     rates = tuple(lv / n for n, lv in enumerate(log_values, start=1))
     return EpsilonSequence(log_values=tuple(log_values), rates=rates)
 
@@ -221,7 +231,7 @@ def temperature_from_trace(A, t, n_max: int = 300) -> float:
     v = as_trace_vector(t)
     if float(v.min()) <= 0.0:
         raise ValueError("temperature_from_trace requires a strictly positive trace")
-    return epsilon_sequence(A, v, n_max).rates[-1]
+    return _log_eps(A, v, n_max)[-1] / n_max
 
 
 @dataclass(frozen=True, eq=False)

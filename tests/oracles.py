@@ -47,6 +47,13 @@ d^3 products of `matrix_power_exact` are too slow at d = 256), so it checks
 the rescaled float recursion of `spectral_radius_bracket_sequences` against
 exact counts without calling the package.
 
+`normalized_powers_stepwise` is the growth recursion as it ran before it went
+in chunks: one matrix-vector product, sum, logarithm and division per step.
+`reach_order_frontier` is the reachability BFS as numpy frontier rounds, all l
+of them, and `noda_eye` the Noda iteration that built each system as
+sigma * np.eye(d) - B.  The package must match them exactly, except the
+chunked recursion, which must match the stepwise one within rounding.
+
 `perron_root_lapack` is the reference for an automaton's entropy: LAPACK's
 eigenvalues of the dense transition-count matrix built from the successor
 table `succ`.  LAPACK carries no certificate; on the 264-state forbidden
@@ -80,7 +87,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT
+from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral
 from shiftkms.beta import BetaExpansion, UncertainDigitError
 from shiftkms.subshift import Automaton, automaton_for
 
@@ -630,3 +637,60 @@ def perron_root_lapack(aut) -> float:
     for row in aut.succ[:, :n]:
         np.add.at(B, (np.arange(n)[row < n], row[row < n]), 1.0)
     return float(np.max(np.abs(np.linalg.eigvals(B))))
+
+
+def normalized_powers_stepwise(A, x, n):
+    """log(1^T A^k x) and A^k x / 1^T A^k x for k = 1..n, one rescaled step at
+    a time, stopping at the first vanishing sum."""
+    M = np.asarray(A, dtype=float)
+    logs, vectors, acc = [], [], 0.0
+    for _ in range(n):
+        x = M @ x
+        s = float(x.sum())
+        if s <= 0.0:
+            break
+        acc += math.log(s)
+        x = x / s
+        logs.append(acc)
+        vectors.append(x)
+    return logs, vectors
+
+
+def reach_order_frontier(aut, l):
+    """(order, sizes) of Automaton.reach_order from l rounds of numpy frontiers."""
+    seen = np.zeros(aut.sink + 1, dtype=bool)
+    seen[[aut.start, aut.sink]] = True
+    order, frontier, sizes = [aut.start], np.array([aut.start]), [1]
+    for _ in range(l):
+        hit = np.zeros_like(seen)
+        hit[aut.succ[:, frontier]] = True
+        frontier = np.flatnonzero(hit & ~seen)
+        seen[frontier] = True
+        order.extend(frontier.tolist())
+        sizes.append(len(order))
+    return order, sizes
+
+
+def noda_eye(B, shift=None):
+    """spectral._noda with each system built as sigma * np.eye(d) - B."""
+    d = B.shape[0]
+    x = np.full(d, 1.0 / d)
+    best = None
+    with np.errstate(all="ignore"):
+        for solves in range(spectral._MAX_SOLVES):
+            ratio = (B @ x) / x
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if best is None and not 0.0 < lo <= hi < math.inf:
+                raise spectral.ConvergenceError("bracket is not positive and finite", x, math.inf)
+            if best is not None and not (np.all(x > 0.0) and hi - lo < best[2] - best[1]):
+                return (*best, solves)
+            best = (x, lo, hi)
+            if lo == hi:
+                return (*best, solves)
+            try:
+                z = np.linalg.solve((hi if shift is None else shift) * np.eye(d) - B, x)
+            except np.linalg.LinAlgError:
+                return (*best, solves + 1)
+            shift = None
+            x = z / z.sum()
+    raise spectral.ConvergenceError("no convergence", best[0], hi - lo)

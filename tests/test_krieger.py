@@ -13,6 +13,7 @@ from shiftkms import (
     omega_l,
     predecessor_set,
     sofic_check,
+    subshift,
 )
 from shiftkms.subshift import automaton_for, topological_entropy
 
@@ -234,6 +235,18 @@ def test_bracket_lower_is_the_exact_entropy():
     report = entropy_bracket(spec, 30, depth=40)
     assert report.lower == math.log(1.7)
     assert abs(report.width - 2 * math.log(31) / 30) < 1e-12
+
+
+def test_bracket_counts_no_words(monkeypatch):
+    def refuse(spec, n_max):
+        raise AssertionError("entropy_bracket counted words")
+
+    monkeypatch.setattr(subshift, "count_words_sequence", refuse)
+    for spec in (GOLDEN, FullShift(3), EVEN_TRUNC, BetaShift("1.7", digit_depth=80)):
+        report = entropy_bracket(spec, 30, depth=40)
+        assert report.lower == subshift.exact_entropy(spec)[0]
+    with pytest.raises(ValueError, match=r"subshift is empty \(theta_1 = 0\)"):
+        entropy_bracket(ForbiddenWords(2, ((1,), (2,))), 5)
 
 
 def test_validation_errors():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,27 @@ def test_perron_invariants_on_random_matrices():
         assert p.u.min() > 0 and p.v.min() > 0
 
 
+def _noda_matrices():
+    rng = np.random.default_rng(19)
+    for d in (3, 16, 64, 128):
+        M = oracles.random_irreducible_zero_one(rng, d, 0.6)
+        yield M
+        yield M * (0.5 + 1.5 * rng.random((d, d)))  # positively weighted
+    yield oracles.block_cyclic(rng, 3, 16)
+    yield oracles.cycle_chord(30)
+
+
+def test_noda_systems_are_bitwise_the_eye_build(monkeypatch):
+    for M in _noda_matrices():
+        got = perron_vectors(M)
+        spectral._analysis.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_noda", oracles.noda_eye)
+            ref = perron_vectors(M)
+        for field in ("lam", "u", "v", "lo", "hi", "iterations"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+
+
 def test_perron_rejects_reducible():
     with pytest.raises(ReducibleMatrixError):
         perron_vectors([[1, 1], [0, 1]])
@@ -276,6 +298,65 @@ def test_normalized_powers_against_exact_powers():
     # the lists stop at the first vanishing sum
     logs, vectors = spectral.normalized_powers(np.triu(np.ones((3, 3)), 1), np.ones(3) / 3, 5)
     assert len(logs) == len(vectors) == 2
+
+
+def _growth_cases():
+    rng = np.random.default_rng(3)
+    for d in (8, 16, 32, 64, 128):
+        yield f"sft{d}", oracles.random_irreducible_zero_one(rng, d, 0.6)
+    yield "cyclic3", oracles.block_cyclic(rng, 3, 12)
+    for d in (32, 64, 128):
+        yield f"sparse{d}", oracles.random_irreducible_zero_one(rng, d, 0.1)
+
+
+@pytest.mark.parametrize("M", [pytest.param(M, id=name) for name, M in _growth_cases()])
+def test_chunked_growth_logs_match_exact_powers(M):
+    # the stepwise recursion adds one rounded log per step and drifts up to 7.9e-15 here
+    d = len(M)
+    logs, vectors = spectral.normalized_powers(M, np.full(d, 1.0 / d), 300)
+    assert len(logs) == len(vectors) == 300
+    for log_n, v in zip(logs, oracles.column_sums_exact(M, 300)):
+        exact = math.log(sum(v)) - math.log(d)
+        assert abs(log_n - exact) <= 1e-15 * exact
+
+
+def test_chunked_growth_matches_stepwise_on_huge_column_sums():
+    # column sums 3.8e29 to 6.1e29: chunks of floor(300 / log(6.1e29)) = 4 steps
+    rng = np.random.default_rng(17)
+    M = 1e30 * rng.random((12, 12)) / 12
+    x = rng.random(12)
+    logs, vectors = spectral.normalized_powers(M, x / x.sum(), 50)
+    ref_logs, ref_vectors = oracles.normalized_powers_stepwise(M, x / x.sum(), 50)
+    assert len(logs) == len(ref_logs) == 50
+    np.testing.assert_allclose(logs, ref_logs, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(vectors, ref_vectors, rtol=1e-13, atol=0.0)
+
+
+def test_chunked_growth_is_stepwise_with_a_zero_column():
+    M = np.array([[1, 2, 0, 1], [0, 1, 0, 3], [2, 0, 0, 1], [1, 1, 0, 0]])
+    x = np.array([0.125, 0.375, 0.25, 0.25])  # sums to 1 exactly
+    logs, vectors = spectral.normalized_powers(M, x, 40)
+    ref_logs, ref_vectors = oracles.normalized_powers_stepwise(M, x, 40)
+    assert len(logs) == 40 and logs == ref_logs
+    assert np.array_equal(vectors, ref_vectors)
+
+
+def test_chunked_growth_stops_where_stepwise_stops():
+    for d in (2, 5, 9):
+        M, x = np.triu(np.ones((d, d)), 1), np.ones(d) / d
+        logs, vectors = spectral.normalized_powers(M, x, 3 * d)
+        assert len(logs) == len(vectors) == len(oracles.normalized_powers_stepwise(M, x, 3 * d)[0]) == d - 1
+    assert spectral.normalized_powers(np.ones((3, 3)), np.zeros(3), 5) == ([], [])
+
+
+def test_chunked_growth_stays_finite_far_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs, vectors = spectral.normalized_powers(np.ones((256, 256)), np.ones(256), 2000)
+    assert len(logs) == 2000
+    for n, log_n in enumerate(logs, start=1):
+        assert math.isfinite(log_n) and abs(log_n - (n + 1) * math.log(256)) <= 1e-12 * n * math.log(256)
+    assert np.array_equal(vectors[-1], np.full(256, 1 / 256))
 
 
 def _unit_edges(M):

@@ -344,6 +344,23 @@ def test_successor_table_agrees_with_delta(spec):
     assert count_words_sequence(spec, 7) == [oracles.count_words_brute(spec, n) for n in range(1, 8)]
 
 
+def _reach_cases():
+    yield from TABLE_CASES
+    rng = np.random.default_rng(21)
+    for d in (4, 9, 30):
+        yield SFT(oracles.random_irreducible_zero_one(rng, d, 0.3))
+    yield ForbiddenWords(2, ((2, 2), (1, 1, 1, 1, 1, 1)))
+    yield ForbiddenWords(3, ((1, 2, 3), (3, 3, 1), (2, 1, 1, 2)))
+    yield BetaShift("1.7", digit_depth=230)  # a 231-state chain
+
+
+@pytest.mark.parametrize("spec", list(_reach_cases()), ids=lambda s: type(s).__name__)
+def test_reach_order_is_the_frontier_bfs(spec):
+    aut = automaton_for(spec)
+    for l in (0, 1, 2, 5, 30, 100, 240, 1000):
+        assert aut.reach_order(l) == oracles.reach_order_frontier(aut, l), l
+
+
 def test_successor_table_relabels_noncontiguous_states():
     raw = {(10, 1): 10, (10, 2): 30, (30, 1): 70, (70, 1): 10, (70, 2): 70}
     aut = Automaton(2, raw, start=10)

@@ -182,6 +182,25 @@ def test_epsilon_no_overflow_at_large_n():
     assert abs(eps.rates[-1] - math.log(6)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "matrix, first",
+    [
+        (np.ones((4, 4)), None),  # 4^512 overflows float64
+        (np.full((4, 4), 2.0), 341),  # 8^341 is above 1 / tiny
+        (np.full((4, 4), 0.025), 308),  # 0.1^308 is below the normal floats
+    ],
+)
+def test_eps_refuses_values_outside_the_normal_floats(matrix, first):
+    seq = epsilon_sequence(matrix, [0.25] * 4, 600)
+    assert len(seq.log_values) == len(seq.rates) == 600
+    with pytest.raises(ValueError, match="eps_n leaves the normal float64 range at n = "):
+        seq.eps
+    if first is not None:
+        with pytest.raises(ValueError, match=f"at n = {first} "):
+            seq.eps
+        assert epsilon_sequence(matrix, [0.25] * 4, first - 1).eps[-1] > 0.0
+
+
 def test_temperature_from_trace_examples():
     for d in (2, 4):
         got = temperature_from_trace(np.ones((d, d)), [1 / d] * d, 50)
