@@ -3,13 +3,15 @@
 A square nonnegative matrix is read as the weight matrix of a digraph with an
 edge i -> j whenever A[i, j] > 0.  Components come from the boolean
 reachability closure of that digraph and the period from the gcd of BFS level
-differences along its edges.  The Perron triple (lam, u, v) comes from Noda
-iteration, inverse iteration shifted by the current Collatz-Wielandt upper
-bound, which needs no special case for periodic matrices; the bracket
+differences over the level-to-level adjacency.  The Perron triple (lam, u, v)
+comes from Noda iteration, inverse iteration shifted by the current
+Collatz-Wielandt upper bound (one system array per run, only its diagonal
+rewritten), which needs no special case for periodic matrices; the bracket
 min (A u)_i / u_i <= lam <= max (A u)_i / u_i of the final u, widened for
-float rounding, is returned with it as a certificate.  The SCC pass and the
-solve of every component are memoized per matrix content and shared by all
-callers; their arrays are read-only, and a solve whose residual exceeds
+float rounding, is returned with it as a certificate.  The SCC pass and periods
+are memoized per support, the solve of every component per matrix content
+(validated once, when stored); all callers share them, their arrays are
+read-only, and a solve whose residual exceeds
 max(PERRON_TOL, residual_noise_floor) is held as a failed one.  A count
 matrix given by its edges gets such a bracket from power iteration on each
 Tarjan component, with no dense matrix.  Growth sequences 1^T A^k x come from
@@ -81,36 +83,33 @@ def as_zero_one(A) -> np.ndarray:
 
 
 def has_zero_row(A) -> bool:
-    M = np.asarray(A, dtype=float)
-    return bool(np.any(M.sum(axis=1) == 0))
+    return bool(np.any(np.asarray(A).sum(axis=1) == 0))
 
 
 def has_zero_column(A) -> bool:
-    M = np.asarray(A, dtype=float)
-    return bool(np.any(M.sum(axis=0) == 0))
+    return bool(np.any(np.asarray(A).sum(axis=0) == 0))
 
 
 def reachability(A) -> np.ndarray:
-    """Boolean transitive closure of the support digraph: R[i, j] is True iff
-    a path of length >= 1 leads from i to j.
+    """Boolean transitive closure of the support digraph (a bool array is the support itself):
+    R[i, j] is True iff a path of length >= 1 leads from i to j.
 
-    The 0/1 matrix is squared in float32 (exact below 2^24 nodes), capped at
-    1, until it stops changing; after k rounds it holds every path of length
-    up to 2^k.
+    The 0/1 matrix is squared in float32 (exact below 2^24 nodes), capped at 1, until it
+    stops changing or is all ones; after k rounds it holds every path of length up to 2^k.
     """
-    R = (as_nonnegative(A) > 0).astype(np.float32)
+    R = (A if getattr(A, "dtype", None) == bool else as_nonnegative(A) > 0).astype(np.float32)
     while True:
         nxt = np.minimum(R + R @ R, 1.0)
-        if np.array_equal(nxt, R):
-            return R > 0
+        if nxt.all() or np.array_equal(nxt, R):
+            return nxt > 0
         R = nxt
 
 
 def _closure_components(R: np.ndarray) -> list[tuple[int, ...]]:
     """Strongly connected components read off a reachability closure R."""
     mutual = (R & R.T) | np.eye(R.shape[0], dtype=bool)
-    leaders = np.unique(mutual.argmax(axis=1))  # smallest member of each node's component
-    return [tuple(np.flatnonzero(mutual[i]).tolist()) for i in leaders]
+    first = mutual.argmax(axis=1)  # smallest member of each node's component
+    return [tuple(np.flatnonzero(mutual[i]).tolist()) for i in np.flatnonzero(first == np.arange(R.shape[0]))]
 
 
 def strongly_connected_components(A) -> list[tuple[int, ...]]:
@@ -122,38 +121,51 @@ def strongly_connected_components(A) -> list[tuple[int, ...]]:
     return _closure_components(reachability(A))
 
 
+def _cycle_gcd(S: np.ndarray) -> int:
+    """gcd of the cycle lengths of a strongly connected support digraph S (0 for a lone node without a
+    self-loop): the gcd of a + 1 - b over the BFS levels a, b that an edge joins, read off the level-to-level
+    edge counts P^T S P of the one-hot level matrix P (float32: a positive count stays positive)."""
+    level = np.full(S.shape[0], -1)
+    frontier, depth = np.arange(S.shape[0]) == 0, 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = S[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    P = (level[:, None] == np.arange(depth)).astype(np.float32)
+    a, b = np.nonzero(P.T @ (S.astype(np.float32) @ P))
+    return int(np.gcd.reduce(np.abs(a + 1 - b)))
+
+
+@lru_cache(maxsize=16)
+def _graph(d: int, support: bytes) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(component, period) per strongly connected component of the d x d support
+    digraph with these packed row-major bits: one SCC pass and one level BFS per
+    component, shared by every matrix with this support."""
+    S = np.unpackbits(np.frombuffer(support, dtype=np.uint8), count=d * d).reshape(d, d).view(bool)
+    return tuple((c, _cycle_gcd(S if len(c) == d else S[np.ix_(c, c)])) for c in strongly_connected_components(S))
+
+
+def _period(M: np.ndarray) -> int:
+    """The period of a validated matrix, 0 when it is reducible (a 1x1 zero matrix included)."""
+    (_, cycle_gcd), *rest = _graph(M.shape[0], np.packbits(M > 0).tobytes())
+    return 0 if rest else cycle_gcd
+
+
 def irreducible(A) -> bool:
     """True iff the support digraph of A is strongly connected.
 
     A 1x1 matrix counts as irreducible only when its single entry is positive
     (the lone node needs a cycle).
     """
-    M = as_nonnegative(A)
-    if M.shape[0] == 1:
-        return bool(M[0, 0] > 0)
-    return len(strongly_connected_components(M)) == 1
-
-
-def _cycle_gcd(M: np.ndarray) -> int:
-    """gcd of the cycle lengths of an irreducible support digraph: the gcd of
-    level[i] + 1 - level[j] over its edges i -> j, levels from one BFS."""
-    A = M > 0
-    level = np.full(A.shape[0], -1)
-    frontier, depth = np.arange(A.shape[0]) == 0, 0
-    while frontier.any():
-        level[frontier] = depth
-        frontier = A[frontier].any(axis=0) & (level < 0)
-        depth += 1
-    i, j = np.nonzero(A)
-    return int(np.gcd.reduce(np.abs(level[i] + 1 - level[j])))
+    return _period(as_nonnegative(A)) > 0
 
 
 def period(A) -> int:
     """gcd of all cycle lengths of the support digraph.  Requires irreducibility."""
-    M = as_nonnegative(A)
-    if not irreducible(M):
+    p = _period(as_nonnegative(A))
+    if not p:
         raise ReducibleMatrixError("period is defined here only for irreducible matrices")
-    return _cycle_gcd(M)
+    return p
 
 
 def aperiodic(A) -> bool:
@@ -173,7 +185,8 @@ def _noda(B: np.ndarray, shift: float | None = None):
     """
     d = B.shape[0]
     x = np.full(d, 1.0 / d)
-    best, negated = None, 0.0 - B  # sigma added on its diagonal is bitwise sigma * I - B
+    best, system, negated_diagonal = None, 0.0 - B, 0.0 - np.diagonal(B)  # + sigma there: bitwise sigma * I - B
+    diagonal = np.einsum("ii->i", system)  # a writable view, also for the F-ordered B = M.T
     with np.errstate(all="ignore"):  # overflow or a lost sign shows in the bracket
         for solves in range(_MAX_SOLVES):
             ratio = (B @ x) / x
@@ -186,8 +199,7 @@ def _noda(B: np.ndarray, shift: float | None = None):
             best = (x, lo, hi)
             if lo == hi:
                 return (*best, solves)
-            system = negated.copy()
-            system.flat[:: d + 1] += hi if shift is None else shift
+            np.add(negated_diagonal, hi if shift is None else shift, out=diagonal)
             try:
                 z = np.linalg.solve(system, x)
             except np.linalg.LinAlgError:  # the shift met the Perron value exactly
@@ -236,9 +248,9 @@ class ComponentPerron:
     data: PerronData | None
 
 
-def _perron(M: np.ndarray) -> PerronData:
-    """Perron data of an irreducible matrix: Noda iteration for u, then for v
-    on M.T, its first shift just above the certified bound on lam."""
+def _perron(M: np.ndarray, period: int) -> PerronData:
+    """Perron data of an irreducible matrix of this period: Noda iteration for
+    u, then for v on M.T, its first shift just above the certified bound on lam."""
     d = M.shape[0]
     u, lo, hi, solves_u = _noda(M)
     widen = (d + 1) * np.finfo(float).eps
@@ -258,7 +270,7 @@ def _perron(M: np.ndarray) -> PerronData:
         lam=lam,
         u=u,
         v=v,
-        period=_cycle_gcd(M),
+        period=period,
         iterations=solves_u + solves_v,
         residual=residual,
         lo=lo * (1.0 - widen),
@@ -267,16 +279,17 @@ def _perron(M: np.ndarray) -> PerronData:
 
 
 @lru_cache(maxsize=16)
-def _analysis(d: int, data: bytes) -> tuple[ComponentPerron | ConvergenceError, ...]:
-    """Component Perron data of the d x d float64 matrix with these bytes:
-    one SCC pass and one Perron solve per component with a cycle.  A failed
-    solve is held in its component's place, so reducibility is still seen first."""
-    M = np.frombuffer(data).reshape(d, d)  # a read-only view of the key
+def _analysis(shape: tuple[int, ...], data: bytes) -> tuple[ComponentPerron | ConvergenceError, ...]:
+    """Component Perron data of the float64 matrix with this shape and these bytes, validated
+    here, so a memo hit needs none: the components and periods of its support from _graph and
+    one Perron solve per component with a cycle.  A failed solve is held in its component's
+    place, so reducibility is still seen first."""
+    M = as_nonnegative(np.frombuffer(data).reshape(shape))  # a read-only view of the key
     out = []
-    for comp in strongly_connected_components(M):
-        sub = M if len(comp) == d else M[np.ix_(comp, comp)]
+    for comp, cycle_gcd in _graph(M.shape[0], np.packbits(M > 0).tobytes()):
+        sub = M if len(comp) == M.shape[0] else M[np.ix_(comp, comp)]
         try:
-            p = _perron(sub) if sub.any() else None  # a lone node without a self-loop
+            p = _perron(sub, cycle_gcd) if cycle_gcd else None  # 0: a lone node without a self-loop
             out.append(ComponentPerron(indices=comp, radius=p.lam if p else 0.0, data=p))
         except ConvergenceError as exc:
             out.append(exc)
@@ -284,8 +297,8 @@ def _analysis(d: int, data: bytes) -> tuple[ComponentPerron | ConvergenceError, 
 
 
 def _analysed(A) -> tuple[ComponentPerron | ConvergenceError, ...]:
-    M = as_nonnegative(A)
-    return _analysis(M.shape[0], M.tobytes())
+    M = np.asarray(A, dtype=float)
+    return _analysis(M.shape, M.tobytes())
 
 
 def _accepted(c: ComponentPerron | ConvergenceError) -> ComponentPerron:
@@ -308,8 +321,8 @@ def component_perron_data(A) -> list[ComponentPerron]:
 def perron_vectors(A) -> PerronData:
     """Perron value with normalized right/left eigenvectors of an irreducible matrix.
 
-    One SCC pass, one period BFS and one Noda iteration per vector, once per
-    matrix content (see component_perron_data).
+    One SCC pass and one period BFS per support, and one Noda iteration per
+    vector per matrix content (see component_perron_data).
 
     Parameters
     ----------
@@ -348,7 +361,11 @@ def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:
     of the package; the lists stop at the first vanishing sum.  Chunks of K steps from x / 1^T x are
     summed, logged and rescaled at once: as c_min 1^T y <= 1^T A y <= c_max 1^T y over the column sums
     c, K = _LOG_CHUNK / max |log c| keeps every sum within exp(+-_LOG_CHUNK); a zero column gives K = 1."""
-    M = as_nonnegative(A)
+    return _powers(as_nonnegative(A), x, n)
+
+
+def _powers(M: np.ndarray, x, n: int) -> tuple[list[float], list[np.ndarray]]:
+    """normalized_powers of a validated matrix."""
     s = float(np.sum(x))
     if n < 1 or s <= 0.0:
         return [], []
@@ -459,11 +476,15 @@ def spectral_radius_bracket_sequences(A, n_max: int) -> tuple[list[float], list[
     bracket it at every n.  The column sums come from normalized_powers on A^T
     from ones; entries after the powers vanish are 0.0.
     """
-    M = as_nonnegative(A)
+    return _bracket_sequences(as_nonnegative(A), n_max)
+
+
+def _bracket_sequences(M: np.ndarray, n_max: int) -> tuple[list[float], list[float]]:
+    """spectral_radius_bracket_sequences of a validated matrix."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     lower, upper = [0.0] * n_max, [0.0] * n_max
-    for n, (log_n, s) in enumerate(zip(*normalized_powers(M.T, np.ones(M.shape[0]), n_max)), 1):
+    for n, (log_n, s) in enumerate(zip(*_powers(M.T, np.ones(M.shape[0]), n_max)), 1):
         smin, smax = float(s.min()), float(s.max())
         lower[n - 1] = math.exp((log_n + math.log(smin)) / n) if smin > 0.0 else 0.0
         upper[n - 1] = math.exp((log_n + math.log(smax)) / n)

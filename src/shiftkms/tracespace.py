@@ -80,7 +80,11 @@ class CoherentSequence:
 def coherent_sequence(A, levels, tol: float = COHERENCE_TOL, require: bool = True) -> CoherentSequence:
     """Assemble and check a coherent sequence; with require=True a residual
     above tol is an error, otherwise it is only recorded."""
-    M = as_nonnegative(A)
+    return _coherent(as_nonnegative(A), levels, tol, require)
+
+
+def _coherent(M: np.ndarray, levels, tol: float = COHERENCE_TOL, require: bool = True) -> CoherentSequence:
+    """coherent_sequence over a validated matrix."""
     levs = tuple(np.asarray(t, dtype=float) for t in levels)
     if len(levs) < 1:
         raise ValueError("need at least one level")
@@ -117,9 +121,10 @@ def t_prime(seq: CoherentSequence) -> CoherentSequence:
 def k_iterate(A, t, n: int) -> list[np.ndarray]:
     """n steps of t -> A t / (1^T A t); a power iteration toward the right
     Perron direction for irreducible aperiodic A.  Returns the n iterates."""
-    if has_zero_column(as_nonnegative(A)):
+    M = as_nonnegative(A)
+    if has_zero_column(M):
         raise ValueError("k iteration requires a matrix with no zero column")
-    return normalized_powers(A, as_trace_vector(t), n)[1]
+    return spectral._powers(M, as_trace_vector(t), n)[1]
 
 
 def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
@@ -133,15 +138,18 @@ def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
         if s <= 0.0:
             raise ValueError("renormalizer sum(t_1) vanished")
         levels = tuple(t / s for t in levels[1:])
-    return coherent_sequence(seq.matrix, levels, tol=seq.tol, require=False)
+    return _coherent(seq.matrix, levels, tol=seq.tol, require=False)
 
 
 def kms_eigen_sequence(A, R: int) -> CoherentSequence:
     """Eigen-sequence t_r = lam^(-r) u with u the Perron right eigenvector
     normalized to sum 1; the coherence residuals inherit the Perron residual
     and stay below 1e-12."""
-    p = perron_vectors(A)
-    return coherent_sequence(p.matrix, _eigen_levels(p, R), tol=1e-12, require=True)
+    return _eigen_sequence(perron_vectors(A), R)
+
+
+def _eigen_sequence(p, R: int) -> CoherentSequence:
+    return _coherent(p.matrix, _eigen_levels(p, R), tol=1e-12, require=True)
 
 
 def _eigen_levels(p, R: int) -> list[np.ndarray]:
@@ -166,7 +174,7 @@ def coherent_truncation(A, t0, R: int) -> CoherentSequence:
     for _ in range(R):
         x, *_ = np.linalg.lstsq(M, levels[-1], rcond=None)
         levels.append(np.clip(x, 0.0, None))
-    return coherent_sequence(M, levels, require=False)
+    return _coherent(M, levels, require=False)
 
 
 def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
@@ -178,7 +186,7 @@ def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
     if b.shape != (M.shape[0],) or np.any(b < 0) or float(b.sum()) <= 0.0:
         raise ValueError("boundary must be a nonnegative vector with positive sum")
     b = b / float(b.sum())
-    logs = [0.0] + normalized_powers(M, b, R)[0]  # log(1^T A^k b) for k = 0..R
+    logs = [0.0] + spectral._powers(M, b, R)[0]  # log(1^T A^k b) for k = 0..R
     if len(logs) <= R or abs(logs[-1]) > _LOG_RANGE:  # the boundary dies, or t_R is no normal float
         raise ValueError(f"1^T A^R b vanishes or leaves the float64 range at R = {R}")
     # every level is bitwise A @ next; the second pass divides out the rounding of logs[-1]
@@ -189,7 +197,7 @@ def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
             levels.append(M @ levels[-1])
         top = top / float(levels[-1].sum())
     levels.reverse()
-    return coherent_sequence(M, levels, require=True)
+    return _coherent(M, levels, require=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +276,7 @@ def kms_temperature(A, depth: int = 10) -> KmsReport:
     return KmsReport(
         lam=p.lam,
         beta=math.log(p.lam),
-        eigen_sequence=kms_eigen_sequence(M, depth),
+        eigen_sequence=_eigen_sequence(p, depth),
         uniqueness_flag=p.period == 1,
     )
 
@@ -344,7 +352,7 @@ def temperature_sign(A) -> TemperatureSign:
         cls = "tracial"
     else:
         cls = "mixed"
-    ev_lo, ev_hi = spectral.spectral_radius_bracket_sequences(M, SIGN_EVIDENCE)
+    ev_lo, ev_hi = spectral._bracket_sequences(M, SIGN_EVIDENCE)
     return TemperatureSign(
         classification=cls,
         lower=lower,

@@ -21,7 +21,8 @@ graph sends every smaller digit straight to state 0 and must give the same
 automaton whenever the expansion does not terminate.
 
 The graph references are `reachability_irreducible` (boolean powers),
-`period_brute` (closed walks at node 0) and `scc_tarjan`, an iterative Tarjan
+`period_brute` (closed walks at node 0, up to the first repeated row of the
+walk counts) and `scc_tarjan`, an iterative Tarjan
 that checks both component passes of `shiftkms.spectral`: the reachability
 closure and the edge-list Tarjan labels.
 `cycle_chord`, `block_cyclic` and `sparse_d256` build the matrices the
@@ -438,16 +439,24 @@ def scc_tarjan(matrix) -> list[tuple[int, ...]]:
 
 
 def period_brute(matrix) -> int:
-    """gcd of closed-walk lengths at node 0 via exact boolean powers."""
-    M = np.asarray(matrix) > 0
-    d = M.shape[0]
-    g = 0
-    P = np.eye(d, dtype=bool)
-    for n in range(1, 3 * d * d + 1):
-        P = (P.astype(int) @ M.astype(int)) > 0
-        if P[0, 0]:
+    """gcd of closed-walk lengths at node 0 via the exact boolean rows e_0 A^n.
+
+    There are finitely many 0/1 rows, so the rows repeat: once row n equals row
+    m < n they cycle with period n - m, and the lengths still to come are those
+    of rows m..n-1 plus multiples of n - m, which add only n - m to the gcd.
+    """
+    M = (np.asarray(matrix) > 0).astype(int)
+    row, seen, walks, g = M[0], {}, [], 0
+    for n in itertools.count(1):
+        m = seen.setdefault(row.tobytes(), n)
+        if m < n:
+            if any(length >= m for length in walks):
+                g = math.gcd(g, n - m)
+            return g if g else 1
+        if row[0]:
+            walks.append(n)
             g = math.gcd(g, n)
-    return g if g else 1
+        row = np.minimum(row @ M, 1)
 
 
 def matrix_power_exact(matrix, r):

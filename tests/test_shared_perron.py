@@ -1,4 +1,4 @@
-"""One Perron solve and one SCC pass per matrix content.
+"""One Perron solve per matrix content, and one SCC pass per support.
 
 The counters wrap the two routines every Perron analysis runs through: the
 strongly-connected-components pass and the Noda iteration, which runs once for
@@ -18,15 +18,20 @@ import pytest
 from shiftkms import (
     SFT,
     FullShift,
+    aperiodic,
     bimodule_kms,
     component_perron_data,
+    irreducible,
     kms_eigen_sequence,
     kms_temperature,
+    normalization_profile,
     parry_measure,
+    period,
     perron_vectors,
     sft_entropy_exact,
     spectral,
     spectral_radius,
+    temperature_from_trace,
     temperature_sign,
     variational_scan,
 )
@@ -197,11 +202,11 @@ def test_transition_matrix_document_makes_one_component_pass(monkeypatch):
     assert closures["reachability"] == 1
 
 
-def _closure_and_noda_counter(monkeypatch):
+def _closure_and_noda_counter(monkeypatch, names=("reachability", "_noda")):
     """Counts reachability closures in every namespace of the package that
-    holds the name, and Noda runs."""
+    holds the name, and Noda runs (or calls of other names)."""
     seen = Counter()
-    for name in ("reachability", "_noda"):
+    for name in names:
         original = getattr(spectral, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -226,6 +231,62 @@ def test_thermodynamic_chain_on_one_matrix_solves_once(monkeypatch):
     assert (seen["reachability"], seen["_noda"]) == (1, 2)
     assert kms.lam == parry.lam == sign.lower == sign.upper
     assert np.array_equal(seq.levels[0], parry.u)
+
+
+def test_thermodynamic_chain_validates_each_matrix_once_per_call(monkeypatch):
+    # one conversion and check per public call (a hit on the analysis memo
+    # needs none); with every call and helper revalidating, this was 17
+    seen = _closure_and_noda_counter(monkeypatch, ("as_nonnegative",))
+    M = _random_sft_matrix()
+    rng = np.random.default_rng(5)
+    t = rng.random(16) + 0.1
+    kms_temperature(M)
+    parry_measure(M)
+    temperature_sign(M)
+    normalization_profile(kms_eigen_sequence(M, 6))
+    temperature_from_trace(M, t / t.sum(), 300)
+    bimodule_kms(M * (0.5 + 1.5 * rng.random(M.shape)))
+    assert seen["as_nonnegative"] <= 7
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [_random_sft_matrix(), oracles.block_cyclic(np.random.default_rng(3), 3, 6)],
+    ids=["random16", "cyclic3"],
+)
+def test_lambda_matrix_reads_the_graph_pass_of_its_support(matrix, monkeypatch):
+    # W has the support of A: its components and period come from A's graph
+    # pass, its solve is its own, and its data is bitwise that of a cold run
+    seen = _closure_and_noda_counter(monkeypatch)
+    W = matrix * (0.5 + 1.5 * np.random.default_rng(4).random(matrix.shape))
+    kms_temperature(matrix)
+    seen.clear()
+    bimodule_kms(W, depth=6)
+    assert (seen["reachability"], seen["_noda"]) == (0, 2)
+    warm = perron_vectors(W)
+    spectral._analysis.cache_clear()
+    spectral._graph.cache_clear()
+    cold = perron_vectors(W)
+    assert (seen["reachability"], seen["_noda"]) == (1, 4)
+    assert cold is not warm and _bits(cold) == _bits(warm)
+    assert warm.period == oracles.period_brute(matrix)
+
+
+def test_period_reads_the_graph_pass_of_the_analysis(monkeypatch):
+    seen = _closure_and_noda_counter(monkeypatch)
+    rng = np.random.default_rng(6)
+    for M in (_random_sft_matrix(), oracles.block_cyclic(rng, 4, 5), oracles.random_reducible_zero_one(rng)):
+        component_perron_data(M)
+        seen.clear()
+        one = len(oracles.scc_tarjan(M)) == 1
+        assert irreducible(M) == one
+        if one:
+            assert period(M) == oracles.period_brute(M)
+            assert aperiodic(M) == (period(M) == 1)
+        else:
+            with pytest.raises(spectral.ReducibleMatrixError):
+                period(M)
+        assert seen["reachability"] == 0
 
 
 def test_one_acceptance_rule_holds_a_rejected_solve_for_every_consumer(monkeypatch, counts):
@@ -260,13 +321,16 @@ def test_memo_is_keyed_on_content_not_identity(counts):
     M = np.ones((3, 3))
     assert spectral_radius(M) == pytest.approx(3.0, rel=1e-15)
     assert counts() == (1, 2)
-    M[0, 0] = 2.0  # the same array, new content: solved again
+    M[0, 0] = 2.0  # the same array, new content on the same support: solved again, no SCC pass
     lam = perron_vectors(M).lam
-    assert counts() == (1, 2)
+    assert counts() == (0, 2)
     assert lam == pytest.approx(np.max(np.abs(np.linalg.eigvals(M))), rel=1e-13)
     M[0, 0] = 1.0  # back to the first content: shared again
     assert spectral_radius(M) == pytest.approx(3.0, rel=1e-15)
     assert counts() == (0, 0)
+    M[0, 1] = 0.0  # a new support: a new SCC pass and a new solve
+    assert perron_vectors(M).lam == pytest.approx(np.max(np.abs(np.linalg.eigvals(M))), rel=1e-13)
+    assert counts() == (1, 2)
 
 
 def test_cache_clear_makes_the_next_call_solve_again(counts):

@@ -94,6 +94,48 @@ def test_scc_closure_matches_tarjan_oracle():
     assert comps == oracles.scc_tarjan(M) == [(0,), tuple(range(1, 40))]
 
 
+def _irreducible_draws():
+    """Seeded irreducible 0/1 matrices, and a positively weighted copy of each, up to d = 256:
+    random entries of density 1/d or 0.3 on top of a random d-cycle."""
+    rng = np.random.default_rng(28)
+    for d in (2, 5, 16, 64, 128, 256):
+        for density in (1.0 / d, 0.3):
+            M = (rng.random((d, d)) < density).astype(int)
+            order = rng.permutation(d)
+            M[order, np.roll(order, 1)] = 1
+            yield f"zero-one{d}-{density:.2g}", M
+            yield f"weighted{d}-{density:.2g}", M * (0.5 + 1.5 * rng.random((d, d)))
+
+
+PERIOD_CASES = {
+    **{f"cyclic{p}": (p, 256 // p) for p in range(2, 7)},
+    **{f"chord{n}": oracles.cycle_chord(n) for n in (3, 12, 30, 100)},
+    **dict(_irreducible_draws()),
+    "one": [[1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIOD_CASES))
+def test_period_of_the_level_adjacency_matches_closed_walks(name):
+    M = PERIOD_CASES[name]
+    if isinstance(M, tuple):  # (period, block) of a block-cyclic matrix
+        M = oracles.block_cyclic(np.random.default_rng(M[0]), *M)
+    assert period(M) == oracles.period_brute(M)
+    assert irreducible(M) and aperiodic(M) == (oracles.period_brute(M) == 1)
+
+
+def test_graph_pass_matches_tarjan_on_reducible_matrices():
+    rng = np.random.default_rng(2028)
+    for _ in range(200):
+        M = oracles.random_reducible_zero_one(rng)
+        comps = oracles.scc_tarjan(M)
+        assert strongly_connected_components(M) == comps
+        assert [c.indices for c in component_perron_data(M)] == comps
+        assert not irreducible(M)
+        for c in component_perron_data(M):
+            assert c.data.period == oracles.period_brute(M[np.ix_(c.indices, c.indices)])
+
+
 CERTIFIED = {
     "chord30": lambda: oracles.cycle_chord(30),
     "chord100": lambda: oracles.cycle_chord(100),
