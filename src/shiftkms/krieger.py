@@ -197,8 +197,8 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
 
 @lru_cache(maxsize=128)
 def _class_counts(aut: Automaton, n_max: int, depth: int):
-    """(counts at `depth`, counts at `depth - 1`, fixed_point_depth), the
-    counts as tuples, since the memoized result is shared by its callers.
+    """(counts at `depth`, stabilized, fixed_point_depth), the first two as
+    tuples, since the memoized result is shared by its callers.
 
     A family is a bool matrix whose rows are its distinct readability subsets
     (columns are the states 0..N of aut.succ, the sink N last); the next one
@@ -206,7 +206,9 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     column starts False and stays False, since the sink only leads to itself,
     so a move into the sink makes a row unreadable there.  counts[n],
     n = 0..n_max, is the number of distinct restrictions to R_n (states
-    reachable in <= n steps) of the rows that hold the start state.
+    reachable in <= n steps) of the rows that hold the start state, and
+    stabilized[n] says that it equals the count at depth - 1, a depth that
+    still has words of length >= max(n, 1) (the rule of `omega_l`).
     """
     size = aut.sink + 1
     # a packed row viewed as one opaque item, so a 1-d sort orders the rows by bytes
@@ -246,7 +248,8 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
 
     at_depth = counts(family)
     before = at_depth if fixed_point_depth is not None else counts(prev)
-    return at_depth, before, fixed_point_depth
+    stabilized = tuple(depth - 1 >= max(n, 1) and b == c for n, (b, c) in enumerate(zip(before, at_depth)))
+    return at_depth, stabilized, fixed_point_depth
 
 
 def dim_q(spec, n: int, depth: int) -> DimQ:
@@ -260,9 +263,8 @@ def dim_q(spec, n: int, depth: int) -> DimQ:
         raise ValueError("depth must be >= max(n, 1)")
     aut = automaton_for(spec)
     aut.check_length(n + depth)
-    counts, before, fixed = _class_counts(aut, n, depth)
-    stabilized = depth - 1 >= max(n, 1) and before[n] == counts[n]
-    return DimQ(count=counts[n], stabilized=stabilized, l=n, depth=depth, fixed_point_depth=fixed)
+    counts, stabilized, fixed = _class_counts(aut, n, depth)
+    return DimQ(count=counts[n], stabilized=stabilized[n], l=n, depth=depth, fixed_point_depth=fixed)
 
 
 def sofic_check(spec, l_max: int, depth: int | None = None) -> SoficReport:
@@ -277,13 +279,11 @@ def sofic_check(spec, l_max: int, depth: int | None = None) -> SoficReport:
         raise ValueError("depth must be >= max(l_max, 2)")
     aut = automaton_for(spec)
     aut.check_length(l_max + depth)
-    counts, before, fixed = _class_counts(aut, l_max, depth)
-    counts = counts[1:]
-    stab = [b == c for b, c in zip(before[1:], counts)]
+    counts, stabilized, fixed = _class_counts(aut, l_max, depth)
     return SoficReport(
         sofic_detected=aut.max_word_length is None,
-        counts=tuple(counts),
-        stabilized=tuple(stab),
+        counts=counts[1:],
+        stabilized=stabilized[1:],
         l_max=l_max,
         depth=depth,
         fixed_point_depth=fixed,
@@ -308,9 +308,8 @@ def entropy_bracket(spec, n_max: int, depth: int | None = None) -> BracketReport
         raise ValueError("depth must be >= n_max")
     aut.check_length(n_max + depth)
     lower = exact_entropy(spec)[0]
-    dims, before, fixed = _class_counts(aut, n_max, depth)
+    dims, stabilized, fixed = _class_counts(aut, n_max, depth)
     dims = dims[1:]
-    stab = [b == c for b, c in zip(before[1:], dims)]
     corrections = tuple(2.0 * math.log(dims[n - 1]) / n for n in range(1, n_max + 1))
     sofic = aut.max_word_length is None
     upper = lower if sofic else lower + min(corrections[-_CORRECTION_WINDOW:])
@@ -318,8 +317,8 @@ def entropy_bracket(spec, n_max: int, depth: int | None = None) -> BracketReport
         lower=lower,
         upper=upper,
         correction_sequence=corrections,
-        dims=tuple(dims),
-        dims_stabilized=tuple(stab),
+        dims=dims,
+        dims_stabilized=stabilized[1:],
         sofic_detected=sofic,
         n_max=n_max,
         depth=depth,

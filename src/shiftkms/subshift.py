@@ -3,9 +3,10 @@
 Four presentations are supported: the full shift, a 0/1 transition-matrix
 shift, a shift given by finitely many forbidden factors, and the beta-shift of
 a base b > 1.  Each compiles to a deterministic partial automaton whose
-defined paths are exactly the admissible words, held as one successor table:
-admissibility is a single run, counting is spectral's exact integer recursion
-over its transition-count matrix, and the Krieger passes read the same table.
+defined paths are exactly the admissible words, held as one successor table
+that its builder writes directly, in time linear in the table: admissibility
+is a single run, counting is spectral's exact integer recursion over its
+transition-count matrix, and the Krieger passes read the same table.
 
 Symbols are 1-based (alphabet {1, ..., d}).  Beta-shift digits {0, ..., d-1}
 map to symbols by adding 1.
@@ -102,7 +103,6 @@ class BetaShift:
 
     beta: float | str
     digit_depth: int = 64
-    snap_tol: float = 1e-9
 
     def __post_init__(self):
         b = float(self.beta)
@@ -116,34 +116,29 @@ class BetaShift:
         return int(math.ceil(float(self.beta)))
 
     def expansion(self):
-        return beta_expansion_of_one(self.beta, self.digit_depth, snap_tol=self.snap_tol)
+        return beta_expansion_of_one(self.beta, self.digit_depth)
 
 
 class Automaton:
     """Deterministic partial automaton over symbols 1..d, held as one successor table.
 
-    The states are relabelled 0..N-1 in the sorted order of the labels the
-    build used (`delta` and `start` are given in the new labels), and N is a
-    sink: succ[c-1, q] is the state reached from q on symbol c, N when that
-    move is undefined, and the sink only leads to itself.  A word is in the
-    presented language iff its run from the start never reaches the sink.
-    Every state has at least one outgoing transition (the build trims dead
-    ends), except an optional horizon state in depth-capped presentations;
-    max_word_length says how long a run is trustworthy.
+    succ[c-1, q] is the state reached from state q on symbol c.  The states
+    are 0..N-1 and the start is 0; the last column N is a sink: a move that is
+    undefined leads to it, and it only leads to itself.  Each builder writes
+    the table directly.  A word is in the presented language iff its run from
+    the start never reaches the sink.  Every state has at least one outgoing
+    transition (the build trims dead ends), except an optional horizon state
+    in depth-capped presentations; max_word_length says how long a run is
+    trustworthy.
     """
 
-    def __init__(self, alphabet, delta, start, max_word_length=None):
-        labels = {start, *(q for q, _ in delta), *delta.values()}
-        index = {q: i for i, q in enumerate(sorted(labels))}
-        self.alphabet = alphabet
-        self.delta = {(index[q], c): index[qn] for (q, c), qn in delta.items()}
-        self.start = index[start]
+    start = 0
+
+    def __init__(self, succ, max_word_length=None):
+        self.succ = succ
+        self.alphabet, self.sink = succ.shape[0], succ.shape[1] - 1
+        self.states = range(self.sink)
         self.max_word_length = max_word_length
-        self.states = range(len(index))
-        self.sink = len(index)
-        self.succ = np.full((alphabet, self.sink + 1), self.sink, dtype=np.intp)
-        qs, cs = np.array(list(self.delta), dtype=np.intp).reshape(-1, 2).T
-        self.succ[cs - 1, qs] = list(self.delta.values())
         self._count_vectors = []
 
     @property
@@ -175,6 +170,8 @@ class Automaton:
         The lists are kept on the automaton and only extended, so a longer
         call continues where the last one stopped; callers must not mutate them.
         """
+        if n < 0:
+            raise ValueError("n must be >= 0")
         self.check_length(n)
         out = self._count_vectors
         if len(out) < n:
@@ -185,16 +182,15 @@ class Automaton:
     @cached_property
     def _count_rows(self):
         """Row q of the transition-count matrix: (target, number of symbols) pairs."""
-        rows = [[] for _ in self.states]
-        for (q, qn), k in Counter((q, qn) for (q, _), qn in self.delta.items()).items():
-            rows[q].append((qn, k))
-        return rows
+        rows = [Counter(targets) for targets in self.succ.T[:-1].tolist()]
+        return [[(qn, k) for qn, k in row.items() if qn != self.sink] for row in rows]
 
     @cached_property
     def radius_bracket(self) -> tuple[float, float]:
-        """Certified [lo, hi] around the Perron root of the count matrix of delta's moves."""
-        src = [q for q, _ in self.delta]
-        return spectral.sparse_radius_bracket(self.sink, src, list(self.delta.values()))
+        """Certified [lo, hi] around the Perron root of the transition-count matrix,
+        from its edges ordered by source, then by symbol."""
+        src, sym = np.nonzero(self.succ.T[:-1] != self.sink)
+        return spectral.sparse_radius_bracket(self.sink, src, self.succ[sym, src])
 
     def reach_order(self, l):
         """(order, sizes): the states reachable from the start by words of
@@ -216,72 +212,65 @@ class Automaton:
 
 
 def _full_automaton(spec):
-    delta = {(0, c): 0 for c in range(1, spec.alphabet + 1)}
-    return Automaton(spec.alphabet, delta, start=0)
+    return Automaton(np.tile(np.intp([0, 1]), (spec.alphabet, 1)))  # one state, then the sink
 
 
 def _sft_automaton(spec):
     d = len(spec.matrix)
-    delta = {(0, c): c for c in range(1, d + 1)}  # state c follows symbol c
-    delta.update({(i + 1, c + 1): c + 1 for i, c in np.argwhere(spec.matrix).tolist()})
-    return Automaton(d, delta, start=0)
+    # state c follows symbol c: every symbol moves from the start, none from the sink d + 1
+    defined = np.hstack([np.ones((d, 1), dtype=int), spec.matrix.T, np.zeros((d, 1), dtype=int)])
+    return Automaton(np.where(defined == 1, np.arange(1, d + 1, dtype=np.intp)[:, None], d + 1))
 
 
 def _forbidden_automaton(d, words):
-    # Aho-Corasick over the forbidden factors; a node whose suffix set meets
-    # the list is dead, and dead-end states are trimmed until every surviving
-    # state extends forever.
-    goto = [{}]
-    terminal = [False]
+    # Aho-Corasick over the forbidden factors: the trie, completed to a DFA in
+    # one breadth-first pass.  A node's row is its failure node's row with its
+    # own trie edges written over it, and a child's failure node is the entry
+    # of that row it overwrites.  A node is dead when a forbidden factor ends
+    # its word (its own or its failure node's) or occurs in it (its parent's).
+    trie, dead = [{}], [False]
     for w in words:
         node = 0
         for s in w:
-            if s not in goto[node]:
-                goto.append({})
-                terminal.append(False)
-                goto[node][s] = len(goto) - 1
-            node = goto[node][s]
-        terminal[node] = True
-    fail = [0] * len(goto)
-    dead = list(terminal)
-    queue = list(goto[0].values())
-    while queue:
-        nxt = []
-        for u in queue:
-            dead[u] = dead[u] or dead[fail[u]]
-            for s, v in goto[u].items():
-                f = fail[u]
-                while f and s not in goto[f]:
-                    f = fail[f]
-                fail[v] = goto[f].get(s, 0)
-                nxt.append(v)
-        queue = nxt
-    # complete transitions on live nodes, dropping edges into dead nodes
-    delta = {}
-    for q in range(len(goto)):
-        if dead[q]:
-            continue
-        for s in range(1, d + 1):
-            f = q
-            while f and s not in goto[f]:
-                f = fail[f]
-            target = goto[f].get(s, 0)
-            if not dead[target]:
-                delta[(q, s)] = target
-    # keep only states that are reachable and extend forever
-    while True:
-        live = {q for (q, _) in delta}
-        if all(qn in live for qn in delta.values()):
-            break
-        delta = {e: qn for e, qn in delta.items() if qn in live}
-    reachable, frontier = {0}, [0]
-    while frontier:
-        q = frontier.pop()
-        new = {delta[(q, s)] for s in range(1, d + 1) if (q, s) in delta} - reachable
-        reachable |= new
-        frontier.extend(new)
-    delta = {(q, s): qn for (q, s), qn in delta.items() if q in reachable}
-    return Automaton(d, delta, start=0)
+            if s not in trie[node]:
+                trie[node][s] = len(trie)
+                trie.append({})
+                dead.append(False)
+            node = trie[node][s]
+        dead[node] = True
+    n = len(trie)
+    table = np.zeros((n, d), dtype=np.intp)  # the root's missing moves stay at the root
+    fail = [0] * n
+    queue = [0]
+    for u in queue:  # the queue grows while it is read
+        dead[u] = dead[u] or dead[fail[u]]
+        table[u] = table[fail[u]]
+        for s, v in trie[u].items():
+            fail[v], table[u, s - 1] = int(table[u, s - 1]), v
+            dead[v] = dead[v] or dead[u]
+            queue.append(v)
+    # trim dead ends with one reverse worklist.  A live node reads its own word
+    # from the root through live nodes, which extend as far as it does, so the
+    # nodes left are the states reachable from the root; they keep their order
+    alive = ~np.array(dead)
+    moves = np.where(alive[table] & alive[:, None], table, n)
+    outdeg = (moves < n).sum(axis=1)
+    stuck = np.flatnonzero(alive & (outdeg == 0)).tolist()
+    outdeg, preds = outdeg.tolist(), [[] for _ in range(n + 1)]  # preds[n]: the undefined moves
+    for q, row in enumerate(moves.tolist()):
+        for t in row:
+            preds[t].append(q)
+    for t in stuck:
+        alive[t] = False
+        for q in preds[t]:
+            outdeg[q] -= 1
+            if outdeg[q] == 0:
+                stuck.append(q)
+    moves = np.where(alive[table], table, n)
+    alive[0] = True  # the start stays, with no moves once it is trimmed
+    keep = np.flatnonzero(alive)
+    rows = np.vstack([moves[keep], np.full(d, n)])  # the sink's row last
+    return Automaton(np.searchsorted(np.append(keep, n), rows.T))  # node keep[i] is state i
 
 
 def _shift_dominated(digits) -> bool:
@@ -314,14 +303,15 @@ def _beta_automaton(spec: BetaShift):
     if not _shift_dominated(digits if horizon else digits * 2):
         raise ValueError(
             f"expansion of 1 for beta={spec.beta} does not dominate its shifts; "
-            "the snapped block is not a Parry expansion, lower snap_tol or give "
-            "beta more precisely"
+            "the snapped block is not a Parry expansion, give beta more precisely"
         )
-    delta = {}
-    for j, dj in enumerate(digits):
-        delta.update({(j, c + 1): 0 for c in range(dj)})
-        delta[(j, dj + 1)] = j + 1 if horizon else (j + 1) % len(digits)
-    return Automaton(spec.alphabet, delta, start=0, max_word_length=horizon)
+    m = len(digits)
+    states = m + 1 if horizon else m  # the horizon state has no moves
+    dj, j = np.array(digits, dtype=np.intp), np.arange(m)
+    succ = np.full((spec.alphabet, states + 1), states, dtype=np.intp)
+    succ[:, :m] = np.where(np.arange(spec.alphabet)[:, None] < dj, 0, states)
+    succ[dj, j] = (j + 1) % states
+    return Automaton(succ, max_word_length=horizon)
 
 
 def build_automaton(spec) -> Automaton:
@@ -381,10 +371,7 @@ def count_words(spec, n: int) -> int:
 
 def count_words_sequence(spec, n_max: int) -> list[int]:
     """theta_n for n = 1..n_max in one forward pass."""
-    aut = automaton_for(spec)
-    if aut.is_empty:
-        return [0] * n_max
-    return [sum(counts) for counts in aut.count_vectors(n_max)]
+    return [sum(counts) for counts in automaton_for(spec).count_vectors(n_max)]
 
 
 @dataclass(frozen=True)

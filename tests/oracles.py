@@ -9,10 +9,18 @@ oracle-equivalence tests assert.
 The exception is the Krieger class-count reference (`subset_family_brute`,
 `class_counts_brute`): it runs the frozenset subset recursion on the package's
 presenting automaton to every requested depth, with no fixed-point stop, and
-restricts with `reachable_brute`, a set breadth-first search over the
-automaton's `delta` dict, so it checks the bitset core of `shiftkms.krieger`
-on the same automaton without sharing its successor table or its BFS.  The
-word enumerators read only the alphabet size from the presenting automaton.
+restricts with `reachable_brute`, a set breadth-first search, both over
+`moves`, the automaton's defined moves as a dict, so it checks the bitset core
+of `shiftkms.krieger` on the same automaton without sharing its table
+arithmetic or its BFS.  The word enumerators read only the alphabet size from
+the presenting automaton.
+
+`successor_table_dict` is the earlier automaton build: each presentation's
+moves collected in a dict under the labels its build used, forbidden words by
+Aho-Corasick with failure-link walks per (state, symbol) and a dead-end trim
+that removes one layer per pass, then relabelled 0..N-1 in sorted label order
+with the sink N.  The package writes its successor table directly and must
+give the same table.
 
 `beta_automaton_kmp` is the earlier beta-shift builder: a chain of
 `digit_depth` prefix states of the quasi-greedy expansion, where a smaller
@@ -197,6 +205,16 @@ def past_classes_brute(spec, l, depth) -> int:
     return len(keys)
 
 
+def moves(aut) -> dict[tuple[int, int], int]:
+    """The automaton's defined moves {(q, c): q'}, read off its successor table."""
+    return {
+        (q, c): qn
+        for c, row in enumerate(aut.succ[:, : aut.sink].tolist(), start=1)
+        for q, qn in enumerate(row)
+        if qn != aut.sink
+    }
+
+
 def subset_family_brute(aut, depth) -> list[set[frozenset]]:
     """family[m] = set of readability subsets {q : w readable from q} over the
     admissible words w of length m, for m = 0..depth.
@@ -205,7 +223,7 @@ def subset_family_brute(aut, depth) -> list[set[frozenset]]:
     every depth is still built from the one before it.
     """
     by_sym = {}
-    for (q, c), qn in aut.delta.items():
+    for (q, c), qn in moves(aut).items():
         by_sym.setdefault(c, []).append((q, qn))
     preimages = {}
 
@@ -222,9 +240,9 @@ def subset_family_brute(aut, depth) -> list[set[frozenset]]:
 
 
 def reachable_brute(aut, l) -> frozenset:
-    """States reachable from the start by words of length <= l, walking aut.delta."""
+    """States reachable from the start by words of length <= l, walking its moves."""
     out = {}
-    for (q, _), qn in aut.delta.items():
+    for (q, _), qn in moves(aut).items():
         out.setdefault(q, set()).add(qn)
     seen = {aut.start}
     frontier = {aut.start}
@@ -263,17 +281,99 @@ def beta_automaton_kmp(spec) -> Automaton:
         if digits[i] == digits[k]:
             k += 1
         pi[i] = k
+    n = len(digits)
     table = [[0] * spec.alphabet for _ in digits]
-    delta = {}
+    succ = np.full((spec.alphabet, n + 2), n + 1, dtype=np.intp)  # state n is the horizon
     for j, dj in enumerate(digits):
         for c in range(spec.alphabet):
             if c == dj:
                 table[j][c] = j + 1
             elif j:
                 table[j][c] = table[pi[j - 1]][c]
-            if c <= dj:
-                delta[(j, c + 1)] = table[j][c]
-    return Automaton(spec.alphabet, delta, start=0, max_word_length=len(digits))
+        succ[: dj + 1, j] = table[j][: dj + 1]
+    return Automaton(succ, max_word_length=n)
+
+
+def _relabelled_table(alphabet, delta, start=0) -> np.ndarray:
+    labels = {start, *(q for q, _ in delta), *delta.values()}
+    index = {q: i for i, q in enumerate(sorted(labels))}
+    succ = np.full((alphabet, len(index) + 1), len(index), dtype=np.intp)
+    for (q, c), qn in delta.items():
+        succ[c - 1, index[q]] = index[qn]
+    return succ
+
+
+def _forbidden_delta(d, words) -> dict[tuple[int, int], int]:
+    goto = [{}]
+    terminal = [False]
+    for w in words:
+        node = 0
+        for s in w:
+            if s not in goto[node]:
+                goto.append({})
+                terminal.append(False)
+                goto[node][s] = len(goto) - 1
+            node = goto[node][s]
+        terminal[node] = True
+    fail = [0] * len(goto)
+    dead = list(terminal)
+    queue = list(goto[0].values())
+    while queue:
+        nxt = []
+        for u in queue:
+            dead[u] = dead[u] or dead[fail[u]]
+            for s, v in goto[u].items():
+                f = fail[u]
+                while f and s not in goto[f]:
+                    f = fail[f]
+                fail[v] = goto[f].get(s, 0)
+                nxt.append(v)
+        queue = nxt
+    delta = {}
+    for q in range(len(goto)):
+        if dead[q]:
+            continue
+        for s in range(1, d + 1):
+            f = q
+            while f and s not in goto[f]:
+                f = fail[f]
+            target = goto[f].get(s, 0)
+            if not dead[target]:
+                delta[(q, s)] = target
+    while True:
+        live = {q for (q, _) in delta}
+        if all(qn in live for qn in delta.values()):
+            break
+        delta = {e: qn for e, qn in delta.items() if qn in live}
+    reachable, frontier = {0}, [0]
+    while frontier:
+        q = frontier.pop()
+        new = {delta[(q, s)] for s in range(1, d + 1) if (q, s) in delta} - reachable
+        reachable |= new
+        frontier.extend(new)
+    return {(q, s): qn for (q, s), qn in delta.items() if q in reachable}
+
+
+def successor_table_dict(spec) -> np.ndarray:
+    """The successor table of the presenting automaton, built through a dict of
+    moves under each build's own labels and relabelled in sorted label order."""
+    if isinstance(spec, FullShift):
+        return _relabelled_table(spec.alphabet, {(0, c): 0 for c in range(1, spec.alphabet + 1)})
+    if isinstance(spec, SFT):
+        d = len(spec.matrix)
+        delta = {(0, c): c for c in range(1, d + 1)}
+        delta.update({(i + 1, c + 1): c + 1 for i, c in np.argwhere(spec.matrix).tolist()})
+        return _relabelled_table(d, delta)
+    if isinstance(spec, ForbiddenWords):
+        return _relabelled_table(spec.alphabet, _forbidden_delta(spec.alphabet, spec.words))
+    exp = spec.expansion()
+    terminated = exp.terminated
+    digits = exp.quasi_greedy_block if terminated else exp.quasi_greedy_digits(spec.digit_depth)
+    delta = {}
+    for j, dj in enumerate(digits):
+        delta.update({(j, c + 1): 0 for c in range(dj)})
+        delta[(j, dj + 1)] = (j + 1) % len(digits) if terminated else j + 1
+    return _relabelled_table(spec.alphabet, delta)
 
 
 def stationary_lazy_brute(Ps, tol=1e-13, max_iter=200_000):

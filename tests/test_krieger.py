@@ -144,7 +144,15 @@ def test_dim_q_consistent_with_enumeration():
     for spec in specs:
         for n in range(1, 7):
             for depth in range(max(n, 2), 10):
-                assert dim_q(spec, n, depth).count == omega_l(spec, n, depth).class_count
+                res, part = dim_q(spec, n, depth), omega_l(spec, n, depth)
+                assert (res.count, res.stabilized) == (part.class_count, part.stabilized)
+        # one stabilization rule: the l = l_max flag at depth = l_max is False in all four
+        for depth in range(2, 10):
+            l_max = min(depth, 6)
+            flags = tuple(dim_q(spec, n, depth).stabilized for n in range(1, l_max + 1))
+            assert sofic_check(spec, l_max, depth).stabilized == flags
+            if l_max >= 4:
+                assert entropy_bracket(spec, l_max, depth).dims_stabilized == flags
 
 
 def test_dim_q_beta_linear_growth_with_aperiodic_expansion():
@@ -303,7 +311,7 @@ def test_class_counts_match_frozenset_reference(spec, l_max, depths):
     sofic = not isinstance(spec, BetaShift) or spec.expansion().terminated
     for depth in depths:
         counts, before = oracles.class_counts_brute(spec, l_max, depth)
-        stab = tuple(b == c for b, c in zip(before[1:], counts[1:]))
+        stab = tuple(depth - 1 >= n and before[n] == counts[n] for n in range(1, l_max + 1))
 
         check = sofic_check(spec, l_max, depth)
         assert check.counts == tuple(counts[1:])

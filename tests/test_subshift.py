@@ -20,7 +20,7 @@ from shiftkms import (
     spectral_radius,
     topological_entropy,
 )
-from shiftkms.subshift import Automaton, automaton_for
+from shiftkms.subshift import automaton_for, build_automaton, exact_entropy
 
 import oracles
 
@@ -316,9 +316,9 @@ TABLE_CASES = [
 
 
 def _dict_walk(aut, word):
-    q = aut.start
+    q, moves = aut.start, oracles.moves(aut)
     for c in word:
-        q = aut.delta.get((q, c))
+        q = moves.get((q, c))
         if q is None:
             return None
     return q
@@ -326,22 +326,81 @@ def _dict_walk(aut, word):
 
 def _check_table(aut, rng):
     n = len(aut.states)
+    moves = oracles.moves(aut)
     assert aut.sink == n and aut.succ.shape == (aut.alphabet, n + 1)
-    assert set(aut.states) == {q for q, _ in aut.delta} | set(aut.delta.values()) | {aut.start}
-    for q in range(n):
-        for c in range(1, aut.alphabet + 1):
-            assert aut.succ[c - 1, q] == aut.delta.get((q, c), n)
+    assert set(aut.states) == {q for q, _ in moves} | set(moves.values()) | {aut.start}
     assert (aut.succ[:, n] == n).all()
-    assert aut.is_empty == (not any(q == aut.start for q, _ in aut.delta))
+    assert aut.is_empty == (not any(q == aut.start for q, _ in moves))
     for _ in range(200):
         word = tuple(int(c) for c in rng.integers(1, aut.alphabet + 1, rng.integers(0, 13)))
         assert aut.run(word) == _dict_walk(aut, word)
 
 
 @pytest.mark.parametrize("spec", TABLE_CASES, ids=lambda s: type(s).__name__)
-def test_successor_table_agrees_with_delta(spec):
+def test_successor_table_runs_words_like_its_moves(spec):
     _check_table(automaton_for(spec), np.random.default_rng(8))
     assert count_words_sequence(spec, 7) == [oracles.count_words_brute(spec, n) for n in range(1, 8)]
+
+
+def test_run_leaves_on_an_undefined_move_or_a_symbol_outside_the_alphabet():
+    aut = automaton_for(GOLDEN)  # state 2 follows symbol 2 and has no move on it
+    assert aut.run((2, 2)) is None and aut.run((2, 1, 2, 1)) == 1
+    # symbols outside the alphabet leave the language, never index the table
+    assert aut.run((0,)) is None and aut.run((1, 3)) is None and aut.run((-1,)) is None
+
+
+def _corners(length):
+    # alphabet 16 and `length` word symbols each: a run of 1s is forbidden, and
+    # so is every other symbol after a 1, so every state past the root is a
+    # dead end; and the run of 1s alone, a chain of `length` states
+    yield ForbiddenWords(16, ((1,) * (length - 30), *((1, s) for s in range(2, 17))))
+    yield ForbiddenWords(16, ((1,) * length,))
+
+
+def _table_build_cases():
+    yield from TABLE_CASES
+    for i in range(300):
+        rng = np.random.default_rng([29, i])
+        alphabet = int(rng.integers(2, 6))
+        lengths = rng.integers(1, 9, int(rng.integers(1, 30)))
+        yield ForbiddenWords(alphabet, tuple(tuple(rng.integers(1, alphabet + 1, k).tolist()) for k in lengths))
+    yield from _corners(200)
+
+
+def test_successor_table_matches_the_dict_build():
+    sizes = set()
+    for spec in _table_build_cases():
+        aut = build_automaton(spec)
+        assert np.array_equal(aut.succ, oracles.successor_table_dict(spec)), spec
+        sizes.add(aut.sink)
+    assert len(sizes) > 30 and {1, 200} <= sizes
+
+
+def test_forbidden_corners_at_the_cli_bounds():
+    # S = 4096 symbols, and alphabet * S = 2^16 on the first one
+    one_state, chain = _corners(4096)
+    assert len(one_state.words) == 16 and sum(map(len, one_state.words)) == 4096
+    aut = build_automaton(one_state)
+    assert aut.sink == 1 and aut.succ[:, 0].tolist() == [1] + [0] * 15
+    assert exact_entropy(one_state) == (math.log(0.5 * sum(aut.radius_bracket)), "automaton-transfer-matrix")
+    assert abs(exact_entropy(one_state)[0] - math.log(15)) <= 1e-14
+    aut = build_automaton(chain)
+    assert aut.sink == 4096 and aut.succ[0].tolist() == list(range(1, 4096)) + [4096, 4096]
+    assert (aut.succ[1:, :-1] == 0).all()
+    assert abs(exact_entropy(chain)[0] - math.log(16)) <= 1e-14
+
+
+def test_count_vectors_rejects_a_negative_length():
+    spec, empty = SFT([[1, 1], [1, 0]]), ForbiddenWords(2, ((1,), (2,)))
+    assert count_words_sequence(spec, 6) == [2, 3, 5, 8, 13, 21]
+    assert count_words_sequence(empty, 3) == [0, 0, 0]
+    for n in (-1, -2):
+        for s in (spec, empty):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                count_words_sequence(s, n)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            automaton_for(spec).count_vectors(n)
+    assert automaton_for(spec).count_vectors(0) == []
 
 
 def _reach_cases():
@@ -361,18 +420,6 @@ def test_reach_order_is_the_frontier_bfs(spec):
         assert aut.reach_order(l) == oracles.reach_order_frontier(aut, l), l
 
 
-def test_successor_table_relabels_noncontiguous_states():
-    raw = {(10, 1): 10, (10, 2): 30, (30, 1): 70, (70, 1): 10, (70, 2): 70}
-    aut = Automaton(2, raw, start=10)
-    assert aut.states == range(3) and aut.start == 0
-    assert aut.delta == {(0, 1): 0, (0, 2): 1, (1, 1): 2, (2, 1): 0, (2, 2): 2}
-    _check_table(aut, np.random.default_rng(9))
-    # state 30 (now 1) has no move on symbol 2
-    assert aut.run((2, 2)) is None and aut.run((2, 1, 2, 2, 1)) == 0
-    # symbols outside the alphabet leave the language, never index the table
-    assert aut.run((0,)) is None and aut.run((1, 3)) is None
-
-
 # bases whose expansion of 1 does not terminate: four fixed ones and 50
 # seeded 4-decimal bases in (1.05, 3.95)
 CHAIN_BASES = ["1.7", "2.5", "1.01", "1.1"] + [
@@ -387,7 +434,6 @@ def test_beta_follower_chain_matches_prefix_function_reference(digit_depth):
         spec = BetaShift(base, digit_depth=digit_depth)
         assert not spec.expansion().terminated, base
         aut, ref = automaton_for(spec), oracles.beta_automaton_kmp(spec)
-        assert aut.delta == ref.delta, base
         assert aut.max_word_length == ref.max_word_length == digit_depth
         assert np.array_equal(aut.succ, ref.succ)
 
@@ -402,7 +448,7 @@ def test_terminated_beta_is_its_finite_follower_graph(base, block):
     assert spec.expansion().quasi_greedy_block == block
     aut = automaton_for(spec)
     assert len(aut.states) == len(block) and aut.max_word_length is None
-    assert aut.delta[(len(block) - 1, block[-1] + 1)] == 0  # the last state wraps around
+    assert oracles.moves(aut)[(len(block) - 1, block[-1] + 1)] == 0  # the last state wraps around
     # words longer than digit_depth, against the lexicographic definition on
     # the periodic quasi-greedy expansion
     n = spec.digit_depth + 1
