@@ -6,12 +6,15 @@ reachability closure of that digraph and the period from the gcd of BFS level
 differences over the level-to-level adjacency.  The Perron triple (lam, u, v)
 comes from Noda iteration, inverse iteration shifted by the current
 Collatz-Wielandt upper bound (one system array per run, only its diagonal
-rewritten), which needs no special case for periodic matrices; the bracket
-min (A u)_i / u_i <= lam <= max (A u)_i / u_i of the final u, widened for
-float rounding, is returned with it as a certificate.  The SCC pass and periods
-are memoized per support, the solve of every component per matrix content
-(validated once, when stored); all callers share them, their arrays are
-read-only, and a solve whose residual exceeds
+rewritten), which needs no special case for periodic matrices.  Each run
+starts where at most d // 4 power steps on B + I from ones/d leave it (about
+one dense solve's time at d = 256), and a pair of runs that misses acceptance
+is solved again from ones/d.  The bracket min (A u)_i / u_i <= lam <=
+max (A u)_i / u_i of the final u, widened for float rounding, is returned with
+it as a certificate.  The SCC pass and periods are memoized per support, the
+solve of every component per matrix content (validated once, when stored; the
+key hashes a bounded sample of the bytes and compares them all); all callers
+share them, their arrays are read-only, and a solve whose residual exceeds
 max(PERRON_TOL, residual_noise_floor) is held as a failed one.  A count
 matrix given by its edges gets such a bracket from power iteration on each
 Tarjan component, with no dense matrix.  Growth sequences 1^T A^k x come from
@@ -27,10 +30,11 @@ from functools import lru_cache
 import numpy as np
 
 PERRON_TOL = 1e-13  # l1 eigen-residual bound of an accepted Perron solve, floored at residual_noise_floor
-_MAX_SOLVES = 100  # Noda iteration converges superlinearly: 5-16 solves on desk-scale input
+_MAX_SOLVES = 100  # per Noda run; warm-started runs take 1-10 solves on desk-scale input, 1-4 at d >= 64
 _MAX_STEPS = 2**17  # per component; the slowest CLI input found (gap renewal, n = 88) takes 45 101
 _STALE_STEPS = 32  # level steps that end the iteration once the bracket is at rounding level
 _LOG_CHUNK = 300.0  # normalized_powers rescales before a sum can leave exp(+-300), far inside float64
+_KEY_RUN = 512  # entries per sampled run of a memo key's hash: three runs, about 12 KB
 
 
 def residual_noise_floor(d: int, lam: float = 1.0) -> float:
@@ -173,9 +177,34 @@ def aperiodic(A) -> bool:
     return period(A) == 1
 
 
-def _noda(B: np.ndarray, shift: float | None = None):
+def _warm_start(B: np.ndarray, steps: int) -> np.ndarray:
+    """Start vector of a Noda run on an irreducible B: at most `steps` power steps
+    x <- (B x + x) / sum from ones/d.
+
+    Each step reads the Collatz-Wielandt width max - min of (B x)_i / x_i off the
+    B x it computes anyway, and the steps end at the first one that fails to
+    halve the width or whose bracket is not positive and finite (an underflowed
+    x).  Returns the last x whose bracket was positive, finite and the narrowest
+    so far, or ones/d itself when there is none.
+    """
+    x = best = np.full(B.shape[0], 1.0 / B.shape[0])
+    width = math.inf
+    with np.errstate(all="ignore"):  # an underflow or overflow shows in the bracket
+        for _ in range(steps):
+            y = B @ x
+            ratio = y / x
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if not (0.0 < lo <= hi < math.inf and hi - lo < 0.5 * width):
+                break
+            best, width = x, hi - lo
+            y += x
+            x = y / y.sum()
+    return best
+
+
+def _noda(B: np.ndarray, shift: float | None, x: np.ndarray):
     """Noda iteration x <- (sigma I - B)^-1 x / sum for the Perron vector of an
-    irreducible B, from x = ones/d.
+    irreducible B, from the given positive unit-sum x (_warm_start's).
 
     sigma is the Collatz-Wielandt upper bound max (B x)_i / x_i of the current
     x, above the Perron value, so every solve is positive; a given shift
@@ -183,8 +212,6 @@ def _noda(B: np.ndarray, shift: float | None = None):
     [min, max] of (B x)_i / x_i stops shrinking.  Returns (x, lo, hi, solves)
     for the x with the narrowest bracket, sum(x) = 1.
     """
-    d = B.shape[0]
-    x = np.full(d, 1.0 / d)
     best, system, negated_diagonal = None, 0.0 - B, 0.0 - np.diagonal(B)  # + sigma there: bitwise sigma * I - B
     diagonal = np.einsum("ii->i", system)  # a writable view, also for the F-ordered B = M.T
     with np.errstate(all="ignore"):  # overflow or a lost sign shows in the bracket
@@ -220,7 +247,8 @@ class PerronData:
     bounds the l1 eigen-residuals of u and of v rescaled to sum 1.  [lo, hi]
     is the Collatz-Wielandt bracket of u, widened outward for float rounding:
     it holds the Perron value, and lo <= lam <= hi.  iterations counts the
-    linear solves of both vectors.  Shared per matrix content by every
+    linear solves of both vectors (not the power steps of their warm starts)
+    in the pair of Noda runs that gave them.  Shared per matrix content by every
     caller, so matrix, u and v are read-only.
     """
 
@@ -249,12 +277,28 @@ class ComponentPerron:
 
 
 def _perron(M: np.ndarray, period: int) -> PerronData:
-    """Perron data of an irreducible matrix of this period: Noda iteration for
-    u, then for v on M.T, its first shift just above the certified bound on lam."""
+    """Perron data of an irreducible matrix of this period, each Noda run warm-started
+    by at most d // 4 power steps, which take about the time of one dense solve at
+    d = 256 and of two at d = 64 (where the interpreter dominates).  A pair that
+    misses acceptance is solved again from ones/d, so the warm steps never lose a
+    matrix that the plain start solves (on erratic, badly scaled input either
+    start can be the one that stops at an inaccurate vector)."""
+    steps = M.shape[0] // 4
+    try:
+        return _perron_pair(M, period, steps)
+    except ConvergenceError:
+        if not steps:
+            raise
+        return _perron_pair(M, period, 0)
+
+
+def _perron_pair(M: np.ndarray, period: int, steps: int) -> PerronData:
+    """Noda iteration for u, then for v on M.T, its first shift just above the
+    certified bound on lam, each from _warm_start(., steps)."""
     d = M.shape[0]
-    u, lo, hi, solves_u = _noda(M)
+    u, lo, hi, solves_u = _noda(M, None, _warm_start(M, steps))
     widen = (d + 1) * np.finfo(float).eps
-    v, _, _, solves_v = _noda(M.T, hi * (1.0 + 2.0 * widen))
+    v, _, _, solves_v = _noda(M.T, hi * (1.0 + 2.0 * widen), _warm_start(M.T, steps))
     # the two-sided Rayleigh quotient, kept inside the float bracket of u
     lam = min(max(float(v @ M @ u) / float(v @ u), lo), hi)
     residual = max(float(np.abs(M @ u - lam * u).sum()), float(np.abs(M.T @ v - lam * v).sum()))
@@ -278,13 +322,35 @@ def _perron(M: np.ndarray, period: int) -> PerronData:
     )
 
 
+class _MatrixKey:
+    """Memo key of a float64 matrix: its shape and C-order bytes.  The hash reads the shape and a
+    bounded sample of the entries (the first and last _KEY_RUN and about _KEY_RUN strided ones), so
+    a read hashes a few KB at any d; equality compares all the bytes, so no hit is false."""
+
+    __slots__ = ("shape", "data", "_hash")
+
+    def __init__(self, M: np.ndarray):
+        self.shape, self.data = M.shape, M.tobytes()
+        sample = self.data
+        if M.size > 3 * _KEY_RUN:
+            flat = np.frombuffer(sample)
+            sample = b"".join(r.tobytes() for r in (flat[:_KEY_RUN], flat[-_KEY_RUN:], flat[:: M.size // _KEY_RUN]))
+        self._hash = hash((self.shape, sample))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _MatrixKey) and self.shape == other.shape and self.data == other.data
+
+
 @lru_cache(maxsize=16)
-def _analysis(shape: tuple[int, ...], data: bytes) -> tuple[ComponentPerron | ConvergenceError, ...]:
-    """Component Perron data of the float64 matrix with this shape and these bytes, validated
-    here, so a memo hit needs none: the components and periods of its support from _graph and
-    one Perron solve per component with a cycle.  A failed solve is held in its component's
-    place, so reducibility is still seen first."""
-    M = as_nonnegative(np.frombuffer(data).reshape(shape))  # a read-only view of the key
+def _analysis(key: _MatrixKey) -> tuple[ComponentPerron | ConvergenceError, ...]:
+    """Component Perron data of the float64 matrix of this key, validated here, so a memo hit
+    needs none: the components and periods of its support from _graph and one Perron solve per
+    component with a cycle.  A failed solve is held in its component's place, so reducibility is
+    still seen first."""
+    M = as_nonnegative(np.frombuffer(key.data).reshape(key.shape))  # a read-only view of the key
     out = []
     for comp, cycle_gcd in _graph(M.shape[0], np.packbits(M > 0).tobytes()):
         sub = M if len(comp) == M.shape[0] else M[np.ix_(comp, comp)]
@@ -297,8 +363,7 @@ def _analysis(shape: tuple[int, ...], data: bytes) -> tuple[ComponentPerron | Co
 
 
 def _analysed(A) -> tuple[ComponentPerron | ConvergenceError, ...]:
-    M = np.asarray(A, dtype=float)
-    return _analysis(M.shape, M.tobytes())
+    return _analysis(_MatrixKey(np.asarray(A, dtype=float)))
 
 
 def _accepted(c: ComponentPerron | ConvergenceError) -> ComponentPerron:
@@ -321,8 +386,8 @@ def component_perron_data(A) -> list[ComponentPerron]:
 def perron_vectors(A) -> PerronData:
     """Perron value with normalized right/left eigenvectors of an irreducible matrix.
 
-    One SCC pass and one period BFS per support, and one Noda iteration per
-    vector per matrix content (see component_perron_data).
+    One SCC pass and one period BFS per support, and one warm-started Noda
+    iteration per vector per matrix content (see component_perron_data).
 
     Parameters
     ----------

@@ -60,7 +60,8 @@ exact counts without calling the package.
 in chunks: one matrix-vector product, sum, logarithm and division per step.
 `reach_order_frontier` is the reachability BFS as numpy frontier rounds, all l
 of them, and `noda_eye` the Noda iteration that built each system as
-sigma * np.eye(d) - B.  The package must match them exactly, except the
+sigma * np.eye(d) - B, run from the start vector it is given (it runs no
+power steps of its own).  The package must match them exactly, except the
 chunked recursion, which must match the stepwise one within rounding.
 
 `perron_root_lapack` is the reference for an automaton's entropy: LAPACK's
@@ -780,10 +781,9 @@ def reach_order_frontier(aut, l):
     return order, sizes
 
 
-def noda_eye(B, shift=None):
-    """spectral._noda with each system built as sigma * np.eye(d) - B."""
+def noda_eye(B, shift, x):
+    """spectral._noda with each system built as sigma * np.eye(d) - B, from the start vector x."""
     d = B.shape[0]
-    x = np.full(d, 1.0 / d)
     best = None
     with np.errstate(all="ignore"):
         for solves in range(spectral._MAX_SOLVES):

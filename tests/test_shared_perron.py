@@ -290,8 +290,9 @@ def test_period_reads_the_graph_pass_of_the_analysis(monkeypatch):
 
 
 def test_one_acceptance_rule_holds_a_rejected_solve_for_every_consumer(monkeypatch, counts):
-    # with no residual allowed, the one solve of the matrix misses acceptance;
-    # the rejection is held in the memo, so no consumer solves it again
+    # with no residual allowed, the one solve of the matrix misses acceptance
+    # (the warm-started pair, then the pair from ones/d: four Noda runs); the
+    # rejection is held in the memo, so no consumer solves it again
     monkeypatch.setattr(spectral, "PERRON_TOL", 0.0)
     monkeypatch.setattr(spectral, "residual_noise_floor", lambda d, lam=1.0: 0.0)
     M = _random_sft_matrix()
@@ -299,7 +300,7 @@ def test_one_acceptance_rule_holds_a_rejected_solve_for_every_consumer(monkeypat
         with pytest.raises(spectral.ConvergenceError, match="exceeds tolerance") as exc:
             consume(M)
         assert exc.value.residual > 0.0
-    assert counts() == (1, 2)
+    assert counts() == (1, 4)
 
 
 def test_shared_perron_arrays_are_read_only():
@@ -331,6 +332,22 @@ def test_memo_is_keyed_on_content_not_identity(counts):
     M[0, 1] = 0.0  # a new support: a new SCC pass and a new solve
     assert perron_vectors(M).lam == pytest.approx(np.max(np.abs(np.linalg.eigvals(M))), rel=1e-13)
     assert counts() == (1, 2)
+
+
+def test_memo_key_hashes_a_sample_but_compares_every_byte(counts):
+    # the key's hash reads the first and last 512 entries and every 8th one at
+    # d = 64; a change to entry 2049 keeps the hash but is a new matrix
+    M = np.array(oracles.random_irreducible_zero_one(np.random.default_rng(8), 64, 0.6), dtype=float)
+    M[32, 1] = 1.0
+    W = M.copy()
+    W[32, 1] = 3.0
+    assert hash(spectral._MatrixKey(M)) == hash(spectral._MatrixKey(W))
+    first = perron_vectors(M)
+    assert counts() == (1, 2)
+    other = perron_vectors(W)
+    assert counts() == (0, 2) and other is not first and other.lam > first.lam
+    assert perron_vectors(M.astype(int)) is first and perron_vectors(W.tolist()) is other
+    assert counts() == (0, 0)
 
 
 def test_cache_clear_makes_the_next_call_solve_again(counts):

@@ -259,6 +259,92 @@ def test_noda_systems_are_bitwise_the_eye_build(monkeypatch):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
 
 
+def _noda_starts(monkeypatch):
+    """The start vector of every Noda run from here on, in order."""
+    starts, noda = [], spectral._noda
+
+    def recorded(B, shift, x):
+        starts.append(x)
+        return noda(B, shift, x)
+
+    monkeypatch.setattr(spectral, "_noda", recorded)
+    return starts
+
+
+def _from_ones(M, monkeypatch):
+    """Perron data of M, cold, with every Noda run started from ones/d (no warm steps)."""
+    spectral._analysis.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_noda", lambda B, shift, x: oracles.noda_eye(B, shift, np.full(len(x), 1.0 / len(x))))
+        return perron_vectors(M)
+
+
+def _is_ones(x):
+    return np.array_equal(x, np.full(x.size, 1.0 / x.size))
+
+
+def test_warm_steps_stop_where_an_entry_underflows(monkeypatch):
+    # rows scaled by 10^U(-150, 150): entries from 2e-112 to 1e137, and the
+    # Perron vector reaches 6e-276, so the third power step underflows an entry
+    rng = np.random.default_rng(24)
+    A = oracles.random_irreducible_zero_one(rng, 16)
+    M = A * 10.0 ** rng.uniform(-150, 150, (16, 1))
+    starts = _noda_starts(monkeypatch)
+    p = perron_vectors(M)
+    assert len(starts) == 2 and not _is_ones(starts[0])  # warm steps ran, and one pair was enough
+    y = M @ starts[0] + starts[0]
+    assert np.count_nonzero(y / y.sum()) < 16  # the step after the returned x underflows
+    assert abs(p.lam - _from_ones(M, monkeypatch).lam) <= 1e-15 * p.lam
+
+
+@pytest.mark.parametrize("d", [64, 128])
+def test_warm_steps_cut_the_solves_on_dense_matrices(d, monkeypatch):
+    # from ones/d these take 8-13 solves; at d = 64 the d // 4 steps end near
+    # rounding level, and Noda's stop on a non-shrinking bracket adds 1-4
+    rng = np.random.default_rng(d)
+    warm = ones = 0
+    for _ in range(6):
+        M = oracles.random_irreducible_zero_one(rng, d, 0.6)
+        spectral._analysis.cache_clear()
+        solves = perron_vectors(M).iterations
+        assert solves <= 6
+        warm, ones = warm + solves, ones + _from_ones(M, monkeypatch).iterations
+    assert 2 * warm <= ones
+
+
+def test_warm_steps_add_no_solves_on_periodic_and_slowly_mixing_matrices(monkeypatch):
+    rng = np.random.default_rng(29)
+    matrices = [oracles.block_cyclic(rng, period, 16) for period in (2, 3) for _ in range(4)]
+    starts = _noda_starts(monkeypatch)
+    warm = [perron_vectors(M).iterations for M in matrices]
+    assert len(starts) == 2 * len(matrices)  # no pair needed the start from ones/d
+    assert sum(warm) <= sum(_from_ones(M, monkeypatch).iterations for M in matrices)
+    for n in (12, 30):  # the first step does not halve the bracket [1, 2] of ones/d
+        M = oracles.cycle_chord(n)
+        assert perron_vectors(M).iterations <= _from_ones(M, monkeypatch).iterations
+
+
+def test_matrices_below_d4_take_no_warm_steps(monkeypatch):
+    starts = _noda_starts(monkeypatch)
+    for M in ([[2.0]], GOLDEN, [[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [0.5, 1.0, 0.0]]):
+        perron_vectors(M)
+    assert len(starts) == 6 and all(_is_ones(x) for x in starts)
+
+
+def test_a_warm_pair_that_misses_acceptance_is_solved_from_ones(monkeypatch):
+    # sparse rows scaled by 10^U(-10, 10): the lower Collatz-Wielandt bound stays
+    # near 0, Noda stops on bracket noise, and from the warm start it stops at a
+    # residual of 1.7e-12; the start from ones/d gets 4.5e-15
+    rng = np.random.default_rng(5)
+    M = oracles.random_irreducible_zero_one(rng, 32, 0.2) * 10.0 ** rng.uniform(-10, 10, (32, 1))
+    starts = _noda_starts(monkeypatch)
+    p = perron_vectors(M)
+    assert len(starts) == 4 and not _is_ones(starts[0]) and _is_ones(starts[2]) and _is_ones(starts[3])
+    ref = _from_ones(M, monkeypatch)
+    for field in ("lam", "u", "v", "lo", "hi", "iterations"):
+        assert np.array_equal(getattr(p, field), getattr(ref, field)), field
+
+
 def test_perron_rejects_reducible():
     with pytest.raises(ReducibleMatrixError):
         perron_vectors([[1, 1], [0, 1]])
