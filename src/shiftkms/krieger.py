@@ -8,11 +8,12 @@ subset iteration and never enumerates words unless the words themselves are
 requested.
 
 `dim_q`, `sofic_check` and `entropy_bracket` share one counting core.  It holds
-the subset family as a packed bitset matrix (one distinct subset per row) and
-stops at the first depth whose family equals the next one: the recursion is
-deterministic, so every deeper family is the same and the counts are final for
-the presenting automaton.  The reports give that depth as `fixed_point_depth`
-(None when the family still changes at the requested depth).  The core is
+each subset family as a set of packed subsets, gathers a subset's preimages
+only when it first appears, and stops at the first depth whose family equals
+the next one: the recursion is deterministic, so every deeper family is the
+same and the counts are final for the presenting automaton.  The reports give
+that depth as `fixed_point_depth` (None when the family still changes at the
+requested depth).  The core is
 memoized per automaton and arguments, so `sofic_check` and `entropy_bracket`
 at the same n and depth (the krieger and bracket sections of one `all`
 document) share one pass.  `omega_l` and
@@ -200,38 +201,38 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     """(counts at `depth`, stabilized, fixed_point_depth), the first two as
     tuples, since the memoized result is shared by its callers.
 
-    A family is a bool matrix whose rows are its distinct readability subsets
-    (columns are the states 0..N of aut.succ, the sink N last); the next one
-    holds the nonempty preimages of its rows under each symbol.  The sink
-    column starts False and stays False, since the sink only leads to itself,
-    so a move into the sink makes a row unreadable there.  counts[n],
-    n = 0..n_max, is the number of distinct restrictions to R_n (states
-    reachable in <= n steps) of the rows that hold the start state, and
-    stabilized[n] says that it equals the count at depth - 1, a depth that
-    still has words of length >= max(n, 1) (the rule of `omega_l`).
+    A family is a set of readability subsets packed into bytes (bit q for
+    state q of aut.succ, the sink N last); the next one is the union of their
+    nonempty preimages under each symbol, gathered once per subset, when it
+    first appears.  The sink bit starts clear and stays clear, since the sink
+    only leads to itself, so a move into the sink makes a subset unreadable
+    there.  counts[n], n = 0..n_max, is the number of distinct restrictions to
+    R_n (states reachable in <= n steps) of the subsets that hold the start
+    state, and stabilized[n] says that it equals the count at depth - 1, a
+    depth that still has words of length >= max(n, 1) (the rule of `omega_l`).
     """
     size = aut.sink + 1
-    # a packed row viewed as one opaque item, so a 1-d sort orders the rows by bytes
-    # (np.unique would do the same but imports numpy.ma, about 1 MB, on first use)
-    row = np.dtype((np.void, (size + 7) // 8))
-    family = prev = np.ones((1, size), dtype=bool)
-    family[0, aut.sink] = False
-    packed = np.packbits(family, axis=1).view(row).ravel()
-    fixed_point_depth = None
+    row = np.dtype((np.void, (size + 7) // 8))  # a packed subset as one bytes item
+
+    def unpack(subsets):
+        packed = np.frombuffer(b"".join(subsets), dtype=np.uint8).reshape(-1, row.itemsize)
+        return np.unpackbits(packed, axis=1, count=size).view(bool)
+
+    family = prev = {np.packbits(np.arange(size) < aut.sink).tobytes()}
+    preimages, empty, fixed_point_depth = {}, bytes(row.itemsize), None
     for m in range(depth):
-        pre = family[:, aut.succ].reshape(-1, size)
-        nxt = np.sort(np.packbits(pre[pre.any(axis=1)], axis=1).view(row).ravel())
-        distinct = np.ones(len(nxt), dtype=bool)
-        distinct[1:] = nxt[1:] != nxt[:-1]
-        nxt = nxt[distinct]
-        # sorted distinct rows, so this is set equality; every deeper family is this one
-        if np.array_equal(nxt, packed):
+        new = [s for s in family if s not in preimages]
+        if new:
+            pre = np.take(unpack(new), aut.succ.ravel(), axis=1).reshape(-1, size)
+            keys = np.packbits(pre, axis=1).view(row).reshape(len(new), -1).tolist()
+            preimages.update((s, set(k) - {empty}) for s, k in zip(new, keys))
+        nxt = set().union(*(preimages[s] for s in family))
+        # the recursion is deterministic, so every deeper family is this one
+        if nxt == family:
             fixed_point_depth = m
             break
-        prev, packed = family, nxt
-        nxt_bytes = nxt.view(np.uint8).reshape(-1, row.itemsize)
-        family = np.unpackbits(nxt_bytes, axis=1, count=size).view(bool)
-    if not len(family):
+        prev, family = family, nxt
+    if not family:
         raise ValueError(f"no admissible words of length {depth}")
 
     order, sizes = aut.reach_order(n_max)
@@ -246,8 +247,8 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
         # distinct prefixes of length k = 1 + adjacent pairs first differing before k
         return tuple((1 + np.searchsorted(first, sizes)).tolist())
 
-    at_depth = counts(family)
-    before = at_depth if fixed_point_depth is not None else counts(prev)
+    at_depth = counts(unpack(family))
+    before = at_depth if fixed_point_depth is not None else counts(unpack(prev))
     stabilized = tuple(depth - 1 >= max(n, 1) and b == c for n, (b, c) in enumerate(zip(before, at_depth)))
     return at_depth, stabilized, fixed_point_depth
 

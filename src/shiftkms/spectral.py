@@ -454,22 +454,23 @@ def _powers(M: np.ndarray, x, n: int) -> tuple[list[float], list[np.ndarray]]:
     return logs[:n].tolist(), rows[1:n + 1]
 
 
-def integer_vector_powers(start, rows, n: int) -> list[list[int]]:
+def integer_vector_powers(start, plan, n: int) -> list[list[int]]:
     """start B^k for k = 1..n in arbitrary-precision integers, so the result is
     exact at any n.
 
-    B is given by sparse rows of Python ints: rows[i] lists the pairs
-    (j, B[i, j]) with a nonzero weight: an automaton's word counts run it.
+    B comes as a plan (gather, plain, heavy) that pulls each entry of v B from
+    v with the builtin `sum`: plain[i] gets an entry's weight-1 predecessors,
+    each (i, k, get) in heavy adds k times the sum of its weight-k ones, and
+    gather picks every entry from v followed by these sums, a copy for an
+    entry with one weight-1 predecessor.  An automaton's word counts run it.
     """
-    out = []
-    v = list(start)
+    gather, plain, heavy = plan
+    out, v = [], list(start)
     for _ in range(n):
-        nxt = [0] * len(rows)
-        for s, row in zip(v, rows):
-            if s:
-                for j, w in row:
-                    nxt[j] += s * w
-        v = nxt
+        sums = [sum(get(v)) for get in plain]
+        for i, k, get in heavy:
+            sums[i] += k * sum(get(v))
+        v = list(gather(v + sums))
         out.append(v)
     return out
 

@@ -5,8 +5,8 @@ shift, a shift given by finitely many forbidden factors, and the beta-shift of
 a base b > 1.  Each compiles to a deterministic partial automaton whose
 defined paths are exactly the admissible words, held as one successor table
 that its builder writes directly, in time linear in the table: admissibility
-is a single run, counting is spectral's exact integer recursion over its
-transition-count matrix, and the Krieger passes read the same table.
+is a single run, counting pulls each state's exact count from its
+predecessors, and the Krieger passes read the same table.
 
 Symbols are 1-based (alphabet {1, ..., d}).  Beta-shift digits {0, ..., d-1}
 map to symbols by adding 1.
@@ -15,9 +15,9 @@ map to symbols by adding 1.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -165,7 +165,7 @@ class Automaton:
 
     def count_vectors(self, n):
         """For k = 1..n, the list whose entry q is the number of admissible
-        length-k words ending in state q (exact ints).
+        length-k words ending in state q (exact ints), the sink's 0 last.
 
         The lists are kept on the automaton and only extended, so a longer
         call continues where the last one stopped; callers must not mutate them.
@@ -175,15 +175,33 @@ class Automaton:
         self.check_length(n)
         out = self._count_vectors
         if len(out) < n:
-            start = out[-1] if out else [int(q == self.start) for q in self.states]
-            out.extend(spectral.integer_vector_powers(start, self._count_rows, n - len(out)))
+            start = out[-1] if out else [int(q == self.start) for q in range(self.sink + 1)]
+            out.extend(spectral.integer_vector_powers(start, self._count_plan, n - len(out)))
         return out[:n]
 
     @cached_property
-    def _count_rows(self):
-        """Row q of the transition-count matrix: (target, number of symbols) pairs."""
-        rows = [Counter(targets) for targets in self.succ.T[:-1].tolist()]
-        return [[(qn, k) for qn, k in row.items() if qn != self.sink] for row in rows]
+    def _count_plan(self):
+        """The transition-count matrix as a predecessor plan for `spectral.integer_vector_powers`."""
+        n = self.sink
+        sym, src = np.nonzero(self.succ[:, :-1] != n)
+        # the distinct (target, source) edges, sorted, each with its number of symbols
+        key = np.sort(self.succ[sym, src] * n + src)
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        target, source = np.divmod(key[first], n)
+        preds = {}
+        for t, s, k in zip(target.tolist(), source.tolist(), np.diff(first, append=len(key)).tolist()):
+            preds.setdefault(t, {}).setdefault(k, []).append(s)
+        index, plain, heavy = [n] * (n + 1), [], []  # no predecessor reads the sink's 0
+        for t, by_weight in preds.items():
+            ones = by_weight.pop(1, [])
+            if not by_weight and len(ones) == 1:
+                index[t] = ones[0]
+                continue
+            index[t] = n + 1 + len(plain)
+            # the sink's 0s pad each getter, so that it returns a tuple even for one or no source
+            heavy += [(len(plain), k, itemgetter(*s, n)) for k, s in by_weight.items()]
+            plain.append(itemgetter(*ones, n, n))
+        return itemgetter(*index), plain, heavy
 
     @cached_property
     def radius_bracket(self) -> tuple[float, float]:

@@ -10,10 +10,18 @@ The exception is the Krieger class-count reference (`subset_family_brute`,
 `class_counts_brute`): it runs the frozenset subset recursion on the package's
 presenting automaton to every requested depth, with no fixed-point stop, and
 restricts with `reachable_brute`, a set breadth-first search, both over
-`moves`, the automaton's defined moves as a dict, so it checks the bitset core
+`moves`, the automaton's defined moves as a dict, so it checks the counting core
 of `shiftkms.krieger` on the same automaton without sharing its table
 arithmetic or its BFS.  The word enumerators read only the alphabet size from
 the presenting automaton.
+
+`class_counts_sorted_rows` is the earlier Krieger counting core, which
+gathered every subset of a family again at every depth and deduplicated the
+rows by sorting them packed; the package gathers each subset's preimages once
+and must report the same counts, flags and fixed-point depth.
+`count_vectors_push` is the earlier word-count recursion, which pushed each
+state's count along its outgoing edges; the package pulls each count from its
+predecessors and must give the same vectors.
 
 `successor_table_dict` is the earlier automaton build: each presentation's
 moves collected in a dict under the labels its build used, forbidden words by
@@ -92,6 +100,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -267,6 +276,69 @@ def class_counts_brute(spec, n_max, depth):
 
     Rs = [reachable_brute(aut, n) for n in range(n_max + 1)]
     return [count(family[depth], R) for R in Rs], [count(family[depth - 1], R) for R in Rs]
+
+
+def class_counts_sorted_rows(aut, n_max, depth):
+    """`krieger._class_counts` as it was before it memoized preimages: each
+    family is a bool matrix of its distinct subsets, every row is gathered
+    again at every depth, and the rows are deduplicated by sorting them packed;
+    it stops at the first depth whose sorted rows equal the previous ones."""
+    size = aut.sink + 1
+    row = np.dtype((np.void, (size + 7) // 8))
+    family = prev = np.ones((1, size), dtype=bool)
+    family[0, aut.sink] = False
+    packed = np.packbits(family, axis=1).view(row).ravel()
+    fixed_point_depth = None
+    for m in range(depth):
+        pre = family[:, aut.succ].reshape(-1, size)
+        nxt = np.sort(np.packbits(pre[pre.any(axis=1)], axis=1).view(row).ravel())
+        distinct = np.ones(len(nxt), dtype=bool)
+        distinct[1:] = nxt[1:] != nxt[:-1]
+        nxt = nxt[distinct]
+        if np.array_equal(nxt, packed):
+            fixed_point_depth = m
+            break
+        prev, packed = family, nxt
+        nxt_bytes = nxt.view(np.uint8).reshape(-1, row.itemsize)
+        family = np.unpackbits(nxt_bytes, axis=1, count=size).view(bool)
+    if not len(family):
+        raise ValueError(f"no admissible words of length {depth}")
+
+    order, sizes = aut.reach_order(n_max)
+
+    def counts(fam):
+        rows = fam[fam[:, aut.start]][:, order]
+        if not len(rows):
+            return (0,) * (n_max + 1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        differs = rows[1:] != rows[:-1]
+        first = np.sort(np.where(differs.any(axis=1), differs.argmax(axis=1), len(order)))
+        return tuple((1 + np.searchsorted(first, sizes)).tolist())
+
+    at_depth = counts(family)
+    before = at_depth if fixed_point_depth is not None else counts(prev)
+    stabilized = tuple(depth - 1 >= max(n, 1) and b == c for n, (b, c) in enumerate(zip(before, at_depth)))
+    return at_depth, stabilized, fixed_point_depth
+
+
+def count_vectors_push(aut, n):
+    """The word-count vectors of `Automaton.count_vectors` for k = 1..n, over
+    the states only, in push form: each count is added into every target of
+    its state's row of (target, number of symbols) pairs."""
+    rows = [
+        [(qn, k) for qn, k in Counter(targets).items() if qn != aut.sink]
+        for targets in aut.succ.T[:-1].tolist()
+    ]
+    out, v = [], [int(q == aut.start) for q in aut.states]
+    for _ in range(n):
+        nxt = [0] * len(rows)
+        for s, row in zip(v, rows):
+            if s:
+                for j, w in row:
+                    nxt[j] += s * w
+        v = nxt
+        out.append(v)
+    return out
 
 
 def beta_automaton_kmp(spec) -> Automaton:

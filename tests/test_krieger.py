@@ -9,13 +9,14 @@ from shiftkms import (
     FullShift,
     SFT,
     dim_q,
+    krieger,
     entropy_bracket,
     omega_l,
     predecessor_set,
     sofic_check,
     subshift,
 )
-from shiftkms.subshift import automaton_for, topological_entropy
+from shiftkms.subshift import automaton_for, build_automaton, topological_entropy
 
 import oracles
 
@@ -375,3 +376,73 @@ def test_closed_bracket_contains_h_above_256_states():
     report = entropy_bracket(spec, 30)
     assert report.lower == report.upper == topological_entropy(spec, 30).exact
     assert abs(report.lower - h) <= 1e-13 * h
+
+
+# the bases of the first pass of the beta-all benchmark at seed 1 (digit_depth
+# 230, `shiftkms all --max-n 100 --depth 110`), snapped golden and tribonacci among them
+BETA_ALL_SEED_1 = ["1.2974", "3.9261", "1.6180339887", "2.0863", "2.9585", "1.8392867552", "1.6841", "3.1879"]
+
+
+def _sorted_rows_cases():
+    for digit_depth in (64, 512):
+        for n, depth in ((12, 12), (30, 40)):
+            yield BetaShift(1.7, digit_depth=digit_depth), n, depth
+    for n, depth in ((12, 12), (30, 40), (100, 110)):
+        yield SNAPPED_GOLDEN, n, depth
+    for i in range(40):
+        rng = np.random.default_rng([31, i])
+        alphabet = int(rng.integers(2, 5))
+        words = tuple(tuple(rng.integers(1, alphabet + 1, int(k)).tolist()) for k in rng.integers(2, 7, int(rng.integers(1, 7))))
+        for n, depth in ((12, 12), (30, 40)):
+            yield ForbiddenWords(alphabet, words), n, depth
+    for i in range(20):
+        rng = np.random.default_rng([32, i])
+        M = oracles.random_irreducible_zero_one(rng, int(rng.integers(2, 13)), float(rng.uniform(0.2, 0.7)))
+        for n, depth in ((12, 12), (30, 40)):
+            yield SFT(M), n, depth
+    for base in BETA_ALL_SEED_1:
+        yield BetaShift(base, digit_depth=230), 100, 110
+
+
+def test_class_counts_equal_the_sorted_row_core():
+    fixed = set()
+    for spec, n, depth in _sorted_rows_cases():
+        aut = build_automaton(spec)
+        got = krieger._class_counts.__wrapped__(aut, n, depth)
+        assert got == oracles.class_counts_sorted_rows(aut, n, depth), (spec, n, depth)
+        fixed.add(got[2] is None)
+    assert fixed == {True, False}
+    empty = build_automaton(ForbiddenWords(2, ((1,), (2,))))
+    for depth in (1, 5):
+        for core in (krieger._class_counts.__wrapped__, oracles.class_counts_sorted_rows):
+            with pytest.raises(ValueError, match=f"no admissible words of length {depth}"):
+                core(empty, 3, depth)
+
+
+@pytest.mark.parametrize("spec,n,depth", [(BetaShift(1.7, digit_depth=512), 30, 40), (EVEN_TRUNC, 16, 40)])
+def test_class_counts_gather_each_subset_once(spec, n, depth, monkeypatch):
+    # the rows handed to the gather are the distinct subsets of the families up
+    # to the stop, each once: family(m) is gathered for m < depth, and not
+    # past the first m whose next family equals it
+    aut = build_automaton(spec)
+    gathered, take = [], np.take
+
+    def counted(a, indices, axis=None):
+        gathered.append(len(a))
+        return take(a, indices, axis=axis)
+
+    monkeypatch.setattr(np, "take", counted)
+    stop = krieger._class_counts.__wrapped__(aut, n, depth)[2]
+    monkeypatch.undo()
+    family = oracles.subset_family_brute(aut, depth)
+    last = depth - 1 if stop is None else stop
+    visited = set().union(*family[: last + 1])
+    assert sum(gathered) == len(visited) < sum(map(len, family[: last + 1]))
+
+
+def test_beta_4096_bracket_at_the_cli_bounds():
+    # max_n = depth = 1000 and digit_depth 4096, the CLI's bounds: the family
+    # reaches its fixed point at depth 38 of the 4097-state chain
+    report = entropy_bracket(BetaShift(1.7, digit_depth=4096), 1000, depth=1000)
+    assert report.dims == tuple(n + 1 for n in range(1, 1001))
+    assert report.fixed_point_depth == 38

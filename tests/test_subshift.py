@@ -390,6 +390,28 @@ def test_forbidden_corners_at_the_cli_bounds():
     assert abs(exact_entropy(chain)[0] - math.log(16)) <= 1e-14
 
 
+def _push_cases():
+    for spec in _table_build_cases():
+        yield spec, 30
+    rng = np.random.default_rng(33)
+    for d in (2, 3, 5, 8, 16, 32, 64):
+        yield SFT(oracles.random_irreducible_zero_one(rng, d, 0.4)), 30
+    yield SFT(oracles.random_irreducible_zero_one(rng, 256, 0.6)), 10
+    yield BetaShift(TRIBONACCI, digit_depth=64), 30  # terminated: a 3-state cycle
+    yield BetaShift("2.5", digit_depth=40), 40  # capped: a 41-state chain
+    for spec in _corners(4096):
+        yield spec, 10
+
+
+def test_count_vectors_pull_equals_push():
+    for spec, n in _push_cases():
+        aut = build_automaton(spec)
+        vectors = aut.count_vectors(n)
+        assert [v[:-1] for v in vectors] == oracles.count_vectors_push(aut, n), spec
+        assert all(v[-1] == 0 for v in vectors)
+    assert build_automaton(BetaShift(TRIBONACCI, digit_depth=64)).max_word_length is None
+
+
 def test_count_vectors_rejects_a_negative_length():
     spec, empty = SFT([[1, 1], [1, 0]]), ForbiddenWords(2, ((1,), (2,)))
     assert count_words_sequence(spec, 6) == [2, 3, 5, 8, 13, 21]
