@@ -58,7 +58,7 @@ from .subshift import (
     admissible,
     count_words,
     count_words_sequence,
-    sft_entropy_exact,
+    exact_entropy,
     topological_entropy,
 )
 from .tracespace import (

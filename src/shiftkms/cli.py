@@ -32,7 +32,7 @@ from . import __version__, equilibrium, krieger, subshift, tracespace
 from .beta import exact_base
 from .equilibrium import InvariantViolation
 from .spectral import ConvergenceError, ReducibleMatrixError, as_nonnegative, component_perron_data, perron_vectors
-from .subshift import SFT, BetaShift, ForbiddenWords, FullShift
+from .subshift import SFT, BetaShift, ForbiddenWords, FullShift, is_integral
 
 
 # Bounds on sized inputs.  A matrix document's dimension, an alphabet and
@@ -127,15 +127,10 @@ def _matrix(doc):
     return M
 
 
-def _is_integer(value):
-    # an integral number such as 2.0 counts, a bool does not
-    return type(value) is int or type(value) is float and value.is_integer()
-
-
 def _integer(doc, field, default=None):
     """A JSON integer field."""
     value = _need(doc, field) if default is None else doc.get(field, default)
-    if not _is_integer(value):
+    if not is_integral(value):
         raise InputError(f"field '{field}' must be an integer, got {value!r}")
     return int(value)
 
@@ -148,7 +143,7 @@ def _words(doc, alphabet):
     size = sum(map(len, words))
     _at_most("the total length of field 'words'", size, MAX_FORBIDDEN_SYMBOLS)
     _at_most("alphabet times the total length of field 'words'", alphabet * size, MAX_FORBIDDEN_ENTRIES)
-    if not all(_is_integer(s) for w in words for s in w):
+    if not all(is_integral(s) for w in words for s in w):
         raise InputError("field 'words' must hold integer symbols")
     return tuple(tuple(map(int, w)) for w in words)
 
@@ -273,7 +268,7 @@ def _section_resolvent(spec, flags, warnings):
     v_dir = perron.v / perron.v.sum()
     rows = []
     for off in offsets:
-        rv = equilibrium.resolvent_vector(perron.matrix, perron, perron.lam + off)
+        rv = equilibrium.resolvent_vector(perron, perron.lam + off)
         a_dir = rv.a / rv.a.sum()
         rows.append(
             {

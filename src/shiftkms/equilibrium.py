@@ -125,15 +125,14 @@ class ResolventVector:
     pairing: float
 
 
-def resolvent_vector(A, perron: PerronData, t: float) -> ResolventVector:
-    """Resolvent vector at t > lam; u^T a_t = 1 identically, and a_t aligns
-    with the left Perron direction as t decreases to lam."""
-    M = np.asarray(A, dtype=float)
+def resolvent_vector(perron: PerronData, t: float) -> ResolventVector:
+    """Resolvent vector of perron.matrix at t > lam; u^T a_t = 1 identically, and
+    a_t aligns with the left Perron direction as t decreases to lam."""
     if t <= perron.lam:
         raise ValueError(f"t must exceed the spectral radius {perron.lam}, got {t}")
-    d = M.shape[0]
+    d = perron.matrix.shape[0]
     try:
-        x = np.linalg.solve(t * np.eye(d) - M.T, np.ones(d))
+        x = np.linalg.solve(t * np.eye(d) - perron.matrix.T, np.ones(d))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"resolvent solve failed at t = {t}: {exc}") from None
     a = (t - perron.lam) * x

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .subshift import Automaton, admissible, automaton_for, exact_entropy, validate_word
+from .subshift import Automaton, automaton_for, exact_entropy, validate_word
 
 _CORRECTION_WINDOW = 5  # an open bracket's upper end: the least of the last 5 corrections
 
@@ -146,9 +146,9 @@ def predecessor_set(word, l: int, spec) -> list[tuple[int, ...]]:
     if len(w) < 1:
         raise ValueError("word must be nonempty")
     aut.check_length(l + len(w))
-    if not admissible(w, spec):
-        raise ValueError(f"word {w} is not admissible")
     readable = _readable(aut, [w])[0]
+    if not readable[aut.start]:
+        raise ValueError(f"word {w} is not admissible")
     return [mu for layer in _layers(aut, l) for mu, q in layer if readable[q]]
 
 

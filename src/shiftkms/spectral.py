@@ -454,27 +454,6 @@ def _powers(M: np.ndarray, x, n: int) -> tuple[list[float], list[np.ndarray]]:
     return logs[:n].tolist(), rows[1:n + 1]
 
 
-def integer_vector_powers(start, plan, n: int) -> list[list[int]]:
-    """start B^k for k = 1..n in arbitrary-precision integers, so the result is
-    exact at any n.
-
-    B comes as a plan (gather, plain, heavy) that pulls each entry of v B from
-    v with the builtin `sum`: plain[i] gets an entry's weight-1 predecessors,
-    each (i, k, get) in heavy adds k times the sum of its weight-k ones, and
-    gather picks every entry from v followed by these sums, a copy for an
-    entry with one weight-1 predecessor.  An automaton's word counts run it.
-    """
-    gather, plain, heavy = plan
-    out, v = [], list(start)
-    for _ in range(n):
-        sums = [sum(get(v)) for get in plain]
-        for i, k, get in heavy:
-            sums[i] += k * sum(get(v))
-        v = list(gather(v + sums))
-        out.append(v)
-    return out
-
-
 def _scc_labels(n: int, src: np.ndarray, dst: np.ndarray) -> list[int]:
     """label[v]: the root of v's component in the digraph on 0..n-1 with edges src -> dst, by an iterative
     Tarjan pass from a virtual node n; on dense 0/1 matrices `reachability` is 10-20x faster."""

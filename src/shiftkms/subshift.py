@@ -36,7 +36,7 @@ __all__ = [
     "count_words",
     "count_words_sequence",
     "topological_entropy",
-    "sft_entropy_exact",
+    "exact_entropy",
     "beta_expansion_of_one",
 ]
 
@@ -80,13 +80,13 @@ class ForbiddenWords:
     def __post_init__(self):
         if self.alphabet < 1:
             raise ValueError("alphabet size must be >= 1")
-        normalized = tuple(tuple(int(s) for s in w) for w in self.words)
-        for w in normalized:
+        words = tuple(map(tuple, self.words))
+        for w in words:
             if len(w) == 0:
                 raise ValueError("forbidden words must be nonempty")
-            if any(s < 1 or s > self.alphabet for s in w):
+            if not all(is_integral(s) and 1 <= s <= self.alphabet for s in w):
                 raise ValueError(f"forbidden word {w} has symbols outside 1..{self.alphabet}")
-        object.__setattr__(self, "words", normalized)
+        object.__setattr__(self, "words", tuple(tuple(map(int, w)) for w in words))
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,11 @@ class Automaton:
     def is_empty(self) -> bool:
         return bool(np.all(self.succ[:, self.start] == self.sink))
 
-    def run(self, word, state=None):
+    def run(self, word):
         """End state of the word, or None when it leaves the language (a
         symbol outside 1..d leaves it too)."""
         self.check_length(len(word))
-        q = self.start if state is None else state
+        q = self.start
         for c in word:
             if not 0 < c <= self.alphabet:
                 return None
@@ -175,13 +175,22 @@ class Automaton:
         self.check_length(n)
         out = self._count_vectors
         if len(out) < n:
-            start = out[-1] if out else [int(q == self.start) for q in range(self.sink + 1)]
-            out.extend(spectral.integer_vector_powers(start, self._count_plan, n - len(out)))
+            gather, plain, heavy = self._count_plan
+            v = out[-1] if out else [int(q == self.start) for q in range(self.sink + 1)]
+            for _ in range(n - len(out)):
+                sums = [sum(get(v)) for get in plain]
+                for i, k, get in heavy:
+                    sums[i] += k * sum(get(v))
+                v = list(gather(v + sums))
+                out.append(v)
         return out[:n]
 
     @cached_property
     def _count_plan(self):
-        """The transition-count matrix as a predecessor plan for `spectral.integer_vector_powers`."""
+        """(gather, plain, heavy): the transition-count matrix as a plan that pulls each next count
+        from v with the builtin `sum`.  plain[i] gets weight-1 predecessors, each (i, k, get) in heavy
+        adds k times a sum of weight-k ones, and gather picks every count from v + sums (one copy for
+        a lone weight-1 predecessor)."""
         n = self.sink
         sym, src = np.nonzero(self.succ[:, :-1] != n)
         # the distinct (target, source) edges, sorted, each with its number of symbols
@@ -354,12 +363,20 @@ def automaton_for(spec) -> Automaton:
     return _cached_automaton_for(spec)
 
 
+def is_integral(value) -> bool:
+    """True for an integral number, an int, a numpy integer or a float such as 2.0; a
+    bool, a fraction or a string is none.  Symbols and integer document fields obey it."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer or isinstance(value, (float, np.floating)) and value.is_integer()
+
+
 def validate_word(word, d) -> tuple[int, ...]:
-    w = tuple(int(s) for s in word)
+    """The word as a tuple of ints; ValueError on a symbol that is not an integral number in 1..d."""
+    w = tuple(word)
     for s in w:
-        if s < 1 or s > d:
-            raise ValueError(f"symbol {s} outside alphabet 1..{d}")
-    return w
+        if not (is_integral(s) and 1 <= s <= d):
+            raise ValueError(f"symbol {s!r} outside alphabet 1..{d}")
+    return tuple(map(int, w))
 
 
 def admissible(word, spec) -> bool:
@@ -447,9 +464,3 @@ def topological_entropy(spec, n_max: int) -> EntropyEstimate:
         exact=exact,
         method=method,
     )
-
-
-def sft_entropy_exact(A) -> float:
-    """log of the spectral radius of the transition matrix."""
-    SFT(A)  # validates the matrix
-    return math.log(spectral.spectral_radius(A))

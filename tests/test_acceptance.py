@@ -30,7 +30,6 @@ from shiftkms import (
     predecessor_set,
     resolvent_vector,
     s_prime,
-    sft_entropy_exact,
     spectral_radius,
     t_prime,
     topological_entropy,
@@ -139,12 +138,12 @@ def test_criterion_05_resolvent_construction():
         p = perron_vectors(A)
         v_dir = p.v / p.v.sum()
         for off in (0.5, 0.1, 0.01):
-            rv = resolvent_vector(A, p, p.lam + off)
+            rv = resolvent_vector(p, p.lam + off)
             if abs(rv.pairing - 1.0) > 1e-10:
                 failures.append(f"pairing off by {abs(rv.pairing - 1.0)} at t=lam+{off}")
         dists = []
         for off in (0.5, 0.1, 0.01, 1e-4):
-            rv = resolvent_vector(A, p, p.lam + off)
+            rv = resolvent_vector(p, p.lam + off)
             a_dir = rv.a / rv.a.sum()
             dists.append(float(np.abs(a_dir - v_dir).sum()))
         if dists[-1] >= 1e-3:

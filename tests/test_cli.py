@@ -82,6 +82,18 @@ def test_parse_spec_diagnostics_name_the_field():
             parse_spec('{"type": "beta", "beta": 1.7, "digit_depth": %s}' % depth)
 
 
+def test_parse_spec_fields_and_symbols_share_the_integer_rule():
+    # a document given as a dict may hold numpy numbers: an integral one counts, as in a word
+    assert parse_spec({"type": "full", "alphabet": np.int64(3)}) == FullShift(3)
+    spec = parse_spec({"type": "forbidden", "alphabet": 2, "words": [[np.int64(1), np.float64(2.0)]]})
+    assert spec.words == ((1, 2),)
+    for bad in (np.bool_(True), np.float64(2.5)):
+        with pytest.raises(InputError, match="alphabet"):
+            parse_spec({"type": "full", "alphabet": bad})
+        with pytest.raises(InputError, match="integer symbols"):
+            parse_spec({"type": "forbidden", "alphabet": 2, "words": [[bad]]})
+
+
 def test_cross_command_consistency():
     # a Perron solve on ones(26, 26) gives 25.999999999999993, not 26: both
     # sections read that one solve

@@ -98,6 +98,11 @@ def test_cylinder_validates_words():
         cylinder(m, ())
     with pytest.raises(ValueError):
         cylinder(m, (0, 1))
+    for word in ([1.9, 2.5], [True], ["1"]):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            cylinder(m, word)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            cylinder_eigen(m, word)
 
 
 def test_markov_entropy_uniform_full_shift():
@@ -108,7 +113,7 @@ def test_markov_entropy_uniform_full_shift():
 def test_resolvent_ones_hand_solve():
     M = np.ones((2, 2))
     p = perron_vectors(M)
-    rv = resolvent_vector(M, p, 3.0)
+    rv = resolvent_vector(p, 3.0)
     assert np.allclose(rv.a, [1.0, 1.0], atol=1e-12)
     assert abs(rv.pairing - 1.0) < 1e-12
 
@@ -118,7 +123,7 @@ def test_resolvent_pairing_and_limit():
     v_dir = p.v / p.v.sum()
     dists = []
     for off in (0.5, 0.1, 0.01, 1e-4):
-        rv = resolvent_vector(GOLDEN, p, p.lam + off)
+        rv = resolvent_vector(p, p.lam + off)
         assert abs(rv.pairing - 1.0) < 1e-10
         assert rv.a.min() > 0
         a_dir = rv.a / rv.a.sum()
@@ -130,9 +135,9 @@ def test_resolvent_pairing_and_limit():
 def test_resolvent_rejects_t_at_or_below_lambda():
     p = perron_vectors(GOLDEN)
     with pytest.raises(ValueError):
-        resolvent_vector(GOLDEN, p, p.lam)
+        resolvent_vector(p, p.lam)
     with pytest.raises(ValueError):
-        resolvent_vector(GOLDEN, p, 1.0)
+        resolvent_vector(p, 1.0)
 
 
 def test_variational_ones2():

@@ -36,6 +36,13 @@ def test_predecessor_set_golden_by_first_letter():
     assert predecessor_set((2, 1), 1, GOLDEN) == [(), (1,)]
 
 
+def test_predecessor_set_rejects_an_inadmissible_word():
+    with pytest.raises(ValueError, match="not admissible"):
+        predecessor_set((1, 2, 2), 1, GOLDEN)
+    with pytest.raises(ValueError, match="not admissible"):
+        predecessor_set((1,), 0, ForbiddenWords(1, ((1,),)))  # the empty shift
+
+
 def test_predecessor_set_forbidden_brute():
     spec = ForbiddenWords(2, ((1, 1),))
     got = predecessor_set((1, 2), 2, spec)

@@ -3,16 +3,22 @@
 Every document of its ```json block goes through `shiftkms all` at the default
 flags, and its ```python quick start is executed, so the documentation cannot
 drift away from the code unnoticed.  Its `Flags:` paragraph names exactly the
-options of the command-line parser.
+options of the command-line parser, and every backticked `module.name` it cites,
+where module is one of the package's modules, `Automaton` or `PerronData`, exists.
 """
 
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import shiftkms
 from shiftkms.cli import _build_parser, main
+from shiftkms.spectral import PerronData
+from shiftkms.subshift import Automaton
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -46,3 +52,17 @@ def test_readme_flags_line_lists_exactly_the_parser_options():
     (paragraph,) = re.findall(r"^Flags: (.*?)\n\n", README, flags=re.M | re.S)
     options = [s for a in _build_parser()._actions for s in a.option_strings if s not in ("-h", "--help")]
     assert re.findall(r"`(--[\w-]+)`", paragraph) == options
+
+
+def _has(owner, name):
+    # a dataclass field without a default is no class attribute
+    return hasattr(owner, name) or name in getattr(owner, "__dataclass_fields__", {})
+
+
+def test_readme_dotted_names_resolve():
+    modules = [m.name for m in pkgutil.iter_modules(shiftkms.__path__) if not m.name.startswith("_")]
+    owners = {name: importlib.import_module(f"shiftkms.{name}") for name in modules}
+    owners.update(Automaton=Automaton, PerronData=PerronData)
+    cited = [(o, n) for o, n in re.findall(r"`(\w+)\.(\w+)`", README) if o in owners]
+    assert len(cited) >= 4
+    assert [f"{o}.{n}" for o, n in cited if not _has(owners[o], n)] == []

@@ -21,6 +21,7 @@ from shiftkms import (
     aperiodic,
     bimodule_kms,
     component_perron_data,
+    exact_entropy,
     irreducible,
     kms_eigen_sequence,
     kms_temperature,
@@ -28,7 +29,6 @@ from shiftkms import (
     parry_measure,
     period,
     perron_vectors,
-    sft_entropy_exact,
     spectral,
     spectral_radius,
     temperature_from_trace,
@@ -36,6 +36,7 @@ from shiftkms import (
     variational_scan,
 )
 from shiftkms.cli import run
+from shiftkms.subshift import Automaton
 
 import oracles
 from conftest import clear_package_memos
@@ -105,7 +106,7 @@ CONSUMERS = {
     "bimodule_kms": lambda A: bimodule_kms(A, depth=6),
     "kms_eigen_sequence": lambda A: kms_eigen_sequence(A, 6),
     "variational_scan": lambda A: variational_scan(A, 10),
-    "sft_entropy_exact": sft_entropy_exact,
+    "exact_entropy": lambda A: exact_entropy(SFT(A))[0],
 }
 
 
@@ -129,7 +130,7 @@ def test_consumer_solves_once_and_reuses_perron_data(name, matrix, counts):
 
 def test_kms_beta_equals_exact_entropy_bitwise():
     M = _random_sft_matrix()
-    assert kms_temperature(M).beta == sft_entropy_exact(M)
+    assert kms_temperature(M).beta == exact_entropy(SFT(M))[0]
     spec = SFT(M)
     report = run("all", spec, FLAGS)["results"]
     assert report["kms"]["beta"] == report["entropy"]["exact"]
@@ -137,14 +138,18 @@ def test_kms_beta_equals_exact_entropy_bitwise():
 
 def test_cli_all_runs_the_word_count_recursion_once(monkeypatch):
     steps = Counter()
-    powers = spectral.integer_vector_powers
+    plan = Automaton._count_plan.func
 
-    def counted(start, rows, n):
-        out = powers(start, rows, n)
-        steps["steps"] += len(out)
-        return out
+    def counted_plan(aut):
+        gather, plain, heavy = plan(aut)
 
-    monkeypatch.setattr(spectral, "integer_vector_powers", counted)
+        def step(v):  # each step of the recursion gathers once
+            steps["steps"] += 1
+            return gather(v)
+
+        return step, plain, heavy
+
+    monkeypatch.setattr(Automaton, "_count_plan", property(counted_plan))
     flags = dict(FLAGS, max_n=20, depth=22)
     report = run("all", SFT(_random_sft_matrix()), flags)
     assert report["results"]["entropy"]["n_max"] == 20

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from shiftkms import (
     beta_expansion_of_one,
     count_words,
     count_words_sequence,
-    sft_entropy_exact,
     spectral,
     spectral_radius,
     topological_entropy,
@@ -59,6 +59,20 @@ def test_admissible_rejects_bad_symbols():
         admissible((0, 1), GOLDEN)
     with pytest.raises(ValueError):
         admissible((3,), GOLDEN)
+
+
+@pytest.mark.parametrize("word", [[1.7, 2.2], [True, 2], ["2"], [1, np.bool_(True)], [Fraction(3, 2)]])
+def test_symbols_that_are_not_integers_are_rejected(word):
+    with pytest.raises(ValueError, match="outside alphabet"):
+        admissible(word, GOLDEN)
+    with pytest.raises(ValueError, match="symbols outside"):
+        ForbiddenWords(2, (tuple(word),))
+
+
+def test_integral_symbols_of_any_number_type_are_accepted():
+    assert admissible([np.int64(1), 2.0, np.float32(1)], GOLDEN)
+    assert ForbiddenWords(2, ((np.int8(1), 2.0),)).words == ((1, 2),)
+    assert type(ForbiddenWords(2, ((np.int8(1), 2.0),)).words[0][0]) is int
 
 
 def test_count_words_examples():
@@ -204,12 +218,12 @@ def test_entropy_empty_language_errors():
         topological_entropy(ForbiddenWords(1, ((1,),)), 5)
 
 
-def test_sft_entropy_exact_examples():
+def test_exact_entropy_sft_examples():
     for d in range(2, 7):
-        assert abs(sft_entropy_exact(np.ones((d, d), dtype=int)) - math.log(d)) < 1e-12
-    assert abs(sft_entropy_exact([[1, 1], [1, 0]]) - math.log(PHI)) < 1e-11
+        assert abs(exact_entropy(SFT(np.ones((d, d), dtype=int)))[0] - math.log(d)) < 1e-12
+    assert abs(exact_entropy(SFT([[1, 1], [1, 0]]))[0] - math.log(PHI)) < 1e-11
     perm = np.eye(4, dtype=int)[[1, 2, 3, 0]]
-    assert sft_entropy_exact(perm) == 0.0
+    assert exact_entropy(SFT(perm))[0] == 0.0
 
 
 def test_beta_expansion_integer_base():
@@ -299,7 +313,7 @@ def test_desk_scale_dimension():
     d = 64
     est = topological_entropy(FullShift(d), 10)
     assert abs(est.exact - math.log(d)) < 1e-12
-    assert abs(sft_entropy_exact(np.ones((d, d), dtype=int)) - math.log(d)) < 1e-12
+    assert abs(exact_entropy(SFT(np.ones((d, d), dtype=int)))[0] - math.log(d)) < 1e-12
 
 
 # every kind of presentation; the forbidden list's live trie nodes are 0, 1,
