@@ -25,6 +25,7 @@ import datetime
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -122,8 +123,12 @@ def _alphabet(doc):
 
 
 def _matrix(doc):
-    M = np.asarray(_need(doc, "matrix"))
+    """The matrix field; numpy reads "1", true and a bool among numbers as numbers, so its entries are read."""
+    value = _need(doc, "matrix")
+    M = np.asarray(value)
     _at_most("the dimension of field 'matrix'", max(M.shape, default=0), MAX_DIMENSION)
+    if M.dtype.kind in "bSU" or M.ndim == 2 and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(value))):
+        raise InputError("field 'matrix' must hold numbers, not booleans or strings")
     return M
 
 

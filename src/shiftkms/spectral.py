@@ -521,11 +521,7 @@ def spectral_radius_bracket_sequences(A, n_max: int) -> tuple[list[float], list[
     bracket it at every n.  The column sums come from normalized_powers on A^T
     from ones; entries after the powers vanish are 0.0.
     """
-    return _bracket_sequences(as_nonnegative(A), n_max)
-
-
-def _bracket_sequences(M: np.ndarray, n_max: int) -> tuple[list[float], list[float]]:
-    """spectral_radius_bracket_sequences of a validated matrix."""
+    M = as_nonnegative(A)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     lower, upper = [0.0] * n_max, [0.0] * n_max

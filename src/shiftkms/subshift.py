@@ -48,8 +48,7 @@ class FullShift:
     alphabet: int
 
     def __post_init__(self):
-        if self.alphabet < 1:
-            raise ValueError("alphabet size must be >= 1")
+        object.__setattr__(self, "alphabet", _size(self.alphabet, "alphabet"))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -78,8 +77,7 @@ class ForbiddenWords:
     words: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.alphabet < 1:
-            raise ValueError("alphabet size must be >= 1")
+        object.__setattr__(self, "alphabet", _size(self.alphabet, "alphabet"))
         words = tuple(map(tuple, self.words))
         for w in words:
             if len(w) == 0:
@@ -108,8 +106,7 @@ class BetaShift:
         b = float(self.beta)
         if not 1.0 < b < math.inf:  # also false for nan
             raise ValueError(f"beta must be a finite number > 1, got {self.beta!r}")
-        if self.digit_depth < 1:
-            raise ValueError("digit_depth must be >= 1")
+        object.__setattr__(self, "digit_depth", _size(self.digit_depth, "digit_depth"))
 
     @property
     def alphabet(self) -> int:
@@ -368,6 +365,13 @@ def is_integral(value) -> bool:
     bool, a fraction or a string is none.  Symbols and integer document fields obey it."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     return integer or isinstance(value, (float, np.floating)) and value.is_integer()
+
+
+def _size(value, field: str) -> int:
+    """value as an int; a ValueError naming the field unless it is an integral number >= 1."""
+    if not (is_integral(value) and value >= 1):
+        raise ValueError(f"{field} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def validate_word(word, d) -> tuple[int, ...]:

@@ -34,7 +34,6 @@ from .spectral import (
 TRACE_TOL = 1e-12  # how far from 1 the sum of a trace vector may be
 COHERENCE_TOL = 1e-9
 SIGN_TOL = 1e-9  # how far from 1 a growth limit must be to count as positive or negative
-SIGN_EVIDENCE = 12  # bracket steps temperature_sign attaches
 _LOG_RANGE = -math.log(np.finfo(float).tiny)  # exp(+-_LOG_RANGE) are normal floats
 
 
@@ -153,8 +152,10 @@ def _eigen_sequence(p, R: int) -> CoherentSequence:
 
 
 def _eigen_levels(p, R: int) -> list[np.ndarray]:
-    """t_r = lam^(-r) u for r = 0..R; a ValueError naming R unless every entry
-    is a normal float (u sums to 1, so no entry exceeds max(1, lam^(-R)))."""
+    """t_r = lam^(-r) u for r = 0..R; a ValueError naming R when R < 0 or an entry
+    is no normal float (u sums to 1, so no entry exceeds max(1, lam^(-R)))."""
+    if R < 0:
+        raise ValueError(f"depth must be >= 0, got {R}")
     rate = R * math.log(p.lam)
     if max(rate, 0.0) - math.log(float(p.u.min())) > _LOG_RANGE or -rate > _LOG_RANGE:
         raise ValueError(f"lam^(-depth) u leaves the normal float64 range at depth = {R} (lambda = {p.lam:.6g})")
@@ -309,27 +310,24 @@ class TemperatureSign:
     distinguished components (radius above that of every component with a
     path into it), exactly the lam with a nonnegative A u = lam u (Schneider
     1986), so log lower and log upper are the extremal KMS inverse
-    temperatures.  The bracket sequences at small n are attached as finite
-    evidence.
+    temperatures.
     """
 
     classification: str
     lower: float
     upper: float
     column_growth: tuple[float, ...]
-    evidence_lower: tuple[float, ...]
-    evidence_upper: tuple[float, ...]
 
 
 def temperature_sign(A) -> TemperatureSign:
     """Classify the temperatures a matrix admits: positive, negative, tracial
     or mixed.
 
-    The limit of the bracket for column k is the largest component radius
-    among the nodes that reach k (k included), carried along the edges until
-    it stops growing; the radii come from the memoized component analysis.
-    Classification compares the extreme limits against 1 within SIGN_TOL;
-    SIGN_EVIDENCE bracket steps are attached.
+    The column growth of column k, lim (column sum k of A^n)^(1/n), is the
+    largest component radius among the nodes that reach k (k included),
+    carried along the edges until it stops growing; the radii come from the
+    memoized component analysis, and no power of A is formed.  Classification
+    compares the extreme growths against 1 within SIGN_TOL.
     """
     M = as_nonnegative(A)
     if has_zero_row(M) or has_zero_column(M):
@@ -352,14 +350,8 @@ def temperature_sign(A) -> TemperatureSign:
         cls = "tracial"
     else:
         cls = "mixed"
-    ev_lo, ev_hi = spectral._bracket_sequences(M, SIGN_EVIDENCE)
     return TemperatureSign(
-        classification=cls,
-        lower=lower,
-        upper=upper,
-        column_growth=tuple(float(g) for g in growth),
-        evidence_lower=tuple(ev_lo),
-        evidence_upper=tuple(ev_hi),
+        classification=cls, lower=lower, upper=upper, column_growth=tuple(float(g) for g in growth)
     )
 
 

@@ -461,6 +461,43 @@ def test_main_bad_forbidden_symbol_exits_one(tmp_path, capsys):
     assert captured.out == "" and "field 'words'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"type": "sft", "matrix": [["1", "1"], ["1", "0"]]}',
+        '{"type": "sft", "matrix": [[true, true], [true, false]]}',
+        '{"type": "sft", "matrix": [[1, true], [1, 0]]}',
+        '{"type": "nonnegative", "matrix": [["0.5", 1], [1, 0]]}',
+    ],
+    ids=["strings", "booleans", "a-boolean", "nonnegative-string"],
+)
+def test_matrix_entries_must_be_json_numbers(doc, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    assert main(["kms", str(path), "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "field 'matrix'" in captured.err
+
+
+def test_matrix_entries_of_any_number_type_are_accepted():
+    assert parse_spec('{"type": "sft", "matrix": [[1, 1.0], [1, 0]]}').matrix.tolist() == [[1, 1], [1, 0]]
+    spec = parse_spec({"type": "sft", "matrix": [[np.int8(1), np.float64(1)], [1, 0]]})
+    assert spec.matrix.tolist() == [[1, 1], [1, 0]]
+    kind, M = parse_spec({"type": "nonnegative", "matrix": np.ones((2, 2), dtype=np.float32)})
+    assert M.tolist() == [[1, 1], [1, 1]]
+
+
+LAMBDA_DOC = '{"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}'
+
+
+@pytest.mark.parametrize("doc", [GOLDEN_DOC, LAMBDA_DOC], ids=["sft", "lambda"])
+def test_main_kms_negative_depth_exits_one(doc, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    assert main(["kms", str(path), "--depth", "-1", "--no-timestamp"]) == 1
+    assert capsys.readouterr() == ("", "error: depth must be >= 0, got -1\n")
+
+
 REDUCIBLE_DOC = '{"type": "sft", "matrix": [[1, 1], [0, 1]]}'
 
 

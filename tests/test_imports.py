@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or defines a private
+name that no module reads.
 
-A small `ast` pass stands in for a linter: every name a module binds by an
+Two small `ast` passes stand in for a linter.  Every name a module binds by an
 import, other than a `__future__` feature, must be read somewhere in it or be
-listed in its `__all__`.  `__init__` is exempt, since its imports are the
-package's namespace.
+listed in its `__all__`; `__init__` is exempt, since its imports are the
+package's namespace.  Every module-level private name (a function, class or
+assigned constant with one leading underscore) must be read by some module of
+the package, as a name or as a module attribute such as `spectral._powers`.
 """
 
 import ast
@@ -38,3 +41,37 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def orphan_private_names(sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level private name of sources (module -> text) that none reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_the_check_sees_an_orphan_private_name():
+    sources = {
+        "a": "__all__ = []\n_used = 1\n_orphan, _LIMIT = 2, 3\ndef _f():\n    return _used\nclass _C:\n    pass\n",
+        "b": "from . import a\nfrom .a import _LIMIT\na._f()\nprint(a._C, _LIMIT)\na._orphan = 4\n",
+    }
+    assert orphan_private_names(sources) == ["a._orphan"]
+
+
+def test_every_private_name_is_read():
+    assert orphan_private_names({p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}) == []

@@ -75,6 +75,29 @@ def test_integral_symbols_of_any_number_type_are_accepted():
     assert type(ForbiddenWords(2, ((np.int8(1), 2.0),)).words[0][0]) is int
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (FullShift, "alphabet"),
+        (lambda v: ForbiddenWords(v, ((1,),)), "alphabet"),
+        (lambda v: BetaShift(1.5, digit_depth=v), "digit_depth"),
+    ],
+    ids=["full", "forbidden", "beta"],
+)
+def test_presentation_sizes_obey_the_integer_rule(make, field):
+    for value in (2.5, True, "3", np.bool_(True), Fraction(3, 1), 0):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got"):
+            make(value)
+    sizes = [getattr(make(v), field) for v in (3, 3.0, np.int64(3), np.float32(3))]
+    assert sizes == [3] * 4 and {type(s) for s in sizes} == {int}
+    assert count_words(make(3.0), 2) == count_words(make(3), 2)
+
+
+def test_integral_float_alphabet_shares_the_automaton_memo():
+    assert FullShift(3.0) == FullShift(np.int64(3)) == FullShift(3)
+    assert automaton_for(FullShift(3.0)) is automaton_for(FullShift(3))
+
+
 def test_count_words_examples():
     assert count_words(FullShift(2), 3) == 8
     assert [count_words(GOLDEN, n) for n in (1, 2, 3)] == [2, 3, 5]

@@ -278,6 +278,14 @@ def test_bimodule_depth_past_the_float_range_is_a_value_error():
         bimodule_kms([[1e-300]], depth=12)
 
 
+def test_a_negative_depth_is_a_value_error_naming_it():
+    # the 0/1 and the lambda-matrix routes share one rule and one message
+    for kms in (bimodule_kms, kms_temperature, kms_eigen_sequence):
+        with pytest.raises(ValueError, match="depth must be >= 0, got -3"):
+            kms(GOLDEN, -3)
+    assert len(bimodule_kms(GOLDEN, depth=0).sequence) == 1
+
+
 def test_kms_eigen_sequence_refuses_levels_that_leave_the_normal_floats():
     # t_R = u lam^(-R) is normal iff R log lam - log min(u) <= _LOG_RANGE
     p = perron_vectors(GOLDEN)
@@ -357,18 +365,21 @@ def test_desk_scale_matrices_stay_within_posted_tolerances():
 
 
 def test_temperature_sign_builds_the_closure_once(monkeypatch):
-    calls = []
-    original = spectral.reachability
+    # one reachability closure, and no growth recursion: the column growth is read off the components
+    calls = {"reachability": 0, "_powers": 0}
 
-    def counting(A):
-        calls.append(1)
-        return original(A)
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
 
-    for module in (spectral, tracespace):
-        if hasattr(module, "reachability"):
-            monkeypatch.setattr(module, "reachability", counting)
+    for name in calls:
+        for module in (spectral, tracespace):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(spectral, name)))
     temperature_sign([[1, 1, 0], [0, 1, 1], [0, 1, 1]])
-    assert len(calls) == 1
+    assert calls == {"reachability": 1, "_powers": 0}
 
 
 def test_coherent_from_boundary_rejects_a_level_beyond_float64():
