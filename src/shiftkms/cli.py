@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, equilibrium, krieger, subshift, tracespace
 from .beta import exact_base
 from .equilibrium import InvariantViolation
-from .spectral import ConvergenceError, ReducibleMatrixError, as_nonnegative, component_perron_data, perron_vectors
+from .spectral import ConvergenceError, as_nonnegative, irreducible, perron_vectors
 from .subshift import SFT, BetaShift, ForbiddenWords, FullShift, is_integral
 
 
@@ -220,7 +220,7 @@ def _section_parry(spec, flags, warnings):
 
 
 def _section_krieger(spec, flags, warnings):
-    l_max = max(2, min(flags["max_n"], flags["depth"] - 2))
+    l_max = min(flags["max_n"], max(2, flags["depth"] - 2))
     report = krieger.sofic_check(spec, l_max, depth=flags["depth"])
     if not all(report.stabilized):
         warnings.append("krieger: stabilization not reached for some l; counts are lower bounds")
@@ -313,12 +313,10 @@ def run(command: str, spec, flags) -> dict:
     _at_most("--max-n", flags["max_n"], MAX_WORD_LENGTH)
     _at_most("--depth", flags["depth"], MAX_WORD_LENGTH)
     _at_most("--samples", flags["samples"], MAX_SAMPLES)
-    # computed once, where a section reads it; a transition matrix has no zero
-    # row, so it is irreducible iff it is one component
     reducible = (
         isinstance(spec, TRANSITION_MATRIX)
         and command in ("all", "kms", *NEEDS_PERRON)
-        and len(component_perron_data(spec.matrix)) > 1
+        and not irreducible(spec.matrix)
     )
     plan = []  # (name, section builder, the warning that skips it or None), in report order
     for name, (types, section) in SECTIONS.items():
@@ -336,7 +334,7 @@ def run(command: str, spec, flags) -> dict:
         elif reducible and name == "kms":
             section = _section_reducible_kms
         plan.append((name, section, skip))
-    # the flags of the sections that will run are checked before the first runs
+    # the cli's own flag rules, before the first section runs; a library minimum is checked in its section
     running = {name for name, _, skip in plan if skip is None}
     if "krieger" in running and flags["depth"] < 2:
         raise InputError(f"--depth must be at least 2 for the krieger section, got {flags['depth']}")
@@ -422,7 +420,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: numerical solver failed: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ReducibleMatrixError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output:

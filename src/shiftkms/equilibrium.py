@@ -180,9 +180,9 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
         raise ValueError("n_samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    M = as_zero_one(A)
+    parry = parry_measure(A)
+    M = parry.matrix
     d = M.shape[0]
-    parry = parry_measure(M)
     top = math.log(parry.lam)
     parry_entropy = parry.entropy  # before the scan's buffers exist: it allocates d x d arrays too
     mask = M > 0

@@ -86,12 +86,12 @@ def as_zero_one(A) -> np.ndarray:
     return M.astype(int)
 
 
-def has_zero_row(A) -> bool:
-    return bool(np.any(np.asarray(A).sum(axis=1) == 0))
-
-
-def has_zero_column(A) -> bool:
-    return bool(np.any(np.asarray(A).sum(axis=0) == 0))
+def no_zero_lines(M: np.ndarray) -> np.ndarray:
+    """Return a validated matrix M, or raise ValueError when it has a zero row or
+    a zero column: the Cuntz-Krieger condition under which O_A exists."""
+    if not (M.any(axis=1).all() and M.any(axis=0).all()):
+        raise ValueError("matrix must have no zero row and no zero column")
+    return M
 
 
 def reachability(A) -> np.ndarray:

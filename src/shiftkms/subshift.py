@@ -63,10 +63,7 @@ class SFT:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = spectral.as_zero_one(self.matrix)
-        if spectral.has_zero_row(M) or spectral.has_zero_column(M):
-            raise ValueError("SFT matrix must have no zero row and no zero column")
-        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "matrix", spectral.no_zero_lines(spectral.as_zero_one(self.matrix)))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ from .spectral import (
     ReducibleMatrixError,
     as_nonnegative,
     as_zero_one,
-    has_zero_column,
-    has_zero_row,
+    no_zero_lines,
     normalized_powers,
     perron_vectors,
 )
@@ -121,7 +120,7 @@ def k_iterate(A, t, n: int) -> list[np.ndarray]:
     """n steps of t -> A t / (1^T A t); a power iteration toward the right
     Perron direction for irreducible aperiodic A.  Returns the n iterates."""
     M = as_nonnegative(A)
-    if has_zero_column(M):
+    if not M.any(axis=0).all():
         raise ValueError("k iteration requires a matrix with no zero column")
     return spectral._powers(M, as_trace_vector(t), n)[1]
 
@@ -264,9 +263,7 @@ def kms_temperature(A, depth: int = 10) -> KmsReport:
     too, so beta equals its exact entropy.  Reducible A raises
     ReducibleMatrixError: its extremal temperatures are temperature_sign's.
     """
-    M = as_zero_one(A)
-    if has_zero_row(M) or has_zero_column(M):
-        raise ValueError("matrix must have no zero row and no zero column")
+    M = no_zero_lines(as_zero_one(A))
     try:
         p = perron_vectors(M)
     except ReducibleMatrixError:
@@ -329,9 +326,7 @@ def temperature_sign(A) -> TemperatureSign:
     memoized component analysis, and no power of A is formed.  Classification
     compares the extreme growths against 1 within SIGN_TOL.
     """
-    M = as_nonnegative(A)
-    if has_zero_row(M) or has_zero_column(M):
-        raise ValueError("matrix must have no zero row and no zero column")
+    M = no_zero_lines(as_nonnegative(A))
     growth = np.zeros(M.shape[0])
     for c in spectral.component_perron_data(M):
         growth[list(c.indices)] = c.radius

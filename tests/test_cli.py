@@ -412,6 +412,32 @@ def test_bounds_themselves_are_accepted():
     assert MAX_SCAN_WORK // MAX_DIMENSION**3 >= 1000
 
 
+@pytest.mark.parametrize("max_n", ["1", "-1"])
+def test_krieger_max_n_below_two_is_bad_input(max_n, tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+    assert main(["krieger", str(doc), "--max-n", max_n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "l_max must be >= 2" in captured.err
+    # from 2 on, l_max is max_n capped at depth - 2 and never below 2
+    for n, depth, l_max in ((2, 12, 2), (5, 12, 5), (30, 12, 10), (30, 3, 2)):
+        report = run("krieger", parse_spec(GOLDEN_DOC), dict(DEFAULT_FLAGS, max_n=n, depth=depth))
+        assert report["results"]["krieger"]["l_max"] == l_max
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--max-n", "3", "n_max must be >= 4"), ("--samples", "0", "n_samples must be >= 1")],
+)
+def test_main_all_checks_a_library_minimum_in_its_own_section(flag, value, message, tmp_path, capsys):
+    # sections before the one that owns the rule run; the report is never written
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+    assert main(["all", str(doc), flag, value, "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_main_all_runs_at_default_flags_on_d128(tmp_path):
     matrix = oracles.random_irreducible_zero_one(np.random.default_rng(128), 128, 0.6)
     doc = tmp_path / "spec.json"

@@ -254,6 +254,16 @@ def test_thermodynamic_chain_validates_each_matrix_once_per_call(monkeypatch):
     assert seen["as_nonnegative"] <= 7
 
 
+def test_warm_variational_scan_validates_its_matrix_once(monkeypatch):
+    # the scan reads its 0/1 matrix off the Parry measure it builds; converting
+    # the matrix itself as well, this was 2
+    M = _random_sft_matrix()
+    variational_scan(M, 4)
+    seen = _closure_and_noda_counter(monkeypatch, ("as_nonnegative",))
+    variational_scan(M, 4)
+    assert seen["as_nonnegative"] == 1
+
+
 @pytest.mark.parametrize(
     "matrix",
     [_random_sft_matrix(), oracles.block_cyclic(np.random.default_rng(3), 3, 6)],

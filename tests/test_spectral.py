@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from shiftkms import (
+    SFT,
     ConvergenceError,
     ReducibleMatrixError,
     aperiodic,
     component_perron_data,
     irreducible,
+    k_iterate,
+    kms_temperature,
     period,
     perron_vectors,
     sparse_radius_bracket,
@@ -17,6 +20,7 @@ from shiftkms import (
     spectral_radius,
     spectral_radius_bracket_sequences,
     strongly_connected_components,
+    temperature_sign,
 )
 
 import oracles
@@ -559,3 +563,16 @@ def test_sparse_radius_bracket_step_cap_raises_with_the_bracket(monkeypatch):
     with pytest.raises(ConvergenceError, match="did not converge in 3 steps") as err:
         sparse_radius_bracket(2, [0, 0, 1], [0, 1, 0])
     assert 0.0 < err.value.residual < 1.0 and np.all(err.value.last_vector > 0)
+
+
+@pytest.mark.parametrize("consume", [SFT, kms_temperature, temperature_sign], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("matrix", [[[1, 1], [0, 0]], [[1, 0], [1, 0]]], ids=["zero row", "zero column"])
+def test_every_consumer_states_the_one_cuntz_krieger_rule(consume, matrix):
+    with pytest.raises(ValueError, match=r"^matrix must have no zero row and no zero column$"):
+        consume(matrix)
+
+
+def test_k_iteration_keeps_its_column_rule():
+    assert len(k_iterate([[1, 1], [0, 0]], [0.5, 0.5], 3)) == 3  # a zero row is allowed
+    with pytest.raises(ValueError, match="k iteration requires a matrix with no zero column"):
+        k_iterate([[1, 0], [1, 0]], [0.5, 0.5], 3)
