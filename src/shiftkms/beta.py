@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .spectral import as_count
+
 DEFAULT_SNAP_TOL = 1e-9
 
 
@@ -47,6 +49,7 @@ class BetaExpansion:
 
     def quasi_greedy_digits(self, n: int) -> tuple[int, ...]:
         """First n digits of the quasi-greedy expansion of 1."""
+        n = as_count(n, "n")
         if self.terminated:
             block = self.quasi_greedy_block
             reps = -(-n // len(block))
@@ -78,8 +81,7 @@ def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TO
         Distance to an integer below which b*x is taken as an exact hit.
         Set to 0 to disable snapping.
     """
-    if n_digits < 1:
-        raise ValueError("n_digits must be >= 1")
+    n_digits = as_count(n_digits, "n_digits", 1)
     b = exact_base(beta)
     beta_float = float(b)
     if beta_float <= 1.0:

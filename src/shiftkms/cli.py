@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__, equilibrium, krieger, subshift, tracespace
 from .beta import exact_base
 from .equilibrium import InvariantViolation
-from .spectral import ConvergenceError, as_nonnegative, irreducible, perron_vectors
-from .subshift import SFT, BetaShift, ForbiddenWords, FullShift, is_integral
+from .spectral import ConvergenceError, as_nonnegative, irreducible, is_integral, perron_vectors
+from .subshift import SFT, BetaShift, ForbiddenWords, FullShift
 
 
 # Bounds on sized inputs.  A matrix document's dimension, an alphabet and

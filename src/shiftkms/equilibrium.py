@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import PerronData, as_zero_one, perron_vectors
+from .spectral import PerronData, as_count, as_zero_one, perron_vectors
 from .subshift import validate_word
 
 
@@ -126,10 +126,10 @@ class ResolventVector:
 
 
 def resolvent_vector(perron: PerronData, t: float) -> ResolventVector:
-    """Resolvent vector of perron.matrix at t > lam; u^T a_t = 1 identically, and
-    a_t aligns with the left Perron direction as t decreases to lam."""
-    if t <= perron.lam:
-        raise ValueError(f"t must exceed the spectral radius {perron.lam}, got {t}")
+    """Resolvent vector of perron.matrix at a finite t > lam; u^T a_t = 1 identically,
+    and a_t aligns with the left Perron direction as t decreases to lam."""
+    if not perron.lam < t < math.inf:  # also false for nan
+        raise ValueError(f"t must be finite and exceed the spectral radius {perron.lam}, got {t}")
     d = perron.matrix.shape[0]
     try:
         x = np.linalg.solve(t * np.eye(d) - perron.matrix.T, np.ones(d))
@@ -176,10 +176,8 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
     blocks of max(1, _BLOCK_ENTRIES // d^2); consecutive draws continue the one
     stream, so a sample's entropy does not depend on its block.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    n_samples = as_count(n_samples, "n_samples", 1)
+    seed = as_count(seed, "seed")
     parry = parry_measure(A)
     M = parry.matrix
     d = M.shape[0]

@@ -16,10 +16,10 @@ that depth as `fixed_point_depth` (None when the family still changes at the
 requested depth).  The core is
 memoized per automaton and arguments, so `sofic_check` and `entropy_bracket`
 at the same n and depth (the krieger and bracket sections of one `all`
-document) share one pass.  `omega_l` and
-`predecessor_set` enumerate words, layer by layer through one enumerator, and
-serve as the independent cross-check.  Every pass reads the automaton's
-successor table `succ`.
+document) share one pass.  `omega_l` reads its stabilized flag off the core;
+its classes, and `predecessor_set`, enumerate words, layer by layer through
+one enumerator, and serve as the independent cross-check.  Every pass reads
+the automaton's successor table `succ`.
 
 The sofic verdict reads the presentation: an uncapped automaton is finite,
 so its shift is sofic; a capped one presents a non-terminating beta expansion,
@@ -34,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .spectral import as_count
 from .subshift import Automaton, automaton_for, exact_entropy, validate_word
 
 _CORRECTION_WINDOW = 5  # an open bracket's upper end: the least of the last 5 corrections
@@ -139,8 +140,7 @@ def predecessor_set(word, l: int, spec) -> list[tuple[int, ...]]:
 
     Includes the empty word.  The word itself must be nonempty and admissible.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    l = as_count(l, "l")
     aut = automaton_for(spec)
     w = validate_word(word, aut.alphabet)
     if len(w) < 1:
@@ -158,16 +158,13 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
     Classes are ordered by their lexicographically smallest member; each class
     carries the common predecessor set as a shortlex-sorted word list.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if depth < max(l, 1):
-        raise ValueError("depth must be >= max(l, 1)")
+    l = as_count(l, "l")
+    depth = as_count(depth, "depth", max(l, 1))
     aut = automaton_for(spec)
     aut.check_length(l + depth)
+    stabilized = _class_counts(aut, l, depth)[1][l]  # raises when there are no words of length depth
     layers = _layers(aut, depth)
     words = [w for w, _ in layers[depth]]
-    if not words:
-        raise ValueError(f"no admissible words of length {depth}")
     # a word's class key is its readability restricted to R_l; every
     # predecessor of length <= l ends in R_l
     order, sizes = aut.reach_order(l)
@@ -183,16 +180,12 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
             PastClass(representative=members[0], words=tuple(members), predecessors=preds)
         )
     classes.sort(key=lambda c: c.representative)
-    prev_count = None
-    if depth - 1 >= max(l, 1):
-        prev_words = [w for w, _ in layers[depth - 1]]
-        prev_count = len({r.tobytes() for r in _readable(aut, prev_words)[:, R]})
     return PastPartition(
         l=l,
         depth=depth,
         classes=tuple(classes),
         class_count=len(classes),
-        stabilized=prev_count == len(classes),
+        stabilized=stabilized,
     )
 
 
@@ -209,7 +202,7 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     there.  counts[n], n = 0..n_max, is the number of distinct restrictions to
     R_n (states reachable in <= n steps) of the subsets that hold the start
     state, and stabilized[n] says that it equals the count at depth - 1, a
-    depth that still has words of length >= max(n, 1) (the rule of `omega_l`).
+    depth that still has words of length >= max(n, 1).
     """
     size = aut.sink + 1
     row = np.dtype((np.void, (size + 7) // 8))  # a packed subset as one bytes item
@@ -258,10 +251,8 @@ def dim_q(spec, n: int, depth: int) -> DimQ:
 
     A non-stabilized count must be treated as a lower bound.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if depth < max(n, 1):
-        raise ValueError("depth must be >= max(n, 1)")
+    n = as_count(n, "n")
+    depth = as_count(depth, "depth", max(n, 1))
     aut = automaton_for(spec)
     aut.check_length(n + depth)
     counts, stabilized, fixed = _class_counts(aut, n, depth)
@@ -272,12 +263,10 @@ def sofic_check(spec, l_max: int, depth: int | None = None) -> SoficReport:
     """The sofic verdict, True exactly on an uncapped presentation (see the
     module notes), with the class counts for l = 1..l_max at `depth` as evidence.
     """
-    if l_max < 2:
-        raise ValueError("l_max must be >= 2")
+    l_max = as_count(l_max, "l_max", 2)
     if depth is None:
         depth = l_max + 4
-    if depth < max(l_max, 2):
-        raise ValueError("depth must be >= max(l_max, 2)")
+    depth = as_count(depth, "depth", l_max)
     aut = automaton_for(spec)
     aut.check_length(l_max + depth)
     counts, stabilized, fixed = _class_counts(aut, l_max, depth)
@@ -299,14 +288,12 @@ def entropy_bracket(spec, n_max: int, depth: int | None = None) -> BracketReport
     sofic shift closes the bracket exactly.  The default depth n_max + 10 is
     lowered on a capped presentation to what its cap leaves after n_max.
     """
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
+    n_max = as_count(n_max, "n_max", 4)
     aut = automaton_for(spec)
     if depth is None:
         cap = aut.max_word_length
         depth = n_max + 10 if cap is None else max(n_max, min(n_max + 10, cap - n_max))
-    if depth < n_max:
-        raise ValueError("depth must be >= n_max")
+    depth = as_count(depth, "depth", n_max)
     aut.check_length(n_max + depth)
     lower = exact_entropy(spec)[0]
     dims, stabilized, fixed = _class_counts(aut, n_max, depth)

@@ -64,6 +64,23 @@ class ReducibleMatrixError(ValueError):
     """An operation that requires irreducibility got a reducible matrix."""
 
 
+def is_integral(value) -> bool:
+    """True for an integral number, an int, a numpy integer or a float such as 2.0; a
+    bool, a fraction or a string is none.  Symbols, sizes and counts obey it."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integer or isinstance(value, (float, np.floating)) and value.is_integer()
+
+
+def as_count(value, name: str, least: int = 0) -> int:
+    """value as an int: the one rule of every count argument (a size, a depth, a word
+    length, a number of samples, a seed).  A ValueError naming it unless it is integral and >= least."""
+    if not is_integral(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
 def as_nonnegative(A) -> np.ndarray:
     """Validate and return A as a square float array with entries >= 0."""
     M = np.asarray(A, dtype=float)
@@ -426,7 +443,7 @@ def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:
     of the package; the lists stop at the first vanishing sum.  Chunks of K steps from x / 1^T x are
     summed, logged and rescaled at once: as c_min 1^T y <= 1^T A y <= c_max 1^T y over the column sums
     c, K = _LOG_CHUNK / max |log c| keeps every sum within exp(+-_LOG_CHUNK); a zero column gives K = 1."""
-    return _powers(as_nonnegative(A), x, n)
+    return _powers(as_nonnegative(A), x, as_count(n, "n"))
 
 
 def _powers(M: np.ndarray, x, n: int) -> tuple[list[float], list[np.ndarray]]:
@@ -483,6 +500,7 @@ def sparse_radius_bracket(n: int, src, dst) -> tuple[float, float]:
     edge src[e] -> dst[e], from no dense matrix: per strongly connected component C with a cycle,
     the narrowest Collatz-Wielandt bracket of (B_C x)_i / x_i over power iteration on B_C + I,
     widened for rounding.  ValueError on an edge outside 0..n-1, ConvergenceError after _MAX_STEPS."""
+    n = as_count(n, "n")
     src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     if src.ndim != 1 or src.shape != dst.shape or ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
         raise ValueError(f"edges must be two equal-length lists of nodes in 0..{n - 1}")
@@ -522,8 +540,7 @@ def spectral_radius_bracket_sequences(A, n_max: int) -> tuple[list[float], list[
     from ones; entries after the powers vanish are 0.0.
     """
     M = as_nonnegative(A)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = as_count(n_max, "n_max", 1)
     lower, upper = [0.0] * n_max, [0.0] * n_max
     for n, (log_n, s) in enumerate(zip(*_powers(M.T, np.ones(M.shape[0]), n_max)), 1):
         smin, smax = float(s.min()), float(s.max())

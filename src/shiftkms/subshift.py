@@ -48,7 +48,7 @@ class FullShift:
     alphabet: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", _size(self.alphabet, "alphabet"))
+        object.__setattr__(self, "alphabet", spectral.as_count(self.alphabet, "alphabet", 1))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -74,12 +74,12 @@ class ForbiddenWords:
     words: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", _size(self.alphabet, "alphabet"))
+        object.__setattr__(self, "alphabet", spectral.as_count(self.alphabet, "alphabet", 1))
         words = tuple(map(tuple, self.words))
         for w in words:
             if len(w) == 0:
                 raise ValueError("forbidden words must be nonempty")
-            if not all(is_integral(s) and 1 <= s <= self.alphabet for s in w):
+            if not all(spectral.is_integral(s) and 1 <= s <= self.alphabet for s in w):
                 raise ValueError(f"forbidden word {w} has symbols outside 1..{self.alphabet}")
         object.__setattr__(self, "words", tuple(tuple(map(int, w)) for w in words))
 
@@ -103,7 +103,7 @@ class BetaShift:
         b = float(self.beta)
         if not 1.0 < b < math.inf:  # also false for nan
             raise ValueError(f"beta must be a finite number > 1, got {self.beta!r}")
-        object.__setattr__(self, "digit_depth", _size(self.digit_depth, "digit_depth"))
+        object.__setattr__(self, "digit_depth", spectral.as_count(self.digit_depth, "digit_depth", 1))
 
     @property
     def alphabet(self) -> int:
@@ -164,8 +164,7 @@ class Automaton:
         The lists are kept on the automaton and only extended, so a longer
         call continues where the last one stopped; callers must not mutate them.
         """
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        n = spectral.as_count(n, "n")
         self.check_length(n)
         out = self._count_vectors
         if len(out) < n:
@@ -217,6 +216,7 @@ class Automaton:
         """(order, sizes): the states reachable from the start by words of
         length <= l in breadth-first discovery order, and sizes[k] = |R_k| for
         k = 0..l, so R_k (reachable in <= k steps) is the prefix order[:sizes[k]]."""
+        l = spectral.as_count(l, "l")
         seen = {self.start, self.sink}
         order, frontier, sizes = [self.start], [self.start], [1]
         while frontier and len(sizes) <= l:
@@ -357,25 +357,11 @@ def automaton_for(spec) -> Automaton:
     return _cached_automaton_for(spec)
 
 
-def is_integral(value) -> bool:
-    """True for an integral number, an int, a numpy integer or a float such as 2.0; a
-    bool, a fraction or a string is none.  Symbols and integer document fields obey it."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return integer or isinstance(value, (float, np.floating)) and value.is_integer()
-
-
-def _size(value, field: str) -> int:
-    """value as an int; a ValueError naming the field unless it is an integral number >= 1."""
-    if not (is_integral(value) and value >= 1):
-        raise ValueError(f"{field} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def validate_word(word, d) -> tuple[int, ...]:
     """The word as a tuple of ints; ValueError on a symbol that is not an integral number in 1..d."""
     w = tuple(word)
     for s in w:
-        if not (is_integral(s) and 1 <= s <= d):
+        if not (spectral.is_integral(s) and 1 <= s <= d):
             raise ValueError(f"symbol {s!r} outside alphabet 1..{d}")
     return tuple(map(int, w))
 
@@ -395,8 +381,7 @@ def admissible(word, spec) -> bool:
 def count_words(spec, n: int) -> int:
     """Exact number of admissible words of length n (theta_n); theta_0 = 1
     for a nonempty subshift."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = spectral.as_count(n, "n")
     aut = automaton_for(spec)
     if aut.is_empty:
         return 0
@@ -453,8 +438,7 @@ def exact_entropy(spec) -> tuple[float, str]:
 def topological_entropy(spec, n_max: int) -> EntropyEstimate:
     """Word counts up to length n_max (n_max >= 2), their extrapolation and the
     entropy h with its method (see exact_entropy).  ValueError if empty."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    n_max = spectral.as_count(n_max, "n_max", 2)
     exact, method = exact_entropy(spec)
     theta = count_words_sequence(spec, n_max)
     log_rates = tuple(math.log(t) / n for n, t in enumerate(theta, start=1))

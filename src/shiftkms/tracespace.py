@@ -23,6 +23,7 @@ import numpy as np
 from . import spectral
 from .spectral import (
     ReducibleMatrixError,
+    as_count,
     as_nonnegative,
     as_zero_one,
     no_zero_lines,
@@ -75,10 +76,9 @@ class CoherentSequence:
         return all(r <= self.tol for r in self.residuals)
 
 
-def coherent_sequence(A, levels, tol: float = COHERENCE_TOL, require: bool = True) -> CoherentSequence:
-    """Assemble and check a coherent sequence; with require=True a residual
-    above tol is an error, otherwise it is only recorded."""
-    return _coherent(as_nonnegative(A), levels, tol, require)
+def coherent_sequence(A, levels) -> CoherentSequence:
+    """Assemble and check a coherent sequence: a residual above COHERENCE_TOL is an error."""
+    return _coherent(as_nonnegative(A), levels)
 
 
 def _coherent(M: np.ndarray, levels, tol: float = COHERENCE_TOL, require: bool = True) -> CoherentSequence:
@@ -122,12 +122,13 @@ def k_iterate(A, t, n: int) -> list[np.ndarray]:
     M = as_nonnegative(A)
     if not M.any(axis=0).all():
         raise ValueError("k iteration requires a matrix with no zero column")
-    return spectral._powers(M, as_trace_vector(t), n)[1]
+    return spectral._powers(M, as_trace_vector(t), as_count(n, "n"))[1]
 
 
 def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
     """n steps of (t_r) -> (t_{r+1}) / sum(t_1); fixed points (up to the
     truncation) are exactly the eigen-sequences."""
+    n = as_count(n, "n")
     if seq.depth < n:
         raise ValueError(f"sequence depth {seq.depth} is insufficient for {n} steps")
     levels = seq.levels
@@ -153,8 +154,7 @@ def _eigen_sequence(p, R: int) -> CoherentSequence:
 def _eigen_levels(p, R: int) -> list[np.ndarray]:
     """t_r = lam^(-r) u for r = 0..R; a ValueError naming R when R < 0 or an entry
     is no normal float (u sums to 1, so no entry exceeds max(1, lam^(-R)))."""
-    if R < 0:
-        raise ValueError(f"depth must be >= 0, got {R}")
+    R = as_count(R, "depth")
     rate = R * math.log(p.lam)
     if max(rate, 0.0) - math.log(float(p.u.min())) > _LOG_RANGE or -rate > _LOG_RANGE:
         raise ValueError(f"lam^(-depth) u leaves the normal float64 range at depth = {R} (lambda = {p.lam:.6g})")
@@ -171,7 +171,7 @@ def coherent_truncation(A, t0, R: int) -> CoherentSequence:
     """
     M = as_nonnegative(A)
     levels = [as_trace_vector(t0)]
-    for _ in range(R):
+    for _ in range(as_count(R, "R")):
         x, *_ = np.linalg.lstsq(M, levels[-1], rcond=None)
         levels.append(np.clip(x, 0.0, None))
     return _coherent(M, levels, require=False)
@@ -182,6 +182,7 @@ def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
     t_R proportional to the boundary vector, t_r = A t_{r+1}, everything scaled
     so sum(t_0) = 1; a ValueError when no t_R in float64 range gets there."""
     M = as_nonnegative(A)
+    R = as_count(R, "R")
     b = np.asarray(boundary, dtype=float)
     if b.shape != (M.shape[0],) or np.any(b < 0) or float(b.sum()) <= 0.0:
         raise ValueError("boundary must be a nonnegative vector with positive sum")
@@ -218,8 +219,7 @@ class EpsilonSequence:
 
 def _log_eps(A, v: np.ndarray, n_max: int) -> list[float]:
     """log eps_n for n = 1..n_max of a validated trace vector v."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = as_count(n_max, "n_max", 1)
     log_values = normalized_powers(A, v, n_max)[0]
     if len(log_values) < n_max:
         raise ValueError("eps_n vanished; the matrix has a dead column for this trace")

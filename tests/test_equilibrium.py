@@ -140,6 +140,13 @@ def test_resolvent_rejects_t_at_or_below_lambda():
         resolvent_vector(p, 1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_resolvent_rejects_a_t_that_is_no_finite_number(t):
+    p = perron_vectors(GOLDEN)
+    with pytest.raises(ValueError, match=f"^t must be finite and exceed the spectral radius .*, got {t}$"):
+        resolvent_vector(p, t)
+
+
 def test_variational_ones2():
     report = variational_scan(np.ones((2, 2), dtype=int), 200, seed=5)
     assert report.violations == 0

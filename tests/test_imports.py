@@ -1,12 +1,14 @@
-"""No module of the package imports a name it never uses, or defines a private
-name that no module reads.
+"""No module of the package imports a name it never uses, defines a private
+name that no module reads, or states the integer rule of a count itself.
 
-Two small `ast` passes stand in for a linter.  Every name a module binds by an
+Three small `ast` passes stand in for a linter.  Every name a module binds by an
 import, other than a `__future__` feature, must be read somewhere in it or be
 listed in its `__all__`; `__init__` is exempt, since its imports are the
 package's namespace.  Every module-level private name (a function, class or
 assigned constant with one leading underscore) must be read by some module of
 the package, as a name or as a module attribute such as `spectral._powers`.
+No module but `spectral`, whose `as_count` is the one rule, raises a
+`ValueError` whose message says "must be >=" or "must be an integer".
 """
 
 import ast
@@ -75,3 +77,36 @@ def test_the_check_sees_an_orphan_private_name():
 
 def test_every_private_name_is_read():
     assert orphan_private_names({p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}) == []
+
+
+COUNT_RULE = ("must be >=", "must be an integer")
+
+
+def count_rule_raises(source: str) -> list[int]:
+    """Line of each `raise ValueError(...)` whose message, a string or an f-string, states a count rule."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ValueError" and call.args:
+            strings = [c.value for c in ast.walk(call.args[0]) if isinstance(c, ast.Constant)]
+            text = "".join(s for s in strings if isinstance(s, str))
+            if any(rule in text for rule in COUNT_RULE):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_count_rule():
+    source = (
+        "def f(n, d):\n"
+        "    if n < 0:\n"
+        '        raise ValueError("n must be >= 0")\n'
+        '    raise ValueError(f"{d!r} must be an integer, got {d}")\n'
+        'raise ValueError(f"beta must be > 1, got {b}")\n'
+        'raise InputError("field must be an integer")\n'
+    )
+    assert count_rule_raises(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "spectral"), ids=lambda p: p.stem)
+def test_only_spectral_states_the_count_rule(path):
+    assert count_rule_raises(path.read_text(encoding="utf-8")) == []

@@ -85,9 +85,11 @@ def test_integral_symbols_of_any_number_type_are_accepted():
     ids=["full", "forbidden", "beta"],
 )
 def test_presentation_sizes_obey_the_integer_rule(make, field):
-    for value in (2.5, True, "3", np.bool_(True), Fraction(3, 1), 0):
-        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got"):
+    non_integers = [(v, "must be an integer") for v in (2.5, True, "3", np.bool_(True), Fraction(3, 1))]
+    for value, rule in non_integers + [(0, "must be >= 1")]:
+        with pytest.raises(ValueError) as info:
             make(value)
+        assert str(info.value) == f"{field} {rule}, got {value!r}"
     sizes = [getattr(make(v), field) for v in (3, 3.0, np.int64(3), np.float32(3))]
     assert sizes == [3] * 4 and {type(s) for s in sizes} == {int}
     assert count_words(make(3.0), 2) == count_words(make(3), 2)

@@ -60,7 +60,7 @@ def test_shift_operators_scale_eigen_sequence():
 
 
 def test_t_prime_needs_depth():
-    seq = coherent_sequence(np.eye(2), [np.array([0.5, 0.5])], require=True)
+    seq = coherent_sequence(np.eye(2), [np.array([0.5, 0.5])])
     with pytest.raises(ValueError):
         t_prime(seq)
 
@@ -74,7 +74,7 @@ def test_h_fixes_eigen_sequence():
 
 def test_h_identity_matrix_constant_sequence():
     levels = [np.array([0.5, 0.5])] * 5
-    seq = coherent_sequence(np.eye(2), levels, require=True)
+    seq = coherent_sequence(np.eye(2), levels)
     out = h_iterate(seq, 3)
     for lv in out.levels:
         assert np.allclose(lv, [0.5, 0.5], atol=1e-15)
@@ -346,7 +346,7 @@ def test_coherent_truncation_flags_residuals():
 
 def test_coherent_sequence_rejects_incoherent_when_required():
     with pytest.raises(ValueError):
-        coherent_sequence(GOLDEN, [np.array([1.0, 0.0]), np.array([1.0, 0.0])], require=True)
+        coherent_sequence(GOLDEN, [np.array([1.0, 0.0]), np.array([1.0, 0.0])])
 
 
 def test_desk_scale_matrices_stay_within_posted_tolerances():
