@@ -45,7 +45,6 @@ from .spectral import (
     perron_vectors,
     sparse_radius_bracket,
     spectral_radius,
-    spectral_radius_bracket_sequences,
     strongly_connected_components,
 )
 from .subshift import (

@@ -9,8 +9,9 @@ Digits are discontinuous in the base, so the recursion runs exactly: every
 accepted base is rational (a decimal string is p/q, a float its binary value),
 and x_k is kept as an integer numerator over q^k.  A product b*x landing
 within ``snap_tol`` of an integer is treated as an exact hit of the intended
-base (termination) and flagged.  Only a terminated expansion is periodic: a
-non-integer rational is no algebraic integer, so no Parry number (Parry 1960).
+base (termination) and flagged.  Only a terminated expansion is periodic, with
+its quasi-greedy block as the period: a non-integer rational is no algebraic
+integer, so no Parry number (Parry 1960).
 """
 
 from __future__ import annotations
@@ -34,18 +35,16 @@ class BetaExpansion:
     greedy holds the computed greedy digits (the final digit of a terminating
     expansion may equal floor(b), outside the shift alphabet).  For a
     terminating expansion quasi_greedy_block is the repeating block of the
-    quasi-greedy form and periodicity is (0, len(quasi_greedy_block));
-    otherwise the quasi-greedy expansion is the greedy one, which is not
-    eventually periodic, and periodicity is None.
+    quasi-greedy form, purely periodic from the first digit; otherwise the
+    quasi-greedy expansion is the greedy one, which is not eventually
+    periodic, and quasi_greedy_block is None.
     """
 
     beta: float
     greedy: tuple[int, ...]
     terminated: bool
-    termination_index: int | None
     snapped: bool
     quasi_greedy_block: tuple[int, ...] | None
-    periodicity: tuple[int, int] | None
 
     def quasi_greedy_digits(self, n: int) -> tuple[int, ...]:
         """First n digits of the quasi-greedy expansion of 1."""
@@ -91,33 +90,29 @@ def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TO
     # x = num / den; b*x = p*num / (q*den) = d + r / (q*den), never reduced
     num = den = 1
     digits: list[int] = []
-    termination_index = None
-    for k in range(1, n_digits + 1):
+    terminated = False
+    for _ in range(n_digits):
         den *= q
         d, r = divmod(p * num, den)
         up = 2 * r > den
         gap = den - r if up else r
         if gap == 0 or gap * tol_den <= tol_num * den:
             digits.append(d + up)
-            termination_index = k
+            terminated = True
             break
         digits.append(d)
         num = r
     greedy = tuple(digits)
-    terminated = termination_index is not None
-    block = periodicity = None
+    block = None
     if terminated:
         block = greedy[:-1] + (greedy[-1] - 1,)
         if block[-1] < 0:
             # greedy of 1 always ends in a digit >= 1 when it terminates
             raise UncertainDigitError("terminating expansion ended in digit 0; base is suspect")
-        periodicity = (0, len(block))
     return BetaExpansion(
         beta=beta_float,
         greedy=greedy,
         terminated=terminated,
-        termination_index=termination_index,
         snapped=terminated and gap != 0,
         quasi_greedy_block=block,
-        periodicity=periodicity,
     )

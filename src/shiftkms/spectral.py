@@ -279,10 +279,6 @@ class PerronData:
     lo: float
     hi: float
 
-    @property
-    def beta(self) -> float:
-        return math.log(self.lam)
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentPerron:
@@ -515,7 +511,8 @@ def sparse_radius_bracket(n: int, src, dst) -> tuple[float, float]:
         with np.errstate(all="ignore"):  # an underflowing x shows in the bracket
             for _ in range(_MAX_STEPS):
                 y = np.bincount(s, weights=x[t], minlength=len(x))
-                c_lo, c_hi = float((y / x).min()), float((y / x).max())
+                ratio = y / x
+                c_lo, c_hi = float(ratio.min()), float(ratio.max())
                 if not 0.0 < c_lo <= c_hi < math.inf:
                     msg = f"Collatz-Wielandt bracket [{c_lo}, {c_hi}] is not positive and finite"
                     raise ConvergenceError(msg, last_vector=x, residual=math.inf)
@@ -529,21 +526,3 @@ def sparse_radius_bracket(n: int, src, dst) -> tuple[float, float]:
                 raise ConvergenceError(msg, last_vector=x, residual=best[1] - best[0])
         lo, hi = max(lo, best[0] * (1.0 - widen)), max(hi, best[1] * (1.0 + widen))
     return lo, hi
-
-
-def spectral_radius_bracket_sequences(A, n_max: int) -> tuple[list[float], list[float]]:
-    """Lower/upper bracket sequences for r(A) from column sums of powers.
-
-    Returns (min-column-sum(A^n))^(1/n) and (max-column-sum(A^n))^(1/n) for
-    n = 1..n_max.  For irreducible A both sequences converge to r(A) and
-    bracket it at every n.  The column sums come from normalized_powers on A^T
-    from ones; entries after the powers vanish are 0.0.
-    """
-    M = as_nonnegative(A)
-    n_max = as_count(n_max, "n_max", 1)
-    lower, upper = [0.0] * n_max, [0.0] * n_max
-    for n, (log_n, s) in enumerate(zip(*_powers(M.T, np.ones(M.shape[0]), n_max)), 1):
-        smin, smax = float(s.min()), float(s.max())
-        lower[n - 1] = math.exp((log_n + math.log(smin)) / n) if smin > 0.0 else 0.0
-        upper[n - 1] = math.exp((log_n + math.log(smax)) / n)
-    return lower, upper

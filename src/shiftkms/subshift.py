@@ -392,6 +392,7 @@ def count_words(spec, n: int) -> int:
 
 def count_words_sequence(spec, n_max: int) -> list[int]:
     """theta_n for n = 1..n_max in one forward pass."""
+    n_max = spectral.as_count(n_max, "n_max")
     return [sum(counts) for counts in automaton_for(spec).count_vectors(n_max)]
 
 

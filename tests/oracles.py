@@ -54,15 +54,16 @@ matrices it is checked on.
 `beta_expansion_mpmath` is the earlier expansion of 1: the Renyi map in
 mpmath at a working precision of 64 + guard_bits + n log2(b) bits, with a
 propagated error bound that raises `UncertainDigitError` when a product lands
-inside it.  Only a terminated expansion gets a periodicity, its block length.
+inside it.  Only a terminated expansion gets a quasi-greedy block, its period.
 The package runs the map exactly on the rational base and must report the
 same `BetaExpansion`.
 
-`bracket_sequences_exact` is the column-sum bracket in exact integers: the
+`bracket_sequences_exact` is the paper's definition of the inner and outer
+spectral radii, (min and max column sum of A^n)^(1/n), in exact integers: the
 column sums 1^T A^n come from a row-vector recursion over Python integers (the
 d^3 products of `matrix_power_exact` are too slow at d = 256), so it checks
-the rescaled float recursion of `spectral_radius_bracket_sequences` against
-exact counts without calling the package.
+the exact radii of `temperature_sign` against their definition without calling
+the package.
 
 `normalized_powers_stepwise` is the growth recursion as it ran before it went
 in chunks: one matrix-vector product, sum, logarithm and division per step.
@@ -710,7 +711,6 @@ def beta_expansion_mpmath(beta, n_digits, snap_tol=1e-9, guard_bits=30) -> BetaE
         err_bound = mpmath.mpf(2) ** (-(prec - 8))
         digits = []
         terminated = snapped = False
-        termination_index = None
         x = mpmath.mpf(1)
         for k in range(1, n_digits + 1):
             y = b * x
@@ -718,7 +718,7 @@ def beta_expansion_mpmath(beta, n_digits, snap_tol=1e-9, guard_bits=30) -> BetaE
             gap = abs(y - nearest)
             if gap == 0 or gap <= snap_tol:
                 digits.append(int(nearest))
-                terminated, snapped, termination_index = True, gap != 0, k
+                terminated, snapped = True, gap != 0
                 break
             if gap <= err_bound:
                 raise UncertainDigitError(f"digit {k}: b*x is within the error bound of an integer")
@@ -732,8 +732,7 @@ def beta_expansion_mpmath(beta, n_digits, snap_tol=1e-9, guard_bits=30) -> BetaE
         block = greedy[:-1] + (greedy[-1] - 1,)
         if block[-1] < 0:
             raise UncertainDigitError("terminating expansion ended in digit 0; base is suspect")
-    periodicity = (0, len(block)) if terminated else None
-    return BetaExpansion(beta_float, greedy, terminated, termination_index, snapped, block, periodicity)
+    return BetaExpansion(beta_float, greedy, terminated, snapped, block)
 
 
 def random_irreducible_zero_one(rng, d, density=0.5):

@@ -35,16 +35,13 @@ def _automaton():
 TABLE = [
     ("normalized_powers", "n", "n", 0, 5, lambda v: spectral.normalized_powers(GOLDEN, TRACE, v)),
     ("sparse_radius_bracket", "n", "n", 0, 2, lambda v: spectral.sparse_radius_bracket(v, [0, 0, 1], [0, 1, 0])),
-    ("spectral_radius_bracket_sequences", "n_max", "n_max", 1, 5,
-     lambda v: spectral.spectral_radius_bracket_sequences(GOLDEN, v)),
     ("FullShift", "alphabet", "alphabet", 1, 3, subshift.FullShift),
     ("ForbiddenWords", "alphabet", "alphabet", 1, 2, lambda v: subshift.ForbiddenWords(v, ((1, 1),))),
     ("BetaShift", "digit_depth", "digit_depth", 1, 20, lambda v: subshift.BetaShift(1.5, digit_depth=v)),
     ("Automaton.count_vectors", "n", "n", 0, 5, lambda v: _automaton().count_vectors(v)),
     ("Automaton.reach_order", "l", "l", 0, 3, lambda v: _automaton().reach_order(v)),
     ("count_words", "n", "n", 0, 3, lambda v: subshift.count_words(SPEC, v)),
-    # counted by Automaton.count_vectors, whose message names its n
-    ("count_words_sequence", "n_max", "n", 0, 5, lambda v: subshift.count_words_sequence(SPEC, v)),
+    ("count_words_sequence", "n_max", "n_max", 0, 5, lambda v: subshift.count_words_sequence(SPEC, v)),
     ("topological_entropy", "n_max", "n_max", 2, 6, lambda v: subshift.topological_entropy(SPEC, v)),
     ("BetaExpansion.quasi_greedy_digits", "n", "n", 0, 5,
      lambda v: beta.beta_expansion_of_one(1.5, 20).quasi_greedy_digits(v)),

@@ -165,7 +165,7 @@ def test_dim_q_consistent_with_enumeration():
 
 def test_dim_q_beta_linear_growth_with_aperiodic_expansion():
     spec = BetaShift("1.7", digit_depth=64)
-    assert spec.expansion().periodicity is None
+    assert spec.expansion().quasi_greedy_block is None
     for n in range(1, 11):
         res = dim_q(spec, n, 16)
         assert res.stabilized

@@ -5,8 +5,11 @@ flags, and its ```python quick start is executed, so the documentation cannot
 drift away from the code unnoticed.  Its `Flags:` paragraph names exactly the
 options of the command-line parser, and every backticked `module.name` it cites,
 where module is one of the package's modules, `Automaton` or `PerronData`, exists.
+Every backticked snake_case identifier and every backticked call `name(...)`
+occurs in the package source as an identifier, so no deleted name stays cited.
 """
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -66,3 +69,31 @@ def test_readme_dotted_names_resolve():
     cited = [(o, n) for o, n in re.findall(r"`(\w+)\.(\w+)`", README) if o in owners]
     assert len(cited) >= 4
     assert [f"{o}.{n}" for o, n in cited if not _has(owners[o], n)] == []
+
+
+def _source_identifiers() -> set[str]:
+    """Every identifier of the package source: a def or class, a name, an attribute,
+    an argument or keyword, or an identifier-like string such as a report key."""
+    names = set()
+    for path in Path(shiftkms.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def test_readme_identifiers_occur_in_the_source():
+    spans = re.findall(r"`([^`\n]+)`", README)
+    snake = {s for s in spans if re.fullmatch(r"[a-z]\w*_\w+", s)}
+    calls = {m.group(1) for s in spans if (m := re.match(r"(\w+)\(", s))}
+    cited = snake | calls
+    assert len(cited) >= 20
+    assert sorted(cited - _source_identifiers()) == []

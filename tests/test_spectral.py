@@ -18,7 +18,6 @@ from shiftkms import (
     sparse_radius_bracket,
     spectral,
     spectral_radius,
-    spectral_radius_bracket_sequences,
     strongly_connected_components,
     temperature_sign,
 )
@@ -374,47 +373,6 @@ def test_convergence_error_carries_state():
 def test_perron_rejects_non_finite_lambda():
     with pytest.raises(ConvergenceError):
         perron_vectors(np.full((2, 2), 1e308))
-
-
-def test_bracket_sequences_examples():
-    lo, up = spectral_radius_bracket_sequences(np.eye(3, dtype=int), 5)
-    assert lo == [1.0] * 5 and up == [1.0] * 5
-    lo, up = spectral_radius_bracket_sequences(GOLDEN, 2)
-    assert abs(lo[1] - math.sqrt(2)) < 1e-12
-    assert abs(up[1] - math.sqrt(3)) < 1e-12
-    lo, up = spectral_radius_bracket_sequences(np.ones((4, 4), dtype=int), 6)
-    assert max(abs(x - 4.0) for x in lo + up) < 1e-12
-
-
-def test_bracket_sequences_bracket_the_radius():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        M = oracles.random_irreducible_zero_one(rng, int(rng.integers(2, 6)))
-        r = spectral_radius(M)
-        lo, up = spectral_radius_bracket_sequences(M, 24)
-        for a, b in zip(lo, up):
-            assert a - 1e-9 <= r <= b + 1e-9
-        assert up[-1] - lo[-1] < up[0] - lo[0] + 1e-12
-
-
-def _bracket_matrices():
-    rng = np.random.default_rng(29)
-    for d in (2, 5, 16, 64, 256):
-        yield (rng.random((d, d)) < 0.6).astype(int)
-        yield rng.integers(0, 10, (d, d)) * (rng.random((d, d)) < 0.3)
-    yield np.triu(np.ones((5, 5), dtype=int), 1)  # nilpotent: every power vanishes from n = 5
-    yield np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]])  # a zero column
-
-
-def test_bracket_sequences_match_exact_oracle():
-    for M in _bracket_matrices():
-        got = spectral_radius_bracket_sequences(M, 24)
-        expected = oracles.bracket_sequences_exact(M, 24)
-        for g, e in zip(got[0] + got[1], expected[0] + expected[1]):
-            if e == 0.0:
-                assert g == 0.0
-            else:
-                assert abs(g - e) <= 1e-13 * e
 
 
 def test_normalized_powers_against_exact_powers():

@@ -457,7 +457,7 @@ def test_count_vectors_rejects_a_negative_length():
     assert count_words_sequence(empty, 3) == [0, 0, 0]
     for n in (-1, -2):
         for s in (spec, empty):
-            with pytest.raises(ValueError, match="n must be >= 0"):
+            with pytest.raises(ValueError, match="n_max must be >= 0"):
                 count_words_sequence(s, n)
         with pytest.raises(ValueError, match="n must be >= 0"):
             automaton_for(spec).count_vectors(n)

@@ -328,6 +328,60 @@ def test_temperature_sign_propagates_against_index_order():
     assert sign.classification == "positive"
 
 
+def test_temperature_sign_radii_are_the_column_sum_limits():
+    # the paper defines the inner and outer spectral radii as the limits of
+    # (min / max column sum of A^n)^(1/n); temperature_sign reads them exactly
+    # off the component radii.  On these 40 reducible matrices (d = 3-27, lower
+    # < upper on 26) the worst relative error of the exact column-sum roots
+    # was, for (lower, upper): n = 128 (1.43e-2, 7.22e-2), 256 (7.17e-3,
+    # 3.69e-2), 512 (3.59e-3, 1.84e-2), 1024 (1.80e-3, 9.16e-3): about half per
+    # doubling of n, since a column sum c n^k r^n has an n-th root off from r
+    # by a factor of about 1 + (log c + k log n) / n.
+    rng = np.random.default_rng(0)
+    matrices = [oracles.random_reducible_zero_one(rng) for _ in range(40)]
+    ns = (128, 256, 512, 1024)
+    worst = np.zeros((len(ns), 2))
+    distinct = 0
+    for M in matrices:
+        sign = temperature_sign(M)
+        distinct += sign.lower < sign.upper
+        lower, upper = oracles.bracket_sequences_exact(M, ns[-1])
+        for i, n in enumerate(ns):
+            err = (abs(lower[n - 1] / sign.lower - 1.0), abs(upper[n - 1] / sign.upper - 1.0))
+            worst[i] = np.maximum(worst[i], err)
+    assert distinct >= 20
+    assert (worst[:-1] >= 1.8 * worst[1:]).all(), worst
+    assert (worst[-1] < 2e-2).all(), worst
+
+
+def test_temperature_sign_radii_examples():
+    sign = temperature_sign(np.eye(3, dtype=int))
+    assert sign.lower == sign.upper == 1.0
+    assert oracles.bracket_sequences_exact(np.eye(3, dtype=int), 5) == ([1.0] * 5, [1.0] * 5)
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    sign = temperature_sign(GOLDEN)
+    assert abs(sign.lower - phi) < 1e-12 and abs(sign.upper - phi) < 1e-12
+    # A^2 = [[2, 1], [1, 1]] has column sums 3 and 2
+    lower, upper = oracles.bracket_sequences_exact(GOLDEN, 2)
+    assert abs(lower[1] - math.sqrt(2)) < 1e-12 and abs(upper[1] - math.sqrt(3)) < 1e-12
+    sign = temperature_sign(np.ones((4, 4), dtype=int))
+    assert abs(sign.lower - 4.0) < 1e-12 and abs(sign.upper - 4.0) < 1e-12
+
+
+def test_column_sums_bracket_the_irreducible_radius():
+    # on an irreducible matrix the inner and outer radii coincide, and every
+    # (min / max column sum of A^n)^(1/n) brackets that one radius
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        M = oracles.random_irreducible_zero_one(rng, int(rng.integers(2, 6)))
+        sign = temperature_sign(M)
+        assert abs(sign.lower - sign.upper) <= 1e-12 * sign.upper
+        lower, upper = oracles.bracket_sequences_exact(M, 24)
+        for a, b in zip(lower, upper):
+            assert a - 1e-9 <= sign.lower and sign.upper <= b + 1e-9
+        assert upper[-1] - lower[-1] < upper[0] - lower[0] + 1e-12
+
+
 def test_normalization_profile_constant():
     seq = kms_eigen_sequence(GOLDEN, 10)
     profile = normalization_profile(seq)
