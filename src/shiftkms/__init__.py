@@ -9,7 +9,7 @@ Parry measure with a numerical variational check.
 
 __version__ = "0.1.0"
 
-from .beta import BetaExpansion, UncertainDigitError, beta_expansion_of_one
+from .beta import BetaExpansion, beta_expansion_of_one
 from .equilibrium import (
     InvariantViolation,
     MarkovMeasure,

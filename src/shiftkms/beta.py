@@ -8,10 +8,10 @@ lexicographic admissibility reference is the quasi-greedy form
 Digits are discontinuous in the base, so the recursion runs exactly: every
 accepted base is rational (a decimal string is p/q, a float its binary value),
 and x_k is kept as an integer numerator over q^k.  A product b*x landing
-within ``snap_tol`` of an integer is treated as an exact hit of the intended
-base (termination) and flagged.  Only a terminated expansion is periodic, with
-its quasi-greedy block as the period: a non-integer rational is no algebraic
-integer, so no Parry number (Parry 1960).
+within the fixed ``SNAP_TOL`` of an integer is treated as an exact hit of the
+intended base (termination) and flagged.  Only a terminated expansion is
+periodic, with its quasi-greedy block as the period: a non-integer rational is
+no algebraic integer, so no Parry number (Parry 1960).
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from fractions import Fraction
 
 from .spectral import as_count
 
-DEFAULT_SNAP_TOL = 1e-9
-
-
-class UncertainDigitError(ValueError):
-    """A snap would end the expansion of 1 in digit 0, so the base is suspect."""
+SNAP_TOL = 1e-9  # b*x this close to an integer is an exact hit: bases given to ~10 decimals
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,6 @@ class BetaExpansion:
     periodic, and quasi_greedy_block is None.
     """
 
-    beta: float
     greedy: tuple[int, ...]
     terminated: bool
     snapped: bool
@@ -66,7 +61,7 @@ def exact_base(beta) -> Fraction:
     return Fraction(beta) if isinstance(beta, str) else Fraction(float(beta))
 
 
-def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TOL) -> BetaExpansion:
+def beta_expansion_of_one(beta, n_digits: int) -> BetaExpansion:
     """Greedy digits of 1 in base beta, with termination report.
 
     Parameters
@@ -76,17 +71,13 @@ def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TO
         parsed as an exact decimal.
     n_digits : int
         Number of greedy digits to compute (>= 1).
-    snap_tol : float
-        Distance to an integer below which b*x is taken as an exact hit.
-        Set to 0 to disable snapping.
     """
     n_digits = as_count(n_digits, "n_digits", 1)
     b = exact_base(beta)
-    beta_float = float(b)
-    if beta_float <= 1.0:
-        raise ValueError(f"beta must be > 1, got {beta_float}")
+    if float(b) <= 1.0:  # also a base just above 1 that rounds to 1, which would snap to base 1
+        raise ValueError(f"beta must be > 1, got {float(b)}")
     p, q = b.numerator, b.denominator
-    tol_num, tol_den = snap_tol.as_integer_ratio()
+    tol_num, tol_den = SNAP_TOL.as_integer_ratio()
     # x = num / den; b*x = p*num / (q*den) = d + r / (q*den), never reduced
     num = den = 1
     digits: list[int] = []
@@ -103,14 +94,10 @@ def beta_expansion_of_one(beta, n_digits: int, snap_tol: float = DEFAULT_SNAP_TO
         digits.append(d)
         num = r
     greedy = tuple(digits)
-    block = None
-    if terminated:
-        block = greedy[:-1] + (greedy[-1] - 1,)
-        if block[-1] < 0:
-            # greedy of 1 always ends in a digit >= 1 when it terminates
-            raise UncertainDigitError("terminating expansion ended in digit 0; base is suspect")
+    # the block's last digit is >= 0: an exact hit is b*x = d > 0, and a snap to 0 would need
+    # b*x <= SNAP_TOL, but b > 1 and x > SNAP_TOL (x = 1, or the step before did not snap)
+    block = greedy[:-1] + (greedy[-1] - 1,) if terminated else None
     return BetaExpansion(
-        beta=beta_float,
         greedy=greedy,
         terminated=terminated,
         snapped=terminated and gap != 0,

@@ -60,7 +60,6 @@ class PastPartition:
     dimension.
     """
 
-    l: int
     depth: int
     classes: tuple[PastClass, ...]
     class_count: int
@@ -71,7 +70,6 @@ class PastPartition:
 class DimQ:
     count: int
     stabilized: bool
-    l: int
     depth: int
     fixed_point_depth: int | None
 
@@ -181,7 +179,6 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
         )
     classes.sort(key=lambda c: c.representative)
     return PastPartition(
-        l=l,
         depth=depth,
         classes=tuple(classes),
         class_count=len(classes),
@@ -256,7 +253,7 @@ def dim_q(spec, n: int, depth: int) -> DimQ:
     aut = automaton_for(spec)
     aut.check_length(n + depth)
     counts, stabilized, fixed = _class_counts(aut, n, depth)
-    return DimQ(count=counts[n], stabilized=stabilized[n], l=n, depth=depth, fixed_point_depth=fixed)
+    return DimQ(count=counts[n], stabilized=stabilized[n], depth=depth, fixed_point_depth=fixed)
 
 
 def sofic_check(spec, l_max: int, depth: int | None = None) -> SoficReport:

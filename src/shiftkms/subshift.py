@@ -133,7 +133,6 @@ class Automaton:
         self.alphabet, self.sink = succ.shape[0], succ.shape[1] - 1
         self.states = range(self.sink)
         self.max_word_length = max_word_length
-        self._count_vectors = []
 
     @property
     def is_empty(self) -> bool:
@@ -159,24 +158,19 @@ class Automaton:
 
     def count_vectors(self, n):
         """For k = 1..n, the list whose entry q is the number of admissible
-        length-k words ending in state q (exact ints), the sink's 0 last.
-
-        The lists are kept on the automaton and only extended, so a longer
-        call continues where the last one stopped; callers must not mutate them.
-        """
+        length-k words ending in state q (exact ints), the sink's 0 last."""
         n = spectral.as_count(n, "n")
         self.check_length(n)
-        out = self._count_vectors
-        if len(out) < n:
-            gather, plain, heavy = self._count_plan
-            v = out[-1] if out else [int(q == self.start) for q in range(self.sink + 1)]
-            for _ in range(n - len(out)):
-                sums = [sum(get(v)) for get in plain]
-                for i, k, get in heavy:
-                    sums[i] += k * sum(get(v))
-                v = list(gather(v + sums))
-                out.append(v)
-        return out[:n]
+        gather, plain, heavy = self._count_plan
+        v = [int(q == self.start) for q in range(self.sink + 1)]
+        out = []
+        for _ in range(n):
+            sums = [sum(get(v)) for get in plain]
+            for i, k, get in heavy:
+                sums[i] += k * sum(get(v))
+            v = list(gather(v + sums))
+            out.append(v)
+        return out
 
     @cached_property
     def _count_plan(self):
@@ -320,8 +314,9 @@ def _beta_automaton(spec: BetaShift):
     else:
         digits = exp.quasi_greedy_digits(spec.digit_depth)
         horizon = len(digits)
-    # two periods decide dominance of a periodic word
-    if not _shift_dominated(digits if horizon else digits * 2):
+    # exact greedy digits dominate their shifts (Parry 1960); only a snapped block,
+    # which may belong to no base, is checked, over two periods, which decide it
+    if exp.snapped and not _shift_dominated(digits * 2):
         raise ValueError(
             f"expansion of 1 for beta={spec.beta} does not dominate its shifts; "
             "the snapped block is not a Parry expansion, give beta more precisely"

@@ -53,10 +53,10 @@ matrices it is checked on.
 
 `beta_expansion_mpmath` is the earlier expansion of 1: the Renyi map in
 mpmath at a working precision of 64 + guard_bits + n log2(b) bits, with a
-propagated error bound that raises `UncertainDigitError` when a product lands
-inside it.  Only a terminated expansion gets a quasi-greedy block, its period.
-The package runs the map exactly on the rational base and must report the
-same `BetaExpansion`.
+propagated error bound that raises its own `UncertainDigitError` when a
+product lands inside it.  Only a terminated expansion gets a quasi-greedy
+block, its period.  The package runs the map exactly on the rational base and
+must report the same `BetaExpansion`.
 
 `bracket_sequences_exact` is the paper's definition of the inner and outer
 spectral radii, (min and max column sum of A^n)^(1/n), in exact integers: the
@@ -108,7 +108,7 @@ import mpmath
 import numpy as np
 
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral
-from shiftkms.beta import BetaExpansion, UncertainDigitError
+from shiftkms.beta import BetaExpansion
 from shiftkms.subshift import Automaton, automaton_for
 
 
@@ -698,6 +698,10 @@ def greedy_digits_fraction(p, q, n) -> list[int]:
     return out
 
 
+class UncertainDigitError(ValueError):
+    """The mpmath reference cannot decide a digit at its working precision."""
+
+
 def beta_expansion_mpmath(beta, n_digits, snap_tol=1e-9, guard_bits=30) -> BetaExpansion:
     """Expansion of 1 in base beta by the Renyi map in mpmath floats."""
     if n_digits < 1:
@@ -732,7 +736,7 @@ def beta_expansion_mpmath(beta, n_digits, snap_tol=1e-9, guard_bits=30) -> BetaE
         block = greedy[:-1] + (greedy[-1] - 1,)
         if block[-1] < 0:
             raise UncertainDigitError("terminating expansion ended in digit 0; base is suspect")
-    return BetaExpansion(beta_float, greedy, terminated, snapped, block)
+    return BetaExpansion(greedy, terminated, snapped, block)
 
 
 def random_irreducible_zero_one(rng, d, density=0.5):

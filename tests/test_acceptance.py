@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
-import itertools
 import math
 import time
 

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from shiftkms import beta_expansion_of_one
+from shiftkms import beta, beta_expansion_of_one
 
 import oracles
 
@@ -50,13 +50,16 @@ def test_rounded_parry_bases_snap_from_ten_decimals():
             assert exp.snapped and exp.quasi_greedy_block in ((1, 0), (1, 1, 0)), text
 
 
-def test_snap_tolerance_is_compared_exactly():
+def test_snap_tolerance_is_compared_exactly(monkeypatch):
     # 1.5 * 1 = 1 + 1/2, then 1.5 * 1/2 = 3/4 lies exactly 1/4 below 1
-    exp = beta_expansion_of_one("1.5", 8, snap_tol=0.25)
+    monkeypatch.setattr(beta, "SNAP_TOL", 0.25)
+    exp = beta_expansion_of_one("1.5", 8)
     assert exp.greedy == (1, 1) and exp.terminated and exp.snapped
     # just below that, the next product 3/4 * 3/2 = 1 + 1/8 snaps instead
-    assert beta_expansion_of_one("1.5", 8, snap_tol=0.2499).greedy == (1, 0, 1)
-    assert not beta_expansion_of_one("1.5", 8, snap_tol=0).terminated
+    monkeypatch.setattr(beta, "SNAP_TOL", 0.2499)
+    assert beta_expansion_of_one("1.5", 8).greedy == (1, 0, 1)
+    monkeypatch.setattr(beta, "SNAP_TOL", 0.0)
+    assert not beta_expansion_of_one("1.5", 8).terminated
 
 
 def test_only_a_terminated_expansion_reports_a_period():

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -70,6 +71,8 @@ def test_parse_spec_diagnostics_name_the_field():
         parse_spec('{"type": "forbidden", "alphabet": 2, "words": [[3]]}')
     with pytest.raises(InputError, match="JSON"):
         parse_spec("{not json")
+    with pytest.raises(InputError, match="^document must be a JSON object$"):
+        parse_spec("[1]")
     with pytest.raises(InputError, match="unknown"):
         parse_spec('{"type": "mystery"}')
     for bad in ("2.7", "true", '"3"'):
@@ -130,6 +133,8 @@ def test_run_rejects_inapplicable_command():
     spec = parse_spec('{"type": "beta", "beta": 1.7, "digit_depth": 32}')
     with pytest.raises(InputError):
         run("parry", spec, DEFAULT_FLAGS)
+    with pytest.raises(InputError, match="^unknown command 'nope'$"):
+        run("nope", spec, DEFAULT_FLAGS)
 
 
 def test_run_all_skips_inapplicable_with_warning():
@@ -250,6 +255,11 @@ def test_cli_krieger_depth_error_names_the_flag(tmp_path, capsys):
         run("all", FullShift(2), dict(DEFAULT_FLAGS, depth=1))
 
 
+def test_cli_krieger_at_depth_two_warns_that_counts_are_lower_bounds():
+    report = run("krieger", parse_spec(GOLDEN_DOC), dict(DEFAULT_FLAGS, depth=2))
+    assert report["warnings"] == ["krieger: stabilization not reached for some l; counts are lower bounds"]
+
+
 def test_main_invariant_violation_exits_two(tmp_path, monkeypatch, capsys):
     doc = tmp_path / "spec.json"
     doc.write_text(GOLDEN_DOC)
@@ -341,8 +351,6 @@ def test_main_overflowing_lambda_prints_only_the_error(tmp_path, capsys):
 
 
 def test_main_reads_stdin(monkeypatch, capsys):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO('{"type": "full", "alphabet": 2}'))
     assert main(["entropy", "-", "--no-timestamp"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -505,6 +513,13 @@ def test_matrix_entries_must_be_json_numbers(doc, tmp_path, capsys):
     assert captured.out == "" and "field 'matrix'" in captured.err
 
 
+def test_main_refuses_a_matrix_entry_of_two(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"type": "sft", "matrix": [[1, 2], [1, 0]]}')
+    assert main(["all", str(path), "--no-timestamp"]) == 1
+    assert capsys.readouterr() == ("", "error: invalid 'sft' document: matrix entries must be 0 or 1\n")
+
+
 def test_matrix_entries_of_any_number_type_are_accepted():
     assert parse_spec('{"type": "sft", "matrix": [[1, 1.0], [1, 0]]}').matrix.tolist() == [[1, 1], [1, 0]]
     spec = parse_spec({"type": "sft", "matrix": [[np.int8(1), np.float64(1)], [1, 0]]})
@@ -661,6 +676,15 @@ def test_cli_import_leaves_mpmath_out():
     code = "import sys, shiftkms.cli; print('mpmath' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_main(monkeypatch, capsys):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftkms.__file__)))
+    argv = [sys.executable, "-m", "shiftkms", "all", "-", "--no-timestamp"]
+    out = subprocess.run(argv, input=GOLDEN_DOC, env=env, capture_output=True, text=True, timeout=120)
+    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_DOC))
+    assert main(["all", "-", "--no-timestamp"]) == 0
+    assert (out.returncode, out.stdout, out.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_all_on_every_document_type_leaves_numpy_ma_out(tmp_path):

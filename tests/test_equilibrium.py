@@ -78,6 +78,9 @@ def test_cylinder_formula_equivalence():
         for n in range(1, 9):
             for w in admissible_words_of(M, n):
                 assert abs(cylinder(m, w) - cylinder_eigen(m, w)) < 1e-10
+    # both forms give an inadmissible word weight 0
+    m = parry_measure(GOLDEN)
+    assert cylinder(m, (1, 2, 2, 1)) == cylinder_eigen(m, (1, 2, 2, 1)) == 0.0
 
 
 def test_cylinder_consistency_identities():

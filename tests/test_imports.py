@@ -1,12 +1,15 @@
-"""No module of the package imports a name it never uses, defines a private
-name that no module reads, or states the integer rule of a count itself.
+"""No module of the package or its tests imports a name it never uses, and no
+module of the package defines a private name or a dataclass field that nothing
+reads, or states the integer rule of a count itself.
 
-Three small `ast` passes stand in for a linter.  Every name a module binds by an
+Four small `ast` passes stand in for a linter.  Every name a module binds by an
 import, other than a `__future__` feature, must be read somewhere in it or be
-listed in its `__all__`; `__init__` is exempt, since its imports are the
-package's namespace.  Every module-level private name (a function, class or
+listed in its `__all__`; the package's `__init__` is exempt, since its imports
+are the package's namespace.  Every module-level private name (a function, class or
 assigned constant with one leading underscore) must be read by some module of
 the package, as a name or as a module attribute such as `spectral._powers`.
+Every field of a dataclass of the package must be read as an attribute by some
+file of the package, its tests or the benchmark.
 No module but `spectral`, whose `as_count` is the one rule, raises a
 `ValueError` whose message says "must be >=" or "must be an integer".
 """
@@ -16,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "shiftkms"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "shiftkms"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +44,10 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("from x import f\n__all__ = ['f']\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem)
+IMPORTING = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", IMPORTING, ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -77,6 +84,45 @@ def test_the_check_sees_an_orphan_private_name():
 
 def test_every_private_name_is_read():
     assert orphan_private_names({p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def unread_fields(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """Class.field for each field of a dataclass of defining (module -> text) that no text of reading
+    loads as an attribute.  Fields are matched by name alone, so a field is taken as read when a
+    field of the same name of any other class is: `BetaExpansion.beta` would pass for `KmsReport.beta`."""
+    fields = []
+    for source in defining.values():
+        for node in ast.walk(ast.parse(source)):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])]
+            if isinstance(node, ast.ClassDef) and any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                fields += [(node.name, f.target.id) for f in node.body if isinstance(f, ast.AnnAssign)]
+    read = {
+        node.attr
+        for source in reading
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def test_the_check_sees_an_unread_field():
+    defining = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\nclass R:\n    kept: int\n    echo: int\n    beta: float\n"
+            "@dataclass\nclass S:\n    beta: float\n    size: int = 0\n"
+            "class Plain:\n    unread: int\n"
+        ),
+    }
+    reading = ["r = R(1, 2, 3)\nprint(r.kept, S(1.0).beta)\nr.echo = 4\n"]
+    # R.beta is unread, but S.beta of the same name is read
+    assert unread_fields(defining, reading) == ["R.echo", "S.size"]
+
+
+def test_every_dataclass_field_is_read():
+    defining = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p for d in (SRC, ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
+    assert unread_fields(defining, [p.read_text(encoding="utf-8") for p in readers]) == []
 
 
 COUNT_RULE = ("must be >=", "must be an integer")

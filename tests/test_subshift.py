@@ -11,7 +11,6 @@ from shiftkms import (
     FullShift,
     SFT,
     ConvergenceError,
-    UncertainDigitError,
     admissible,
     beta_expansion_of_one,
     count_words,
@@ -20,6 +19,7 @@ from shiftkms import (
     spectral_radius,
     topological_entropy,
 )
+from shiftkms.beta import BetaExpansion
 from shiftkms.subshift import automaton_for, build_automaton, exact_entropy
 
 import oracles
@@ -517,6 +517,20 @@ def test_terminated_beta_is_its_finite_follower_graph(base, block):
     want = [w for w in words if oracles.beta_admissible_direct(w, block * n)]
     assert [w for w in words if admissible(w, spec)] == want
     assert count_words(spec, n) == len(want)
+
+
+def test_a_snapped_block_that_does_not_dominate_its_shifts_is_refused(monkeypatch):
+    # no snapped base found near the Parry numbers gives such a block, so the expansion is stubbed:
+    # (1, 0, 1, 1) repeated has the shift (1, 1, 1, 0, ...), which lies above it
+    block = (1, 0, 1, 1)
+    stub = BetaExpansion(greedy=(1, 0, 1, 2), terminated=True, snapped=True, quasi_greedy_block=block)
+    monkeypatch.setattr(BetaShift, "expansion", lambda self: stub)
+    with pytest.raises(ValueError) as info:
+        automaton_for(BetaShift("1.8", digit_depth=40))
+    assert str(info.value) == (
+        "expansion of 1 for beta=1.8 does not dominate its shifts; "
+        "the snapped block is not a Parry expansion, give beta more precisely"
+    )
 
 
 def _certified(aut, lam):
