@@ -16,6 +16,7 @@ no algebraic integer, so no Parry number (Parry 1960).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +58,11 @@ class BetaExpansion:
 
 def exact_base(beta) -> Fraction:
     """The exact value of a base: a string as the decimal it spells, anything
-    else at the binary value of its float."""
+    else at the binary value of its float.  The one base rule: ValueError
+    unless float(beta) is finite and > 1, so a base just above 1 that rounds
+    to 1.0, which would snap to base 1, is refused too."""
+    if not 1.0 < float(beta) < math.inf:  # also false for nan
+        raise ValueError(f"beta must be a finite number > 1, got {beta!r}")
     return Fraction(beta) if isinstance(beta, str) else Fraction(float(beta))
 
 
@@ -74,8 +79,6 @@ def beta_expansion_of_one(beta, n_digits: int) -> BetaExpansion:
     """
     n_digits = as_count(n_digits, "n_digits", 1)
     b = exact_base(beta)
-    if float(b) <= 1.0:  # also a base just above 1 that rounds to 1, which would snap to base 1
-        raise ValueError(f"beta must be > 1, got {float(b)}")
     p, q = b.numerator, b.denominator
     tol_num, tol_den = SNAP_TOL.as_integer_ratio()
     # x = num / den; b*x = p*num / (q*den) = d + r / (q*den), never reduced

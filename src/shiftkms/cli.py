@@ -99,7 +99,7 @@ def parse_spec(document):
             digit_depth = _at_most("field 'digit_depth'", _integer(doc, "digit_depth", 64), MAX_DIGIT_DEPTH)
             beta = _need(doc, "beta")
             _at_most("field 'beta'", float(beta), MAX_DIMENSION)
-            spec = BetaShift(beta=beta, digit_depth=digit_depth)  # rejects beta <= 1 before exact_base parses it
+            spec = BetaShift(beta=beta, digit_depth=digit_depth)
             bits = exact_base(beta).denominator.bit_length() * digit_depth
             _at_most("the denominator bits of field 'beta' times digit_depth", bits, MAX_BETA_BITS)
             return spec
@@ -192,6 +192,10 @@ def _section_kms(spec, flags, warnings):
             "v0": report.v0.tolist(),
             "sequence": [v.tolist() for v in report.sequence],
         }
+    if not irreducible(spec.matrix):
+        sign = tracespace.temperature_sign(spec.matrix)
+        bracket = [math.log(sign.lower), math.log(sign.upper)]  # the extremal KMS inverse temperatures
+        return {"kind": "cuntz-krieger", "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
     report = tracespace.kms_temperature(spec.matrix, depth=flags["depth"])
     return {
         "kind": "cuntz-krieger",
@@ -201,12 +205,6 @@ def _section_kms(spec, flags, warnings):
         "eigen_levels": [t.tolist() for t in report.eigen_sequence.levels],
         "eigen_residuals": list(report.eigen_sequence.residuals),
     }
-
-
-def _section_reducible_kms(spec, flags, warnings):
-    sign = tracespace.temperature_sign(spec.matrix)
-    bracket = [math.log(sign.lower), math.log(sign.upper)]  # the extremal KMS inverse temperatures
-    return {"kind": "cuntz-krieger", "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
 
 
 def _section_parry(spec, flags, warnings):
@@ -315,7 +313,7 @@ def run(command: str, spec, flags) -> dict:
     _at_most("--samples", flags["samples"], MAX_SAMPLES)
     reducible = (
         isinstance(spec, TRANSITION_MATRIX)
-        and command in ("all", "kms", *NEEDS_PERRON)
+        and command in ("all", *NEEDS_PERRON)
         and not irreducible(spec.matrix)
     )
     plan = []  # (name, section builder, the warning that skips it or None), in report order
@@ -331,8 +329,6 @@ def run(command: str, spec, flags) -> dict:
             if command != "all":
                 raise InputError(f"command '{name}' needs an irreducible matrix; this one is reducible")
             skip = f"{name}: needs an irreducible matrix, skipped in reducible mode"
-        elif reducible and name == "kms":
-            section = _section_reducible_kms
         plan.append((name, section, skip))
     # the cli's own flag rules, before the first section runs; a library minimum is checked in its section
     running = {name for name, _, skip in plan if skip is None}
@@ -398,13 +394,6 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    flags = {
-        "max_n": args.max_n,
-        "depth": args.depth,
-        "samples": args.samples,
-        "seed": args.seed,
-        "no_timestamp": args.no_timestamp,
-    }
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -412,7 +401,7 @@ def main(argv=None) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         spec = parse_spec(text)
-        report = run(args.command, spec, flags)
+        report = run(args.command, spec, vars(args))
         text_out = json.dumps(report, indent=2, allow_nan=False)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

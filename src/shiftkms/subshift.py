@@ -15,30 +15,16 @@ map to symbols by adding 1.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
 from . import spectral
-from .beta import beta_expansion_of_one
-
-__all__ = [
-    "FullShift",
-    "SFT",
-    "ForbiddenWords",
-    "BetaShift",
-    "Automaton",
-    "EntropyEstimate",
-    "build_automaton",
-    "admissible",
-    "count_words",
-    "count_words_sequence",
-    "topological_entropy",
-    "exact_entropy",
-    "beta_expansion_of_one",
-]
+from .beta import beta_expansion_of_one, exact_base
 
 
 @dataclass(frozen=True)
@@ -100,9 +86,7 @@ class BetaShift:
     digit_depth: int = 64
 
     def __post_init__(self):
-        b = float(self.beta)
-        if not 1.0 < b < math.inf:  # also false for nan
-            raise ValueError(f"beta must be a finite number > 1, got {self.beta!r}")
+        exact_base(self.beta)
         object.__setattr__(self, "digit_depth", spectral.as_count(self.digit_depth, "digit_depth", 1))
 
     @property
@@ -157,20 +141,22 @@ class Automaton:
             )
 
     def count_vectors(self, n):
-        """For k = 1..n, the list whose entry q is the number of admissible
-        length-k words ending in state q (exact ints), the sink's 0 last."""
+        """Iterator over k = 1..n of the list whose entry q is the number of admissible
+        length-k words ending in state q (exact ints), the sink's 0 last; it holds
+        one vector at a time.  n and the length are checked on the call."""
         n = spectral.as_count(n, "n")
         self.check_length(n)
+        return islice(self._pull_counts(), n)
+
+    def _pull_counts(self):
         gather, plain, heavy = self._count_plan
         v = [int(q == self.start) for q in range(self.sink + 1)]
-        out = []
-        for _ in range(n):
+        while True:
             sums = [sum(get(v)) for get in plain]
             for i, k, get in heavy:
                 sums[i] += k * sum(get(v))
             v = list(gather(v + sums))
-            out.append(v)
-        return out
+            yield v
 
     @cached_property
     def _count_plan(self):
@@ -214,16 +200,11 @@ class Automaton:
         seen = {self.start, self.sink}
         order, frontier, sizes = [self.start], [self.start], [1]
         while frontier and len(sizes) <= l:
-            frontier = sorted({r for q in frontier for r in self._successors[q]} - seen)
+            frontier = sorted(set(self.succ[:, frontier].ravel().tolist()) - seen)
             seen.update(frontier)
             order.extend(frontier)
             sizes.append(len(order))
         return order, sizes + sizes[-1:] * (l + 1 - len(sizes))
-
-    @cached_property
-    def _successors(self) -> list[set[int]]:
-        """Entry q: the states one move from q, the sink included when a move is undefined."""
-        return [set(row) for row in self.succ.T[:-1].tolist()]
 
 
 def _full_automaton(spec):
@@ -288,19 +269,6 @@ def _forbidden_automaton(d, words):
     return Automaton(np.searchsorted(np.append(keep, n), rows.T))  # node keep[i] is state i
 
 
-def _shift_dominated(digits) -> bool:
-    # the follower-state reduction is only valid when the expansion of 1
-    # dominates all of its shifts lexicographically
-    L = len(digits)
-    for k in range(1, L):
-        for i in range(L - k):
-            if digits[k + i] != digits[i]:
-                if digits[k + i] > digits[i]:
-                    return False
-                break
-    return True
-
-
 def _beta_automaton(spec: BetaShift):
     # Parry's follower graph on the quasi-greedy expansion d*(1) = d_0 d_1 ...:
     # from state j the digit d_j advances, a larger one is inadmissible and a
@@ -314,9 +282,11 @@ def _beta_automaton(spec: BetaShift):
     else:
         digits = exp.quasi_greedy_digits(spec.digit_depth)
         horizon = len(digits)
-    # exact greedy digits dominate their shifts (Parry 1960); only a snapped block,
-    # which may belong to no base, is checked, over two periods, which decide it
-    if exp.snapped and not _shift_dominated(digits * 2):
+    # the follower-state reduction is only valid when the expansion of 1
+    # dominates all of its shifts lexicographically.  Exact greedy digits do
+    # (Parry 1960); only a snapped block, which may belong to no base, is checked
+    # against each rotation, which decide it: its shifts are its rotations repeated
+    if exp.snapped and any(digits[k:] + digits[:k] > digits for k in range(1, len(digits))):
         raise ValueError(
             f"expansion of 1 for beta={spec.beta} does not dominate its shifts; "
             "the snapped block is not a Parry expansion, give beta more precisely"
@@ -382,7 +352,7 @@ def count_words(spec, n: int) -> int:
         return 0
     if n == 0:
         return 1
-    return sum(aut.count_vectors(n)[-1])
+    return sum(deque(aut.count_vectors(n), maxlen=1)[0])  # only the last vector is held
 
 
 def count_words_sequence(spec, n_max: int) -> list[int]:

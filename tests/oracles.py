@@ -35,6 +35,10 @@ give the same table.
 digit falls back along the KMP prefix function.  The package's Parry follower
 graph sends every smaller digit straight to state 0 and must give the same
 automaton whenever the expansion does not terminate.
+`shift_dominated_window` is the earlier dominance check on a snapped block:
+each shift of the block written out twice is compared with it digit by digit
+up to the first difference.  The package compares each rotation of the block
+with the block in tuple order and must refuse the same blocks.
 
 The graph references are `reachability_irreducible` (boolean powers),
 `period_brute` (closed walks at node 0, up to the first repeated row of the
@@ -340,6 +344,20 @@ def count_vectors_push(aut, n):
         v = nxt
         out.append(v)
     return out
+
+
+def shift_dominated_window(digits) -> bool:
+    """True iff the digits dominate each of their shifts lexicographically,
+    each shift compared up to its first differing digit (give two periods of a
+    repeated block)."""
+    L = len(digits)
+    for k in range(1, L):
+        for i in range(L - k):
+            if digits[k + i] != digits[i]:
+                if digits[k + i] > digits[i]:
+                    return False
+                break
+    return True
 
 
 def beta_automaton_kmp(spec) -> Automaton:

@@ -38,7 +38,7 @@ TABLE = [
     ("FullShift", "alphabet", "alphabet", 1, 3, subshift.FullShift),
     ("ForbiddenWords", "alphabet", "alphabet", 1, 2, lambda v: subshift.ForbiddenWords(v, ((1, 1),))),
     ("BetaShift", "digit_depth", "digit_depth", 1, 20, lambda v: subshift.BetaShift(1.5, digit_depth=v)),
-    ("Automaton.count_vectors", "n", "n", 0, 5, lambda v: _automaton().count_vectors(v)),
+    ("Automaton.count_vectors", "n", "n", 0, 5, lambda v: list(_automaton().count_vectors(v))),
     ("Automaton.reach_order", "l", "l", 0, 3, lambda v: _automaton().reach_order(v)),
     ("count_words", "n", "n", 0, 3, lambda v: subshift.count_words(SPEC, v)),
     ("count_words_sequence", "n_max", "n_max", 0, 5, lambda v: subshift.count_words_sequence(SPEC, v)),

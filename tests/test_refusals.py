@@ -41,6 +41,19 @@ REFUSALS = [
         ValueError,
         "only 10 digits were computed; rebuild with a larger n_digits",
     ),
+    (
+        "infinite-base",
+        lambda: beta_expansion_of_one(float("inf"), 3),
+        ValueError,
+        "beta must be a finite number > 1, got inf",
+    ),
+    (
+        "nan-base",
+        lambda: beta_expansion_of_one(float("nan"), 3),
+        ValueError,
+        "beta must be a finite number > 1, got nan",
+    ),
+    ("base-one", lambda: beta_expansion_of_one(1.0, 3), ValueError, "beta must be a finite number > 1, got 1.0"),
     ("empty-trace", lambda: epsilon_sequence(GOLDEN, [], 3), ValueError, "trace vector must be a nonempty 1-d array"),
     (
         "2d-trace",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -445,7 +446,7 @@ def _push_cases():
 def test_count_vectors_pull_equals_push():
     for spec, n in _push_cases():
         aut = build_automaton(spec)
-        vectors = aut.count_vectors(n)
+        vectors = list(aut.count_vectors(n))
         assert [v[:-1] for v in vectors] == oracles.count_vectors_push(aut, n), spec
         assert all(v[-1] == 0 for v in vectors)
     assert build_automaton(BetaShift(TRIBONACCI, digit_depth=64)).max_word_length is None
@@ -461,7 +462,21 @@ def test_count_vectors_rejects_a_negative_length():
                 count_words_sequence(s, n)
         with pytest.raises(ValueError, match="n must be >= 0"):
             automaton_for(spec).count_vectors(n)
-    assert automaton_for(spec).count_vectors(0) == []
+    assert list(automaton_for(spec).count_vectors(0)) == []
+
+
+def test_word_counts_hold_one_vector_at_a_time():
+    # 400 vectors of 64 counts near 38^400 take 4.4 MB when held together
+    spec = SFT(oracles.random_irreducible_zero_one(np.random.default_rng(64), 64, 0.6))
+    expected = count_words_sequence(spec, 400)  # builds and memoizes the automaton and its plan
+    for call, want in ((count_words_sequence, expected), (count_words, expected[-1])):
+        tracemalloc.start()
+        try:
+            assert call(spec, 400) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (call.__name__, peak)
 
 
 def _reach_cases():
@@ -531,6 +546,23 @@ def test_a_snapped_block_that_does_not_dominate_its_shifts_is_refused(monkeypatc
         "expansion of 1 for beta=1.8 does not dominate its shifts; "
         "the snapped block is not a Parry expansion, give beta more precisely"
     )
+
+
+def test_the_rotation_rule_refuses_what_the_window_scan_refuses(monkeypatch):
+    # every block of digits 0-3 of length 1-8 (87,380 blocks), as the snapped block of a 4-digit base
+    def expansion(self):
+        return BetaExpansion(block, terminated=True, snapped=True, quasi_greedy_block=block)
+
+    monkeypatch.setattr(BetaShift, "expansion", expansion)
+    spec = BetaShift("3.5", digit_depth=8)
+    for n in range(1, 9):
+        for block in itertools.product(range(4), repeat=n):
+            try:
+                build_automaton(spec)
+            except ValueError:
+                assert not oracles.shift_dominated_window(block * 2), block
+            else:
+                assert oracles.shift_dominated_window(block * 2), block
 
 
 def _certified(aut, lam):
