@@ -12,10 +12,11 @@ Exit codes: 0 success, 1 bad input, 2 violated internal invariant or failed
 numerical solver.  Every sized input is bounded by the MAX_* constants below;
 a value past its bound is bad input, named in the message.  Sections pass
 the document's matrix, whose Perron analysis spectral memoizes per content,
-so it is solved once and shared by every section.  A reducible transition
-matrix gets the bracket of its extremal KMS inverse temperatures from
-temperature_sign in `kms`; `all` skips the sections that need Perron data,
-and asked for alone they are bad input.
+so it is solved once and shared by every section.  A reducible matrix, of a
+transition-matrix or a `nonnegative` document, gets the bracket of its extremal
+KMS inverse temperatures from temperature_sign in `kms`; `all` skips the
+sections that need Perron data, and asked for alone they are bad input.  Each
+section's fields are listed once, in report order, in its `_fields` call.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import sys
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -153,13 +155,29 @@ def _words(doc, alphabet):
     return tuple(tuple(map(int, w)) for w in words)
 
 
+def _plain(value):
+    """A report value as JSON: an array as nested lists, a tuple as a list of plain values."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _fields(report, *names):
+    """{key: plain value} of the report's fields, in the order given.  A name is an
+    attribute of the report, or a (key, dotted attribute path) pair."""
+    pairs = (name if isinstance(name, tuple) else (name, name) for name in names)
+    return {key: _plain(attrgetter(path)(report)) for key, path in pairs}
+
+
 def _echo(spec):
     if isinstance(spec, FullShift):
         return {"type": "full", "alphabet": spec.alphabet}
     if isinstance(spec, SFT):
-        return {"type": "sft", "matrix": spec.matrix.tolist()}
+        return {"type": "sft", "matrix": _plain(spec.matrix)}
     if isinstance(spec, ForbiddenWords):
-        return {"type": "forbidden", "alphabet": spec.alphabet, "words": [list(w) for w in spec.words]}
+        return {"type": "forbidden", "alphabet": spec.alphabet, "words": _plain(spec.words)}
     if isinstance(spec, BetaShift):
         return {
             "type": "beta",
@@ -167,54 +185,32 @@ def _echo(spec):
             "digit_depth": spec.digit_depth,
         }
     kind, matrix = spec
-    return {"type": kind, "matrix": np.asarray(matrix).tolist()}
+    return {"type": kind, "matrix": _plain(matrix)}
 
 
 def _section_entropy(spec, flags, warnings):
     est = subshift.topological_entropy(spec, flags["max_n"])
-    return {
-        "theta": list(est.theta),
-        "log_rates": list(est.log_rates),
-        "extrapolated": est.extrapolated,
-        "exact": est.exact,
-        "method": est.method,
-        "n_max": flags["max_n"],
-    }
+    return {**_fields(est, "theta", "log_rates", "extrapolated", "exact", "method"), "n_max": flags["max_n"]}
 
 
 def _section_kms(spec, flags, warnings):
-    if isinstance(spec, tuple):
-        report = tracespace.bimodule_kms(spec[1], depth=flags["depth"])
-        return {
-            "kind": "bimodule",
-            "lambda": report.lam,
-            "beta": report.beta,
-            "v0": report.v0.tolist(),
-            "sequence": [v.tolist() for v in report.sequence],
-        }
-    if not irreducible(spec.matrix):
-        sign = tracespace.temperature_sign(spec.matrix)
+    kind, matrix = ("bimodule", spec[1]) if isinstance(spec, tuple) else ("cuntz-krieger", spec.matrix)
+    if not irreducible(matrix):
+        sign = tracespace.temperature_sign(matrix)
         bracket = [math.log(sign.lower), math.log(sign.upper)]  # the extremal KMS inverse temperatures
-        return {"kind": "cuntz-krieger", "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
-    report = tracespace.kms_temperature(spec.matrix, depth=flags["depth"])
-    return {
-        "kind": "cuntz-krieger",
-        "lambda": report.lam,
-        "beta": report.beta,
-        "uniqueness": report.uniqueness_flag,
-        "eigen_levels": [t.tolist() for t in report.eigen_sequence.levels],
-        "eigen_residuals": list(report.eigen_sequence.residuals),
-    }
+        return {"kind": kind, "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
+    if kind == "bimodule":
+        report = tracespace.bimodule_kms(matrix, depth=flags["depth"])
+        return {"kind": kind, **_fields(report, ("lambda", "lam"), "beta", "v0", "sequence")}
+    report = tracespace.kms_temperature(matrix, depth=flags["depth"])
+    return {"kind": kind, **_fields(
+        report, ("lambda", "lam"), "beta", ("uniqueness", "uniqueness_flag"),
+        ("eigen_levels", "eigen_sequence.levels"), ("eigen_residuals", "eigen_sequence.residuals"),
+    )}
 
 
 def _section_parry(spec, flags, warnings):
-    m = equilibrium.parry_measure(spec.matrix)
-    return {
-        "lambda": m.lam,
-        "transitions": m.transitions.tolist(),
-        "stationary": m.stationary.tolist(),
-        "entropy": m.entropy,
-    }
+    return _fields(equilibrium.parry_measure(spec.matrix), ("lambda", "lam"), "transitions", "stationary", "entropy")
 
 
 def _section_krieger(spec, flags, warnings):
@@ -222,14 +218,7 @@ def _section_krieger(spec, flags, warnings):
     report = krieger.sofic_check(spec, l_max, depth=flags["depth"])
     if not all(report.stabilized):
         warnings.append("krieger: stabilization not reached for some l; counts are lower bounds")
-    return {
-        "counts": list(report.counts),
-        "stabilized": list(report.stabilized),
-        "sofic_detected": report.sofic_detected,
-        "l_max": report.l_max,
-        "depth": report.depth,
-        "fixed_point_depth": report.fixed_point_depth,
-    }
+    return _fields(report, "counts", "stabilized", "sofic_detected", "l_max", "depth", "fixed_point_depth")
 
 
 def _section_bracket(spec, flags, warnings):
@@ -238,49 +227,27 @@ def _section_bracket(spec, flags, warnings):
     report = krieger.entropy_bracket(spec, n_max, depth=depth)
     if depth is None:
         warnings.append(f"bracket: depth raised to {report.depth} to cover n_max")
-    return {
-        "lower": report.lower,
-        "upper": report.upper,
-        "width": report.width,
-        "corrections": list(report.correction_sequence),
-        "dims": list(report.dims),
-        "sofic_detected": report.sofic_detected,
-        "n_max": report.n_max,
-        "depth": report.depth,
-        "fixed_point_depth": report.fixed_point_depth,
-    }
+    return _fields(
+        report, "lower", "upper", "width", ("corrections", "correction_sequence"), "dims", "sofic_detected",
+        "n_max", "depth", "fixed_point_depth",
+    )
 
 
 def _section_variational(spec, flags, warnings):
     report = equilibrium.variational_scan(spec.matrix, n_samples=flags["samples"], seed=flags["seed"])
-    return {
-        "top_entropy": report.top_entropy,
-        "parry_entropy": report.parry_entropy,
-        "max_entropy": report.max_entropy,
-        "max_sampled": report.max_sampled,
-        "gap": report.gap,
-        "violations": report.violations,
-        "n_samples": report.n_samples,
-        "seed": report.seed,
-    }
+    return _fields(
+        report, "top_entropy", "parry_entropy", "max_entropy", "max_sampled", "gap", "violations", "n_samples", "seed"
+    )
 
 
 def _section_resolvent(spec, flags, warnings):
     perron = perron_vectors(spec.matrix)
-    offsets = (0.5, 0.1, 0.01, 1e-4)
     v_dir = perron.v / perron.v.sum()
     rows = []
-    for off in offsets:
+    for off in (0.5, 0.1, 0.01, 1e-4):
         rv = equilibrium.resolvent_vector(perron, perron.lam + off)
         a_dir = rv.a / rv.a.sum()
-        rows.append(
-            {
-                "t": rv.t,
-                "a": rv.a.tolist(),
-                "pairing": rv.pairing,
-                "alignment_l1": float(np.abs(a_dir - v_dir).sum()),
-            }
-        )
+        rows.append({**_fields(rv, "t", "a", "pairing"), "alignment_l1": float(np.abs(a_dir - v_dir).sum())})
     return {"lambda": perron.lam, "schedule": rows}
 
 

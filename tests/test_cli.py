@@ -30,6 +30,7 @@ from shiftkms.equilibrium import InvariantViolation
 from shiftkms.spectral import ConvergenceError
 
 import oracles
+import report_digest
 
 GOLDEN_DOC = '{"type": "sft", "matrix": [[1, 1], [1, 0]]}'
 
@@ -161,6 +162,61 @@ def test_run_all_counts_the_krieger_classes_once(monkeypatch):
     report = run("all", spec, dict(DEFAULT_FLAGS, max_n=100, depth=110))
     assert "krieger" in report["results"] and "bracket" in report["results"]
     assert calls == [100]
+
+
+SECTION_KEYS = {
+    "entropy": ["theta", "log_rates", "extrapolated", "exact", "method", "n_max"],
+    "parry": ["lambda", "transitions", "stationary", "entropy"],
+    "krieger": ["counts", "stabilized", "sofic_detected", "l_max", "depth", "fixed_point_depth"],
+    "bracket": [
+        "lower", "upper", "width", "corrections", "dims", "sofic_detected", "n_max", "depth", "fixed_point_depth"
+    ],
+    "variational": [
+        "top_entropy", "parry_entropy", "max_entropy", "max_sampled", "gap", "violations", "n_samples", "seed"
+    ],
+    "resolvent": ["lambda", "schedule"],
+}
+KMS_KEYS = {
+    "cuntz-krieger": ["kind", "lambda", "beta", "uniqueness", "eigen_levels", "eigen_residuals"],
+    "bimodule": ["kind", "lambda", "beta", "v0", "sequence"],
+    "reducible": ["kind", "lambda", "beta", "uniqueness", "bracket"],
+}
+# (document, the sections of its `all` report, the route of its kms section)
+KEY_ORDER_DOCS = [
+    (GOLDEN_DOC, list(cli.SECTIONS), "cuntz-krieger"),
+    ('{"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}', ["kms"], "bimodule"),
+    ('{"type": "sft", "matrix": [[1, 1, 1], [1, 1, 0], [0, 0, 1]]}', ["entropy", "kms", "krieger", "bracket"],
+     "reducible"),
+    ('{"type": "nonnegative", "matrix": [[1, 1], [0, 2]]}', ["kms"], "reducible"),
+    ('{"type": "beta", "beta": "1.7", "digit_depth": 230}', ["entropy", "krieger", "bracket"], None),
+]
+
+
+@pytest.mark.parametrize("doc, sections, kms_route", KEY_ORDER_DOCS, ids=range(len(KEY_ORDER_DOCS)))
+def test_every_section_lists_its_keys_in_report_order_as_json_values(doc, sections, kms_route):
+    spec = parse_spec(doc)
+    keys = dict(SECTION_KEYS, kms=KMS_KEYS.get(kms_route))
+    for command in cli.COMMANDS:
+        if command not in (*sections, "all"):
+            with pytest.raises(InputError):
+                run(command, spec, DEFAULT_FLAGS)
+            continue
+        report = run(command, spec, DEFAULT_FLAGS)
+        # a tuple, an array or a numpy integer left in the report breaks the round trip
+        assert json.loads(json.dumps(report)) == report
+        results = report["results"]
+        assert list(results) == (sections if command == "all" else [command])
+        for name, section in results.items():
+            assert list(section) == keys[name], (command, name)
+        for row in results.get("resolvent", {}).get("schedule", []):
+            assert list(row) == ["t", "a", "pairing", "alignment_l1"]
+
+
+def test_report_digest_lines_are_reproducible():
+    documents = [report_digest.DOCUMENTS[i] for i in (1, 6, 12)]
+    lines = list(report_digest.digest_lines(documents))
+    assert len(lines) == 3 * len(cli.COMMANDS) * len(report_digest.FLAG_SETS)
+    assert list(report_digest.digest_lines(documents)) == lines
 
 
 def test_timestamp_toggle():
@@ -311,12 +367,14 @@ def test_main_non_finite_lambda_exits_two(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_main_reducible_lambda_with_an_overflowing_block_exits_one(tmp_path, capsys):
+def test_main_reducible_lambda_with_an_overflowing_block_exits_two(tmp_path, capsys):
+    # the bracket of a reducible lambda-matrix needs the radius of each block; this one's overflows
     doc = tmp_path / "spec.json"
     doc.write_text('{"type": "nonnegative", "matrix": [[1e308, 1e308, 0], [1e308, 1e308, 0], [1, 1, 1]]}')
     for command in ("kms", "all"):
-        assert main([command, str(doc), "--no-timestamp"]) == 1
-        assert "needs an irreducible matrix" in capsys.readouterr().err
+        assert main([command, str(doc), "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: numerical solver failed")
 
 
 @pytest.mark.parametrize(
@@ -583,6 +641,33 @@ def test_kms_reducible_mode_reports_the_extremal_temperatures(tmp_path, capsys):
         "uniqueness": False,
         "bracket": [math.log(2), math.log(2)],
     }
+
+
+@pytest.mark.parametrize(
+    "matrix, bracket",
+    [([[1, 1], [0, 2]], [0.0, math.log(2)]), ([[0.5, 1, 0], [0, 2, 0], [0, 1, 3]], [math.log(0.5), math.log(3)])],
+)
+def test_kms_on_a_reducible_lambda_matrix_reports_the_extremal_temperatures(matrix, bracket, tmp_path, capsys):
+    # a reducible nonnegative document takes the route of a reducible SFT (Schneider 1986;
+    # an Huef, Laca, Raeburn and Sims 2015): the distinguished radii of [[0.5, 1, 0], [0, 2, 0],
+    # [0, 1, 3]] are 0.5 and 3, since the class {2} (radius 2) has the class {3} upstream of it
+    doc = tmp_path / "spec.json"
+    doc.write_text(json.dumps({"type": "nonnegative", "matrix": matrix}))
+    for command in ("kms", "all"):
+        assert main([command, str(doc), "--no-timestamp"]) == 0
+        captured = capsys.readouterr()
+        kms = json.loads(captured.out)["results"]["kms"]
+        assert captured.err == "" and kms.pop("bracket") == pytest.approx(bracket, abs=1e-12)
+        assert kms == {"kind": "bimodule", "lambda": None, "beta": None, "uniqueness": False}
+
+
+def test_kms_on_a_lambda_matrix_with_a_zero_row_names_the_cuntz_krieger_condition(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "nonnegative", "matrix": [[1, 1], [0, 0]]}')
+    for command in ("kms", "all"):
+        assert main([command, str(doc), "--no-timestamp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: matrix must have no zero row and no zero column\n"
 
 
 def test_kms_reducible_mode_bracket_matches_the_distinguished_classes():

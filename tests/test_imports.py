@@ -8,8 +8,8 @@ listed in its `__all__`; the package's `__init__` is exempt, since its imports
 are the package's namespace.  Every module-level private name (a function, class or
 assigned constant with one leading underscore) must be read by some module of
 the package, as a name or as a module attribute such as `spectral._powers`.
-Every field of a dataclass of the package must be read as an attribute by some
-file of the package, its tests or the benchmark.
+Every field of a dataclass of the package must be read as an attribute, or named
+in a call of `cli._fields`, by some file of the package, its tests or the benchmark.
 No module but `spectral`, whose `as_count` is the one rule, raises a
 `ValueError` whose message says "must be >=" or "must be an integer".
 """
@@ -88,21 +88,31 @@ def test_every_private_name_is_read():
 
 def unread_fields(defining: dict[str, str], reading: list[str]) -> list[str]:
     """Class.field for each field of a dataclass of defining (module -> text) that no text of reading
-    loads as an attribute.  Fields are matched by name alone, so a field is taken as read when a
-    field of the same name of any other class is: `BetaExpansion.beta` would pass for `KmsReport.beta`."""
+    loads as an attribute or names in a `_fields(report, ...)` call, where each component of a dotted
+    path counts and the key of a (key, path) pair does not.  Fields are matched by name alone, so a
+    field is taken as read when a field of the same name of any other class is: `BetaExpansion.beta`
+    would pass for `KmsReport.beta`."""
     fields = []
     for source in defining.values():
         for node in ast.walk(ast.parse(source)):
             decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])]
             if isinstance(node, ast.ClassDef) and any(getattr(d, "id", None) == "dataclass" for d in decorators):
                 fields += [(node.name, f.target.id) for f in node.body if isinstance(f, ast.AnnAssign)]
-    read = {
-        node.attr
-        for source in reading
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fields":
+                read.update(c for arg in node.args[1:] for c in _field_path(arg).split("."))
     return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def _field_path(arg) -> str:
+    """The attribute path of a name passed to `cli._fields`: a string, or the second item of a pair."""
+    if isinstance(arg, ast.Tuple):
+        arg = arg.elts[1]
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
 
 
 def test_the_check_sees_an_unread_field():
@@ -117,6 +127,10 @@ def test_the_check_sees_an_unread_field():
     reading = ["r = R(1, 2, 3)\nprint(r.kept, S(1.0).beta)\nr.echo = 4\n"]
     # R.beta is unread, but S.beta of the same name is read
     assert unread_fields(defining, reading) == ["R.echo", "S.size"]
+    # a name passed to _fields is read, each component of its dotted path too, but not its key
+    defining["b"] = "from dataclasses import dataclass\n@dataclass\nclass T:\n    x: int\n    key: int\n"
+    reading.append('_fields(r, "kept", ("key", "echo.x"))\n')
+    assert unread_fields(defining, reading) == ["S.size", "T.key"]
 
 
 def test_every_dataclass_field_is_read():
