@@ -17,7 +17,6 @@ from .equilibrium import (
     VariationalReport,
     cylinder,
     cylinder_eigen,
-    markov_entropy,
     parry_measure,
     resolvent_vector,
     variational_scan,

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__, equilibrium, krieger, subshift, tracespace
 from .beta import exact_base
 from .equilibrium import InvariantViolation
-from .spectral import ConvergenceError, as_nonnegative, irreducible, is_integral, perron_vectors
+from .spectral import ConvergenceError, as_count, as_nonnegative, irreducible, is_integral, perron_vectors
 from .subshift import SFT, BetaShift, ForbiddenWords, FullShift
 
 
@@ -82,6 +82,8 @@ def parse_spec(document):
             doc = json.loads(document)
         except json.JSONDecodeError as exc:
             raise InputError(f"document is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise InputError("document nests deeper than the JSON reader allows") from None
     else:
         doc = document
     if not isinstance(doc, dict):
@@ -109,7 +111,7 @@ def parse_spec(document):
             return ("nonnegative", as_nonnegative(_matrix(doc)))
     except InputError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"invalid '{kind}' document: {exc}") from None
     raise InputError(f"unknown spec type {kind!r}")
 
@@ -195,14 +197,15 @@ def _section_entropy(spec, flags, warnings):
 
 def _section_kms(spec, flags, warnings):
     kind, matrix = ("bimodule", spec[1]) if isinstance(spec, tuple) else ("cuntz-krieger", spec.matrix)
+    depth = as_count(flags["depth"], "depth")  # counted before the reducible route, which reads no depth
     if not irreducible(matrix):
         sign = tracespace.temperature_sign(matrix)
         bracket = [math.log(sign.lower), math.log(sign.upper)]  # the extremal KMS inverse temperatures
         return {"kind": kind, "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
     if kind == "bimodule":
-        report = tracespace.bimodule_kms(matrix, depth=flags["depth"])
+        report = tracespace.bimodule_kms(matrix, depth=depth)
         return {"kind": kind, **_fields(report, ("lambda", "lam"), "beta", "v0", "sequence")}
-    report = tracespace.kms_temperature(matrix, depth=flags["depth"])
+    report = tracespace.kms_temperature(matrix, depth=depth)
     return {"kind": kind, **_fields(
         report, ("lambda", "lam"), "beta", ("uniqueness", "uniqueness_flag"),
         ("eigen_levels", "eigen_sequence.levels"), ("eigen_residuals", "eigen_sequence.residuals"),
@@ -370,6 +373,11 @@ def main(argv=None) -> int:
         spec = parse_spec(text)
         report = run(args.command, spec, vars(args))
         text_out = json.dumps(report, indent=2, allow_nan=False)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text_out + "\n")
+        else:
+            print(text_out)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
@@ -379,11 +387,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text_out + "\n")
-    else:
-        print(text_out)
     return 0
 
 

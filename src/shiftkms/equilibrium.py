@@ -45,7 +45,11 @@ class MarkovMeasure:
 
     @property
     def entropy(self) -> float:
-        return markov_entropy(self)
+        """Entropy rate -sum_i pi_i sum_j p_ij log p_ij in nats (0 log 0 = 0)."""
+        P = self.transitions
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
+        return float(-(self.stationary @ plogp.sum(axis=1))) + 0.0
 
 
 def parry_measure(A) -> MarkovMeasure:
@@ -106,14 +110,6 @@ def _validate_cylinder_word(m: MarkovMeasure, word):
     if not w:
         raise ValueError("cylinder words must be nonempty")
     return w
-
-
-def markov_entropy(m: MarkovMeasure) -> float:
-    """Entropy rate -sum_i pi_i sum_j p_ij log p_ij in nats (0 log 0 = 0)."""
-    P = m.transitions
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
-    return float(-(m.stationary @ plogp.sum(axis=1))) + 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -126,20 +126,16 @@ def reachability(A) -> np.ndarray:
         R = nxt
 
 
-def _closure_components(R: np.ndarray) -> list[tuple[int, ...]]:
-    """Strongly connected components read off a reachability closure R."""
-    mutual = (R & R.T) | np.eye(R.shape[0], dtype=bool)
-    first = mutual.argmax(axis=1)  # smallest member of each node's component
-    return [tuple(np.flatnonzero(mutual[i]).tolist()) for i in np.flatnonzero(first == np.arange(R.shape[0]))]
-
-
 def strongly_connected_components(A) -> list[tuple[int, ...]]:
     """Strongly connected components of the support digraph (reachability closure).
 
     Returns a list of components, each a sorted tuple of 0-based node indices,
     ordered by smallest member for determinism.
     """
-    return _closure_components(reachability(A))
+    R = reachability(A)
+    mutual = (R & R.T) | np.eye(R.shape[0], dtype=bool)
+    first = mutual.argmax(axis=1)  # smallest member of each node's component
+    return [tuple(np.flatnonzero(mutual[i]).tolist()) for i in np.flatnonzero(first == np.arange(R.shape[0]))]
 
 
 def _cycle_gcd(S: np.ndarray) -> int:
@@ -439,11 +435,7 @@ def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:
     of the package; the lists stop at the first vanishing sum.  Chunks of K steps from x / 1^T x are
     summed, logged and rescaled at once: as c_min 1^T y <= 1^T A y <= c_max 1^T y over the column sums
     c, K = _LOG_CHUNK / max |log c| keeps every sum within exp(+-_LOG_CHUNK); a zero column gives K = 1."""
-    return _powers(as_nonnegative(A), x, as_count(n, "n"))
-
-
-def _powers(M: np.ndarray, x, n: int) -> tuple[list[float], list[np.ndarray]]:
-    """normalized_powers of a validated matrix."""
+    M, n = as_nonnegative(A), as_count(n, "n")
     s = float(np.sum(x))
     if n < 1 or s <= 0.0:
         return [], []

@@ -277,11 +277,8 @@ def _beta_automaton(spec: BetaShift):
     # block d_0 ... d_{m-1} repeated, so state m-1 wraps to 0 and the graph
     # presents the whole shift; otherwise the chain ends at a horizon state.
     exp = spec.expansion()
-    if exp.terminated:
-        digits, horizon = exp.quasi_greedy_block, None
-    else:
-        digits = exp.quasi_greedy_digits(spec.digit_depth)
-        horizon = len(digits)
+    digits = exp.quasi_greedy_block if exp.terminated else exp.greedy
+    horizon = None if exp.terminated else len(digits)
     # the follower-state reduction is only valid when the expansion of 1
     # dominates all of its shifts lexicographically.  Exact greedy digits do
     # (Parry 1960); only a snapped block, which may belong to no base, is checked

@@ -101,19 +101,15 @@ def _coherent(M: np.ndarray, levels, tol: float = COHERENCE_TOL, require: bool =
 
 def s_prime(seq: CoherentSequence) -> CoherentSequence:
     """(t_0, ..., t_R) -> (A t_0, t_0, ..., t_{R-1}); same truncation depth."""
-    top = seq.matrix @ seq.levels[0]
-    levels = (top,) + seq.levels[:-1]
-    residuals = ((0.0,) + seq.residuals[:-1]) if seq.residuals else ()
-    return CoherentSequence(matrix=seq.matrix, levels=levels, residuals=residuals, tol=seq.tol)
+    levels = (seq.matrix @ seq.levels[0],) + seq.levels[:-1]
+    return _coherent(seq.matrix, levels, seq.tol, require=False)
 
 
 def t_prime(seq: CoherentSequence) -> CoherentSequence:
     """(t_0, ..., t_R) -> (t_1, ..., t_R); depth drops by one."""
     if seq.depth == 0:
         raise ValueError("cannot shift a depth-0 sequence")
-    return CoherentSequence(
-        matrix=seq.matrix, levels=seq.levels[1:], residuals=seq.residuals[1:], tol=seq.tol
-    )
+    return _coherent(seq.matrix, seq.levels[1:], seq.tol, require=False)
 
 
 def k_iterate(A, t, n: int) -> list[np.ndarray]:
@@ -122,7 +118,7 @@ def k_iterate(A, t, n: int) -> list[np.ndarray]:
     M = as_nonnegative(A)
     if not M.any(axis=0).all():
         raise ValueError("k iteration requires a matrix with no zero column")
-    return spectral._powers(M, as_trace_vector(t), as_count(n, "n"))[1]
+    return normalized_powers(M, as_trace_vector(t), n)[1]
 
 
 def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
@@ -187,7 +183,7 @@ def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
     if b.shape != (M.shape[0],) or np.any(b < 0) or float(b.sum()) <= 0.0:
         raise ValueError("boundary must be a nonnegative vector with positive sum")
     b = b / float(b.sum())
-    logs = [0.0] + spectral._powers(M, b, R)[0]  # log(1^T A^k b) for k = 0..R
+    logs = [0.0] + normalized_powers(M, b, R)[0]  # log(1^T A^k b) for k = 0..R
     if len(logs) <= R or abs(logs[-1]) > _LOG_RANGE:  # the boundary dies, or t_R is no normal float
         raise ValueError(f"1^T A^R b vanishes or leaves the float64 range at R = {R}")
     # every level is bitwise A @ next; the second pass divides out the rounding of logs[-1]

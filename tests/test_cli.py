@@ -256,6 +256,35 @@ def test_main_bad_input_exits_one(tmp_path, capsys):
     assert main(["parry", str(doc)]) == 0
 
 
+BIG_INT = "1" + "0" * 400  # 10**400, past the float range
+
+
+@pytest.mark.parametrize(
+    "doc, output, message",
+    [
+        ('{"type": "sft", "matrix": [[%s]]}' % BIG_INT, None, "invalid 'sft' document: int too large to convert to float"),
+        ('{"type": "nonnegative", "matrix": [[%s]]}' % BIG_INT, None,
+         "invalid 'nonnegative' document: int too large to convert to float"),
+        ('{"type": "beta", "beta": %s}' % BIG_INT, None, "invalid 'beta' document: int too large to convert to float"),
+        ('{"type": "sft", "matrix": %s}' % ("[" * 100000 + "]" * 100000), None,
+         "document nests deeper than the JSON reader allows"),
+        ("[" * 100000, None, "document nests deeper than the JSON reader allows"),
+        (GOLDEN_DOC, "missing/report.json", "[Errno 2] No such file or directory: '{output}'"),
+    ],
+    ids=["sft-overflow", "nonnegative-overflow", "beta-overflow", "deep-matrix", "deep-bare", "unwritable-output"],
+)
+def test_main_bad_input_prints_one_error_line(doc, output, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    argv = ["all", str(path), "--no-timestamp"]
+    if output:
+        output = str(tmp_path / output)
+        argv += ["--output", output]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(output=output)}\n")
+    assert output is None or not os.path.exists(output)
+
+
 def test_main_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command", "-"])
@@ -589,15 +618,19 @@ def test_matrix_entries_of_any_number_type_are_accepted():
 LAMBDA_DOC = '{"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}'
 
 
-@pytest.mark.parametrize("doc", [GOLDEN_DOC, LAMBDA_DOC], ids=["sft", "lambda"])
+REDUCIBLE_DOC = '{"type": "sft", "matrix": [[1, 1], [0, 1]]}'
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [GOLDEN_DOC, LAMBDA_DOC, REDUCIBLE_DOC, '{"type": "nonnegative", "matrix": [[1, 1], [0, 2]]}'],
+    ids=["sft", "lambda", "reducible-sft", "reducible-lambda"],
+)
 def test_main_kms_negative_depth_exits_one(doc, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(doc)
     assert main(["kms", str(path), "--depth", "-1", "--no-timestamp"]) == 1
     assert capsys.readouterr() == ("", "error: depth must be >= 0, got -1\n")
-
-
-REDUCIBLE_DOC = '{"type": "sft", "matrix": [[1, 1], [0, 1]]}'
 
 
 def test_all_in_reducible_mode_skips_the_perron_sections(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from shiftkms import (
     cylinder,
     cylinder_eigen,
-    markov_entropy,
     parry_measure,
     perron_vectors,
     resolvent_vector,
@@ -53,13 +52,13 @@ def test_parry_golden_mean():
     assert abs(m.stationary[0] - PHI**2 / (PHI**2 + 1)) < 1e-12
     assert cylinder(m, (2, 2)) == 0.0
     assert abs(m.transitions[1, 0] - 1.0) < 1e-13
-    assert abs(markov_entropy(m) - math.log(PHI)) < 1e-12
+    assert abs(m.entropy - math.log(PHI)) < 1e-12
 
 
 def test_parry_permutation_cycle():
     m = parry_measure([[0, 1], [1, 0]])
     assert np.allclose(m.stationary, 0.5, atol=1e-12)
-    assert markov_entropy(m) == 0.0
+    assert m.entropy == 0.0
 
 
 def test_parry_rejects_reducible():
@@ -110,7 +109,7 @@ def test_cylinder_validates_words():
 
 def test_markov_entropy_uniform_full_shift():
     m = parry_measure(np.ones((2, 2), dtype=int))
-    assert abs(markov_entropy(m) - math.log(2)) < 1e-14
+    assert abs(m.entropy - math.log(2)) < 1e-14
 
 
 def test_resolvent_ones_hand_solve():

@@ -1,13 +1,17 @@
 """No module of the package or its tests imports a name it never uses, and no
 module of the package defines a private name or a dataclass field that nothing
-reads, or states the integer rule of a count itself.
+reads, uses a private name of another module, or states the integer rule of a
+count itself.
 
-Four small `ast` passes stand in for a linter.  Every name a module binds by an
+Five small `ast` passes stand in for a linter.  Every name a module binds by an
 import, other than a `__future__` feature, must be read somewhere in it or be
 listed in its `__all__`; the package's `__init__` is exempt, since its imports
 are the package's namespace.  Every module-level private name (a function, class or
 assigned constant with one leading underscore) must be read by some module of
-the package, as a name or as a module attribute such as `spectral._powers`.
+the package, as a name or as an attribute.  No module of the package uses a
+private name of a sibling, neither as an attribute such as `spectral._x` of a
+module bound by `from . import spectral` nor by `from .spectral import _x`;
+dunders such as `__version__` do not count.
 Every field of a dataclass of the package must be read as an attribute, or named
 in a call of `cli._fields`, by some file of the package, its tests or the benchmark.
 No module but `spectral`, whose `as_count` is the one rule, raises a
@@ -84,6 +88,41 @@ def test_the_check_sees_an_orphan_private_name():
 
 def test_every_private_name_is_read():
     assert orphan_private_names({p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_uses(sources: dict[str, str]) -> list[str]:
+    """'module: sibling._name' for each use, in a module of sources (module -> text), of a private name of a
+    sibling: imported by `from .sibling import _name`, or an attribute of a module bound by `from . import`."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        siblings = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+                siblings.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [f"{module}: {node.module}.{a.name}" for a in node.names if _private(a.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in siblings and _private(node.attr):
+                found.append(f"{module}: {siblings[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_the_check_sees_a_foreign_private_name():
+    sources = {
+        "a": "from . import b as bee\nclass _C:\n    _x = 1\n_LIMIT = _C._x\nprint(bee.__name__, bee.public)\n",
+        "b": "from . import a, __version__\nfrom .a import _LIMIT, pi\na._f()\nprint(a.__doc__, _LIMIT)\na._C = 4\n",
+        "c": "from . import a\nfrom .a import _f as g\nprint(a.__all__, a._C)\n",
+    }
+    assert foreign_private_uses(sources) == ["b: a._C", "b: a._LIMIT", "b: a._f", "c: a._C", "c: a._f"]
+
+
+def test_no_module_uses_a_private_name_of_another():
+    assert foreign_private_uses({p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}) == []
 
 
 def unread_fields(defining: dict[str, str], reading: list[str]) -> list[str]:

@@ -59,6 +59,20 @@ def test_shift_operators_scale_eigen_sequence():
         assert np.abs(a - b / lam).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: coherent_truncation(GOLDEN, [0.5, 0.5], 6), lambda: kms_eigen_sequence(GOLDEN, 6)],
+    ids=["truncation", "eigen"],
+)
+def test_shift_operators_shift_the_residuals(make):
+    # the new top level A t_0 is coherent by construction; every other residual moves with its levels
+    seq = make()
+    assert any(seq.residuals)
+    up, down = s_prime(seq), t_prime(seq)
+    assert up.residuals == (0.0,) + seq.residuals[:-1]
+    assert down.residuals == seq.residuals[1:]
+    assert up.tol == down.tol == seq.tol
+
+
 def test_t_prime_needs_depth():
     seq = coherent_sequence(np.eye(2), [np.array([0.5, 0.5])])
     with pytest.raises(ValueError):
@@ -420,7 +434,7 @@ def test_desk_scale_matrices_stay_within_posted_tolerances():
 
 def test_temperature_sign_builds_the_closure_once(monkeypatch):
     # one reachability closure, and no growth recursion: the column growth is read off the components
-    calls = {"reachability": 0, "_powers": 0}
+    calls = {"reachability": 0, "normalized_powers": 0}
 
     def counting(name, original):
         def wrapper(*args):
@@ -433,7 +447,7 @@ def test_temperature_sign_builds_the_closure_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(spectral, name)))
     temperature_sign([[1, 1, 0], [0, 1, 1], [0, 1, 1]])
-    assert calls == {"reachability": 1, "_powers": 0}
+    assert calls == {"reachability": 1, "normalized_powers": 0}
 
 
 def test_coherent_from_boundary_rejects_a_level_beyond_float64():
