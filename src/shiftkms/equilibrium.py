@@ -7,12 +7,16 @@ unique maximal-entropy measure of the shift; its cylinder weights also have
 the closed eigenvector form v_{w_1} u_{w_r} prod(a) / lam^(r-1), and both
 forms are implemented so they can be checked against each other.
 
-The variational check draws all its samples from one stream,
-default_rng(seed).standard_exponential, sample i taking variates i d^2 ..
-(i + 1) d^2 - 1, so the draws do not depend on how the samples are grouped
-and a k-sample scan is the prefix of any longer one.  The scan runs in blocks
-of _BLOCK_ENTRIES float64 entries in one draw and one work buffer per scan:
-each block draws its samples, solves for their stationary vectors in one
+The variational check proves h(P) <= log lam for each sampled chain P on the
+support through Parry's identity log lam - h(P) = sum_i pi_i KL(P_i || Q_i),
+Q the Parry chain and pi stationary for P (Parry, Trans. AMS 112, 1964): every
+sample carries its divergence and the identity's residual is checked, so a
+few dozen samples illustrate what each one proves.  The samples come from one
+stream, default_rng(seed).standard_exponential, sample i taking variates
+i d^2 .. (i + 1) d^2 - 1, so the draws do not depend on how the samples are
+grouped and a k-sample scan is the prefix of any longer one.  The scan runs in
+blocks of _BLOCK_ENTRIES float64 entries in one draw and one work buffer per
+scan: each block draws its samples, solves for their stationary vectors in one
 stacked linear solve and takes logarithms in place, so memory does not grow
 with the number of samples.
 """
@@ -147,7 +151,9 @@ class VariationalReport:
     violations: int
     n_samples: int
     seed: int
+    identity_residual: float
     entropies: np.ndarray
+    divergences: np.ndarray
 
 
 # float64 entries of the variational scan's draw and work buffers, 256 KB
@@ -158,19 +164,24 @@ _BLOCK_ENTRIES = 2**15
 VARIATIONAL_SLACK = 1e-9  # rounding allowance of a sampled entropy over log r(A)
 MARKOV_TOL = 1e-12  # row-stochasticity, stationarity and normalization error of a Parry measure
 STATIONARY_TOL = 1e-13  # stationarity residual of a sampled chain's solved pi
+# |log r(A) - h - sum pi KL| past the Perron bracket's log(hi / lo): STATIONARY_TOL times
+# half the log-spread of a positive float64 u (745) is 3.7e-11; 0/1 matrices reach 7.9e-14
+IDENTITY_TOL = 1e-10
 
 
 def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
-    """Sample row-stochastic matrices supported exactly on A and compare their
-    stationary entropies with log r(A).
+    """Sample row-stochastic matrices P supported exactly on A and certify
+    h(P) <= log r(A) for each by the identity log r(A) - h(P) = sum pi KL(P || Q).
 
-    Every sampled entropy must stay below log r(A) + VARIATIONAL_SLACK (a
-    violation raises InvariantViolation); the Parry measure is appended to the
-    ensemble so the reported maximum attains the top value.  Sample i is draws
-    i d^2 .. (i + 1) d^2 - 1 of default_rng(seed).standard_exponential, so the
-    first k entropies equal those of a k-sample scan.  Samples are scanned in
-    blocks of max(1, _BLOCK_ENTRIES // d^2); consecutive draws continue the one
-    stream, so a sample's entropy does not depend on its block.
+    A sampled entropy above log r(A) + VARIATIONAL_SLACK is a violation, and an
+    identity residual above IDENTITY_TOL + log(hi / lo) of the Perron bracket a
+    failed proof; either raises InvariantViolation.  The residual is
+    (pi P - pi) . log u - pi . log s, s the Parry row sums before normalizing:
+    IDENTITY_TOL covers the first term and rounding, and each s_i lies in
+    [lo / lam, hi / lam].  The Parry measure is appended to the ensemble so the
+    reported maximum attains the top value.  The first k entropies are those of
+    a k-sample scan, and a sample's entropy does not depend on its block of
+    max(1, _BLOCK_ENTRIES // d^2) samples.
     """
     n_samples = as_count(n_samples, "n_samples", 1)
     seed = as_count(seed, "seed")
@@ -180,18 +191,27 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
     top = math.log(parry.lam)
     parry_entropy = parry.entropy  # before the scan's buffers exist: it allocates d x d arrays too
     mask = M > 0
+    log_q = np.log(parry.transitions + ~mask)  # 0 off the support, where P is 0
     rng = np.random.default_rng(seed)
-    entropies = np.empty(n_samples)
+    entropies, divergences = scan = np.empty((2, n_samples))
     size = min(n_samples, max(1, _BLOCK_ENTRIES // (d * d)))
     draws, work = np.empty((size, d, d)), np.empty((size, d, d))
     for start in range(0, n_samples, size):
         k = min(size, n_samples - start)
         rng.standard_exponential(out=draws[:k])
-        entropies[start : start + k] = _block_entropies(draws[:k], work[:k], mask)
+        scan[:, start : start + k] = _block_entropies(draws[:k], work[:k], mask, log_q)
     violations = int(np.sum(entropies > top + VARIATIONAL_SLACK))
     if violations:
         raise InvariantViolation(
             f"{violations} sampled measures exceeded log r(A) + {VARIATIONAL_SLACK}"
+        )
+    # the Parry entry's divergence from itself is 0
+    residual = max(float(np.abs(top - entropies - divergences).max()), abs(top - parry_entropy))
+    perron = perron_vectors(M)  # the memoized solve that parry_measure read
+    tol = IDENTITY_TOL + math.log(perron.hi / perron.lo)
+    if not residual <= tol:
+        raise InvariantViolation(
+            f"identity log r(A) - h(P) = sum_i pi_i KL(P_i || Q_i) missed by {residual:.2e}, past {tol:.2e}"
         )
     max_sampled = float(entropies.max())
     max_entropy = max(max_sampled, parry_entropy)
@@ -204,21 +224,25 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
         violations=violations,
         n_samples=n_samples,
         seed=seed,
+        identity_residual=residual,
         entropies=entropies,
+        divergences=divergences,
     )
 
 
-def _block_entropies(Ps: np.ndarray, work: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Stationary entropies of the chains made from the (k, d, d) draws Ps,
-    which are masked to the support and row-normalized in place; the system
-    solve and then the log terms overwrite the (k, d, d) buffer work."""
+def _block_entropies(Ps: np.ndarray, work: np.ndarray, mask: np.ndarray, log_q: np.ndarray):
+    """Stationary entropies h of the chains made from the (k, d, d) draws Ps,
+    which are masked to the support and row-normalized in place, and their
+    divergences sum_i pi_i KL(P_i || Q_i) from the chain with log Q = log_q;
+    the system solve and then the log terms overwrite the (k, d, d) buffer work."""
     Ps *= mask
     Ps /= Ps.sum(axis=2, keepdims=True)
     pis = _stationary_batch(Ps, work)
     np.add(Ps, ~mask, out=work)  # 1 off the support, where the log is 0
     np.log(work, out=work)
     work *= Ps
-    return -np.einsum("nd,nd->n", pis, work.sum(axis=2))
+    h = -np.einsum("nd,nd->n", pis, work.sum(axis=2))
+    return h, -np.einsum("nd,nd->n", pis, np.einsum("nij,ij->ni", Ps, log_q)) - h
 
 
 def _stationary_batch(Ps: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import shiftkms
-from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, cli, krieger, subshift
+from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, cli, equilibrium, krieger, subshift
 from shiftkms.cli import (
     MAX_BETA_BITS,
     MAX_DIGIT_DEPTH,
@@ -172,7 +173,8 @@ SECTION_KEYS = {
         "lower", "upper", "width", "corrections", "dims", "sofic_detected", "n_max", "depth", "fixed_point_depth"
     ],
     "variational": [
-        "top_entropy", "parry_entropy", "max_entropy", "max_sampled", "gap", "violations", "n_samples", "seed"
+        "top_entropy", "parry_entropy", "max_entropy", "max_sampled", "gap", "identity_residual", "violations",
+        "n_samples", "seed",
     ],
     "resolvent": ["lambda", "schedule"],
 }
@@ -291,10 +293,60 @@ def test_main_usage_error_exits_one():
     assert exc.value.code == 1
 
 
-def test_main_negative_seed_exits_one(tmp_path):
+def test_main_negative_seed_exits_one(tmp_path, capsys):
     doc = tmp_path / "spec.json"
     doc.write_text(GOLDEN_DOC)
     assert main(["variational", str(doc), "--seed", "-3"]) == 1
+    assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -3\n")
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--depth", "--samples", "--seed"])
+@pytest.mark.parametrize(
+    "command, text",
+    [("entropy", GOLDEN_DOC), ("kms", '{"type": "nonnegative", "matrix": [[1, 2], [3, 1]]}'), ("all", GOLDEN_DOC)],
+    ids=["entropy", "kms-lambda", "all"],
+)
+def test_main_every_flag_is_a_count_for_every_command(command, text, flag, tmp_path, capsys):
+    # a lambda-matrix runs no krieger or variational section, whose flag rules once were the only ones
+    doc = tmp_path / "spec.json"
+    doc.write_text(text)
+    assert main([command, str(doc), flag, "-2", "--no-timestamp"]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} must be >= 0, got -2\n")
+    key = flag[2:].replace("-", "_")
+    with pytest.raises(ValueError, match=f"{flag} must be an integer"):
+        run(command, parse_spec(text), dict(DEFAULT_FLAGS, **{key: 1.5}))
+
+
+def test_main_all_rejects_all_negative_flags_on_a_lambda_matrix(tmp_path, capsys):
+    # this exited 0 and echoed the three negatives into provenance
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "nonnegative", "matrix": [[1, 2], [3, 1]]}')
+    assert main(["all", str(doc), "--max-n", "-1", "--samples", "-3", "--seed", "-2"]) == 1
+    assert capsys.readouterr() == ("", "error: --max-n must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("mutation", ["entropy", "lambda"])
+def test_main_variational_off_the_identity_exits_two(mutation, tmp_path, monkeypatch, capsys):
+    # one sampled entropy 1e-6 low, or a lambda 1e-6 high: no sample exceeds log lambda
+    if mutation == "entropy":
+        entropies = equilibrium._block_entropies
+
+        def perturbed(*args):
+            h, kl = entropies(*args)
+            h[0] -= 1e-6
+            return h, kl
+
+        monkeypatch.setattr(equilibrium, "_block_entropies", perturbed)
+    else:
+        parry = equilibrium.parry_measure
+        monkeypatch.setattr(
+            equilibrium, "parry_measure", lambda A: dataclasses.replace(parry(A), lam=parry(A).lam * (1 + 1e-6))
+        )
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+    assert main(["variational", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invariant violation: identity log r(A) - h(P)")
 
 
 def test_cli_bracket_on_beta_document(tmp_path, capsys):
@@ -503,17 +555,20 @@ def test_bounds_themselves_are_accepted():
     # the samples x d^3 bound only applies where the scan runs
     assert run("entropy", FullShift(64), dict(DEFAULT_FLAGS, samples=65537))["results"]
     assert MAX_SCAN_WORK // 64**3 == 65536
-    # and it admits the default 1000 samples at the largest dimension
-    assert MAX_SCAN_WORK // MAX_DIMENSION**3 >= 1000
+    # and it admits the default samples at the largest dimension
+    assert MAX_SCAN_WORK // MAX_DIMENSION**3 >= cli._build_parser().get_default("samples")
 
 
-@pytest.mark.parametrize("max_n", ["1", "-1"])
-def test_krieger_max_n_below_two_is_bad_input(max_n, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "max_n, message", [("1", "l_max must be >= 2"), ("-1", "--max-n must be >= 0")], ids=["1", "-1"]
+)
+def test_krieger_max_n_below_two_is_bad_input(max_n, message, tmp_path, capsys):
+    # a negative flag is no count for any command; 0 and 1 are, and the section owns l_max >= 2
     doc = tmp_path / "spec.json"
     doc.write_text(GOLDEN_DOC)
     assert main(["krieger", str(doc), "--max-n", max_n]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "l_max must be >= 2" in captured.err
+    assert captured.out == "" and message in captured.err
     # from 2 on, l_max is max_n capped at depth - 2 and never below 2
     for n, depth, l_max in ((2, 12, 2), (5, 12, 5), (30, 12, 10), (30, 3, 2)):
         report = run("krieger", parse_spec(GOLDEN_DOC), dict(DEFAULT_FLAGS, max_n=n, depth=depth))
@@ -554,9 +609,10 @@ def test_main_all_rejects_flags_before_any_section_runs(flag, value, tmp_path, m
     doc.write_text(GOLDEN_DOC)
     assert main(["all", str(doc), flag, value]) == 1
     assert calls == []
-    # a flag is only checked where its section runs
-    assert main(["entropy", str(doc), flag, value, "--output", str(tmp_path / "out.json")]) == 0
-    assert calls == ["entropy"]
+    # a section's minimum is only checked where the section runs; a negative flag is no count for any command
+    counted = flag != "--seed"
+    assert main(["entropy", str(doc), flag, value, "--output", str(tmp_path / "out.json")]) == (0 if counted else 1)
+    assert calls == (["entropy"] if counted else [])
 
 
 def test_forbidden_bounds_themselves_are_accepted():
@@ -630,7 +686,7 @@ def test_main_kms_negative_depth_exits_one(doc, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(doc)
     assert main(["kms", str(path), "--depth", "-1", "--no-timestamp"]) == 1
-    assert capsys.readouterr() == ("", "error: depth must be >= 0, got -1\n")
+    assert capsys.readouterr() == ("", "error: --depth must be >= 0, got -1\n")
 
 
 def test_all_in_reducible_mode_skips_the_perron_sections(tmp_path, capsys):

@@ -270,6 +270,52 @@ def test_variational_scan_entropies_are_bitwise_the_allocating_scan(matrix, n_sa
     assert np.array_equal(variational_scan(matrix, n_samples, seed=seed).entropies, reference)
 
 
+@pytest.mark.parametrize("d", [2, 8, 16, 64, 256])
+def test_variational_scan_certifies_each_sample_by_parrys_identity(d):
+    # log r(A) - h(P) = sum_i pi_i KL(P_i || Q_i) >= 0, Q the Parry chain; IDENTITY_TOL
+    # sits at least 100 times above the residual on these matrices
+    matrix = oracles.random_irreducible_zero_one(np.random.default_rng(d), d, 0.6)
+    report = variational_scan(matrix, 64, seed=d)
+    assert np.all(report.divergences >= 0.0)
+    assert report.identity_residual <= equilibrium.IDENTITY_TOL / 100
+    assert report.identity_residual >= np.abs(report.top_entropy - report.entropies - report.divergences).max()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [GOLDEN, _block_cyclic_period_3(), oracles.random_irreducible_zero_one(np.random.default_rng(16), 16, 0.6)],
+    ids=["golden", "block-cyclic3", "random16"],
+)
+def test_variational_divergences_are_the_kl_sums_from_the_parry_chain(matrix):
+    Ps, pis, _ = oracles.variational_entropies_brute(matrix, 50, seed=6)
+    Q = parry_measure(matrix).transitions
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(Ps > 0, Ps * np.log(np.where(Ps > 0, Ps, 1.0) / np.where(Q > 0, Q, 1.0)), 0.0)
+    kl = np.einsum("ni,nij->n", pis, terms)
+    assert np.allclose(variational_scan(matrix, 50, seed=6).divergences, kl, rtol=1e-10, atol=1e-13)
+
+
+def _block_with_a_path(block, d):
+    """A full block on symbols 1..block, then a path block -> ... -> d -> 1: the right
+    Perron vector decays by r(A) = block per step along the path."""
+    M = np.zeros((d, d), dtype=int)
+    M[:block, :block] = 1
+    for i in range(block - 1, d - 1):
+        M[i, i + 1] = 1
+    M[d - 1, 0] = 1
+    return M
+
+
+def test_variational_identity_allows_the_perron_bracket_width():
+    # along the path u falls to 8^-56 but the solved u stops near 3e-19, so its
+    # Collatz-Wielandt bracket is [1, 8]: the Parry row sums leave 1, and with them the identity
+    matrix = _block_with_a_path(8, 64)
+    perron = perron_vectors(matrix)
+    report = variational_scan(matrix, 64, seed=0)
+    assert equilibrium.IDENTITY_TOL < report.identity_residual <= math.log(perron.hi / perron.lo)
+    assert report.violations == 0 and abs(report.gap) < 1e-12
+
+
 def test_variational_scan_runs_the_stationary_residual_check(monkeypatch):
     monkeypatch.setattr(equilibrium, "STATIONARY_TOL", -1.0)
     with pytest.raises(InvariantViolation, match="stationary residual"):
