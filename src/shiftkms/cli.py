@@ -17,6 +17,7 @@ transition-matrix or a `nonnegative` document, gets the bracket of its extremal
 KMS inverse temperatures from temperature_sign in `kms`; `all` skips the
 sections that need Perron data, and asked for alone they are bad input.  Each
 section's fields are listed once, in report order, in its `_fields` call.
+A report is one line of compact JSON; `python -m json.tool` indents it.
 """
 
 from __future__ import annotations
@@ -372,7 +373,7 @@ def main(argv=None) -> int:
                 text = fh.read()
         spec = parse_spec(text)
         report = run(args.command, spec, vars(args))
-        text_out = json.dumps(report, indent=2, allow_nan=False)
+        text_out = json.dumps(report, allow_nan=False, separators=(",", ":"))
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text_out + "\n")

@@ -6,9 +6,12 @@ Run it as
 
 and `diff` the files of two trees.  Each run is one line
 
-    doc-index command flags exit sha256(stdout + stderr)
+    doc-index command flags exit sha256(stdout + stderr) value-digest
 
-where flags are written as one word (`-` for none).  Every run goes through
+where flags are written as one word (`-` for none).  On exit 0 the value
+digest is the sha256 of the report re-encoded with sorted keys and compact
+separators, so a change of layout alone shows as a changed fifth field with an
+equal sixth; on any other exit it is `-`.  Every run goes through
 `cli.main(... --no-timestamp)` in-process, after the package memos are emptied,
 so a run does not depend on the ones before it.  The corpus is every command
 under four flag sets on 46 documents: the README's five, a reducible `sft` and
@@ -66,6 +69,11 @@ def _documents():
 DOCUMENTS = _documents()
 
 
+def _value_digest(stdout):
+    canonical = json.dumps(json.loads(stdout), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def digest_lines(documents):
     """One line per (document, command, flag set) run, in corpus order."""
     for index, doc in enumerate(documents):
@@ -81,7 +89,8 @@ def digest_lines(documents):
                 finally:
                     sys.stdin = stdin
                 digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
-                yield f"{index} {command} {','.join(flags) or '-'} {code} {digest}"
+                values = _value_digest(out.getvalue()) if code == 0 else "-"
+                yield f"{index} {command} {','.join(flags) or '-'} {code} {digest} {values}"
 
 
 if __name__ == "__main__":

@@ -219,6 +219,9 @@ def test_report_digest_lines_are_reproducible():
     lines = list(report_digest.digest_lines(documents))
     assert len(lines) == 3 * len(cli.COMMANDS) * len(report_digest.FLAG_SETS)
     assert list(report_digest.digest_lines(documents)) == lines
+    fields = [line.split(" ") for line in lines]
+    assert all(len(f) == 6 and (f[5] == "-") == (f[3] != "0") for f in fields)
+    assert any(f[3] == "0" for f in fields) and any(f[3] != "0" for f in fields)
 
 
 def test_timestamp_toggle():
@@ -237,6 +240,21 @@ def test_main_success_and_output_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert abs(report["results"]["kms"]["beta"] - math.log((1 + 5**0.5) / 2)) < 1e-10
+
+
+def test_main_writes_one_line_of_compact_json(tmp_path, capsys):
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+    argv = ["all", str(doc), "--no-timestamp"]
+    flags = vars(cli._build_parser().parse_args(argv))
+    expected = json.dumps(run("all", parse_spec(GOLDEN_DOC), flags), allow_nan=False, separators=(",", ":")) + "\n"
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == expected and stdout.count("\n") == 1
+    out = tmp_path / "report.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == stdout
 
 
 def test_main_stdout_identical_across_runs(tmp_path, capsys):
