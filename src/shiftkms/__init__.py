@@ -16,17 +16,14 @@ from .equilibrium import (
     ResolventVector,
     VariationalReport,
     cylinder,
-    cylinder_eigen,
     parry_measure,
     resolvent_vector,
     variational_scan,
 )
 from .krieger import (
     BracketReport,
-    DimQ,
     PastPartition,
     SoficReport,
-    dim_q,
     entropy_bracket,
     omega_l,
     predecessor_set,
@@ -37,7 +34,6 @@ from .spectral import (
     ConvergenceError,
     PerronData,
     ReducibleMatrixError,
-    aperiodic,
     component_perron_data,
     irreducible,
     period,
@@ -68,10 +64,8 @@ from .tracespace import (
     bimodule_kms,
     coherent_from_boundary,
     coherent_sequence,
-    coherent_truncation,
     epsilon_sequence,
     h_iterate,
-    k_iterate,
     kms_eigen_sequence,
     kms_temperature,
     normalization_profile,

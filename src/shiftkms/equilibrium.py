@@ -3,9 +3,9 @@ invariant one, measure entropy, and the variational check.
 
 For an irreducible 0/1 matrix with Perron data (lam, u, v), the stochasticized
 chain p_ij = a_ij u_j / (lam u_i) with stationary vector pi_i = u_i v_i is the
-unique maximal-entropy measure of the shift; its cylinder weights also have
-the closed eigenvector form v_{w_1} u_{w_r} prod(a) / lam^(r-1), and both
-forms are implemented so they can be checked against each other.
+unique maximal-entropy measure of the shift; `cylinder` reads its weights
+as pi_{w_1} prod p, which equals the closed eigenvector form
+v_{w_1} u_{w_r} prod(a) / lam^(r-1) that the tests check it against.
 
 The variational check proves h(P) <= log lam for each sampled chain P on the
 support through Parry's identity log lam - h(P) = sum_i pi_i KL(P_i || Q_i),
@@ -96,17 +96,6 @@ def cylinder(m: MarkovMeasure, word) -> float:
         if value == 0.0:
             return 0.0
     return value
-
-
-def cylinder_eigen(m: MarkovMeasure, word) -> float:
-    """The same cylinder weight in the eigenvector form
-    v_{w_1} u_{w_r} prod(a) / lam^(r-1)."""
-    w = _validate_cylinder_word(m, word)
-    for a, b in zip(w, w[1:]):
-        if not m.matrix[a - 1, b - 1]:
-            return 0.0
-    r = len(w)
-    return float(m.v[w[0] - 1] * m.u[w[-1] - 1] / m.lam ** (r - 1))
 
 
 def _validate_cylinder_word(m: MarkovMeasure, word):
@@ -241,7 +230,7 @@ def _block_entropies(Ps: np.ndarray, work: np.ndarray, mask: np.ndarray, log_q: 
     np.add(Ps, ~mask, out=work)  # 1 off the support, where the log is 0
     np.log(work, out=work)
     work *= Ps
-    h = -np.einsum("nd,nd->n", pis, work.sum(axis=2))
+    h = -np.einsum("nd,nd->n", pis, work.sum(axis=2)) + 0.0  # no -0.0 on a zero-entropy chain
     return h, -np.einsum("nd,nd->n", pis, np.einsum("nij,ij->ni", Ps, log_q)) - h
 
 

@@ -7,7 +7,7 @@ from the start in <= l steps; class counting therefore reduces to a backward
 subset iteration and never enumerates words unless the words themselves are
 requested.
 
-`dim_q`, `sofic_check` and `entropy_bracket` share one counting core.  It holds
+`sofic_check` and `entropy_bracket` share one counting core.  It holds
 each subset family as a set of packed subsets, gathers a subset's preimages
 only when it first appears, and stops at the first depth whose family equals
 the next one: the recursion is deterministic, so every deeper family is the
@@ -64,14 +64,6 @@ class PastPartition:
     classes: tuple[PastClass, ...]
     class_count: int
     stabilized: bool
-
-
-@dataclass(frozen=True)
-class DimQ:
-    count: int
-    stabilized: bool
-    depth: int
-    fixed_point_depth: int | None
 
 
 @dataclass(frozen=True)
@@ -241,19 +233,6 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     before = at_depth if fixed_point_depth is not None else counts(unpack(prev))
     stabilized = tuple(depth - 1 >= max(n, 1) and b == c for n, (b, c) in enumerate(zip(before, at_depth)))
     return at_depth, stabilized, fixed_point_depth
-
-
-def dim_q(spec, n: int, depth: int) -> DimQ:
-    """Cover dimension dim(Q_n) = number of n-past classes at the given proxy depth.
-
-    A non-stabilized count must be treated as a lower bound.
-    """
-    n = as_count(n, "n")
-    depth = as_count(depth, "depth", max(n, 1))
-    aut = automaton_for(spec)
-    aut.check_length(n + depth)
-    counts, stabilized, fixed = _class_counts(aut, n, depth)
-    return DimQ(count=counts[n], stabilized=stabilized[n], depth=depth, fixed_point_depth=fixed)
 
 
 def sofic_check(spec, l_max: int, depth: int | None = None) -> SoficReport:

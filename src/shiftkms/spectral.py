@@ -185,11 +185,6 @@ def period(A) -> int:
     return p
 
 
-def aperiodic(A) -> bool:
-    """True iff A is irreducible with cycle-length gcd 1."""
-    return period(A) == 1
-
-
 def _warm_start(B: np.ndarray, steps: int) -> np.ndarray:
     """Start vector of a Noda run on an irreducible B: at most `steps` power steps
     x <- (B x + x) / sum from ones/d.

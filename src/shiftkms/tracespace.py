@@ -112,15 +112,6 @@ def t_prime(seq: CoherentSequence) -> CoherentSequence:
     return _coherent(seq.matrix, seq.levels[1:], seq.tol, require=False)
 
 
-def k_iterate(A, t, n: int) -> list[np.ndarray]:
-    """n steps of t -> A t / (1^T A t); a power iteration toward the right
-    Perron direction for irreducible aperiodic A.  Returns the n iterates."""
-    M = as_nonnegative(A)
-    if not M.any(axis=0).all():
-        raise ValueError("k iteration requires a matrix with no zero column")
-    return normalized_powers(M, as_trace_vector(t), n)[1]
-
-
 def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
     """n steps of (t_r) -> (t_{r+1}) / sum(t_1); fixed points (up to the
     truncation) are exactly the eigen-sequences."""
@@ -155,22 +146,6 @@ def _eigen_levels(p, R: int) -> list[np.ndarray]:
     if max(rate, 0.0) - math.log(float(p.u.min())) > _LOG_RANGE or -rate > _LOG_RANGE:
         raise ValueError(f"lam^(-depth) u leaves the normal float64 range at depth = {R} (lambda = {p.lam:.6g})")
     return [p.u * p.lam ** (-r) for r in range(R + 1)]
-
-
-def coherent_truncation(A, t0, R: int) -> CoherentSequence:
-    """Coherent truncation grown forward from a starting trace: each next level
-    solves A x = t_r by least squares projected to x >= 0, residuals recorded.
-
-    Positivity can be incompatible with deep coherent extensions of a generic
-    t_0 (the extendable cone narrows to the Perron direction), in which case
-    the projection leaves visible residuals rather than faking coherence.
-    """
-    M = as_nonnegative(A)
-    levels = [as_trace_vector(t0)]
-    for _ in range(as_count(R, "R")):
-        x, *_ = np.linalg.lstsq(M, levels[-1], rcond=None)
-        levels.append(np.clip(x, 0.0, None))
-    return _coherent(M, levels, require=False)
 
 
 def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:

@@ -98,6 +98,10 @@ the scan reused its buffers: every block draws a fresh (k, d, d) array,
 takes the logs in a fresh array, and `stationary_batch_allocating` solves the
 freshly built systems P^T - I.  It does the same arithmetic in the same order,
 so the package's entropies must equal it bit for bit.
+
+`cylinder_eigen` is the Parry cylinder weight in the closed eigenvector form
+v_{w_1} u_{w_r} prod(a) / lam^(r-1); `equilibrium.cylinder` multiplies the
+stationary entry by transition probabilities and must agree with it.
 """
 
 from __future__ import annotations
@@ -113,6 +117,7 @@ import numpy as np
 
 from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral
 from shiftkms.beta import BetaExpansion
+from shiftkms.equilibrium import _validate_cylinder_word
 from shiftkms.subshift import Automaton, automaton_for
 
 
@@ -896,3 +901,14 @@ def noda_eye(B, shift, x):
             shift = None
             x = z / z.sum()
     raise spectral.ConvergenceError("no convergence", best[0], hi - lo)
+
+
+def cylinder_eigen(m, word) -> float:
+    """The Parry measure m of the cylinder of word, in the eigenvector form
+    v_{w_1} u_{w_r} prod(a) / lam^(r-1)."""
+    w = _validate_cylinder_word(m, word)
+    for a, b in zip(w, w[1:]):
+        if not m.matrix[a - 1, b - 1]:
+            return 0.0
+    r = len(w)
+    return float(m.v[w[0] - 1] * m.u[w[-1] - 1] / m.lam ** (r - 1))

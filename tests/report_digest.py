@@ -14,10 +14,11 @@ separators, so a change of layout alone shows as a changed fifth field with an
 equal sixth; on any other exit it is `-`.  Every run goes through
 `cli.main(... --no-timestamp)` in-process, after the package memos are emptied,
 so a run does not depend on the ones before it.  The corpus is every command
-under four flag sets on 46 documents: the README's five, a reducible `sft` and
-a reducible `nonnegative` matrix, eleven beta bases, ten seeded reducible and
-eight seeded irreducible 0/1 matrices, six seeded forbidden-word documents and
-four seeded weighted matrices.
+under four flag sets on 47 documents, 1504 runs: the README's five, a reducible
+`sft` and a reducible `nonnegative` matrix, eleven beta bases, ten seeded
+reducible and eight seeded irreducible 0/1 matrices, six seeded forbidden-word
+documents, four seeded weighted matrices, and the 2-cycle `sft`, whose entropy
+is 0 and whose period is 2.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def _documents():
         r = np.random.default_rng(50 + s)
         M = np.round((r.random((6, 6)) < 0.6) * (0.5 + 1.5 * r.random((6, 6))), 4)
         docs.append({"type": "nonnegative", "matrix": M.tolist()})
+    docs.append({"type": "sft", "matrix": [[0, 1], [1, 0]]})
     return docs
 
 

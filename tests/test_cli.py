@@ -267,6 +267,27 @@ def test_main_stdout_identical_across_runs(tmp_path, capsys):
     assert first == second
 
 
+ZERO_ENTROPY_DOCS = [
+    '{"type": "sft", "matrix": [[0, 1], [1, 0]]}',
+    '{"type": "sft", "matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}',
+    '{"type": "sft", "matrix": [[1]]}',
+    '{"type": "full", "alphabet": 1}',
+]
+
+
+@pytest.mark.parametrize("command", ["variational", "all"])
+@pytest.mark.parametrize("doc", ZERO_ENTROPY_DOCS)
+def test_zero_entropy_reports_print_no_negative_zero(doc, command, tmp_path, capsys):
+    # each sampled chain of a zero-entropy shift has h = 0, printed as 0.0 like parry_entropy
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    assert main([command, str(path), "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"-0\.0\b", out) is None, out
+    section = json.loads(out)["results"]["variational"]
+    assert section["max_sampled"] == section["max_entropy"] == section["parry_entropy"] == 0.0
+
+
 def test_main_bad_input_exits_one(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text('{"type": "sft", "matrix": [[1, 0], [1, 0]]}')

@@ -20,7 +20,7 @@ MODULES = (spectral, subshift, beta, krieger, tracespace, equilibrium)
 COUNT_PARAMETERS = {
     "n", "n_max", "l", "l_max", "depth", "R", "n_samples", "seed", "n_digits", "digit_depth", "alphabet",
 }
-REPORTS = {"PastPartition", "DimQ", "SoficReport", "BracketReport", "VariationalReport"}  # results, not arguments
+REPORTS = {"PastPartition", "SoficReport", "BracketReport", "VariationalReport"}  # results, not arguments
 
 GOLDEN = [[1, 1], [1, 0]]
 TRACE = [0.5, 0.5]
@@ -49,16 +49,12 @@ TABLE = [
     ("predecessor_set", "l", "l", 0, 3, lambda v: krieger.predecessor_set((1,), v, SPEC)),
     ("omega_l", "l", "l", 0, 2, lambda v: krieger.omega_l(SPEC, v, 6)),
     ("omega_l", "depth", "depth", 2, 6, lambda v: krieger.omega_l(SPEC, 2, v)),
-    ("dim_q", "n", "n", 0, 2, lambda v: krieger.dim_q(SPEC, v, 6)),
-    ("dim_q", "depth", "depth", 3, 6, lambda v: krieger.dim_q(SPEC, 3, v)),
     ("sofic_check", "l_max", "l_max", 2, 4, lambda v: krieger.sofic_check(SPEC, v, 8)),
     ("sofic_check", "depth", "depth", 3, 7, lambda v: krieger.sofic_check(SPEC, 3, v)),
     ("entropy_bracket", "n_max", "n_max", 4, 5, lambda v: krieger.entropy_bracket(SPEC, v, 12)),
     ("entropy_bracket", "depth", "depth", 5, 8, lambda v: krieger.entropy_bracket(SPEC, 5, v)),
-    ("k_iterate", "n", "n", 0, 4, lambda v: tracespace.k_iterate(GOLDEN, TRACE, v)),
     ("h_iterate", "n", "n", 0, 3, lambda v: tracespace.h_iterate(tracespace.kms_eigen_sequence(GOLDEN, 6), v)),
     ("kms_eigen_sequence", "R", "depth", 0, 4, lambda v: tracespace.kms_eigen_sequence(GOLDEN, v)),
-    ("coherent_truncation", "R", "R", 0, 3, lambda v: tracespace.coherent_truncation(GOLDEN, TRACE, v)),
     ("coherent_from_boundary", "R", "R", 0, 4, lambda v: tracespace.coherent_from_boundary(GOLDEN, [1.0, 1.0], v)),
     ("epsilon_sequence", "n_max", "n_max", 1, 5, lambda v: tracespace.epsilon_sequence(GOLDEN, TRACE, v)),
     ("temperature_from_trace", "n_max", "n_max", 1, 50, lambda v: tracespace.temperature_from_trace(GOLDEN, TRACE, v)),

@@ -8,7 +8,6 @@ from shiftkms import (
     ForbiddenWords,
     FullShift,
     SFT,
-    dim_q,
     krieger,
     entropy_bracket,
     omega_l,
@@ -139,9 +138,9 @@ def test_sft_class_count_bounded_by_power_of_alphabet():
 
 
 def test_dim_q_examples():
-    assert dim_q(FullShift(2), 5, 8).count == 1
-    assert dim_q(GOLDEN, 5, 8).count == 2
-    assert dim_q(BetaShift(PHI, digit_depth=32), 5, 8).count == 2
+    assert sofic_check(FullShift(2), 5, 8).counts[4] == 1
+    assert sofic_check(GOLDEN, 5, 8).counts[4] == 2
+    assert sofic_check(BetaShift(PHI, digit_depth=32), 5, 8).counts[4] == 2
 
 
 def test_dim_q_consistent_with_enumeration():
@@ -152,15 +151,15 @@ def test_dim_q_consistent_with_enumeration():
         BetaShift("1.7", digit_depth=32),
     ]
     for spec in specs:
-        for n in range(1, 7):
-            for depth in range(max(n, 2), 10):
-                res, part = dim_q(spec, n, depth), omega_l(spec, n, depth)
-                assert (res.count, res.stabilized) == (part.class_count, part.stabilized)
-        # one stabilization rule: the l = l_max flag at depth = l_max is False in all four
+        # every n <= depth up to 6; one stabilization rule: the l = l_max flag
+        # at depth = l_max is False in all four
         for depth in range(2, 10):
             l_max = min(depth, 6)
-            flags = tuple(dim_q(spec, n, depth).stabilized for n in range(1, l_max + 1))
-            assert sofic_check(spec, l_max, depth).stabilized == flags
+            parts = [omega_l(spec, n, depth) for n in range(1, l_max + 1)]
+            flags = tuple(part.stabilized for part in parts)
+            check = sofic_check(spec, l_max, depth)
+            assert check.counts == tuple(part.class_count for part in parts)
+            assert check.stabilized == flags
             if l_max >= 4:
                 assert entropy_bracket(spec, l_max, depth).dims_stabilized == flags
 
@@ -168,10 +167,9 @@ def test_dim_q_consistent_with_enumeration():
 def test_dim_q_beta_linear_growth_with_aperiodic_expansion():
     spec = BetaShift("1.7", digit_depth=64)
     assert spec.expansion().quasi_greedy_block is None
-    for n in range(1, 11):
-        res = dim_q(spec, n, 16)
-        assert res.stabilized
-        assert res.count == n + 1
+    report = sofic_check(spec, 10, 16)
+    assert all(report.stabilized)
+    assert report.counts == tuple(n + 1 for n in range(1, 11))
 
 
 def test_sofic_check_golden():
@@ -215,9 +213,8 @@ def test_sofic_verdict_needs_no_count_window():
 def test_class_counts_are_presentation_independent():
     # three presentations of the same language give the same cover dimensions
     presentations = (GOLDEN, ForbiddenWords(2, ((2, 2),)), BetaShift(PHI, digit_depth=32))
-    for n in range(1, 7):
-        counts = {dim_q(spec, n, 10).count for spec in presentations}
-        assert counts == {2}
+    for spec in presentations:
+        assert sofic_check(spec, 6, 10).counts == (2,) * 6
 
 
 def test_bracket_sofic_inputs_close():
@@ -271,7 +268,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         omega_l(GOLDEN, 3, 2)
     with pytest.raises(ValueError):
-        dim_q(GOLDEN, -1, 5)
+        sofic_check(GOLDEN, -1, 5)
     with pytest.raises(ValueError):
         sofic_check(GOLDEN, 1)
     with pytest.raises(ValueError):
@@ -281,7 +278,7 @@ def test_validation_errors():
     # the empty family is a fixed point at depth 1, reached before the requested depth
     empty = ForbiddenWords(1, ((1,),))
     with pytest.raises(ValueError, match="no admissible words of length 5"):
-        dim_q(empty, 2, 5)
+        sofic_check(empty, 2, 5)
     with pytest.raises(ValueError, match="no admissible words of length 7"):
         sofic_check(empty, 3)
     with pytest.raises(ValueError, match=r"subshift is empty \(theta_1 = 0\)"):
@@ -290,7 +287,7 @@ def test_validation_errors():
         with pytest.raises(ValueError, match=f"got '?{base}"):
             BetaShift(base)
     capped = BetaShift("1.7", digit_depth=32)
-    for call in (dim_q, sofic_check, entropy_bracket):
+    for call in (sofic_check, entropy_bracket):
         with pytest.raises(ValueError, match="word length 40 exceeds the presentation depth 32"):
             call(capped, 10, 30)
 
@@ -333,17 +330,16 @@ def test_class_counts_match_frozenset_reference(spec, l_max, depths):
         assert bracket.dims_stabilized == stab
         assert bracket.sofic_detected == sofic
 
-        for n in range(0, l_max + 1, max(1, l_max // 8)):
-            res = dim_q(spec, n, depth)
-            assert res.count == counts[n]
-            assert res.stabilized == (depth - 1 >= max(n, 1) and before[n] == counts[n])
+        # the counts up to n do not depend on the n_max of the pass
+        for n in range(2, l_max + 1, max(1, l_max // 8)):
+            prefix = sofic_check(spec, n, depth)
+            assert (prefix.counts, prefix.stabilized) == (check.counts[:n], stab[:n])
 
         # fixed_point_depth is the first m with family(m) == family(m + 1)
         family = oracles.subset_family_brute(aut, depth)
         repeats = [m for m in range(depth) if family[m] == family[m + 1]]
         expected = repeats[0] if repeats else None
         assert check.fixed_point_depth == bracket.fixed_point_depth == expected
-        assert dim_q(spec, 1, depth).fixed_point_depth == expected
     assert expected is not None and all(f == family[-1] for f in family[expected:])
 
 

@@ -18,7 +18,6 @@ import pytest
 from shiftkms import (
     SFT,
     FullShift,
-    aperiodic,
     bimodule_kms,
     component_perron_data,
     exact_entropy,
@@ -297,7 +296,6 @@ def test_period_reads_the_graph_pass_of_the_analysis(monkeypatch):
         assert irreducible(M) == one
         if one:
             assert period(M) == oracles.period_brute(M)
-            assert aperiodic(M) == (period(M) == 1)
         else:
             with pytest.raises(spectral.ReducibleMatrixError):
                 period(M)

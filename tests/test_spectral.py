@@ -8,10 +8,8 @@ from shiftkms import (
     SFT,
     ConvergenceError,
     ReducibleMatrixError,
-    aperiodic,
     component_perron_data,
     irreducible,
-    k_iterate,
     kms_temperature,
     period,
     perron_vectors,
@@ -47,17 +45,15 @@ def test_irreducible_matches_reachability_oracle():
         assert irreducible(M) == oracles.reachability_irreducible(M)
 
 
-def test_aperiodic_examples():
-    assert not aperiodic([[0, 1], [1, 0]])
-    assert aperiodic(GOLDEN)
-    cycle3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-    assert not aperiodic(cycle3)
-    assert period(cycle3) == 3
+def test_period_examples():
+    assert period([[0, 1], [1, 0]]) == 2
+    assert period(GOLDEN) == 1
+    assert period([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 3
 
 
-def test_aperiodic_requires_irreducible():
+def test_period_requires_irreducible():
     with pytest.raises(ReducibleMatrixError):
-        aperiodic([[1, 1], [0, 1]])
+        period([[1, 1], [0, 1]])
 
 
 def test_period_matches_closed_walk_oracle():
@@ -124,7 +120,7 @@ def test_period_of_the_level_adjacency_matches_closed_walks(name):
     if isinstance(M, tuple):  # (period, block) of a block-cyclic matrix
         M = oracles.block_cyclic(np.random.default_rng(M[0]), *M)
     assert period(M) == oracles.period_brute(M)
-    assert irreducible(M) and aperiodic(M) == (oracles.period_brute(M) == 1)
+    assert irreducible(M)
 
 
 def test_graph_pass_matches_tarjan_on_reducible_matrices():
@@ -528,9 +524,3 @@ def test_sparse_radius_bracket_step_cap_raises_with_the_bracket(monkeypatch):
 def test_every_consumer_states_the_one_cuntz_krieger_rule(consume, matrix):
     with pytest.raises(ValueError, match=r"^matrix must have no zero row and no zero column$"):
         consume(matrix)
-
-
-def test_k_iteration_keeps_its_column_rule():
-    assert len(k_iterate([[1, 1], [0, 0]], [0.5, 0.5], 3)) == 3  # a zero row is allowed
-    with pytest.raises(ValueError, match="k iteration requires a matrix with no zero column"):
-        k_iterate([[1, 0], [1, 0]], [0.5, 0.5], 3)

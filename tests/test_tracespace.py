@@ -9,10 +9,8 @@ from shiftkms import (
     bimodule_kms,
     coherent_from_boundary,
     coherent_sequence,
-    coherent_truncation,
     epsilon_sequence,
     h_iterate,
-    k_iterate,
     kms_eigen_sequence,
     kms_temperature,
     normalization_profile,
@@ -59,10 +57,12 @@ def test_shift_operators_scale_eigen_sequence():
         assert np.abs(a - b / lam).max() < 1e-12
 
 
-@pytest.mark.parametrize(
-    "make", [lambda: coherent_truncation(GOLDEN, [0.5, 0.5], 6), lambda: kms_eigen_sequence(GOLDEN, 6)],
-    ids=["truncation", "eigen"],
-)
+def _incoherent():
+    """Levels 0.8^r (0.6, 0.4), r = 0..6: every residual |A t_{r+1} - t_r| = 0.4 * 0.8^r is visible."""
+    return tracespace._coherent(np.array(GOLDEN), [np.array([0.6, 0.4]) * 0.8**r for r in range(7)], require=False)
+
+
+@pytest.mark.parametrize("make", [_incoherent, lambda: kms_eigen_sequence(GOLDEN, 6)], ids=["incoherent", "eigen"])
 def test_shift_operators_shift_the_residuals(make):
     # the new top level A t_0 is coherent by construction; every other residual moves with its levels
     seq = make()
@@ -117,8 +117,8 @@ def test_h_and_k_are_dual_on_backward_truncations():
     boundary = np.array([0.7, 0.3])
     seq = coherent_from_boundary(GOLDEN, boundary, R)
     out = h_iterate(seq, n)
-    kk = k_iterate(GOLDEN, boundary / boundary.sum(), R - n)
-    assert np.abs(out.levels[0] - kk[-1]).max() < 1e-12
+    kk = spectral.normalized_powers(GOLDEN, boundary / boundary.sum(), R - n)[1][-1]
+    assert np.abs(out.levels[0] - kk).max() < 1e-12
 
 
 def test_h_requires_enough_levels():
@@ -128,12 +128,13 @@ def test_h_requires_enough_levels():
 
 
 def test_k_iterate_examples():
-    fixed = k_iterate(np.eye(2), [0.3, 0.7], 5)
+    # the k-iteration t -> A t / (1^T A t) is the vector half of normalized_powers
+    fixed = spectral.normalized_powers(np.eye(2), [0.3, 0.7], 5)[1]
     assert np.allclose(fixed[-1], [0.3, 0.7], atol=1e-15)
-    one_step = k_iterate(np.ones((2, 2)), [0.9, 0.1], 1)
+    one_step = spectral.normalized_powers(np.ones((2, 2)), [0.9, 0.1], 1)[1]
     assert np.allclose(one_step[0], [0.5, 0.5], atol=1e-15)
     u = perron_vectors(GOLDEN).u
-    out = k_iterate(GOLDEN, [1.0, 0.0], 200)
+    out = spectral.normalized_powers(GOLDEN, [1.0, 0.0], 200)[1]
     assert np.abs(out[-1] - u).sum() < 1e-12
 
 
@@ -403,13 +404,6 @@ def test_normalization_profile_constant():
     seq2 = coherent_from_boundary(GOLDEN, [0.2, 0.8], 10)
     profile2 = normalization_profile(seq2)
     assert max(abs(x - profile2[0]) for x in profile2) < 1e-9
-
-
-def test_coherent_truncation_flags_residuals():
-    seq = coherent_truncation(GOLDEN, [0.5, 0.5], 6)
-    assert not seq.coherent
-    assert max(seq.residuals) > 0.1
-    assert all(np.all(lv >= 0) for lv in seq.levels)
 
 
 def test_coherent_sequence_rejects_incoherent_when_required():
