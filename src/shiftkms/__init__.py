@@ -56,7 +56,6 @@ from .subshift import (
     topological_entropy,
 )
 from .tracespace import (
-    BimoduleKms,
     CoherentSequence,
     EpsilonSequence,
     KmsReport,

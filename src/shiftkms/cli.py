@@ -12,11 +12,12 @@ Exit codes: 0 success, 1 bad input, 2 violated internal invariant or failed
 numerical solver.  Every sized input is bounded by the MAX_* constants below;
 a value past its bound is bad input, named in the message.  Sections pass
 the document's matrix, whose Perron analysis spectral memoizes per content,
-so it is solved once and shared by every section.  A reducible matrix, of a
-transition-matrix or a `nonnegative` document, gets the bracket of its extremal
-KMS inverse temperatures from temperature_sign in `kms`; `all` skips the
-sections that need Perron data, and asked for alone they are bad input.  Each
-section's fields are listed once, in report order, in its `_fields` call.
+so it is solved once and shared by every section.  `kms` gives an irreducible
+matrix of either kind one state shape, with `kind` naming the document, and a
+reducible one the bracket of its extremal KMS inverse temperatures from
+temperature_sign; `all` skips the sections that need Perron data, and asked
+for alone they are bad input.  Each section's fields are listed once, in report
+order, in its `_fields` call.
 A report is one line of compact JSON; `python -m json.tool` indents it.
 """
 
@@ -202,9 +203,6 @@ def _section_kms(spec, flags, warnings):
         sign = tracespace.temperature_sign(matrix)
         bracket = [math.log(sign.lower), math.log(sign.upper)]  # the extremal KMS inverse temperatures
         return {"kind": kind, "lambda": None, "beta": None, "uniqueness": False, "bracket": bracket}
-    if kind == "bimodule":
-        report = tracespace.bimodule_kms(matrix, depth=flags["depth"])
-        return {"kind": kind, **_fields(report, ("lambda", "lam"), "beta", "v0", "sequence")}
     report = tracespace.kms_temperature(matrix, depth=flags["depth"])
     return {"kind": kind, **_fields(
         report, ("lambda", "lam"), "beta", ("uniqueness", "uniqueness_flag"),

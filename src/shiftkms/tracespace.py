@@ -25,7 +25,6 @@ from .spectral import (
     ReducibleMatrixError,
     as_count,
     as_nonnegative,
-    as_zero_one,
     no_zero_lines,
     normalized_powers,
     perron_vectors,
@@ -73,7 +72,8 @@ class CoherentSequence:
 
     @property
     def coherent(self) -> bool:
-        return all(r <= self.tol for r in self.residuals)
+        """residuals[r] <= tol * max(1, sum t_r): absolute up to mass 1, relative past it (lam < 1)."""
+        return all(res <= self.tol * max(1.0, float(t.sum())) for res, t in zip(self.residuals, self.levels))
 
 
 def coherent_sequence(A, levels) -> CoherentSequence:
@@ -94,9 +94,10 @@ def _coherent(M: np.ndarray, levels, tol: float = COHERENCE_TOL, require: bool =
     residuals = tuple(
         float(np.abs(M @ levs[r + 1] - levs[r]).sum()) for r in range(len(levs) - 1)
     )
-    if require and any(r > tol for r in residuals):
-        raise ValueError(f"sequence is not coherent within {tol}: residuals {residuals}")
-    return CoherentSequence(matrix=M, levels=levs, residuals=residuals, tol=tol)
+    seq = CoherentSequence(matrix=M, levels=levs, residuals=residuals, tol=tol)
+    if require and not seq.coherent:
+        raise ValueError(f"sequence is not coherent within {tol} times max(1, sum t_r): residuals {residuals}")
+    return seq
 
 
 def s_prime(seq: CoherentSequence) -> CoherentSequence:
@@ -130,22 +131,18 @@ def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
 def kms_eigen_sequence(A, R: int) -> CoherentSequence:
     """Eigen-sequence t_r = lam^(-r) u with u the Perron right eigenvector
     normalized to sum 1; the coherence residuals inherit the Perron residual
-    and stay below 1e-12."""
+    and stay below 1e-12 * max(1, sum t_r)."""
     return _eigen_sequence(perron_vectors(A), R)
 
 
 def _eigen_sequence(p, R: int) -> CoherentSequence:
-    return _coherent(p.matrix, _eigen_levels(p, R), tol=1e-12, require=True)
-
-
-def _eigen_levels(p, R: int) -> list[np.ndarray]:
-    """t_r = lam^(-r) u for r = 0..R; a ValueError naming R when R < 0 or an entry
-    is no normal float (u sums to 1, so no entry exceeds max(1, lam^(-R)))."""
+    """t_r = lam^(-r) u for r = 0..R, coherent within 1e-12; a ValueError naming R when R < 0
+    or an entry is no normal float (u sums to 1, so no entry exceeds max(1, lam^(-R)))."""
     R = as_count(R, "depth")
     rate = R * math.log(p.lam)
     if max(rate, 0.0) - math.log(float(p.u.min())) > _LOG_RANGE or -rate > _LOG_RANGE:
         raise ValueError(f"lam^(-depth) u leaves the normal float64 range at depth = {R} (lambda = {p.lam:.6g})")
-    return [p.u * p.lam ** (-r) for r in range(R + 1)]
+    return _coherent(p.matrix, [p.u * p.lam ** (-r) for r in range(R + 1)], tol=1e-12, require=True)
 
 
 def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
@@ -215,29 +212,34 @@ def temperature_from_trace(A, t, n_max: int = 300) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KmsReport:
-    """The KMS state of the gauge action for an irreducible 0/1 matrix: its
-    inverse temperature beta = log lam, the Perron eigen-sequence, and whether
-    the state is unique (A aperiodic)."""
+    """The KMS state of the gauge action for an irreducible nonnegative matrix, 0/1 or a
+    lambda-matrix: beta = log lam and the Perron eigen-sequence.  uniqueness_flag is period == 1
+    (A aperiodic), no count of states: A has one positive eigenvector at any period."""
 
     lam: float
     beta: float
     eigen_sequence: CoherentSequence
     uniqueness_flag: bool
 
+    @property
+    def v0(self) -> np.ndarray:
+        """t_0 = u.  Kept only because perfbench's matrix-thermo checks read it."""
+        return self.eigen_sequence.levels[0]
+
 
 def kms_temperature(A, depth: int = 10) -> KmsReport:
-    """KMS inverse temperature of the gauge action for an irreducible 0/1 matrix.
+    """KMS inverse temperature log r(A) of the gauge action for an irreducible nonnegative matrix.
 
-    Irreducible A has a single temperature log r(A) with the Perron
-    eigen-sequence; the uniqueness flag is set when A is aperiodic.  It reads
-    the one memoized Perron analysis of A, the one topological_entropy reads
-    too, so beta equals its exact entropy.  Reducible A raises
-    ReducibleMatrixError: its extremal temperatures are temperature_sign's.
+    A, 0/1 or a lambda-matrix, has one state, with the Perron eigen-sequence.  It reads the one
+    memoized Perron analysis of A, the one topological_entropy reads too, so beta equals its exact
+    entropy.  Reducible A raises ValueError under the Cuntz-Krieger rule (no_zero_lines, which no
+    irreducible matrix breaks) and ReducibleMatrixError otherwise: its extremal temperatures are
+    temperature_sign's.
     """
-    M = no_zero_lines(as_zero_one(A))
     try:
-        p = perron_vectors(M)
+        p = perron_vectors(A)  # its memo validates A
     except ReducibleMatrixError:
+        no_zero_lines(as_nonnegative(A))
         raise ReducibleMatrixError(
             "matrix is reducible: it has no single KMS temperature; temperature_sign gives the "
             "extremal ones, which the CLI's kms reports"
@@ -250,22 +252,7 @@ def kms_temperature(A, depth: int = 10) -> KmsReport:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BimoduleKms:
-    lam: float
-    beta: float
-    v0: np.ndarray
-    sequence: tuple[np.ndarray, ...]
-
-
-def bimodule_kms(Lambda, depth: int = 10) -> BimoduleKms:
-    """KMS temperature log r(Lambda) for a coherent lambda-matrix of a
-    Cuntz-Krieger bimodule; v0 is the Perron right eigenvector with sum 1 and
-    the sequence iterates v^r = lam^(-r) v0.  A ValueError when an entry of
-    the sequence leaves the normal float64 range."""
-    p = perron_vectors(Lambda)
-    seq = tuple(_eigen_levels(p, depth))
-    return BimoduleKms(lam=p.lam, beta=math.log(p.lam), v0=p.u, sequence=seq)
+bimodule_kms = kms_temperature  # kept only because perfbench's matrix-thermo chain calls this name
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,11 +14,12 @@ separators, so a change of layout alone shows as a changed fifth field with an
 equal sixth; on any other exit it is `-`.  Every run goes through
 `cli.main(... --no-timestamp)` in-process, after the package memos are emptied,
 so a run does not depend on the ones before it.  The corpus is every command
-under four flag sets on 47 documents, 1504 runs: the README's five, a reducible
+under four flag sets on 49 documents, 1568 runs: the README's five, a reducible
 `sft` and a reducible `nonnegative` matrix, eleven beta bases, ten seeded
 reducible and eight seeded irreducible 0/1 matrices, six seeded forbidden-word
-documents, four seeded weighted matrices, and the 2-cycle `sft`, whose entropy
-is 0 and whose period is 2.
+documents, four seeded weighted matrices, the 2-cycle `sft`, whose entropy
+is 0 and whose period is 2, and two `nonnegative` matrices with lambda < 1,
+whose KMS levels lambda^(-r) u grow past mass 1.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def _documents():
         M = np.round((r.random((6, 6)) < 0.6) * (0.5 + 1.5 * r.random((6, 6))), 4)
         docs.append({"type": "nonnegative", "matrix": M.tolist()})
     docs.append({"type": "sft", "matrix": [[0, 1], [1, 0]]})
+    docs += [{"type": "nonnegative", "matrix": M} for M in ([[0, 0.3], [0.5, 0]], [[0.001]])]
     return docs
 
 

@@ -124,11 +124,18 @@ def test_run_report_round_trips():
     assert abs(report["results"]["parry"]["entropy"] - math.log((1 + 5**0.5) / 2)) < 1e-9
 
 
-def test_run_bimodule_route():
+def test_run_bimodule_route(tmp_path, capsys):
     spec = parse_spec('{"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}')
     section = run("kms", spec, DEFAULT_FLAGS)["results"]["kms"]
     assert section["kind"] == "bimodule"
     assert abs(section["beta"] - 0.5 * math.log(6)) < 1e-12
+    assert section["uniqueness"] is False
+    # lam < 1: the levels grow as lam^(-r), and coherence is read relative to their mass
+    doc = tmp_path / "spec.json"
+    doc.write_text('{"type": "nonnegative", "matrix": [[0, 0.3], [0.5, 0]]}')
+    assert main(["kms", str(doc), "--no-timestamp"]) == 0
+    kms = json.loads(capsys.readouterr().out)["results"]["kms"]
+    assert list(kms) == KMS_KEYS["irreducible"] and kms["kind"] == "bimodule"
 
 
 def test_run_rejects_inapplicable_command():
@@ -178,15 +185,16 @@ SECTION_KEYS = {
     ],
     "resolvent": ["lambda", "schedule"],
 }
+# one key list for every irreducible matrix, 0/1 or a lambda-matrix
 KMS_KEYS = {
-    "cuntz-krieger": ["kind", "lambda", "beta", "uniqueness", "eigen_levels", "eigen_residuals"],
-    "bimodule": ["kind", "lambda", "beta", "v0", "sequence"],
+    "irreducible": ["kind", "lambda", "beta", "uniqueness", "eigen_levels", "eigen_residuals"],
     "reducible": ["kind", "lambda", "beta", "uniqueness", "bracket"],
 }
 # (document, the sections of its `all` report, the route of its kms section)
 KEY_ORDER_DOCS = [
-    (GOLDEN_DOC, list(cli.SECTIONS), "cuntz-krieger"),
-    ('{"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}', ["kms"], "bimodule"),
+    (GOLDEN_DOC, list(cli.SECTIONS), "irreducible"),
+    ('{"type": "nonnegative", "matrix": [[0, 2], [3, 0]]}', ["kms"], "irreducible"),
+    ('{"type": "nonnegative", "matrix": [[0, 0.3], [0.5, 0]]}', ["kms"], "irreducible"),
     ('{"type": "sft", "matrix": [[1, 1, 1], [1, 1, 0], [0, 0, 1]]}', ["entropy", "kms", "krieger", "bracket"],
      "reducible"),
     ('{"type": "nonnegative", "matrix": [[1, 1], [0, 2]]}', ["kms"], "reducible"),

@@ -58,7 +58,7 @@ TABLE = [
     ("coherent_from_boundary", "R", "R", 0, 4, lambda v: tracespace.coherent_from_boundary(GOLDEN, [1.0, 1.0], v)),
     ("epsilon_sequence", "n_max", "n_max", 1, 5, lambda v: tracespace.epsilon_sequence(GOLDEN, TRACE, v)),
     ("temperature_from_trace", "n_max", "n_max", 1, 50, lambda v: tracespace.temperature_from_trace(GOLDEN, TRACE, v)),
-    ("kms_temperature", "depth", "depth", 0, 10, lambda v: tracespace.kms_temperature(GOLDEN, v)),
+    ("kms_temperature", "depth", "depth", 0, 12, lambda v: tracespace.kms_temperature([[0, 0.3], [0.5, 0]], v)),
     ("bimodule_kms", "depth", "depth", 0, 5, lambda v: tracespace.bimodule_kms(GOLDEN, v)),
     ("variational_scan", "n_samples", "n_samples", 1, 4, lambda v: equilibrium.variational_scan(GOLDEN, v)),
     ("variational_scan", "seed", "seed", 0, 7, lambda v: equilibrium.variational_scan(GOLDEN, 3, seed=v)),

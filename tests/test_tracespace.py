@@ -264,41 +264,48 @@ def test_kms_temperature_reducible_paths():
 
 
 def test_bimodule_kms():
-    rep = bimodule_kms(np.ones((3, 3)))
+    # one state for every irreducible matrix: a lambda-matrix gets the 0/1 route's report
+    assert bimodule_kms is kms_temperature
+    rep = kms_temperature(np.ones((3, 3)))
     assert abs(rep.beta - math.log(3)) < 1e-12
-    assert np.allclose(rep.v0, [1 / 3] * 3, atol=1e-13)
-    rep = bimodule_kms([[0.0, 2.0], [3.0, 0.0]])
+    assert np.allclose(rep.v0, [1 / 3] * 3, atol=1e-13) and rep.v0 is rep.eigen_sequence.levels[0]
+    rep = kms_temperature([[0.0, 2.0], [3.0, 0.0]])
     assert abs(rep.beta - 0.5 * math.log(6)) < 1e-12
-    # consistency with the 0/1 route
-    a = bimodule_kms(GOLDEN).beta
-    b = kms_temperature(GOLDEN).beta
-    assert abs(a - b) < 1e-12
+    assert not rep.uniqueness_flag  # period 2: the field reads aperiodicity
+    # lam < 1: the levels grow as lam^(-r), and coherence is read relative to their mass
+    for matrix, depth in (([[0, 0.3], [0.5, 0]], 12), ([[0, 0.3], [0.5, 0]], 700), ([[0.001]], 12)):
+        p = perron_vectors(matrix)
+        seq = kms_temperature(matrix, depth).eigen_sequence
+        assert seq.coherent and seq.depth == depth
+        for r, t in enumerate(seq.levels):
+            assert np.array_equal(t, p.u * p.lam ** (-r))
     with pytest.raises(ReducibleMatrixError):
-        bimodule_kms([[1.0, 1.0], [0.0, 1.0]])
+        kms_temperature([[1.0, 1.0], [0.0, 1.0]])
 
 
 def test_bimodule_sequence_scaling():
-    rep = bimodule_kms(GOLDEN, depth=5)
-    for r, v in enumerate(rep.sequence):
-        assert np.abs(v - rep.v0 * rep.lam ** (-r)).max() < 1e-12
+    rep = kms_temperature(GOLDEN, depth=5)
+    for r, v in enumerate(rep.eigen_sequence.levels):
+        assert np.abs(v - rep.eigen_sequence.levels[0] * rep.lam ** (-r)).max() < 1e-12
 
 
 def test_bimodule_depth_past_the_float_range_is_a_value_error():
     # lam = sqrt(0.15): lam^-1000 overflows a float, lam^-700 does not
     weights = [[0.0, 0.3], [0.5, 0.0]]
     with pytest.raises(ValueError, match=r"depth = 1000 \(lambda = 0.387298\)"):
-        bimodule_kms(weights, depth=1000)
-    assert np.isfinite(bimodule_kms(weights, depth=700).sequence[-1]).all()
+        kms_temperature(weights, depth=1000)
+    assert np.isfinite(kms_temperature(weights, depth=700).eigen_sequence.levels[-1]).all()
     with pytest.raises(ValueError, match="depth = 12"):
-        bimodule_kms([[1e-300]], depth=12)
+        kms_temperature([[1e-300]], depth=12)
 
 
 def test_a_negative_depth_is_a_value_error_naming_it():
-    # the 0/1 and the lambda-matrix routes share one rule and one message
-    for kms in (bimodule_kms, kms_temperature, kms_eigen_sequence):
-        with pytest.raises(ValueError, match="depth must be >= 0, got -3"):
-            kms(GOLDEN, -3)
-    assert len(bimodule_kms(GOLDEN, depth=0).sequence) == 1
+    # the 0/1 and the lambda-matrix routes are one function with one rule and one message
+    for kms in (kms_temperature, kms_eigen_sequence):
+        for matrix in (GOLDEN, [[0, 0.3], [0.5, 0]]):
+            with pytest.raises(ValueError, match="depth must be >= 0, got -3"):
+                kms(matrix, -3)
+    assert len(kms_temperature([[0, 0.3], [0.5, 0]], depth=0).eigen_sequence.levels) == 1
 
 
 def test_kms_eigen_sequence_refuses_levels_that_leave_the_normal_floats():
