@@ -57,10 +57,13 @@ class BetaExpansion:
 
 
 def exact_base(beta) -> Fraction:
-    """The exact value of a base: a string as the decimal it spells, anything
-    else at the binary value of its float.  The one base rule: ValueError
-    unless float(beta) is finite and > 1, so a base just above 1 that rounds
-    to 1.0, which would snap to base 1, is refused too."""
+    """The exact value of a base: a string as the plain decimal it spells (no
+    '_', which Fraction reads only from Python 3.11), anything else at the
+    binary value of its float.  The one base rule: ValueError unless
+    float(beta) is finite and > 1, so a base just above 1 that rounds to 1.0,
+    which would snap to base 1, is refused too."""
+    if isinstance(beta, str) and "_" in beta:
+        raise ValueError(f"beta must be a plain decimal string, got {beta!r}")
     if not 1.0 < float(beta) < math.inf:  # also false for nan
         raise ValueError(f"beta must be a finite number > 1, got {beta!r}")
     return Fraction(beta) if isinstance(beta, str) else Fraction(float(beta))

@@ -211,7 +211,8 @@ def _section_kms(spec, flags, warnings):
 
 
 def _section_parry(spec, flags, warnings):
-    return _fields(equilibrium.parry_measure(spec.matrix), ("lambda", "lam"), "transitions", "stationary", "entropy")
+    measure = equilibrium.parry_measure(spec.matrix)
+    return _fields(measure, ("lambda", "perron.lam"), "transitions", "stationary", "entropy")
 
 
 def _section_krieger(spec, flags, warnings):
@@ -387,7 +388,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

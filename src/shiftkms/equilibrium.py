@@ -38,12 +38,9 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class MarkovMeasure:
-    """Stationary Markov measure supported on the transitions of a 0/1 matrix."""
+    """Stationary Markov measure on the transitions of a 0/1 matrix, from its Perron solve."""
 
-    matrix: np.ndarray
-    lam: float
-    u: np.ndarray
-    v: np.ndarray
+    perron: PerronData
     transitions: np.ndarray
     stationary: np.ndarray
 
@@ -70,7 +67,7 @@ def parry_measure(A) -> MarkovMeasure:
     P = P / P.sum(axis=1, keepdims=True)
     pi = p.u * p.v
     _check_markov(M, P, pi)
-    return MarkovMeasure(matrix=M, lam=p.lam, u=p.u, v=p.v, transitions=P, stationary=pi)
+    return MarkovMeasure(perron=p, transitions=P, stationary=pi)
 
 
 def _check_markov(M, P, pi) -> None:
@@ -99,7 +96,7 @@ def cylinder(m: MarkovMeasure, word) -> float:
 
 
 def _validate_cylinder_word(m: MarkovMeasure, word):
-    w = validate_word(word, m.matrix.shape[0])
+    w = validate_word(word, m.perron.matrix.shape[0])
     if not w:
         raise ValueError("cylinder words must be nonempty")
     return w
@@ -175,11 +172,11 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
     n_samples = as_count(n_samples, "n_samples", 1)
     seed = as_count(seed, "seed")
     parry = parry_measure(A)
-    M = parry.matrix
-    d = M.shape[0]
-    top = math.log(parry.lam)
+    perron = parry.perron
+    d = perron.matrix.shape[0]
+    top = math.log(perron.lam)
     parry_entropy = parry.entropy  # before the scan's buffers exist: it allocates d x d arrays too
-    mask = M > 0
+    mask = perron.matrix > 0
     log_q = np.log(parry.transitions + ~mask)  # 0 off the support, where P is 0
     rng = np.random.default_rng(seed)
     entropies, divergences = scan = np.empty((2, n_samples))
@@ -196,7 +193,6 @@ def variational_scan(A, n_samples: int, seed: int = 0) -> VariationalReport:
         )
     # the Parry entry's divergence from itself is 0
     residual = max(float(np.abs(top - entropies - divergences).max()), abs(top - parry_entropy))
-    perron = perron_vectors(M)  # the memoized solve that parry_measure read
     tol = IDENTITY_TOL + math.log(perron.hi / perron.lo)
     if not residual <= tol:
         raise InvariantViolation(

@@ -46,10 +46,6 @@ class PastClass:
     words: tuple[tuple[int, ...], ...]
     predecessors: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
 
 @dataclass(frozen=True)
 class PastPartition:

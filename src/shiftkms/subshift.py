@@ -15,7 +15,6 @@ map to symbols by adding 1.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -344,12 +343,7 @@ def count_words(spec, n: int) -> int:
     """Exact number of admissible words of length n (theta_n); theta_0 = 1
     for a nonempty subshift."""
     n = spectral.as_count(n, "n")
-    aut = automaton_for(spec)
-    if aut.is_empty:
-        return 0
-    if n == 0:
-        return 1
-    return sum(deque(aut.count_vectors(n), maxlen=1)[0])  # only the last vector is held
+    return count_words_sequence(spec, n)[-1] if n else int(not automaton_for(spec).is_empty)
 
 
 def count_words_sequence(spec, n_max: int) -> list[int]:

@@ -907,8 +907,9 @@ def cylinder_eigen(m, word) -> float:
     """The Parry measure m of the cylinder of word, in the eigenvector form
     v_{w_1} u_{w_r} prod(a) / lam^(r-1)."""
     w = _validate_cylinder_word(m, word)
+    p = m.perron
     for a, b in zip(w, w[1:]):
-        if not m.matrix[a - 1, b - 1]:
+        if not p.matrix[a - 1, b - 1]:
             return 0.0
     r = len(w)
-    return float(m.v[w[0] - 1] * m.u[w[-1] - 1] / m.lam ** (r - 1))
+    return float(p.v[w[0] - 1] * p.u[w[-1] - 1] / p.lam ** (r - 1))

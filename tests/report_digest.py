@@ -14,12 +14,13 @@ separators, so a change of layout alone shows as a changed fifth field with an
 equal sixth; on any other exit it is `-`.  Every run goes through
 `cli.main(... --no-timestamp)` in-process, after the package memos are emptied,
 so a run does not depend on the ones before it.  The corpus is every command
-under four flag sets on 49 documents, 1568 runs: the README's five, a reducible
+under four flag sets on 50 documents, 1600 runs: the README's five, a reducible
 `sft` and a reducible `nonnegative` matrix, eleven beta bases, ten seeded
 reducible and eight seeded irreducible 0/1 matrices, six seeded forbidden-word
 documents, four seeded weighted matrices, the 2-cycle `sft`, whose entropy
-is 0 and whose period is 2, and two `nonnegative` matrices with lambda < 1,
-whose KMS levels lambda^(-r) u grow past mass 1.
+is 0 and whose period is 2, two `nonnegative` matrices with lambda < 1,
+whose KMS levels lambda^(-r) u grow past mass 1, and the base string "1_5",
+refused on every Python although Fraction reads it as 15 from 3.11 on.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ def _documents():
         docs.append({"type": "nonnegative", "matrix": M.tolist()})
     docs.append({"type": "sft", "matrix": [[0, 1], [1, 0]]})
     docs += [{"type": "nonnegative", "matrix": M} for M in ([[0, 0.3], [0.5, 0]], [[0.001]])]
+    docs.append({"type": "beta", "beta": "1_5"})
     return docs
 
 

@@ -315,12 +315,17 @@ BIG_INT = "1" + "0" * 400  # 10**400, past the float range
         ('{"type": "nonnegative", "matrix": [[%s]]}' % BIG_INT, None,
          "invalid 'nonnegative' document: int too large to convert to float"),
         ('{"type": "beta", "beta": %s}' % BIG_INT, None, "invalid 'beta' document: int too large to convert to float"),
+        ('{"type": "beta", "beta": "1_5"}', None,
+         "invalid 'beta' document: beta must be a plain decimal string, got '1_5'"),
         ('{"type": "sft", "matrix": %s}' % ("[" * 100000 + "]" * 100000), None,
          "document nests deeper than the JSON reader allows"),
         ("[" * 100000, None, "document nests deeper than the JSON reader allows"),
         (GOLDEN_DOC, "missing/report.json", "[Errno 2] No such file or directory: '{output}'"),
     ],
-    ids=["sft-overflow", "nonnegative-overflow", "beta-overflow", "deep-matrix", "deep-bare", "unwritable-output"],
+    ids=[
+        "sft-overflow", "nonnegative-overflow", "beta-overflow", "beta-underscore", "deep-matrix", "deep-bare",
+        "unwritable-output",
+    ],
 )
 def test_main_bad_input_prints_one_error_line(doc, output, message, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -386,9 +391,12 @@ def test_main_variational_off_the_identity_exits_two(mutation, tmp_path, monkeyp
         monkeypatch.setattr(equilibrium, "_block_entropies", perturbed)
     else:
         parry = equilibrium.parry_measure
-        monkeypatch.setattr(
-            equilibrium, "parry_measure", lambda A: dataclasses.replace(parry(A), lam=parry(A).lam * (1 + 1e-6))
-        )
+
+        def raised(A):
+            m = parry(A)
+            return dataclasses.replace(m, perron=dataclasses.replace(m.perron, lam=m.perron.lam * (1 + 1e-6)))
+
+        monkeypatch.setattr(equilibrium, "parry_measure", raised)
     doc = tmp_path / "spec.json"
     doc.write_text(GOLDEN_DOC)
     assert main(["variational", str(doc)]) == 2

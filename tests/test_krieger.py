@@ -88,7 +88,7 @@ def test_omega_golden_two_classes():
     assert by_first[(1,)] == ((), (1,), (2,))
     assert by_first[(2,)] == ((), (1,))
     # 13 + 8 of the 21 golden-mean words of length 6
-    assert {c.representative[:1]: c.size for c in part.classes} == {(1,): 13, (2,): 8}
+    assert {c.representative[:1]: len(c.words) for c in part.classes} == {(1,): 13, (2,): 8}
     assert omega_l(GOLDEN, 2, 6).class_count == 2
 
 

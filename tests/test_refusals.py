@@ -54,6 +54,19 @@ REFUSALS = [
         "beta must be a finite number > 1, got nan",
     ),
     ("base-one", lambda: beta_expansion_of_one(1.0, 3), ValueError, "beta must be a finite number > 1, got 1.0"),
+    # Fraction reads '_' as a digit separator from Python 3.11 and refuses it before, float always reads it
+    (
+        "underscore-base",
+        lambda: beta_expansion_of_one("1_5", 3),
+        ValueError,
+        "beta must be a plain decimal string, got '1_5'",
+    ),
+    (
+        "underscore-decimal-base",
+        lambda: beta_expansion_of_one("1_000.5", 3),
+        ValueError,
+        "beta must be a plain decimal string, got '1_000.5'",
+    ),
     ("empty-trace", lambda: epsilon_sequence(GOLDEN, [], 3), ValueError, "trace vector must be a nonempty 1-d array"),
     (
         "2d-trace",

@@ -233,8 +233,9 @@ def test_thermodynamic_chain_on_one_matrix_solves_once(monkeypatch):
     sign = temperature_sign(M)
     seq = kms_eigen_sequence(M, 6)
     assert (seen["reachability"], seen["_noda"]) == (1, 2)
-    assert kms.lam == parry.lam == sign.lower == sign.upper
-    assert np.array_equal(seq.levels[0], parry.u)
+    assert kms.lam == parry.perron.lam == sign.lower == sign.upper
+    assert np.array_equal(seq.levels[0], parry.perron.u)
+    assert parry.perron is perron_vectors(M)
 
 
 def test_thermodynamic_chain_validates_each_matrix_once_per_call(monkeypatch):
@@ -254,13 +255,14 @@ def test_thermodynamic_chain_validates_each_matrix_once_per_call(monkeypatch):
 
 
 def test_warm_variational_scan_validates_its_matrix_once(monkeypatch):
-    # the scan reads its 0/1 matrix off the Parry measure it builds; converting
-    # the matrix itself as well, this was 2
+    # the scan reads its 0/1 matrix, lambda and bracket off the Perron solve its
+    # Parry measure holds; converting the matrix itself as well, this was 2
+    # conversions, and reading the bracket off a second perron_vectors, 2 reads
     M = _random_sft_matrix()
     variational_scan(M, 4)
-    seen = _closure_and_noda_counter(monkeypatch, ("as_nonnegative",))
+    seen = _closure_and_noda_counter(monkeypatch, ("as_nonnegative", "_analysed"))
     variational_scan(M, 4)
-    assert seen["as_nonnegative"] == 1
+    assert (seen["as_nonnegative"], seen["_analysed"]) == (1, 1)
 
 
 @pytest.mark.parametrize(
