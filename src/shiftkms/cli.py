@@ -362,8 +362,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()  # built once per process: main runs many times in one
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.input == "-":
             text = sys.stdin.read()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,19 +55,21 @@ class MarkovMeasure:
 
 
 def parry_measure(A) -> MarkovMeasure:
-    """The maximal-entropy Markov measure of an irreducible 0/1 matrix.
+    """The maximal-entropy Markov measure of an irreducible 0/1 matrix, built once per
+    Perron solve, with read-only arrays.  Raises InvariantViolation if the constructed
+    chain misses row-stochasticity or stationarity beyond MARKOV_TOL."""
+    return _parry(perron_vectors(as_zero_one(A)))
 
-    Raises InvariantViolation if the constructed chain misses row-stochasticity
-    or stationarity beyond MARKOV_TOL.
-    """
-    M = as_zero_one(A)
-    p = perron_vectors(M)
-    P = M * p.u[None, :] / (p.lam * p.u[:, None])
+
+@lru_cache(maxsize=16)  # not held on the solve: a reference cycle would outlive a memo clear
+def _parry(p: PerronData) -> MarkovMeasure:
+    P = p.matrix * p.u[None, :] / (p.lam * p.u[:, None])
     # float hygiene: divide out the row sums (a relative correction at the
     # Perron-residual scale) so row-stochasticity is exact
     P = P / P.sum(axis=1, keepdims=True)
     pi = p.u * p.v
-    _check_markov(M, P, pi)
+    _check_markov(p.matrix, P, pi)
+    P.flags.writeable = pi.flags.writeable = False
     return MarkovMeasure(perron=p, transitions=P, stationary=pi)
 
 

@@ -13,10 +13,10 @@ only when it first appears, and stops at the first depth whose family equals
 the next one: the recursion is deterministic, so every deeper family is the
 same and the counts are final for the presenting automaton.  The reports give
 that depth as `fixed_point_depth` (None when the family still changes at the
-requested depth).  The core is
-memoized per automaton and arguments, so `sofic_check` and `entropy_bracket`
-at the same n and depth (the krieger and bracket sections of one `all`
-document) share one pass.  `omega_l` reads its stabilized flag off the core;
+requested depth).  Each automaton holds one walk, which every deeper request
+continues, so the krieger and bracket sections of one `all` document gather
+each subset once; the counts are memoized per automaton and arguments.
+`omega_l` reads its stabilized flag off the core;
 its classes, and `predecessor_set`, enumerate words, layer by layer through
 one enumerator, and serve as the independent cross-check.  Every pass reads
 the automaton's successor table `succ`.
@@ -153,8 +153,7 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
     words = [w for w, _ in layers[depth]]
     # a word's class key is its readability restricted to R_l; every
     # predecessor of length <= l ends in R_l
-    order, sizes = aut.reach_order(l)
-    R = order[: sizes[l]]
+    R = aut.reach_order(l)[0]
     groups: dict[bytes, tuple[np.ndarray, list[tuple[int, ...]]]] = {}
     for w, readable in zip(words, _readable(aut, words)):
         groups.setdefault(readable[R].tobytes(), (readable, []))[1].append(w)
@@ -162,16 +161,9 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
     classes = []
     for readable, members in groups.values():
         preds = tuple(mu for mu, q in prefixes if readable[q])
-        classes.append(
-            PastClass(representative=members[0], words=tuple(members), predecessors=preds)
-        )
+        classes.append(PastClass(representative=members[0], words=tuple(members), predecessors=preds))
     classes.sort(key=lambda c: c.representative)
-    return PastPartition(
-        depth=depth,
-        classes=tuple(classes),
-        class_count=len(classes),
-        stabilized=stabilized,
-    )
+    return PastPartition(depth=depth, classes=tuple(classes), class_count=len(classes), stabilized=stabilized)
 
 
 @lru_cache(maxsize=128)
@@ -184,10 +176,13 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     nonempty preimages under each symbol, gathered once per subset, when it
     first appears.  The sink bit starts clear and stays clear, since the sink
     only leads to itself, so a move into the sink makes a subset unreadable
-    there.  counts[n], n = 0..n_max, is the number of distinct restrictions to
-    R_n (states reachable in <= n steps) of the subsets that hold the start
-    state, and stabilized[n] says that it equals the count at depth - 1, a
-    depth that still has words of length >= max(n, 1).
+    there.  The automaton holds the walk, [m, family(m), family(m - 1), the
+    fixed point or None, the preimages]; a request below m, or at the fixed
+    point, which that depth does not see, starts it again from family(0), with
+    the preimages it holds.  counts[n], n = 0..n_max, is the number of
+    distinct restrictions to R_n (states reachable in <= n steps) of the subsets
+    that hold the start state, and stabilized[n] says that it equals the count
+    at depth - 1, a depth that still has words of length >= max(n, 1).
     """
     size = aut.sink + 1
     row = np.dtype((np.void, (size + 7) // 8))  # a packed subset as one bytes item
@@ -196,9 +191,13 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
         packed = np.frombuffer(b"".join(subsets), dtype=np.uint8).reshape(-1, row.itemsize)
         return np.unpackbits(packed, axis=1, count=size).view(bool)
 
-    family = prev = {np.packbits(np.arange(size) < aut.sink).tobytes()}
-    preimages, empty, fixed_point_depth = {}, bytes(row.itemsize), None
-    for m in range(depth):
+    walk = aut.subset_walk
+    if walk is None or depth < walk[0] or depth == walk[3]:
+        first = {np.packbits(np.arange(size) < aut.sink).tobytes()}
+        walk = aut.subset_walk = [0, first, first, None, {} if walk is None else walk[4]]
+    m, family, prev, fixed_point_depth, preimages = walk
+    empty = bytes(row.itemsize)
+    while fixed_point_depth is None and m < depth:
         new = [s for s in family if s not in preimages]
         if new:
             pre = np.take(unpack(new), aut.succ.ravel(), axis=1).reshape(-1, size)
@@ -208,8 +207,9 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
         # the recursion is deterministic, so every deeper family is this one
         if nxt == family:
             fixed_point_depth = m
-            break
-        prev, family = family, nxt
+        else:
+            prev, family, m = family, nxt, m + 1
+    walk[:4] = m, family, prev, fixed_point_depth
     if not family:
         raise ValueError(f"no admissible words of length {depth}")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -116,6 +115,8 @@ class Automaton:
         self.alphabet, self.sink = succ.shape[0], succ.shape[1] - 1
         self.states = range(self.sink)
         self.max_word_length = max_word_length
+        self._plan = None  # the count plan on the largest R_n asked for
+        self.subset_walk = None  # the Krieger subset walk, made by krieger on its first request
 
     @property
     def is_empty(self) -> bool:
@@ -145,44 +146,54 @@ class Automaton:
         one vector at a time.  n and the length are checked on the call."""
         n = spectral.as_count(n, "n")
         self.check_length(n)
-        return islice(self._pull_counts(), n)
+        return self._pull_counts(n, full=True)
 
-    def _pull_counts(self):
-        gather, plain, heavy = self._count_plan
-        v = [int(q == self.start) for q in range(self.sink + 1)]
-        while True:
+    def _pull_counts(self, n, full=False):
+        """Iterator over k = 1..n of the counts of length-k words ending in the states of R_n, in
+        reach order, then a 0: no word of length <= n ends anywhere else; full: over 0..N."""
+        size, gather, plain, heavy, expand = self._count_plan(n)
+        v = [1] + [0] * size  # the start is first in the reach order
+        for _ in range(n):
             sums = [sum(get(v)) for get in plain]
             for i, k, get in heavy:
                 sums[i] += k * sum(get(v))
             v = list(gather(v + sums))
-            yield v
+            yield list(expand(v)) if full else v
 
-    @cached_property
-    def _count_plan(self):
-        """(gather, plain, heavy): the transition-count matrix as a plan that pulls each next count
-        from v with the builtin `sum`.  plain[i] gets weight-1 predecessors, each (i, k, get) in heavy
-        adds k times a sum of weight-k ones, and gather picks every count from v + sums (one copy for
-        a lone weight-1 predecessor)."""
-        n = self.sink
-        sym, src = np.nonzero(self.succ[:, :-1] != n)
+    def _count_plan(self, n):
+        """(size, gather, plain, heavy, expand): the transition-count matrix on R_n (n length-checked),
+        its states numbered by place in the reach order, as a plan that pulls each next count from v with
+        the builtin `sum`; a plan on a larger R_m, held, serves too.  plain[i] gets weight-1 predecessors,
+        each (i, k, get) in heavy adds k times a sum of weight-k ones, gather picks every count from v +
+        sums (one copy for a lone weight-1 predecessor), and expand spreads v over the states 0..N."""
+        self.check_length(n)
+        order, sizes = self._reach
+        size = sizes[min(n, len(sizes) - 1)]
+        if self._plan and self._plan[0] >= size:
+            return self._plan
+        place = np.full(self.sink + 1, size)  # place size is v's 0, read for the sink and outside R_n
+        place[order[:size]] = np.arange(size)
+        succ = place[self.succ[:, order[:size]]]
+        sym, src = np.nonzero(succ != size)
         # the distinct (target, source) edges, sorted, each with its number of symbols
-        key = np.sort(self.succ[sym, src] * n + src)
+        key = np.sort(succ[sym, src] * size + src)
         first = np.flatnonzero(np.diff(key, prepend=-1))
-        target, source = np.divmod(key[first], n)
+        target, source = np.divmod(key[first], size)
         preds = {}
         for t, s, k in zip(target.tolist(), source.tolist(), np.diff(first, append=len(key)).tolist()):
             preds.setdefault(t, {}).setdefault(k, []).append(s)
-        index, plain, heavy = [n] * (n + 1), [], []  # no predecessor reads the sink's 0
+        index, plain, heavy = [size] * (size + 1), [], []  # no predecessor reads the 0
         for t, by_weight in preds.items():
             ones = by_weight.pop(1, [])
             if not by_weight and len(ones) == 1:
                 index[t] = ones[0]
                 continue
-            index[t] = n + 1 + len(plain)
-            # the sink's 0s pad each getter, so that it returns a tuple even for one or no source
-            heavy += [(len(plain), k, itemgetter(*s, n)) for k, s in by_weight.items()]
-            plain.append(itemgetter(*ones, n, n))
-        return itemgetter(*index), plain, heavy
+            index[t] = size + 1 + len(plain)
+            # the 0s pad each getter, so that it returns a tuple even for one or no source
+            heavy += [(len(plain), k, itemgetter(*s, size)) for k, s in by_weight.items()]
+            plain.append(itemgetter(*ones, size, size))
+        self._plan = size, itemgetter(*index), plain, heavy, itemgetter(*place.tolist())
+        return self._plan
 
     @cached_property
     def radius_bracket(self) -> tuple[float, float]:
@@ -191,19 +202,32 @@ class Automaton:
         src, sym = np.nonzero(self.succ.T[:-1] != self.sink)
         return spectral.sparse_radius_bracket(self.sink, src, self.succ[sym, src])
 
+    @cached_property
+    def _reach(self):
+        """(order, sizes) of reach_order up to the last level that adds a state, each level ascending:
+        one pass over the successor lists, which reach_order and the counts read."""
+        rows, seen = self.succ.T.tolist(), [q in (self.start, self.sink) for q in range(self.sink + 1)]
+        order, sizes, done = [self.start], [1], 0
+        while len(order) > done:
+            level = []
+            for q in order[done:]:
+                for t in rows[q]:
+                    if not seen[t]:
+                        seen[t] = True
+                        level.append(t)
+            done = len(order)
+            order += sorted(level)
+            sizes.append(len(order))
+        return order, sizes[:-1]
+
     def reach_order(self, l):
         """(order, sizes): the states reachable from the start by words of
         length <= l in breadth-first discovery order, and sizes[k] = |R_k| for
         k = 0..l, so R_k (reachable in <= k steps) is the prefix order[:sizes[k]]."""
         l = spectral.as_count(l, "l")
-        seen = {self.start, self.sink}
-        order, frontier, sizes = [self.start], [self.start], [1]
-        while frontier and len(sizes) <= l:
-            frontier = sorted(set(self.succ[:, frontier].ravel().tolist()) - seen)
-            seen.update(frontier)
-            order.extend(frontier)
-            sizes.append(len(order))
-        return order, sizes + sizes[-1:] * (l + 1 - len(sizes))
+        order, sizes = self._reach
+        sizes = sizes[: l + 1]
+        return order[: sizes[-1]], sizes + sizes[-1:] * (l + 1 - len(sizes))
 
 
 def _full_automaton(spec):
@@ -349,7 +373,7 @@ def count_words(spec, n: int) -> int:
 def count_words_sequence(spec, n_max: int) -> list[int]:
     """theta_n for n = 1..n_max in one forward pass."""
     n_max = spectral.as_count(n_max, "n_max")
-    return [sum(counts) for counts in automaton_for(spec).count_vectors(n_max)]
+    return list(map(sum, automaton_for(spec)._pull_counts(n_max)))
 
 
 @dataclass(frozen=True)

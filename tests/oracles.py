@@ -72,7 +72,8 @@ the package.
 `normalized_powers_stepwise` is the growth recursion as it ran before it went
 in chunks: one matrix-vector product, sum, logarithm and division per step.
 `reach_order_frontier` is the reachability BFS as numpy frontier rounds, all l
-of them, and `noda_eye` the Noda iteration that built each system as
+of them, `reach_order_numpy` the earlier `Automaton.reach_order`, one numpy
+gather of the successor table per level until the levels run out, and `noda_eye` the Noda iteration that built each system as
 sigma * np.eye(d) - B, run from the start vector it is given (it runs no
 power steps of its own).  The package must match them exactly, except the
 chunked recursion, which must match the stepwise one within rounding.
@@ -877,6 +878,19 @@ def reach_order_frontier(aut, l):
         order.extend(frontier.tolist())
         sizes.append(len(order))
     return order, sizes
+
+
+def reach_order_numpy(aut, l):
+    """(order, sizes) of Automaton.reach_order as it was before the automaton held one reach
+    pass: a numpy gather of the frontier's columns of succ per level, deduplicated in a set."""
+    seen = {aut.start, aut.sink}
+    order, frontier, sizes = [aut.start], [aut.start], [1]
+    while frontier and len(sizes) <= l:
+        frontier = sorted(set(aut.succ[:, frontier].ravel().tolist()) - seen)
+        seen.update(frontier)
+        order.extend(frontier)
+        sizes.append(len(order))
+    return order, sizes + sizes[-1:] * (l + 1 - len(sizes))
 
 
 def noda_eye(B, shift, x):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -170,6 +171,56 @@ def test_run_all_counts_the_krieger_classes_once(monkeypatch):
     report = run("all", spec, dict(DEFAULT_FLAGS, max_n=100, depth=110))
     assert "krieger" in report["results"] and "bracket" in report["results"]
     assert calls == [100]
+
+
+def test_run_all_runs_one_reach_pass(monkeypatch):
+    # the entropy, krieger and bracket sections read the automaton's one breadth-first pass
+    passes = []
+    reach = subshift.Automaton._reach.func
+
+    def counted(self):
+        passes.append(self.sink)
+        return reach(self)
+
+    counted_reach = functools.cached_property(counted)
+    counted_reach.__set_name__(subshift.Automaton, "_reach")
+    monkeypatch.setattr(subshift.Automaton, "_reach", counted_reach)
+    spec = parse_spec('{"type": "beta", "beta": "1.2345"}')
+    report = run("all", spec, DEFAULT_FLAGS)["results"]
+    assert {"entropy", "krieger", "bracket"} <= set(report)
+    assert passes == [65]  # the chain of digit_depth 64 + 1 states, with its sink 65
+
+
+def test_run_all_gathers_each_subset_once(monkeypatch):
+    # the krieger section walks the subset family to depth 12 and the bracket
+    # section asks for depth 40 of the same walk, which has reached its fixed point
+    spec = SFT(oracles.random_irreducible_zero_one(np.random.default_rng(45), 12, 0.4))
+    gathered, take = [], np.take
+
+    def counted(a, indices, axis=None):
+        gathered.append(len(a))
+        return take(a, indices, axis=axis)
+
+    monkeypatch.setattr(np, "take", counted)
+    report = run("all", spec, DEFAULT_FLAGS)["results"]
+    monkeypatch.undo()
+    assert (report["krieger"]["depth"], report["bracket"]["depth"]) == (12, 40)
+    stop = report["bracket"]["fixed_point_depth"]
+    assert stop == report["krieger"]["fixed_point_depth"] < 12
+    family = oracles.subset_family_brute(subshift.automaton_for(spec), stop)
+    assert sum(gathered) == len(set().union(*family))
+
+
+def test_main_builds_no_parser(monkeypatch, tmp_path, capsys):
+    # main parses with the parser built once, at import
+    def refused():
+        raise AssertionError("the parser is built again")
+
+    monkeypatch.setattr(cli, "_build_parser", refused)
+    doc = tmp_path / "spec.json"
+    doc.write_text(GOLDEN_DOC)
+    assert main(["entropy", str(doc), "--no-timestamp", "--max-n", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["entropy"]["theta"] == [2, 3, 5, 8, 13]
 
 
 SECTION_KEYS = {

@@ -54,6 +54,15 @@ def test_parry_golden_mean():
     assert abs(m.entropy - math.log(PHI)) < 1e-12
 
 
+def test_parry_measure_is_built_once_per_perron_solve():
+    m = parry_measure(GOLDEN)
+    assert parry_measure(GOLDEN) is m is parry_measure(np.array(GOLDEN, dtype=float))
+    with pytest.raises(ValueError, match="read-only"):
+        m.transitions[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        m.stationary[0] = 0.5
+
+
 def test_parry_permutation_cycle():
     m = parry_measure([[0, 1], [1, 0]])
     assert np.allclose(m.stationary, 0.5, atol=1e-12)

@@ -424,6 +424,31 @@ def test_class_counts_equal_the_sorted_row_core():
                 core(empty, 3, depth)
 
 
+def _walk_cases():
+    yield BetaShift(1.7, digit_depth=64)
+    yield BetaShift("2.0863", digit_depth=230)
+    yield EVEN_TRUNC
+    yield SNAPPED_GOLDEN
+    rng = np.random.default_rng(47)
+    yield SFT(oracles.random_irreducible_zero_one(rng, 9, 0.35))
+    yield ForbiddenWords(3, ((1, 2, 3), (3, 3, 1), (2, 1, 1, 2)))
+
+
+def test_one_walk_answers_requests_of_any_depth():
+    # one automaton's walk, asked for depths that rise, fall, and sit at, below and
+    # past its fixed point: every answer equals a fresh core's
+    fixed = set()
+    for spec in _walk_cases():
+        aut = build_automaton(spec)
+        stop = oracles.class_counts_sorted_rows(aut, 4, 60)[2]
+        for depth in (12, 40, 3, 30, 1, 60, 60, 2, stop, stop + 1, stop - 1, stop + 5, stop):
+            for n in (4, depth):
+                got = krieger._class_counts.__wrapped__(aut, n, depth)
+                assert got == oracles.class_counts_sorted_rows(aut, n, depth), (spec, n, depth)
+                fixed.add(got[2] is None)
+    assert fixed == {True, False}
+
+
 @pytest.mark.parametrize("spec,n,depth", [(BetaShift(1.7, digit_depth=512), 30, 40), (EVEN_TRUNC, 16, 40)])
 def test_class_counts_gather_each_subset_once(spec, n, depth, monkeypatch):
     # the rows handed to the gather are the distinct subsets of the families up

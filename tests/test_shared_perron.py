@@ -20,6 +20,7 @@ from shiftkms import (
     FullShift,
     bimodule_kms,
     component_perron_data,
+    equilibrium,
     exact_entropy,
     irreducible,
     kms_eigen_sequence,
@@ -137,18 +138,18 @@ def test_kms_beta_equals_exact_entropy_bitwise():
 
 def test_cli_all_runs_the_word_count_recursion_once(monkeypatch):
     steps = Counter()
-    plan = Automaton._count_plan.func
+    plan = Automaton._count_plan
 
-    def counted_plan(aut):
-        gather, plain, heavy = plan(aut)
+    def counted_plan(aut, n):
+        size, gather, plain, heavy, expand = plan(aut, n)
 
         def step(v):  # each step of the recursion gathers once
             steps["steps"] += 1
             return gather(v)
 
-        return step, plain, heavy
+        return size, step, plain, heavy, expand
 
-    monkeypatch.setattr(Automaton, "_count_plan", property(counted_plan))
+    monkeypatch.setattr(Automaton, "_count_plan", counted_plan)
     flags = dict(FLAGS, max_n=20, depth=22)
     report = run("all", SFT(_random_sft_matrix()), flags)
     assert report["results"]["entropy"]["n_max"] == 20
@@ -236,6 +237,22 @@ def test_thermodynamic_chain_on_one_matrix_solves_once(monkeypatch):
     assert kms.lam == parry.perron.lam == sign.lower == sign.upper
     assert np.array_equal(seq.levels[0], parry.perron.u)
     assert parry.perron is perron_vectors(M)
+
+
+def test_cli_all_builds_one_parry_measure(monkeypatch):
+    # the parry and variational sections read one measure, checked once
+    checks = Counter()
+    check = equilibrium._check_markov
+
+    def counted(*args):
+        checks["markov"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(equilibrium, "_check_markov", counted)
+    report = run("all", SFT(_random_sft_matrix()), FLAGS)["results"]
+    assert {"parry", "variational"} <= set(report)
+    assert report["parry"]["entropy"] == report["variational"]["parry_entropy"]
+    assert checks["markov"] == 1
 
 
 def test_thermodynamic_chain_validates_each_matrix_once_per_call(monkeypatch):

@@ -21,7 +21,7 @@ from shiftkms import (
     topological_entropy,
 )
 from shiftkms.beta import BetaExpansion
-from shiftkms.subshift import automaton_for, build_automaton, exact_entropy
+from shiftkms.subshift import Automaton, automaton_for, build_automaton, exact_entropy
 
 import oracles
 
@@ -452,6 +452,57 @@ def test_count_vectors_pull_equals_push():
     assert build_automaton(BetaShift(TRIBONACCI, digit_depth=64)).max_word_length is None
 
 
+def _restricted_count_cases():
+    for base in ("2.0863", "1.7", "3.9261"):  # capped chains of 231 states, below and at the cap
+        for n in (1, 5, 230, 100):  # the plan on R_230 is kept and counts n = 100 too
+            yield BetaShift(base, digit_depth=230), n
+    for base in (TRIBONACCI, PHI, "3", 1.0 + math.sqrt(2)):  # terminated: cycles of 3, 2, 1 and 2 states
+        yield BetaShift(base, digit_depth=64), 70
+    for spec in _corners(4096):
+        for n in (1, 100):
+            yield spec, n
+    yield ForbiddenWords(2, ((1,), (2,))), 4  # the empty shift
+
+
+def test_word_counts_over_the_reachable_states_equal_the_push_sums():
+    for spec, n in _restricted_count_cases():
+        aut = automaton_for(spec)
+        expected = [sum(v) for v in oracles.count_vectors_push(aut, n)]
+        assert count_words_sequence(spec, n) == expected, (spec, n)
+        vectors = list(aut.count_vectors(n))
+        assert [v[:-1] for v in vectors] == oracles.count_vectors_push(aut, n), (spec, n)
+        assert all(len(v) == aut.sink + 1 and v[-1] == 0 for v in vectors)
+    # an iterator taken before a larger plan replaced the held one counts on either
+    aut = build_automaton(BetaShift("2.0863", digit_depth=230))
+    early, late = aut.count_vectors(5), aut.count_vectors(7)
+    next(late)
+    assert len(list(aut.count_vectors(100))) == 100
+    assert [v[:-1] for v in early] == oracles.count_vectors_push(aut, 5)
+    assert [v[:-1] for v in late] == oracles.count_vectors_push(aut, 7)[1:]
+
+
+def test_word_counts_pull_only_the_states_reachable_in_n_steps(monkeypatch):
+    # a chain of 231 states, of which the 101 states 0..100 are reachable in 100 steps
+    spec = BetaShift("2.0863", digit_depth=230)
+    aut = automaton_for(spec)
+    expected = [sum(v) for v in oracles.count_vectors_push(aut, 100)]
+    pulled, plan = [], Automaton._count_plan
+
+    def counted_plan(aut, n):
+        size, gather, plain, heavy, expand = plan(aut, n)
+
+        def step(v):  # the states one step pulls a count for, the trailing 0 aside
+            out = gather(v)
+            pulled.append(len(out) - 1)
+            return out
+
+        return size, step, plain, heavy, expand
+
+    monkeypatch.setattr(Automaton, "_count_plan", counted_plan)
+    assert count_words_sequence(spec, 100) == expected
+    assert aut.sink == 231 and pulled == [101] * 100
+
+
 def test_count_vectors_rejects_a_negative_length():
     spec, empty = SFT([[1, 1], [1, 0]]), ForbiddenWords(2, ((1,), (2,)))
     assert count_words_sequence(spec, 6) == [2, 3, 5, 8, 13, 21]
@@ -494,6 +545,13 @@ def test_reach_order_is_the_frontier_bfs(spec):
     aut = automaton_for(spec)
     for l in (0, 1, 2, 5, 30, 100, 240, 1000):
         assert aut.reach_order(l) == oracles.reach_order_frontier(aut, l), l
+
+
+def test_reach_pass_equals_the_numpy_levels():
+    for spec, _ in _push_cases():
+        aut = build_automaton(spec)
+        for l in (0, 1, 5, 100, 5000):
+            assert aut.reach_order(l) == oracles.reach_order_numpy(aut, l), (spec, l)
 
 
 # bases whose expansion of 1 does not terminate: four fixed ones and 50
