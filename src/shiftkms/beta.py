@@ -42,19 +42,6 @@ class BetaExpansion:
     snapped: bool
     quasi_greedy_block: tuple[int, ...] | None
 
-    def quasi_greedy_digits(self, n: int) -> tuple[int, ...]:
-        """First n digits of the quasi-greedy expansion of 1."""
-        n = as_count(n, "n")
-        if self.terminated:
-            block = self.quasi_greedy_block
-            reps = -(-n // len(block))
-            return (block * reps)[:n]
-        if n > len(self.greedy):
-            raise ValueError(
-                f"only {len(self.greedy)} digits were computed; rebuild with a larger n_digits"
-            )
-        return self.greedy[:n]
-
 
 def exact_base(beta) -> Fraction:
     """The exact value of a base: a string as the plain decimal it spells (no

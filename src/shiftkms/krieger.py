@@ -13,9 +13,10 @@ only when it first appears, and stops at the first depth whose family equals
 the next one: the recursion is deterministic, so every deeper family is the
 same and the counts are final for the presenting automaton.  The reports give
 that depth as `fixed_point_depth` (None when the family still changes at the
-requested depth).  Each automaton holds one walk, which every deeper request
-continues, so the krieger and bracket sections of one `all` document gather
-each subset once; the counts are memoized per automaton and arguments.
+requested depth).  A memo keyed by the automaton holds its one walk, which
+every deeper request continues, so the krieger and bracket sections of one
+`all` document gather each subset once; the counts are memoized per automaton
+and arguments.
 `omega_l` reads its stabilized flag off the core;
 its classes, and `predecessor_set`, enumerate words, layer by layer through
 one enumerator, and serve as the independent cross-check.  Every pass reads
@@ -167,6 +168,14 @@ def omega_l(spec, l: int, depth: int) -> PastPartition:
 
 
 @lru_cache(maxsize=128)
+def _walk(aut: Automaton) -> list:
+    """aut's Krieger subset walk, [m, family(m), family(m - 1), the fixed point or None, the
+    preimages], at family(0), whose one subset holds every state but the sink; _class_counts moves it."""
+    first = {np.packbits(np.arange(aut.sink + 1) < aut.sink).tobytes()}
+    return [0, first, first, None, {}]
+
+
+@lru_cache(maxsize=128)
 def _class_counts(aut: Automaton, n_max: int, depth: int):
     """(counts at `depth`, stabilized, fixed_point_depth), the first two as
     tuples, since the memoized result is shared by its callers.
@@ -176,13 +185,12 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     nonempty preimages under each symbol, gathered once per subset, when it
     first appears.  The sink bit starts clear and stays clear, since the sink
     only leads to itself, so a move into the sink makes a subset unreadable
-    there.  The automaton holds the walk, [m, family(m), family(m - 1), the
-    fixed point or None, the preimages]; a request below m, or at the fixed
-    point, which that depth does not see, starts it again from family(0), with
-    the preimages it holds.  counts[n], n = 0..n_max, is the number of
-    distinct restrictions to R_n (states reachable in <= n steps) of the subsets
-    that hold the start state, and stabilized[n] says that it equals the count
-    at depth - 1, a depth that still has words of length >= max(n, 1).
+    there.  The memo `_walk(aut)` holds the walk; a request below its depth m,
+    or at its fixed point, which that depth does not see, starts it again from
+    family(0), with the preimages it holds.  counts[n], n = 0..n_max, is the
+    number of distinct restrictions to R_n (states reachable in <= n steps) of
+    the subsets that hold the start state, and stabilized[n] says that it equals
+    the count at depth - 1, a depth that still has words of length >= max(n, 1).
     """
     size = aut.sink + 1
     row = np.dtype((np.void, (size + 7) // 8))  # a packed subset as one bytes item
@@ -191,10 +199,9 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
         packed = np.frombuffer(b"".join(subsets), dtype=np.uint8).reshape(-1, row.itemsize)
         return np.unpackbits(packed, axis=1, count=size).view(bool)
 
-    walk = aut.subset_walk
-    if walk is None or depth < walk[0] or depth == walk[3]:
-        first = {np.packbits(np.arange(size) < aut.sink).tobytes()}
-        walk = aut.subset_walk = [0, first, first, None, {} if walk is None else walk[4]]
+    walk = _walk(aut)
+    if depth < walk[0] or depth == walk[3]:
+        walk[:4] = _walk.__wrapped__(aut)[:4]  # family(0) again, with the preimages kept
     m, family, prev, fixed_point_depth, preimages = walk
     empty = bytes(row.itemsize)
     while fixed_point_depth is None and m < depth:
@@ -231,13 +238,11 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
     return at_depth, stabilized, fixed_point_depth
 
 
-def sofic_check(spec, l_max: int, depth: int | None = None) -> SoficReport:
+def sofic_check(spec, l_max: int, depth: int) -> SoficReport:
     """The sofic verdict, True exactly on an uncapped presentation (see the
     module notes), with the class counts for l = 1..l_max at `depth` as evidence.
     """
     l_max = as_count(l_max, "l_max", 2)
-    if depth is None:
-        depth = l_max + 4
     depth = as_count(depth, "depth", l_max)
     aut = automaton_for(spec)
     aut.check_length(l_max + depth)

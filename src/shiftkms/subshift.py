@@ -105,7 +105,7 @@ class Automaton:
     the start never reaches the sink.  Every state has at least one outgoing
     transition (the build trims dead ends), except an optional horizon state
     in depth-capped presentations; max_word_length says how long a run is
-    trustworthy.
+    trustworthy.  Beside the table it holds only its reach pass and radius bracket.
     """
 
     start = 0
@@ -115,8 +115,6 @@ class Automaton:
         self.alphabet, self.sink = succ.shape[0], succ.shape[1] - 1
         self.states = range(self.sink)
         self.max_word_length = max_word_length
-        self._plan = None  # the count plan on the largest R_n asked for
-        self.subset_walk = None  # the Krieger subset walk, made by krieger on its first request
 
     @property
     def is_empty(self) -> bool:
@@ -140,37 +138,27 @@ class Automaton:
                 f"{self.max_word_length}; rebuild with a larger digit_depth"
             )
 
-    def count_vectors(self, n):
-        """Iterator over k = 1..n of the list whose entry q is the number of admissible
-        length-k words ending in state q (exact ints), the sink's 0 last; it holds
-        one vector at a time.  n and the length are checked on the call."""
-        n = spectral.as_count(n, "n")
-        self.check_length(n)
-        return self._pull_counts(n, full=True)
-
-    def _pull_counts(self, n, full=False):
+    def _pull_counts(self, n):
         """Iterator over k = 1..n of the counts of length-k words ending in the states of R_n, in
-        reach order, then a 0: no word of length <= n ends anywhere else; full: over 0..N."""
-        size, gather, plain, heavy, expand = self._count_plan(n)
+        reach order, then a 0: no word of length <= n ends anywhere else.  It holds one list at a time."""
+        size, gather, plain, heavy = self._count_plan(n)
         v = [1] + [0] * size  # the start is first in the reach order
         for _ in range(n):
             sums = [sum(get(v)) for get in plain]
             for i, k, get in heavy:
                 sums[i] += k * sum(get(v))
             v = list(gather(v + sums))
-            yield list(expand(v)) if full else v
+            yield v
 
     def _count_plan(self, n):
-        """(size, gather, plain, heavy, expand): the transition-count matrix on R_n (n length-checked),
-        its states numbered by place in the reach order, as a plan that pulls each next count from v with
-        the builtin `sum`; a plan on a larger R_m, held, serves too.  plain[i] gets weight-1 predecessors,
-        each (i, k, get) in heavy adds k times a sum of weight-k ones, gather picks every count from v +
-        sums (one copy for a lone weight-1 predecessor), and expand spreads v over the states 0..N."""
+        """(size, gather, plain, heavy): the transition-count matrix on R_n (n length-checked), its
+        states numbered by place in the reach order, as a plan that pulls each next count from v with
+        the builtin `sum`.  plain[i] gets weight-1 predecessors, each (i, k, get) in heavy adds k times
+        a sum of weight-k ones, and gather picks every count from v + sums (one copy for a lone
+        weight-1 predecessor)."""
         self.check_length(n)
         order, sizes = self._reach
         size = sizes[min(n, len(sizes) - 1)]
-        if self._plan and self._plan[0] >= size:
-            return self._plan
         place = np.full(self.sink + 1, size)  # place size is v's 0, read for the sink and outside R_n
         place[order[:size]] = np.arange(size)
         succ = place[self.succ[:, order[:size]]]
@@ -192,8 +180,7 @@ class Automaton:
             # the 0s pad each getter, so that it returns a tuple even for one or no source
             heavy += [(len(plain), k, itemgetter(*s, size)) for k, s in by_weight.items()]
             plain.append(itemgetter(*ones, size, size))
-        self._plan = size, itemgetter(*index), plain, heavy, itemgetter(*place.tolist())
-        return self._plan
+        return size, itemgetter(*index), plain, heavy
 
     @cached_property
     def radius_bracket(self) -> tuple[float, float]:

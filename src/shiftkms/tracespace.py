@@ -63,10 +63,6 @@ class CoherentSequence:
     tol: float
 
     @property
-    def normalized(self) -> bool:
-        return abs(float(self.levels[0].sum()) - 1.0) <= TRACE_TOL
-
-    @property
     def depth(self) -> int:
         return len(self.levels) - 1
 
@@ -175,14 +171,6 @@ class EpsilonSequence:
 
     log_values: tuple[float, ...]
     rates: tuple[float, ...]
-
-    @property
-    def eps(self) -> tuple[float, ...]:
-        """eps_n itself; a ValueError naming the first n where it is no normal float."""
-        for n, v in enumerate(self.log_values, start=1):
-            if abs(v) > _LOG_RANGE:
-                raise ValueError(f"eps_n leaves the normal float64 range at n = {n} (log eps_n = {v:.6g})")
-        return tuple(math.exp(v) for v in self.log_values)
 
 
 def _log_eps(A, v: np.ndarray, n_max: int) -> list[float]:

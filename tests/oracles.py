@@ -172,7 +172,13 @@ def admissible_direct(word, spec) -> bool:
 @functools.lru_cache(maxsize=None)
 def _quasi_greedy_digits(spec):
     # brute-force enumeration asks once per word; BetaShift.expansion() is not memoized
-    return spec.expansion().quasi_greedy_digits(spec.digit_depth)
+    return quasi_greedy_digits(spec.expansion(), spec.digit_depth)
+
+
+def quasi_greedy_digits(exp, n):
+    """The first n quasi-greedy digits of 1, as `_beta_automaton` reads them: a
+    terminated expansion's block repeated, or else the greedy digits."""
+    return (exp.quasi_greedy_block * n if exp.terminated else exp.greedy)[:n]
 
 
 def forbidden_occurs_brute(word, forbidden, d, horizon=None) -> bool:
@@ -333,9 +339,10 @@ def class_counts_sorted_rows(aut, n_max, depth):
 
 
 def count_vectors_push(aut, n):
-    """The word-count vectors of `Automaton.count_vectors` for k = 1..n, over
-    the states only, in push form: each count is added into every target of
-    its state's row of (target, number of symbols) pairs."""
+    """The word-count vectors for k = 1..n, entry q the number of admissible
+    length-k words ending in state q, over the states only, in push form: each
+    count is added into every target of its state's row of (target, number of
+    symbols) pairs."""
     rows = [
         [(qn, k) for qn, k in Counter(targets).items() if qn != aut.sink]
         for targets in aut.succ.T[:-1].tolist()
@@ -371,7 +378,7 @@ def beta_automaton_kmp(spec) -> Automaton:
     longest suffix of the word read so far that is a prefix of the first
     digit_depth quasi-greedy digits of 1, and a smaller digit falls back along
     the prefix function."""
-    digits = spec.expansion().quasi_greedy_digits(spec.digit_depth)
+    digits = quasi_greedy_digits(spec.expansion(), spec.digit_depth)
     pi, k = [0] * len(digits), 0
     for i in range(1, len(digits)):
         while k and digits[i] != digits[k]:
@@ -466,7 +473,7 @@ def successor_table_dict(spec) -> np.ndarray:
         return _relabelled_table(spec.alphabet, _forbidden_delta(spec.alphabet, spec.words))
     exp = spec.expansion()
     terminated = exp.terminated
-    digits = exp.quasi_greedy_block if terminated else exp.quasi_greedy_digits(spec.digit_depth)
+    digits = exp.quasi_greedy_block if terminated else quasi_greedy_digits(exp, spec.digit_depth)
     delta = {}
     for j, dj in enumerate(digits):
         delta.update({(j, c + 1): 0 for c in range(dj)})

@@ -38,13 +38,10 @@ TABLE = [
     ("FullShift", "alphabet", "alphabet", 1, 3, subshift.FullShift),
     ("ForbiddenWords", "alphabet", "alphabet", 1, 2, lambda v: subshift.ForbiddenWords(v, ((1, 1),))),
     ("BetaShift", "digit_depth", "digit_depth", 1, 20, lambda v: subshift.BetaShift(1.5, digit_depth=v)),
-    ("Automaton.count_vectors", "n", "n", 0, 5, lambda v: list(_automaton().count_vectors(v))),
     ("Automaton.reach_order", "l", "l", 0, 3, lambda v: _automaton().reach_order(v)),
     ("count_words", "n", "n", 0, 3, lambda v: subshift.count_words(SPEC, v)),
     ("count_words_sequence", "n_max", "n_max", 0, 5, lambda v: subshift.count_words_sequence(SPEC, v)),
     ("topological_entropy", "n_max", "n_max", 2, 6, lambda v: subshift.topological_entropy(SPEC, v)),
-    ("BetaExpansion.quasi_greedy_digits", "n", "n", 0, 5,
-     lambda v: beta.beta_expansion_of_one(1.5, 20).quasi_greedy_digits(v)),
     ("beta_expansion_of_one", "n_digits", "n_digits", 1, 10, lambda v: beta.beta_expansion_of_one(1.5, v)),
     ("predecessor_set", "l", "l", 0, 3, lambda v: krieger.predecessor_set((1,), v, SPEC)),
     ("omega_l", "l", "l", 0, 2, lambda v: krieger.omega_l(SPEC, v, 6)),

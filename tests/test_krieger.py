@@ -18,6 +18,7 @@ from shiftkms import (
 from shiftkms.subshift import automaton_for, build_automaton, topological_entropy
 
 import oracles
+from conftest import clear_package_memos
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN = SFT([[1, 1], [1, 0]])
@@ -173,7 +174,7 @@ def test_dim_q_beta_linear_growth_with_aperiodic_expansion():
 
 
 def test_sofic_check_golden():
-    report = sofic_check(GOLDEN, 8)
+    report = sofic_check(GOLDEN, 8, 12)
     assert report.sofic_detected
     assert set(report.counts) == {2}
 
@@ -200,7 +201,7 @@ def test_sofic_check_detects_golden_beta_shift():
 def test_sofic_verdict_needs_no_count_window():
     # an uncapped presentation is a finite automaton, so the shift is sofic at
     # any l_max; the class counts only report evidence
-    report = sofic_check(FullShift(3), 2)
+    report = sofic_check(FullShift(3), 2, 6)
     assert report.sofic_detected
     assert report.counts == (1, 1) and report.fixed_point_depth == 0
     # growing stabilized counts up to n_max = 8, all below the one forbidden word
@@ -270,7 +271,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         sofic_check(GOLDEN, -1, 5)
     with pytest.raises(ValueError):
-        sofic_check(GOLDEN, 1)
+        sofic_check(GOLDEN, 1, 5)
     with pytest.raises(ValueError):
         entropy_bracket(GOLDEN, 3)
     with pytest.raises(ValueError):
@@ -280,7 +281,7 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="no admissible words of length 5"):
         sofic_check(empty, 2, 5)
     with pytest.raises(ValueError, match="no admissible words of length 7"):
-        sofic_check(empty, 3)
+        sofic_check(empty, 3, 7)
     with pytest.raises(ValueError, match=r"subshift is empty \(theta_1 = 0\)"):
         entropy_bracket(empty, 5)
     for base in ("nan", "1e400", float("inf")):
@@ -360,7 +361,7 @@ def test_truncated_beta_chain_never_claims_soficity(base):
     # the expansion of 1 does not terminate, so the depth-capped chain presents
     # a truncation: equal stabilized counts there prove nothing about the shift
     spec = BetaShift(base, digit_depth=200)
-    check = sofic_check(spec, 10)
+    check = sofic_check(spec, 10, 14)
     assert len(set(check.counts[-3:])) == 1 and all(check.stabilized[-3:])
     assert not check.sofic_detected
     bracket = entropy_bracket(spec, 50, depth=60)
@@ -468,6 +469,29 @@ def test_class_counts_gather_each_subset_once(spec, n, depth, monkeypatch):
     last = depth - 1 if stop is None else stop
     visited = set().union(*family[: last + 1])
     assert sum(gathered) == len(visited) < sum(map(len, family[: last + 1]))
+
+
+def test_a_memo_clear_gathers_every_subset_again(monkeypatch):
+    # the walk is a krieger memo keyed by the automaton; the loop that empties
+    # every memo between benchmark replays leaves the next sofic_check cold
+    spec, l_max, depth = BetaShift(1.7, digit_depth=512), 30, 40
+    gathered, take = [], np.take
+
+    def counted(a, indices, axis=None):
+        gathered.append(len(a))
+        return take(a, indices, axis=axis)
+
+    monkeypatch.setattr(np, "take", counted)
+    report = sofic_check(spec, l_max, depth)
+    cold = sum(gathered)
+    assert sofic_check(BetaShift(1.7, digit_depth=512), l_max, depth) == report and sum(gathered) == cold
+    clear_package_memos()
+    assert krieger._walk.cache_info().currsize == 0
+    gathered.clear()
+    assert sofic_check(BetaShift(1.7, digit_depth=512), l_max, depth) == report
+    monkeypatch.undo()
+    family = oracles.subset_family_brute(automaton_for(spec), depth)
+    assert sum(gathered) == cold == len(set().union(*family[: depth]))
 
 
 def test_beta_4096_bracket_at_the_cli_bounds():

@@ -57,7 +57,7 @@ def test_presentations_of_one_shift_agree(name):
     fixed, specs = FAMILIES[name]
     first, *rest = specs
     theta = count_words_sequence(first, 30)
-    sofic = sofic_check(first, 10)
+    sofic = sofic_check(first, 10, 14)
     bracket = entropy_bracket(first, 30)
     assert sofic.sofic_detected and bracket.width == 0
     assert sofic.fixed_point_depth == bracket.fixed_point_depth == fixed
@@ -65,7 +65,7 @@ def test_presentations_of_one_shift_agree(name):
     for spec in rest:
         assert _same_entropy(topological_entropy(spec, 30).exact, exact), spec
         assert count_words_sequence(spec, 30) == theta, spec
-        assert sofic_check(spec, 10) == sofic, spec
+        assert sofic_check(spec, 10, 14) == sofic, spec
         assert entropy_bracket(spec, 30) == bracket, spec
         assert sofic_check(spec, 5, 12) == sofic_check(first, 5, 12), spec
 
@@ -101,7 +101,7 @@ def test_seeded_matrix_shifts_are_sofic_at_any_window():
     # bracket at n_max = 4, however far the class counts are from settling
     for M in SEEDED_MATRICES:
         for spec in (SFT(M), _zero_blocks(M)):
-            assert sofic_check(spec, 2).sofic_detected, M
+            assert sofic_check(spec, 2, 6).sofic_detected, M
             bracket = entropy_bracket(spec, 4)
             assert bracket.sofic_detected and bracket.width == 0, M
 

@@ -36,12 +36,6 @@ REFUSALS = [
     ),
     ("empty-word", lambda: predecessor_set((), 1, SFT(GOLDEN)), ValueError, "word must be nonempty"),
     (
-        "past-the-digits",
-        lambda: beta_expansion_of_one("1.7", 10).quasi_greedy_digits(11),
-        ValueError,
-        "only 10 digits were computed; rebuild with a larger n_digits",
-    ),
-    (
         "infinite-base",
         lambda: beta_expansion_of_one(float("inf"), 3),
         ValueError,

@@ -141,13 +141,13 @@ def test_cli_all_runs_the_word_count_recursion_once(monkeypatch):
     plan = Automaton._count_plan
 
     def counted_plan(aut, n):
-        size, gather, plain, heavy, expand = plan(aut, n)
+        size, gather, plain, heavy = plan(aut, n)
 
         def step(v):  # each step of the recursion gathers once
             steps["steps"] += 1
             return gather(v)
 
-        return size, step, plain, heavy, expand
+        return size, step, plain, heavy
 
     monkeypatch.setattr(Automaton, "_count_plan", counted_plan)
     flags = dict(FLAGS, max_n=20, depth=22)

@@ -257,7 +257,7 @@ def test_beta_expansion_integer_base():
     assert exp.greedy == (2,)
     assert exp.terminated and not exp.snapped
     assert exp.quasi_greedy_block == (1,)
-    assert exp.quasi_greedy_digits(5) == (1, 1, 1, 1, 1)
+    assert oracles.quasi_greedy_digits(exp, 5) == (1, 1, 1, 1, 1)
 
 
 def test_beta_expansion_golden():
@@ -265,7 +265,7 @@ def test_beta_expansion_golden():
     assert exp.greedy == (1, 1)
     assert exp.terminated
     assert exp.quasi_greedy_block == (1, 0)
-    assert exp.quasi_greedy_digits(6) == (1, 0, 1, 0, 1, 0)
+    assert oracles.quasi_greedy_digits(exp, 6) == (1, 0, 1, 0, 1, 0)
 
 
 def test_beta_expansion_tribonacci():
@@ -443,18 +443,28 @@ def _push_cases():
         yield spec, 10
 
 
+def _count_vectors(aut, n):
+    """The counts `_pull_counts` gives over R_n, spread over the states 0..N-1."""
+    order, vectors = aut._reach[0], []
+    for v in aut._pull_counts(n):
+        assert v[-1] == 0  # the count read for the sink and outside R_n
+        full = [0] * aut.sink
+        for q, count in zip(order, v[:-1]):
+            full[q] = count
+        vectors.append(full)
+    return vectors
+
+
 def test_count_vectors_pull_equals_push():
     for spec, n in _push_cases():
         aut = build_automaton(spec)
-        vectors = list(aut.count_vectors(n))
-        assert [v[:-1] for v in vectors] == oracles.count_vectors_push(aut, n), spec
-        assert all(v[-1] == 0 for v in vectors)
+        assert _count_vectors(aut, n) == oracles.count_vectors_push(aut, n), spec
     assert build_automaton(BetaShift(TRIBONACCI, digit_depth=64)).max_word_length is None
 
 
 def _restricted_count_cases():
     for base in ("2.0863", "1.7", "3.9261"):  # capped chains of 231 states, below and at the cap
-        for n in (1, 5, 230, 100):  # the plan on R_230 is kept and counts n = 100 too
+        for n in (1, 5, 230, 100):
             yield BetaShift(base, digit_depth=230), n
     for base in (TRIBONACCI, PHI, "3", 1.0 + math.sqrt(2)):  # terminated: cycles of 3, 2, 1 and 2 states
         yield BetaShift(base, digit_depth=64), 70
@@ -469,16 +479,7 @@ def test_word_counts_over_the_reachable_states_equal_the_push_sums():
         aut = automaton_for(spec)
         expected = [sum(v) for v in oracles.count_vectors_push(aut, n)]
         assert count_words_sequence(spec, n) == expected, (spec, n)
-        vectors = list(aut.count_vectors(n))
-        assert [v[:-1] for v in vectors] == oracles.count_vectors_push(aut, n), (spec, n)
-        assert all(len(v) == aut.sink + 1 and v[-1] == 0 for v in vectors)
-    # an iterator taken before a larger plan replaced the held one counts on either
-    aut = build_automaton(BetaShift("2.0863", digit_depth=230))
-    early, late = aut.count_vectors(5), aut.count_vectors(7)
-    next(late)
-    assert len(list(aut.count_vectors(100))) == 100
-    assert [v[:-1] for v in early] == oracles.count_vectors_push(aut, 5)
-    assert [v[:-1] for v in late] == oracles.count_vectors_push(aut, 7)[1:]
+        assert _count_vectors(aut, n) == oracles.count_vectors_push(aut, n), (spec, n)
 
 
 def test_word_counts_pull_only_the_states_reachable_in_n_steps(monkeypatch):
@@ -489,21 +490,21 @@ def test_word_counts_pull_only_the_states_reachable_in_n_steps(monkeypatch):
     pulled, plan = [], Automaton._count_plan
 
     def counted_plan(aut, n):
-        size, gather, plain, heavy, expand = plan(aut, n)
+        size, gather, plain, heavy = plan(aut, n)
 
         def step(v):  # the states one step pulls a count for, the trailing 0 aside
             out = gather(v)
             pulled.append(len(out) - 1)
             return out
 
-        return size, step, plain, heavy, expand
+        return size, step, plain, heavy
 
     monkeypatch.setattr(Automaton, "_count_plan", counted_plan)
     assert count_words_sequence(spec, 100) == expected
     assert aut.sink == 231 and pulled == [101] * 100
 
 
-def test_count_vectors_rejects_a_negative_length():
+def test_word_counts_reject_a_negative_length():
     spec, empty = SFT([[1, 1], [1, 0]]), ForbiddenWords(2, ((1,), (2,)))
     assert count_words_sequence(spec, 6) == [2, 3, 5, 8, 13, 21]
     assert count_words_sequence(empty, 3) == [0, 0, 0]
@@ -511,15 +512,15 @@ def test_count_vectors_rejects_a_negative_length():
         for s in (spec, empty):
             with pytest.raises(ValueError, match="n_max must be >= 0"):
                 count_words_sequence(s, n)
-        with pytest.raises(ValueError, match="n must be >= 0"):
-            automaton_for(spec).count_vectors(n)
-    assert list(automaton_for(spec).count_vectors(0)) == []
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                count_words(s, n)
+    assert count_words_sequence(spec, 0) == []
 
 
 def test_word_counts_hold_one_vector_at_a_time():
     # 400 vectors of 64 counts near 38^400 take 4.4 MB when held together
     spec = SFT(oracles.random_irreducible_zero_one(np.random.default_rng(64), 64, 0.6))
-    expected = count_words_sequence(spec, 400)  # builds and memoizes the automaton and its plan
+    expected = count_words_sequence(spec, 400)  # builds and memoizes the automaton and its reach pass
     for call, want in ((count_words_sequence, expected), (count_words, expected[-1])):
         tracemalloc.start()
         try:

@@ -22,7 +22,7 @@ from shiftkms import (
     temperature_sign,
     tracespace,
 )
-from shiftkms.tracespace import as_trace_vector
+from shiftkms.tracespace import TRACE_TOL, as_trace_vector
 
 import oracles
 
@@ -147,7 +147,7 @@ def test_kms_eigen_sequence_examples():
         assert np.allclose(lv, [0.5, 0.5], atol=1e-12)
     golden = kms_eigen_sequence(GOLDEN, 6)
     assert max(golden.residuals) < 1e-12
-    assert golden.normalized
+    assert abs(golden.levels[0].sum() - 1.0) <= TRACE_TOL
 
 
 def test_epsilon_closed_form_coefficients():
@@ -168,14 +168,18 @@ def test_epsilon_closed_form_coefficients():
             assert coeff == colsums
 
 
+def _eps(seq):
+    return [math.exp(v) for v in seq.log_values]
+
+
 def test_epsilon_examples():
-    eps = epsilon_sequence(np.eye(3), [1 / 3] * 3, 5)
-    assert np.allclose(eps.eps, [1.0] * 5, atol=1e-15)
-    eps = epsilon_sequence(np.ones((4, 4)), [0.25] * 4, 5)
-    assert np.allclose(eps.eps, [4.0**n for n in range(1, 6)], rtol=1e-13)
-    eps = epsilon_sequence(GOLDEN, [0.5, 0.5], 2)
-    assert abs(eps.eps[0] - 1.5) < 1e-15
-    assert abs(eps.eps[1] - 2.5) < 1e-15
+    eps = _eps(epsilon_sequence(np.eye(3), [1 / 3] * 3, 5))
+    assert np.allclose(eps, [1.0] * 5, atol=1e-15)
+    eps = _eps(epsilon_sequence(np.ones((4, 4)), [0.25] * 4, 5))
+    assert np.allclose(eps, [4.0**n for n in range(1, 6)], rtol=1e-13)
+    eps = _eps(epsilon_sequence(GOLDEN, [0.5, 0.5], 2))
+    assert abs(eps[0] - 1.5) < 1e-15
+    assert abs(eps[1] - 2.5) < 1e-15
 
 
 def test_epsilon_simplex_bracket():
@@ -186,7 +190,7 @@ def test_epsilon_simplex_bracket():
         t = rng.random(d)
         t /= t.sum()
         eps = epsilon_sequence(M, t, 8)
-        for n, value in enumerate(eps.eps, start=1):
+        for n, value in enumerate(_eps(eps), start=1):
             power = oracles.matrix_power_exact(M, n)
             colsums = [sum(power[i][k] for i in range(d)) for k in range(d)]
             assert min(colsums) - 1e-9 <= value <= max(colsums) + 1e-9
@@ -195,25 +199,10 @@ def test_epsilon_simplex_bracket():
 def test_epsilon_no_overflow_at_large_n():
     eps = epsilon_sequence(np.ones((6, 6)), [1 / 6] * 6, 400)
     assert abs(eps.rates[-1] - math.log(6)) < 1e-12
-
-
-@pytest.mark.parametrize(
-    "matrix, first",
-    [
-        (np.ones((4, 4)), None),  # 4^512 overflows float64
-        (np.full((4, 4), 2.0), 341),  # 8^341 is above 1 / tiny
-        (np.full((4, 4), 0.025), 308),  # 0.1^308 is below the normal floats
-    ],
-)
-def test_eps_refuses_values_outside_the_normal_floats(matrix, first):
-    seq = epsilon_sequence(matrix, [0.25] * 4, 600)
-    assert len(seq.log_values) == len(seq.rates) == 600
-    with pytest.raises(ValueError, match="eps_n leaves the normal float64 range at n = "):
-        seq.eps
-    if first is not None:
-        with pytest.raises(ValueError, match=f"at n = {first} "):
-            seq.eps
-        assert epsilon_sequence(matrix, [0.25] * 4, first - 1).eps[-1] > 0.0
+    # eps_n = 0.1^n is below the normal floats from n = 308 on; its logarithm is not
+    eps = epsilon_sequence(np.full((4, 4), 0.025), [0.25] * 4, 600)
+    assert len(eps.log_values) == len(eps.rates) == 600
+    assert abs(eps.rates[-1] - math.log(0.1)) < 1e-12
 
 
 def test_temperature_from_trace_examples():
@@ -456,7 +445,7 @@ def test_coherent_from_boundary_rejects_a_level_beyond_float64():
     with pytest.raises(ValueError, match="R = 400"):
         coherent_from_boundary(np.ones((8, 8)), np.ones(8), 400)
     seq = coherent_from_boundary(np.ones((8, 8)), np.ones(8), 300)
-    assert seq.coherent and seq.normalized
+    assert seq.coherent and abs(seq.levels[0].sum() - 1.0) <= TRACE_TOL
 
 
 def test_normalization_profile_deep_sequence():
