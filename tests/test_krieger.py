@@ -471,6 +471,28 @@ def test_class_counts_gather_each_subset_once(spec, n, depth, monkeypatch):
     assert sum(gathered) == len(visited) < sum(map(len, family[: last + 1]))
 
 
+@pytest.mark.parametrize("spec", [BetaShift(1.7, digit_depth=512), EVEN_TRUNC], ids=["beta-1.7", "even-trunc"])
+def test_a_restarted_walk_keeps_its_preimages(spec, monkeypatch):
+    # requests below the walk's depth, and at its fixed point, start it again from
+    # family(0) with the preimages it holds, so they gather no subset a second time
+    aut = build_automaton(spec)
+    gathered, take = [], np.take
+
+    def counted(a, indices, axis=None):
+        gathered.append(len(a))
+        return take(a, indices, axis=axis)
+
+    monkeypatch.setattr(np, "take", counted)
+    stop = krieger._class_counts.__wrapped__(aut, 12, 40)[2]
+    assert sum(gathered) > 0
+    gathered.clear()
+    answers = {depth: krieger._class_counts.__wrapped__(aut, 12, depth) for depth in (12, 3, stop, 40)}
+    monkeypatch.undo()
+    assert sum(gathered) == 0
+    for depth, got in answers.items():
+        assert got == oracles.class_counts_sorted_rows(aut, 12, depth), depth
+
+
 def test_a_memo_clear_gathers_every_subset_again(monkeypatch):
     # the walk is a krieger memo keyed by the automaton; the loop that empties
     # every memo between benchmark replays leaves the next sofic_check cold

@@ -9,9 +9,11 @@ import pytest
 
 from shiftkms import (
     SFT,
+    BetaShift,
     beta_expansion_of_one,
     coherent_from_boundary,
     coherent_sequence,
+    count_words,
     epsilon_sequence,
     h_iterate,
     predecessor_set,
@@ -35,6 +37,12 @@ REFUSALS = [
         f"not a subshift presentation: {NOT_A_SPEC!r}",
     ),
     ("empty-word", lambda: predecessor_set((), 1, SFT(GOLDEN)), ValueError, "word must be nonempty"),
+    (
+        "past-the-depth",
+        lambda: count_words(BetaShift("1.7", digit_depth=10), 11),
+        ValueError,
+        "word length 11 exceeds the presentation depth 10; rebuild with a larger digit_depth",
+    ),
     (
         "infinite-base",
         lambda: beta_expansion_of_one(float("inf"), 3),

@@ -482,6 +482,17 @@ def test_word_counts_over_the_reachable_states_equal_the_push_sums():
         assert _count_vectors(aut, n) == oracles.count_vectors_push(aut, n), (spec, n)
 
 
+def test_count_iterators_of_one_automaton_run_side_by_side():
+    # each iterator builds its own plan, on its own R_n: one started on R_5 and
+    # resumed after a run over R_230 still gives its own counts
+    aut = automaton_for(BetaShift("1.7", digit_depth=230))
+    push_5, push_230 = (oracles.count_vectors_push(aut, n) for n in (5, 230))
+    short = aut._pull_counts(5)
+    first = [sum(next(short))]
+    assert [sum(v) for v in aut._pull_counts(230)] == [sum(v) for v in push_230]
+    assert first + [sum(v) for v in short] == [sum(v) for v in push_5]
+
+
 def test_word_counts_pull_only_the_states_reachable_in_n_steps(monkeypatch):
     # a chain of 231 states, of which the 101 states 0..100 are reachable in 100 steps
     spec = BetaShift("2.0863", digit_depth=230)

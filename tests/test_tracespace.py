@@ -199,10 +199,25 @@ def test_epsilon_simplex_bracket():
 def test_epsilon_no_overflow_at_large_n():
     eps = epsilon_sequence(np.ones((6, 6)), [1 / 6] * 6, 400)
     assert abs(eps.rates[-1] - math.log(6)) < 1e-12
-    # eps_n = 0.1^n is below the normal floats from n = 308 on; its logarithm is not
-    eps = epsilon_sequence(np.full((4, 4), 0.025), [0.25] * 4, 600)
-    assert len(eps.log_values) == len(eps.rates) == 600
-    assert abs(eps.rates[-1] - math.log(0.1)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "matrix, c",
+    [
+        (np.ones((4, 4)), 4.0),  # 4^512 overflows float64
+        (np.full((4, 4), 2.0), 8.0),  # 8^341 is above 1 / tiny
+        (np.full((4, 4), 0.025), 0.1),  # 0.1^308 is below the normal floats
+    ],
+    ids=["overflow-4", "overflow-8", "underflow-0.1"],
+)
+def test_log_values_hold_eps_past_the_normal_floats(matrix, c):
+    # eps_n = c^n leaves the normal floats before n = 600; its logarithm stays exact
+    seq = epsilon_sequence(matrix, [0.25] * 4, 600)
+    assert len(seq.log_values) == len(seq.rates) == 600
+    assert abs(seq.log_values[-1]) > -math.log(np.finfo(float).tiny)
+    for n, (lv, rate) in enumerate(zip(seq.log_values, seq.rates), start=1):
+        assert math.isclose(lv, n * math.log(c), rel_tol=1e-12), n
+        assert abs(rate - math.log(c)) < 1e-12, n
 
 
 def test_temperature_from_trace_examples():
