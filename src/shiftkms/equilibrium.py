@@ -49,8 +49,7 @@ class MarkovMeasure:
     def entropy(self) -> float:
         """Entropy rate -sum_i pi_i sum_j p_ij log p_ij in nats (0 log 0 = 0)."""
         P = self.transitions
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
+        plogp = P * np.log(P + (P == 0))  # 1 off the support, where the log is 0
         return float(-(self.stationary @ plogp.sum(axis=1))) + 0.0
 
 
@@ -89,20 +88,15 @@ def _check_markov(M, P, pi) -> None:
 def cylinder(m: MarkovMeasure, word) -> float:
     """Measure of the cylinder set of a nonempty word: pi_{w_1} prod p; zero
     exactly on inadmissible words."""
-    w = _validate_cylinder_word(m, word)
+    w = validate_word(word, m.perron.matrix.shape[0])
+    if not w:
+        raise ValueError("cylinder words must be nonempty")
     value = float(m.stationary[w[0] - 1])
     for a, b in zip(w, w[1:]):
         value *= float(m.transitions[a - 1, b - 1])
         if value == 0.0:
             return 0.0
     return value
-
-
-def _validate_cylinder_word(m: MarkovMeasure, word):
-    w = validate_word(word, m.perron.matrix.shape[0])
-    if not w:
-        raise ValueError("cylinder words must be nonempty")
-    return w
 
 
 @dataclass(frozen=True, eq=False)

@@ -224,8 +224,6 @@ def _class_counts(aut: Automaton, n_max: int, depth: int):
 
     def counts(fam):
         rows = fam[fam[:, aut.start]][:, order]
-        if not len(rows):
-            return (0,) * (n_max + 1)
         rows = rows[np.lexsort(rows.T[::-1])]
         differs = rows[1:] != rows[:-1]
         first = np.sort(np.where(differs.any(axis=1), differs.argmax(axis=1), len(order)))

@@ -430,8 +430,10 @@ def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:
     of the package; the lists stop at the first vanishing sum.  Chunks of K steps from x / 1^T x are
     summed, logged and rescaled at once: as c_min 1^T y <= 1^T A y <= c_max 1^T y over the column sums
     c, K = _LOG_CHUNK / max |log c| keeps every sum within exp(+-_LOG_CHUNK); a zero column gives K = 1."""
-    M, n = as_nonnegative(A), as_count(n, "n")
-    s = float(np.sum(x))
+    M, n, x = as_nonnegative(A), as_count(n, "n"), np.asarray(x, dtype=float)
+    if x.shape != (M.shape[0],) or not (x.min() >= 0.0 and x.max() < math.inf):  # a nan minimum fails too
+        raise ValueError(f"x must be a finite nonnegative vector of length {M.shape[0]}")
+    s = float(x.sum())
     if n < 1 or s <= 0.0:
         return [], []
     with np.errstate(divide="ignore", over="ignore"):  # a zero or overflowing column sum gives K = 1
@@ -482,11 +484,14 @@ def sparse_radius_bracket(n: int, src, dst) -> tuple[float, float]:
     """Certified [lo, hi] around the spectral radius of the n x n count matrix with one unit per
     edge src[e] -> dst[e], from no dense matrix: per strongly connected component C with a cycle,
     the narrowest Collatz-Wielandt bracket of (B_C x)_i / x_i over power iteration on B_C + I,
-    widened for rounding.  ValueError on an edge outside 0..n-1, ConvergenceError after _MAX_STEPS."""
+    widened for rounding.  ValueError on a node id that is no integer in 0..n-1, ConvergenceError after _MAX_STEPS."""
     n = as_count(n, "n")
-    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
-    if src.ndim != 1 or src.shape != dst.shape or ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+    src, dst = np.asarray(src), np.asarray(dst)
+    ok = src.ndim == 1 and src.shape == dst.shape and {src.dtype.kind, dst.dtype.kind} <= {"i", "u", "f"}
+    ids = np.concatenate((src, dst)) if ok else np.array([-1])  # no bool, string or object ids
+    if not np.all((ids >= 0) & (ids < n)) or np.any(ids.astype(np.intp) != ids):  # nan and inf fail before the cast
         raise ValueError(f"edges must be two equal-length lists of nodes in 0..{n - 1}")
+    src, dst = src.astype(np.intp), dst.astype(np.intp)
     labels = np.array(_scc_labels(n, src, dst), dtype=np.intp)
     lo = hi = 0.0  # no cycle: the count matrix is nilpotent
     for c in set(labels[src][labels[src] == labels[dst]].tolist()):

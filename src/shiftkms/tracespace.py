@@ -82,11 +82,11 @@ def _coherent(M: np.ndarray, levels, tol: float = COHERENCE_TOL, require: bool =
     levs = tuple(np.asarray(t, dtype=float) for t in levels)
     if len(levs) < 1:
         raise ValueError("need at least one level")
-    for t in levs:
-        if t.shape != (M.shape[0],):
-            raise ValueError("level length must match the matrix dimension")
-        if np.any(t < 0):
-            raise ValueError("levels must be nonnegative")
+    if any(t.shape != (M.shape[0],) for t in levs):
+        raise ValueError("level length must match the matrix dimension")
+    stacked = np.stack(levs)
+    if not (stacked.min() >= 0.0 and stacked.max() < math.inf):  # a nan minimum fails too
+        raise ValueError("levels must be finite and nonnegative")
     residuals = tuple(
         float(np.abs(M @ levs[r + 1] - levs[r]).sum()) for r in range(len(levs) - 1)
     )
@@ -110,18 +110,15 @@ def t_prime(seq: CoherentSequence) -> CoherentSequence:
 
 
 def h_iterate(seq: CoherentSequence, n: int) -> CoherentSequence:
-    """n steps of (t_r) -> (t_{r+1}) / sum(t_1); fixed points (up to the
-    truncation) are exactly the eigen-sequences."""
+    """h^n of (t_r) -> (t_{r+1}) / sum(t_1), in closed form (t_{n+r}) / sum(t_n); refused when some
+    sum(t_j), 1 <= j <= n, vanishes.  Fixed points (up to the truncation) are the eigen-sequences."""
     n = as_count(n, "n")
     if seq.depth < n:
         raise ValueError(f"sequence depth {seq.depth} is insufficient for {n} steps")
-    levels = seq.levels
-    for _ in range(n):
-        s = float(levels[1].sum())
-        if s <= 0.0:
-            raise ValueError("renormalizer sum(t_1) vanished")
-        levels = tuple(t / s for t in levels[1:])
-    return _coherent(seq.matrix, levels, tol=seq.tol, require=False)
+    stacked = np.stack(seq.levels)
+    if n and stacked[1 : n + 1].sum(axis=1).min() <= 0.0:
+        raise ValueError("renormalizer sum(t_1) vanished")
+    return _coherent(seq.matrix, stacked[n:] / (float(stacked[n].sum()) if n else 1.0), tol=seq.tol, require=False)
 
 
 def kms_eigen_sequence(A, R: int) -> CoherentSequence:
@@ -148,8 +145,8 @@ def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
     M = as_nonnegative(A)
     R = as_count(R, "R")
     b = np.asarray(boundary, dtype=float)
-    if b.shape != (M.shape[0],) or np.any(b < 0) or float(b.sum()) <= 0.0:
-        raise ValueError("boundary must be a nonnegative vector with positive sum")
+    if b.shape != (M.shape[0],) or not (b.min() >= 0.0 and b.max() < math.inf and float(b.sum()) > 0.0):
+        raise ValueError("boundary must be a finite nonnegative vector with positive sum")
     b = b / float(b.sum())
     logs = [0.0] + normalized_powers(M, b, R)[0]  # log(1^T A^k b) for k = 0..R
     if len(logs) <= R or abs(logs[-1]) > _LOG_RANGE:  # the boundary dies, or t_R is no normal float
@@ -173,29 +170,22 @@ class EpsilonSequence:
     rates: tuple[float, ...]
 
 
-def _log_eps(A, v: np.ndarray, n_max: int) -> list[float]:
-    """log eps_n for n = 1..n_max of a validated trace vector v."""
-    n_max = as_count(n_max, "n_max", 1)
+def epsilon_sequence(A, t, n_max: int) -> EpsilonSequence:
+    """log eps_n and (1/n) log eps_n for n = 1..n_max via a normalized recursion."""
+    v, n_max = as_trace_vector(t), as_count(n_max, "n_max", 1)
     log_values = normalized_powers(A, v, n_max)[0]
     if len(log_values) < n_max:
         raise ValueError("eps_n vanished; the matrix has a dead column for this trace")
-    return log_values
-
-
-def epsilon_sequence(A, t, n_max: int) -> EpsilonSequence:
-    """log eps_n and (1/n) log eps_n for n = 1..n_max via a normalized recursion."""
-    log_values = _log_eps(A, as_trace_vector(t), n_max)
     rates = tuple(lv / n for n, lv in enumerate(log_values, start=1))
     return EpsilonSequence(log_values=tuple(log_values), rates=rates)
 
 
-def temperature_from_trace(A, t, n_max: int = 300) -> float:
-    """Trailing estimate (1/n) log eps_n at n = n_max; converges to log r(A)
+def temperature_from_trace(A, t, n_max: int) -> float:
+    """The last rate of epsilon_sequence, (1/n) log eps_n at n = n_max; converges to log r(A)
     for strictly positive traces on irreducible matrices."""
-    v = as_trace_vector(t)
-    if float(v.min()) <= 0.0:
+    if float(as_trace_vector(t).min()) <= 0.0:
         raise ValueError("temperature_from_trace requires a strictly positive trace")
-    return _log_eps(A, v, n_max)[-1] / n_max
+    return epsilon_sequence(A, t, n_max).rates[-1]
 
 
 @dataclass(frozen=True, eq=False)

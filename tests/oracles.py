@@ -103,6 +103,11 @@ so the package's entropies must equal it bit for bit.
 `cylinder_eigen` is the Parry cylinder weight in the closed eigenvector form
 v_{w_1} u_{w_r} prod(a) / lam^(r-1); `equilibrium.cylinder` multiplies the
 stationary entry by transition probabilities and must agree with it.
+
+`h_iterate_stepwise` is the normalized iteration h as it ran before its closed
+form: n steps of (t_r) -> (t_{r+1}) / sum(t_1), each renormalizing by the sum
+of the level the step before left; `tracespace.h_iterate` divides each level
+once by sum(t_n) and must agree with it and refuse where it refuses.
 """
 
 from __future__ import annotations
@@ -116,9 +121,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral
+from shiftkms import BetaShift, ForbiddenWords, FullShift, SFT, spectral, tracespace
 from shiftkms.beta import BetaExpansion
-from shiftkms.equilibrium import _validate_cylinder_word
 from shiftkms.subshift import Automaton, automaton_for
 
 
@@ -927,10 +931,21 @@ def noda_eye(B, shift, x):
 def cylinder_eigen(m, word) -> float:
     """The Parry measure m of the cylinder of word, in the eigenvector form
     v_{w_1} u_{w_r} prod(a) / lam^(r-1)."""
-    w = _validate_cylinder_word(m, word)
     p = m.perron
-    for a, b in zip(w, w[1:]):
+    for a, b in zip(word, word[1:]):
         if not p.matrix[a - 1, b - 1]:
             return 0.0
-    r = len(w)
-    return float(p.v[w[0] - 1] * p.u[w[-1] - 1] / p.lam ** (r - 1))
+    return float(p.v[word[0] - 1] * p.u[word[-1] - 1] / p.lam ** (len(word) - 1))
+
+
+def h_iterate_stepwise(seq, n):
+    """n steps of (t_r) -> (t_{r+1}) / sum(t_1), each refused when that sum vanishes."""
+    if seq.depth < n:
+        raise ValueError(f"sequence depth {seq.depth} is insufficient for {n} steps")
+    levels = seq.levels
+    for _ in range(n):
+        s = float(levels[1].sum())
+        if s <= 0.0:
+            raise ValueError("renormalizer sum(t_1) vanished")
+        levels = tuple(t / s for t in levels[1:])
+    return tracespace._coherent(seq.matrix, levels, tol=seq.tol, require=False)

@@ -425,6 +425,30 @@ def test_class_counts_equal_the_sorted_row_core():
                 core(empty, 3, depth)
 
 
+def test_class_counts_equal_the_sorted_row_core_on_random_forbidden_words():
+    # short forbidden words, length-1 ones included, so many shifts die out or are empty: every
+    # nonempty family holds a subset with the start, and an empty one is refused by both cores
+    outcomes, empty = set(), 0
+    for i in range(120):
+        rng = np.random.default_rng([48, i])
+        alphabet = int(rng.integers(2, 4))
+        lengths = rng.integers(1, 5, int(rng.integers(1, 7)))
+        words = tuple(tuple(rng.integers(1, alphabet + 1, int(k)).tolist()) for k in lengths)
+        aut = build_automaton(ForbiddenWords(alphabet, words))
+        empty += bool((aut.succ == aut.sink).all())  # no word of length 1
+        for n, depth in ((3, 1), (2, 4), (8, 8), (12, 20)):
+            try:
+                ref = oracles.class_counts_sorted_rows(aut, n, depth)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    krieger._class_counts.__wrapped__(aut, n, depth)
+                outcomes.add("refused")
+            else:
+                assert krieger._class_counts.__wrapped__(aut, n, depth) == ref, (words, n, depth)
+                outcomes.add("counted")
+    assert outcomes == {"counted", "refused"} and empty
+
+
 def _walk_cases():
     yield BetaShift(1.7, digit_depth=64)
     yield BetaShift("2.0863", digit_depth=230)

@@ -83,7 +83,12 @@ REFUSALS = [
         ValueError,
         "level length must match the matrix dimension",
     ),
-    ("negative-level", lambda: coherent_sequence(GOLDEN, [[-1.0, 2.0]]), ValueError, "levels must be nonnegative"),
+    (
+        "negative-level",
+        lambda: coherent_sequence(GOLDEN, [[-1.0, 2.0]]),
+        ValueError,
+        "levels must be finite and nonnegative",
+    ),
     (
         "zero-renormalizer",
         lambda: h_iterate(coherent_sequence(GOLDEN, [[0.0, 0.0], [0.0, 0.0]]), 1),
@@ -94,7 +99,7 @@ REFUSALS = [
         "zero-boundary",
         lambda: coherent_from_boundary(GOLDEN, [0.0, 0.0], 3),
         ValueError,
-        "boundary must be a nonnegative vector with positive sum",
+        "boundary must be a finite nonnegative vector with positive sum",
     ),
     (
         "dead-column",

@@ -435,6 +435,15 @@ def test_chunked_growth_stops_where_stepwise_stops():
     assert spectral.normalized_powers(np.ones((3, 3)), np.zeros(3), 5) == ([], [])
 
 
+@pytest.mark.parametrize(
+    "x", [[math.nan, 1.0], [math.inf, 1.0], [-1.0, 2.0], [1.0, 1.0, 1.0], [1.0], [[0.5, 0.5]]], ids=str
+)
+def test_normalized_powers_refuses_a_start_that_is_no_finite_nonnegative_d_vector(x):
+    # a nan start once read as a vanished sum, inf warned, [-1, 2] dropped a log, a wrong length broadcast
+    with pytest.raises(ValueError, match="^x must be a finite nonnegative vector of length 2$"):
+        spectral.normalized_powers([[1, 1], [1, 0]], x, 3)
+
+
 def test_chunked_growth_stays_finite_far_past_the_float_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -505,11 +514,35 @@ def test_sparse_radius_bracket_solves_each_component_apart():
     assert lo <= 2.0 <= hi and hi - lo < 1e-14
 
 
-@pytest.mark.parametrize("src, dst", [([0, 1], [1, 2]), ([0, 2], [1, 0]), ([-1], [0]), ([0, 1], [1]), ([[0]], [[1]])])
+@pytest.mark.parametrize(
+    "src, dst",
+    [
+        ([0, 1], [1, 2]),
+        ([0, 2], [1, 0]),
+        ([-1], [0]),
+        ([0, 1], [1]),
+        ([[0]], [[1]]),
+        ([0.5, 1.7], [1, 0]),
+        ([0, 1], [1.0, 0.5]),
+        ([True, False], [1, 0]),
+        ([0, 1], np.array([1, 0], dtype=bool)),
+        ([0.0, math.nan], [1, 0]),
+        ([math.inf], [0]),
+        (["0", "1"], [1, 0]),
+    ],
+)
 def test_sparse_radius_bracket_rejects_edges_outside_the_nodes(src, dst):
-    # node 2 would be the virtual root of the Tarjan pass, -1 wraps around
+    # node 2 would be the virtual root of the Tarjan pass, -1 wraps around; a cast to
+    # intp would turn 0.5 and 1.7 into nodes 0 and 1, and True and False into 1 and 0
     with pytest.raises(ValueError, match=r"nodes in 0\.\.1"):
         sparse_radius_bracket(2, src, dst)
+
+
+def test_sparse_radius_bracket_takes_integral_floats_and_no_edges():
+    assert sparse_radius_bracket(2, [0.0, 0.0, 1.0], [0, 1, 0]) == sparse_radius_bracket(2, [0, 0, 1], [0, 1, 0])
+    unsigned = np.array([0, 1], dtype=np.uint8)
+    assert sparse_radius_bracket(2, unsigned, [1, 0]) == sparse_radius_bracket(2, [0, 1], [1, 0])
+    assert sparse_radius_bracket(2, [], []) == (0.0, 0.0)
 
 
 def test_sparse_radius_bracket_step_cap_raises_with_the_bracket(monkeypatch):

@@ -127,6 +127,56 @@ def test_h_requires_enough_levels():
         h_iterate(seq, 4)
 
 
+def _h_cases():
+    # backward truncations, eigen-sequences and incoherent nonnegative levels on seeded 0/1 matrices
+    for i in range(40):
+        rng = np.random.default_rng([48, i])
+        d, R = int(rng.integers(2, 9)), int(rng.integers(2, 13))
+        M = oracles.random_irreducible_zero_one(rng, d, float(rng.uniform(0.3, 0.8)))
+        yield coherent_from_boundary(M, rng.uniform(0.0, 1.0, d), R)
+        yield kms_eigen_sequence(M, R)
+        yield tracespace._coherent(M, rng.uniform(0.0, 1.0, (R + 1, d)), require=False)
+
+
+def test_h_closed_form_equals_the_stepwise_loop():
+    # (t_{n+r}) / sum(t_n) divides each level once; the loop divides n times,
+    # so they agree bitwise for n <= 1 and to rounding past it
+    for seq in _h_cases():
+        for n in range(seq.depth + 1):
+            got, ref = h_iterate(seq, n), oracles.h_iterate_stepwise(seq, n)
+            assert got.depth == ref.depth == seq.depth - n and got.tol == seq.tol
+            for a, b in zip(got.levels, ref.levels):
+                if n <= 1:
+                    assert np.array_equal(a, b)
+                assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b)), (n, a, b)
+
+
+def test_h_refuses_where_any_renormalizer_vanishes():
+    # sum(t_2) = 0 < sum(t_3): the loop's second step divides by 0, so the closed form,
+    # which only divides by sum(t_n), must look at every sum up to n
+    levels = [[0.5, 0.5], [0.3, 0.2], [0.0, 0.0], [0.1, 0.4], [0.2, 0.2]]
+    seq = tracespace._coherent(np.array(GOLDEN, dtype=float), levels, require=False)
+    for h in (h_iterate, oracles.h_iterate_stepwise):
+        assert [lv.tolist() for lv in h(seq, 1).levels] == [[0.6, 0.4], [0.0, 0.0], [0.2, 0.8], [0.4, 0.4]]
+        for n in (2, 3, 4):
+            with pytest.raises(ValueError, match=r"renormalizer sum\(t_1\) vanished"):
+                h(seq, n)
+
+
+def test_coherent_sequence_refuses_non_finite_levels():
+    for levels in ([[math.nan, 0.5]], [[0.5, 0.5], [math.inf, 0.0]], [[0.5, 0.5], [0.5, -math.inf]]):
+        with pytest.raises(ValueError, match="levels must be finite and nonnegative"):
+            coherent_sequence(GOLDEN, levels)
+        with pytest.raises(ValueError, match="levels must be finite and nonnegative"):
+            tracespace._coherent(np.array(GOLDEN, dtype=float), levels, require=False)
+
+
+def test_coherent_from_boundary_refuses_non_finite_entries():
+    for boundary in ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [math.nan, math.nan]):
+        with pytest.raises(ValueError, match="^boundary must be a finite nonnegative vector with positive sum$"):
+            coherent_from_boundary(GOLDEN, boundary, 3)
+
+
 def test_k_iterate_examples():
     # the k-iteration t -> A t / (1^T A t) is the vector half of normalized_powers
     fixed = spectral.normalized_powers(np.eye(2), [0.3, 0.7], 5)[1]
@@ -228,6 +278,15 @@ def test_temperature_from_trace_examples():
     assert abs(temperature_from_trace(perm, [0.4, 0.6], 100)) < 1e-12
     got = temperature_from_trace(GOLDEN, [0.5, 0.5], 300)
     assert abs(got - math.log(PHI)) < 1e-2
+
+
+def test_temperature_from_trace_is_the_last_rate():
+    rng = np.random.default_rng(48)
+    for M, n in ((GOLDEN, 1), (GOLDEN, 300), (np.ones((3, 3)), 50), (oracles.random_irreducible_zero_one(rng, 9), 77)):
+        t = rng.uniform(0.1, 1.0, len(M))
+        t /= t.sum()
+        eps = epsilon_sequence(M, t, n)
+        assert temperature_from_trace(M, t, n) == eps.rates[-1] == eps.log_values[-1] / n
 
 
 def test_temperature_from_trace_requires_positive():
