@@ -8,10 +8,10 @@ comes from Noda iteration, inverse iteration shifted by the current
 Collatz-Wielandt upper bound (one system array per run, only its diagonal
 rewritten), which needs no special case for periodic matrices.  Each run
 starts where at most d // 4 power steps on B + I from ones/d leave it (about
-one dense solve's time at d = 256), and a pair of runs that misses acceptance
-is solved again from ones/d.  The bracket min (A u)_i / u_i <= lam <=
-max (A u)_i / u_i of the final u, widened for float rounding, is returned with
-it as a certificate.  The SCC pass and periods are memoized per support, the
+one dense solve's time at d = 256) and makes no solve when they settled at
+rounding level; a pair of runs that misses acceptance is solved again from
+ones/d.  The bracket min (A u)_i / u_i <= lam <= max (A u)_i / u_i of the
+final u, widened for float rounding, is returned with it as a certificate.  The SCC pass and periods are memoized per support, the
 solve of every component per matrix content (validated once, when stored; the
 key hashes a bounded sample of the bytes and compares them all); all callers
 share them, their arrays are read-only, and a solve whose residual exceeds
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 PERRON_TOL = 1e-13  # l1 eigen-residual bound of an accepted Perron solve, floored at residual_noise_floor
-_MAX_SOLVES = 100  # per Noda run; warm-started runs take 1-10 solves on desk-scale input, 1-4 at d >= 64
+_MAX_SOLVES = 100  # per Noda run; warm-started runs take 0-10 solves on desk-scale input, 0 once settled
 _MAX_STEPS = 2**17  # per component; the slowest CLI input found (gap renewal, n = 88) takes 45 101
 _STALE_STEPS = 32  # level steps that end the iteration once the bracket is at rounding level
 _LOG_CHUNK = 300.0  # normalized_powers rescales before a sum can leave exp(+-300), far inside float64
@@ -185,15 +185,17 @@ def period(A) -> int:
     return p
 
 
-def _warm_start(B: np.ndarray, steps: int) -> np.ndarray:
+def _warm_start(B: np.ndarray, steps: int) -> tuple[np.ndarray, bool]:
     """Start vector of a Noda run on an irreducible B: at most `steps` power steps
-    x <- (B x + x) / sum from ones/d.
+    x <- (B x + x) / sum from ones/d, and whether they settled.
 
     Each step reads the Collatz-Wielandt width max - min of (B x)_i / x_i off the
     B x it computes anyway, and the steps end at the first one that fails to
     halve the width or whose bracket is not positive and finite (an underflowed
     x).  Returns the last x whose bracket was positive, finite and the narrowest
-    so far, or ones/d itself when there is none.
+    so far, or ones/d itself when there is none.  The steps settled when they
+    ended on a positive, finite bracket that failed to halve a width already at
+    most (d + 1) eps hi, the rounding allowance the certificate is widened by.
     """
     x = best = np.full(B.shape[0], 1.0 / B.shape[0])
     width = math.inf
@@ -203,16 +205,17 @@ def _warm_start(B: np.ndarray, steps: int) -> np.ndarray:
             ratio = y / x
             lo, hi = float(ratio.min()), float(ratio.max())
             if not (0.0 < lo <= hi < math.inf and hi - lo < 0.5 * width):
-                break
+                return best, 0.0 < lo <= hi < math.inf and width <= (x.size + 1) * np.finfo(float).eps * hi
             best, width = x, hi - lo
             y += x
             x = y / y.sum()
-    return best
+    return best, False
 
 
-def _noda(B: np.ndarray, shift: float | None, x: np.ndarray):
+def _noda(B: np.ndarray, shift: float | None, x: np.ndarray, settled: bool):
     """Noda iteration x <- (sigma I - B)^-1 x / sum for the Perron vector of an
-    irreducible B, from the given positive unit-sum x (_warm_start's).
+    irreducible B, from the given positive unit-sum x (_warm_start's), which is
+    returned as it is, after 0 solves, when the warm steps settled.
 
     sigma is the Collatz-Wielandt upper bound max (B x)_i / x_i of the current
     x, above the Perron value, so every solve is positive; a given shift
@@ -232,7 +235,7 @@ def _noda(B: np.ndarray, shift: float | None, x: np.ndarray):
             if best is not None and not (np.all(x > 0.0) and hi - lo < best[2] - best[1]):
                 return (*best, solves)
             best = (x, lo, hi)
-            if lo == hi:
+            if lo == hi or settled:
                 return (*best, solves)
             np.add(negated_diagonal, hi if shift is None else shift, out=diagonal)
             try:
@@ -256,7 +259,8 @@ class PerronData:
     is the Collatz-Wielandt bracket of u, widened outward for float rounding:
     it holds the Perron value, and lo <= lam <= hi.  iterations counts the
     linear solves of both vectors (not the power steps of their warm starts)
-    in the pair of Noda runs that gave them.  Shared per matrix content by every
+    in the pair of Noda runs that gave them, 0 when both warm starts settled
+    (most dense matrices from d = 128 on).  Shared per matrix content by every
     caller, so matrix, u and v are read-only.
     """
 
@@ -300,9 +304,9 @@ def _perron_pair(M: np.ndarray, period: int, steps: int) -> PerronData:
     """Noda iteration for u, then for v on M.T, its first shift just above the
     certified bound on lam, each from _warm_start(., steps)."""
     d = M.shape[0]
-    u, lo, hi, solves_u = _noda(M, None, _warm_start(M, steps))
+    u, lo, hi, solves_u = _noda(M, None, *_warm_start(M, steps))
     widen = (d + 1) * np.finfo(float).eps
-    v, _, _, solves_v = _noda(M.T, hi * (1.0 + 2.0 * widen), _warm_start(M.T, steps))
+    v, _, _, solves_v = _noda(M.T, hi * (1.0 + 2.0 * widen), *_warm_start(M.T, steps))
     # the two-sided Rayleigh quotient, kept inside the float bracket of u
     lam = min(max(float(v @ M @ u) / float(v @ u), lo), hi)
     residual = max(float(np.abs(M @ u - lam * u).sum()), float(np.abs(M.T @ v - lam * v).sum()))
@@ -433,6 +437,9 @@ def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:
     M, n, x = as_nonnegative(A), as_count(n, "n"), np.asarray(x, dtype=float)
     if x.shape != (M.shape[0],) or not (x.min() >= 0.0 and x.max() < math.inf):  # a nan minimum fails too
         raise ValueError(f"x must be a finite nonnegative vector of length {M.shape[0]}")
+    with np.errstate(over="ignore"):  # finite entries whose sum overflows are divided by the largest one first
+        top = float(x.max()) if float(x.sum()) == math.inf else 1.0
+    x = x / top
     s = float(x.sum())
     if n < 1 or s <= 0.0:
         return [], []
@@ -441,7 +448,7 @@ def normalized_powers(A, x, n: int) -> tuple[list[float], list[np.ndarray]]:
     K = max(1, min(n, int(_LOG_CHUNK / spread))) if spread else n
     X = np.empty((n + 1, M.shape[0]))
     X[0] = np.divide(x, s)
-    rows, logs, base = list(X), np.empty(n), math.log(s)
+    rows, logs, base = list(X), np.empty(n), math.log(s) + math.log(top)
     for i in range(0, n, K):
         for k in range(i, min(i + K, n)):
             np.dot(M, rows[k], out=rows[k + 1])

@@ -145,8 +145,10 @@ def coherent_from_boundary(A, boundary, R: int) -> CoherentSequence:
     M = as_nonnegative(A)
     R = as_count(R, "R")
     b = np.asarray(boundary, dtype=float)
-    if b.shape != (M.shape[0],) or not (b.min() >= 0.0 and b.max() < math.inf and float(b.sum()) > 0.0):
+    if b.shape != (M.shape[0],) or not (b.min() >= 0.0 and 0.0 < b.max() < math.inf):
         raise ValueError("boundary must be a finite nonnegative vector with positive sum")
+    with np.errstate(over="ignore"):  # finite entries whose sum overflows are divided by the largest one first
+        b = b / float(b.max()) if float(b.sum()) == math.inf else b
     b = b / float(b.sum())
     logs = [0.0] + normalized_powers(M, b, R)[0]  # log(1^T A^k b) for k = 0..R
     if len(logs) <= R or abs(logs[-1]) > _LOG_RANGE:  # the boundary dies, or t_R is no normal float
@@ -172,7 +174,12 @@ class EpsilonSequence:
 
 def epsilon_sequence(A, t, n_max: int) -> EpsilonSequence:
     """log eps_n and (1/n) log eps_n for n = 1..n_max via a normalized recursion."""
-    v, n_max = as_trace_vector(t), as_count(n_max, "n_max", 1)
+    return _epsilon_sequence(A, as_trace_vector(t), n_max)
+
+
+def _epsilon_sequence(A, v: np.ndarray, n_max: int) -> EpsilonSequence:
+    """epsilon_sequence of a vector that as_trace_vector returned, which is not checked again as a trace."""
+    n_max = as_count(n_max, "n_max", 1)
     log_values = normalized_powers(A, v, n_max)[0]
     if len(log_values) < n_max:
         raise ValueError("eps_n vanished; the matrix has a dead column for this trace")
@@ -183,9 +190,10 @@ def epsilon_sequence(A, t, n_max: int) -> EpsilonSequence:
 def temperature_from_trace(A, t, n_max: int) -> float:
     """The last rate of epsilon_sequence, (1/n) log eps_n at n = n_max; converges to log r(A)
     for strictly positive traces on irreducible matrices."""
-    if float(as_trace_vector(t).min()) <= 0.0:
+    v = as_trace_vector(t)
+    if float(v.min()) <= 0.0:
         raise ValueError("temperature_from_trace requires a strictly positive trace")
-    return epsilon_sequence(A, t, n_max).rates[-1]
+    return _epsilon_sequence(A, v, n_max).rates[-1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,7 +75,8 @@ in chunks: one matrix-vector product, sum, logarithm and division per step.
 of them, `reach_order_numpy` the earlier `Automaton.reach_order`, one numpy
 gather of the successor table per level until the levels run out, and `noda_eye` the Noda iteration that built each system as
 sigma * np.eye(d) - B, run from the start vector it is given (it runs no
-power steps of its own).  The package must match them exactly, except the
+power steps of its own) and returning a start flagged as settled after 0 solves;
+run with the flag False it is the rule that solved every start.  The package must match them exactly, except the
 chunked recursion, which must match the stepwise one within rounding.
 
 `perron_root_lapack` is the reference for an automaton's entropy: LAPACK's
@@ -904,8 +905,9 @@ def reach_order_numpy(aut, l):
     return order, sizes + sizes[-1:] * (l + 1 - len(sizes))
 
 
-def noda_eye(B, shift, x):
-    """spectral._noda with each system built as sigma * np.eye(d) - B, from the start vector x."""
+def noda_eye(B, shift, x, settled):
+    """spectral._noda with each system built as sigma * np.eye(d) - B, from the start vector x, which it
+    returns after 0 solves when settled."""
     d = B.shape[0]
     best = None
     with np.errstate(all="ignore"):
@@ -917,7 +919,7 @@ def noda_eye(B, shift, x):
             if best is not None and not (np.all(x > 0.0) and hi - lo < best[2] - best[1]):
                 return (*best, solves)
             best = (x, lo, hi)
-            if lo == hi:
+            if lo == hi or settled:
                 return (*best, solves)
             try:
                 z = np.linalg.solve((hi if shift is None else shift) * np.eye(d) - B, x)

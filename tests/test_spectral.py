@@ -262,9 +262,9 @@ def _noda_starts(monkeypatch):
     """The start vector of every Noda run from here on, in order."""
     starts, noda = [], spectral._noda
 
-    def recorded(B, shift, x):
+    def recorded(B, shift, x, settled):
         starts.append(x)
-        return noda(B, shift, x)
+        return noda(B, shift, x, settled)
 
     monkeypatch.setattr(spectral, "_noda", recorded)
     return starts
@@ -273,8 +273,10 @@ def _noda_starts(monkeypatch):
 def _from_ones(M, monkeypatch):
     """Perron data of M, cold, with every Noda run started from ones/d (no warm steps)."""
     spectral._analysis.cache_clear()
+    warm_start = spectral._warm_start
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_noda", lambda B, shift, x: oracles.noda_eye(B, shift, np.full(len(x), 1.0 / len(x))))
+        m.setattr(spectral, "_warm_start", lambda B, steps: warm_start(B, 0))
+        m.setattr(spectral, "_noda", oracles.noda_eye)
         return perron_vectors(M)
 
 
@@ -342,6 +344,58 @@ def test_a_warm_pair_that_misses_acceptance_is_solved_from_ones(monkeypatch):
     ref = _from_ones(M, monkeypatch)
     for field in ("lam", "u", "v", "lo", "hi", "iterations"):
         assert np.array_equal(getattr(p, field), getattr(ref, field)), field
+
+
+def _old_rule(M, monkeypatch):
+    """Perron data of M, cold, under the rule that solved every warm start, settled or not."""
+    spectral._analysis.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_noda", lambda B, shift, x, settled: oracles.noda_eye(B, shift, x, False))
+        return perron_vectors(M)
+
+
+@pytest.mark.parametrize("d", [128, 256])
+def test_settled_warm_starts_take_no_solves_on_dense_matrices(d, monkeypatch):
+    # the d // 4 warm steps end at rounding level; the old rule's 2-5 solves per pair only confirmed it
+    rng = np.random.default_rng(3 * d)
+    for _ in range(4):
+        M = oracles.random_irreducible_zero_one(rng, d, 0.6)
+        spectral._analysis.cache_clear()
+        p = perron_vectors(M)
+        old = _old_rule(M, monkeypatch)
+        assert p.iterations == 0 < old.iterations
+        assert old.lo <= p.lam <= old.hi and p.residual <= spectral.residual_noise_floor(d, p.lam)
+
+
+def _unsettled_cases():
+    rng = np.random.default_rng(31)
+    for period in (2, 3):
+        for _ in range(4):
+            yield oracles.block_cyclic(rng, period, 16)
+    for n in (12, 30):
+        yield oracles.cycle_chord(n)
+    for d in (32, 64):  # sparse rows scaled by 10^U(-10, 10): Noda can stop on bracket noise
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            yield oracles.random_irreducible_zero_one(rng, d, 0.2) * 10.0 ** rng.uniform(-10, 10, (d, 1))
+
+
+def test_periodic_slow_and_badly_scaled_matrices_solve_as_under_the_old_rule(monkeypatch):
+    failures = 0
+    for M in _unsettled_cases():
+        spectral._analysis.cache_clear()
+        try:
+            got = perron_vectors(M)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as ref:
+                _old_rule(M, monkeypatch)
+            assert str(exc) == str(ref.value) and exc.residual == ref.value.residual
+            failures += 1
+            continue
+        ref = _old_rule(M, monkeypatch)
+        for field in ("matrix", "lam", "u", "v", "period", "iterations", "residual", "lo", "hi"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    assert failures == 22  # 10 of the 40 at d = 32 and 12 at d = 64
 
 
 def test_perron_rejects_reducible():
@@ -442,6 +496,14 @@ def test_normalized_powers_refuses_a_start_that_is_no_finite_nonnegative_d_vecto
     # a nan start once read as a vanished sum, inf warned, [-1, 2] dropped a log, a wrong length broadcast
     with pytest.raises(ValueError, match="^x must be a finite nonnegative vector of length 2$"):
         spectral.normalized_powers([[1, 1], [1, 0]], x, 3)
+
+
+def test_normalized_powers_takes_a_finite_start_whose_sum_overflows():
+    # 1e308 + 1e308 overflows; the start is divided by its largest entry first, so it runs as [1, 1]
+    logs, vectors = spectral.normalized_powers(GOLDEN, [1e308, 1e308], 20)
+    ref_logs, ref_vectors = spectral.normalized_powers(GOLDEN, [1.0, 1.0], 20)
+    assert len(logs) == 20 and np.array_equal(vectors, ref_vectors)
+    np.testing.assert_allclose(logs, np.array(ref_logs) + math.log(1e308), rtol=1e-15, atol=0.0)
 
 
 def test_chunked_growth_stays_finite_far_past_the_float_range():

@@ -289,6 +289,52 @@ def test_temperature_from_trace_is_the_last_rate():
         assert temperature_from_trace(M, t, n) == eps.rates[-1] == eps.log_values[-1] / n
 
 
+REFUSAL_ORDER = [
+    # (call, message): each input breaks two rules, and the one checked first names the refusal
+    (lambda: temperature_from_trace(GOLDEN, [-1.0, 2.0], 0), "trace vector entries must be finite and nonnegative"),
+    (lambda: temperature_from_trace(GOLDEN, [0.0, 1.0], 0), "temperature_from_trace requires a strictly positive trace"),
+    (lambda: temperature_from_trace([[1, -1], [1, 0]], [0.5, 0.5], 0), "n_max must be >= 1, got 0"),
+    (lambda: temperature_from_trace([[1, -1], [1, 0]], [0.2, 0.3, 0.5], 3), "matrix entries must be nonnegative"),
+    (lambda: temperature_from_trace(GOLDEN, [0.2, 0.3, 0.5], 3), "x must be a finite nonnegative vector of length 2"),
+    (lambda: epsilon_sequence(GOLDEN, [0.5, 0.6], "3"), f"trace vector must sum to 1 within {TRACE_TOL}, got 1.1"),
+    (lambda: epsilon_sequence(GOLDEN, [0.2, 0.3, 0.5], 0), "n_max must be >= 1, got 0"),
+    (lambda: epsilon_sequence([[1, 1]], [0.2, 0.3, 0.5], 3), "matrix must be square, got shape (1, 2)"),
+    (lambda: epsilon_sequence(GOLDEN, [0.2, 0.3, 0.5], 3), "x must be a finite nonnegative vector of length 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSAL_ORDER, ids=range(len(REFUSAL_ORDER)))
+def test_trace_functions_refuse_in_their_order(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_trace_functions_run_as_trace_vector_once(monkeypatch):
+    # as_trace_vector checks it as a trace, and normalized_powers checks it once more as its start
+    calls = {"as_trace_vector": 0, "normalized_powers": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tracespace, name, counting(name, getattr(tracespace, name)))
+    epsilon_sequence(GOLDEN, [0.5, 0.5], 20)
+    assert calls == {"as_trace_vector": 1, "normalized_powers": 1}
+    temperature_from_trace(GOLDEN, [0.5, 0.5], 20)
+    assert calls == {"as_trace_vector": 2, "normalized_powers": 2}
+
+
+def test_coherent_from_boundary_takes_a_finite_boundary_whose_sum_overflows():
+    # 1e308 + 1e308 overflows; the boundary is divided by its largest entry first, so it runs as [1, 1]
+    got = coherent_from_boundary(GOLDEN, [1e308, 1e308], 8)
+    ref = coherent_from_boundary(GOLDEN, [1.0, 1.0], 8)
+    assert all(np.array_equal(a, b) for a, b in zip(got.levels, ref.levels, strict=True))
+
+
 def test_temperature_from_trace_requires_positive():
     with pytest.raises(ValueError):
         temperature_from_trace(GOLDEN, [1.0, 0.0], 10)
